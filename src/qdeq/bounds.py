@@ -107,7 +107,7 @@ def verify_amplitude_overlap(num_pairs: int, seed: int = 0, dim: int = 16) -> Bo
 def _angle_states(Z: np.ndarray, num_qubits: int) -> np.ndarray:
     states = np.zeros((Z.shape[0], 1 << num_qubits), dtype=np.complex128)
     states[:, 0] = 1.0
-    return apply_ops(angle_encode_ops(num_qubits), states, num_qubits, inputs=Z)
+    return apply_ops(angle_encode_ops(num_qubits), states, inputs=Z)
 
 
 def _angle_pairs(rng, num_pairs, num_qubits):

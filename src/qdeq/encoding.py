@@ -21,8 +21,6 @@ _ANGLE_ORDER = (RY, RZ, RX, RY)
 
 _DEGENERATE_NORM = 1e-12
 
-ADD = "add"
-
 
 @dataclass(frozen=True)
 class EncodingSpec:
@@ -43,10 +41,8 @@ class EncodingSpec:
             )
 
 
-def inject(z: np.ndarray, x: np.ndarray, mode: str = ADD) -> np.ndarray:
+def inject(z: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Combine the current iterate with the original input (elementwise add)."""
-    if mode != ADD:
-        raise DimensionError(f"unknown injection mode {mode!r}")
     z = np.asarray(z, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
     if z.shape != x.shape:

@@ -18,7 +18,6 @@ import numpy as np
 from . import encoding as enc
 from .errors import DimensionError
 from .measurement import (
-    ISOMETRIC,
     ObservableEnsemble,
     UpsampleMap,
     expect_batch,
@@ -56,7 +55,6 @@ class QuantumModel:
     theta: np.ndarray
     ensemble: ObservableEnsemble
     upsample: UpsampleMap
-    injection_mode: str = enc.ADD
 
     def __post_init__(self):
         self.theta = np.asarray(self.theta, dtype=np.float64).reshape(-1)
@@ -99,7 +97,7 @@ class QuantumModel:
 
     def prepare(self, Z: np.ndarray, X: np.ndarray) -> Prepared:
         """Run encode + circuit for a batch, keeping what the sweep needs."""
-        combined = enc.inject(Z, X, self.injection_mode)
+        combined = enc.inject(Z, X)
         ops = resolve_circuit(self.circuit, self.theta)
         if self.encoding.kind == enc.AMPLITUDE:
             states, norms = enc.amplitude_encode_batch(combined, self.num_qubits)
@@ -110,7 +108,7 @@ class QuantumModel:
             states = np.zeros((combined.shape[0], 1 << self.num_qubits), dtype=np.complex128)
             states[:, 0] = 1.0
             ops = enc.angle_encode_ops(self.num_qubits) + ops
-        apply_ops(ops, states, self.num_qubits, inputs)
+        apply_ops(ops, states, inputs)
         return Prepared(combined, inputs, norms, states, ops)
 
     def forward_batch(self, Z: np.ndarray, X: np.ndarray, prepared: Optional[Prepared] = None) -> np.ndarray:
@@ -144,7 +142,6 @@ class QuantumModel:
         angle_cols = self.input_dim if self.encoding.kind == enc.ANGLE else 0
         dtheta, dinput, back = adjoint_sweep(
             prep.ops,
-            self.num_qubits,
             prep.states,
             bra,
             inputs=prep.inputs,
@@ -251,7 +248,6 @@ def build_default_model(
     input_dim: int,
     seed: int,
     random_ops: int = 50,
-    upsample_mode: str = ISOMETRIC,
 ) -> QuantumModel:
     """Model with one Pauli-Z per qubit and the standard circuit for Q."""
     if num_qubits <= 4:
@@ -263,5 +259,5 @@ def build_default_model(
         circuit=circuit,
         theta=theta,
         ensemble=ObservableEnsemble.pauli_z_all(num_qubits),
-        upsample=UpsampleMap(num_qubits, input_dim, upsample_mode),
+        upsample=UpsampleMap(num_qubits, input_dim),
     )

@@ -1,19 +1,22 @@
 """Dense statevector simulation with exact gradients.
 
 States live in arrays of shape (batch, 2**Q), complex128, qubit 0 = least
-significant bit of the basis index. Gates are applied in place through
-stride-based index slicing; no 2**Q x 2**Q matrices are ever built (the
-brute-force dense construction exists only in the test oracles).
+significant bit of the basis index. Two kernels apply every gate in place on
+reshaped views of the batch, at any state size: ``_apply_1q`` does slice
+arithmetic on the halves where the qubit is 0 and 1 (``u01 = None`` marks a
+diagonal gate, which only scales them), and ``_apply_cnot`` swaps the target
+halves inside the control=1 half. No 2**Q x 2**Q matrix is built outside the
+test oracles.
 
-Gradients come two ways: a reverse (adjoint) sweep that walks the gate list
-backwards once and yields derivatives for every rotation angle plus the
-cotangent with respect to the input amplitudes, and the parameter-shift rule
-(f(theta + pi/2) - f(theta - pi/2)) / 2, exact for Pauli-generated rotations.
+``_apply_op`` is the one gate dispatch. The forward pass and the reverse
+(adjoint) sweep share it; the sweep walks the gate list backwards once for the
+derivative of every rotation angle and the input-amplitude cotangent. The
+parameter-shift rule (f(theta + pi/2) - f(theta - pi/2)) / 2 is the second,
+exact route for Pauli-generated rotations.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -29,8 +32,6 @@ HADAMARD = "h"
 
 ROTATION_KINDS = (RX, RY, RZ)
 GATE_KINDS = ROTATION_KINDS + (CNOT, PAULI_X, HADAMARD)
-
-_GENERATOR_AXIS = {RX: "x", RY: "y", RZ: "z"}
 
 
 @dataclass(frozen=True)
@@ -138,7 +139,8 @@ class Op(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# kernels: all operate in place on states of shape (B, 2**Q)
+# kernels: in place on states of shape (B, 2**Q); a reshaped view splits the
+# basis index at the gate's qubit(s), so one slice expression serves any size
 
 
 def _bit_view(states: np.ndarray, q: int) -> np.ndarray:
@@ -146,100 +148,78 @@ def _bit_view(states: np.ndarray, q: int) -> np.ndarray:
     return states.reshape(b, n >> (q + 1), 2, 1 << q)
 
 
-def _as_coeff(x, batched: bool):
-    return x[:, None, None] if batched else x
+def _apply_1q(states, q, u00, u01, u10, u11):
+    """Apply [[u00, u01], [u10, u11]] to qubit q; ``u01 is None`` marks a diagonal gate.
 
-
-_SMALL_STATE = 16384  # below this, plain slice arithmetic beats einsum/matmul
-
-
-def _apply_2x2(states, q, m00, m01, m10, m11, batched=False):
+    Each coefficient is a scalar or a per-sample (B, 1, 1) array.
+    """
     v = _bit_view(states, q)
-    if states.size <= _SMALL_STATE:
-        a = v[:, :, 0, :].copy()
-        bpart = v[:, :, 1, :]
-        c00, c01, c10, c11 = (_as_coeff(m, batched) for m in (m00, m01, m10, m11))
-        v[:, :, 0, :] = c00 * a + c01 * bpart
-        v[:, :, 1, :] = c10 * a + c11 * bpart
+    if u01 is None:
+        v[:, :, 0, :] *= u00
+        v[:, :, 1, :] *= u11
         return
-    wide = (1 << q) >= 32  # wide inner stride: BLAS matmul wins over einsum
-    if batched:
-        u = np.empty((states.shape[0], 2, 2), dtype=np.complex128)
-        u[:, 0, 0], u[:, 0, 1], u[:, 1, 0], u[:, 1, 1] = m00, m01, m10, m11
-        if wide:
-            v[:] = np.matmul(u[:, None], v)
-        else:
-            v[:] = np.einsum("bij,bnjs->bnis", u, v)
-    else:
-        u = np.array([[m00, m01], [m10, m11]], dtype=np.complex128)
-        if wide:
-            v[:] = np.matmul(u, v.reshape(-1, 2, 1 << q)).reshape(v.shape)
-        else:
-            v[:] = np.einsum("ij,bnjs->bnis", u, v)
-
-
-def _apply_diag(states, q, d0, d1, batched=False):
-    v = _bit_view(states, q)
-    v[:, :, 0, :] *= _as_coeff(d0, batched)
-    v[:, :, 1, :] *= _as_coeff(d1, batched)
-
-
-def _apply_x(states, q):
-    v = _bit_view(states, q)
     a = v[:, :, 0, :].copy()
-    v[:, :, 0, :] = v[:, :, 1, :]
-    v[:, :, 1, :] = a
+    b = v[:, :, 1, :].copy()
+    np.add(u00 * a, u01 * b, out=v[:, :, 0, :])
+    a *= u10
+    b *= u11
+    np.add(a, b, out=v[:, :, 1, :])
+
+
+def _apply_cnot(states, control, target):
+    """Swap the target halves of the control=1 half, through a 6-axis view."""
+    high, low = max(control, target), min(control, target)
+    b, n = states.shape
+    v = states.reshape(b, n >> (high + 1), 2, 1 << (high - low - 1), 2, 1 << low)
+    if control < target:
+        v = v.swapaxes(2, 4)  # axis 2 is now the control bit, axis 4 the target
+    a = v[:, :, 1, :, 0, :].copy()
+    v[:, :, 1, :, 0, :] = v[:, :, 1, :, 1, :]
+    v[:, :, 1, :, 1, :] = a
 
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
+_CONSTANT = {
+    PAULI_X: (0.0, 1.0, 1.0, 0.0),
+    HADAMARD: (_SQRT_HALF, _SQRT_HALF, _SQRT_HALF, -_SQRT_HALF),
+}
+# Pauli generator of each rotation: R(angle) = exp(-i angle P / 2)
+_GENERATOR = {RX: _CONSTANT[PAULI_X], RY: (0.0, -1j, 1j, 0.0), RZ: (1.0, None, None, -1.0)}
 
 
-def _apply_h(states, q):
-    _apply_2x2(states, q, _SQRT_HALF, _SQRT_HALF, _SQRT_HALF, -_SQRT_HALF)
-
-
-@lru_cache(maxsize=None)
-def _cnot_indices(num_qubits: int, control: int, target: int):
-    idx = np.arange(1 << num_qubits)
-    sel = idx[(((idx >> control) & 1) == 1) & (((idx >> target) & 1) == 0)]
-    return sel, sel | (1 << target)
-
-
-def _apply_cnot(states, num_qubits, control, target):
-    i0, i1 = _cnot_indices(num_qubits, control, target)
-    tmp = states[:, i0].copy()
-    states[:, i0] = states[:, i1]
-    states[:, i1] = tmp
-
-
-def _apply_rot(states, q, kind, angle):
-    batched = isinstance(angle, np.ndarray)
-    half = 0.5 * angle
-    c = np.cos(half)
-    s = np.sin(half)
+def _rotation(kind, angle):
+    c = np.cos(0.5 * angle)
+    s = np.sin(0.5 * angle)
     if kind == RX:
-        _apply_2x2(states, q, c + 0j, -1j * s, -1j * s, c + 0j, batched)
-    elif kind == RY:
-        _apply_2x2(states, q, c + 0j, -s + 0j, s + 0j, c + 0j, batched)
-    else:
-        _apply_diag(states, q, c - 1j * s, c + 1j * s, batched)
+        return c, -1j * s, -1j * s, c
+    if kind == RY:
+        return c, -s, s, c
+    return c - 1j * s, None, None, c + 1j * s
 
 
-def _pauli_mul(states, q, axis):
-    """Return P |states> for Pauli P on qubit q, without touching the input."""
+def _pauli_mul(states, q, kind):
+    """Return P |states> for the generator P of rotation ``kind`` on qubit q."""
     out = states.copy()
-    v = _bit_view(out, q)
-    if axis == "x":
-        a = v[:, :, 0, :].copy()
-        v[:, :, 0, :] = v[:, :, 1, :]
-        v[:, :, 1, :] = a
-    elif axis == "y":
-        a = v[:, :, 0, :].copy()
-        v[:, :, 0, :] = -1j * v[:, :, 1, :]
-        v[:, :, 1, :] = 1j * a
-    else:
-        v[:, :, 1, :] *= -1.0
+    _apply_1q(out, q, *_GENERATOR[kind])
     return out
+
+
+def _apply_op(op, arrays, inputs, sign=1.0):
+    """Apply ``op`` (its inverse when ``sign`` is -1) in place to each array in ``arrays``.
+
+    CNOT, X and H are self-inverse, so ``sign`` only flips rotation angles.
+    """
+    if op.kind == CNOT:
+        for states in arrays:
+            _apply_cnot(states, op.control, op.target)
+        return
+    if op.kind in ROTATION_KINDS:
+        angle = inputs[:, op.col, None, None] if op.col >= 0 else op.angle
+        u = _rotation(op.kind, sign * angle)
+    else:
+        u = _CONSTANT[op.kind]
+    for states in arrays:
+        _apply_1q(states, op.target, *u)
 
 
 # ---------------------------------------------------------------------------
@@ -266,27 +246,15 @@ def resolve_circuit(circuit: ParamCircuit, theta: np.ndarray) -> list[Op]:
     return ops
 
 
-def _op_angle(op: Op, inputs):
-    return inputs[:, op.col] if op.col >= 0 else op.angle
-
-
-def apply_ops(ops, states, num_qubits, inputs=None):
+def apply_ops(ops, states, inputs=None):
     """Apply a resolved op list in place to states of shape (B, 2**Q)."""
     for op in ops:
-        if op.kind == CNOT:
-            _apply_cnot(states, num_qubits, op.control, op.target)
-        elif op.kind == PAULI_X:
-            _apply_x(states, op.target)
-        elif op.kind == HADAMARD:
-            _apply_h(states, op.target)
-        else:
-            _apply_rot(states, op.target, op.kind, _op_angle(op, inputs))
+        _apply_op(op, (states,), inputs)
     return states
 
 
 def adjoint_sweep(
     ops,
-    num_qubits,
     final_states,
     bra,
     inputs=None,
@@ -316,29 +284,17 @@ def adjoint_sweep(
     dtheta = np.zeros(num_params)
     dinput = np.zeros((final_states.shape[0], num_input_cols)) if num_input_cols else None
     for op in reversed(ops):
-        if op.kind in ROTATION_KINDS:
-            if wanted(op):
-                pk = _pauli_mul(ket, op.target, _GENERATOR_AXIS[op.kind])
-                d = np.einsum("bi,bi->b", b.conj(), pk).imag
-                if op.slot >= 0:
-                    dtheta[op.slot] += d.sum()
-                else:
-                    dinput[:, op.col] += d
-                remaining_wanted -= 1
-                if remaining_wanted == 0:
-                    ket = None
-            angle = _op_angle(op, inputs)
-            if ket is not None:
-                _apply_rot(ket, op.target, op.kind, -angle)
-            _apply_rot(b, op.target, op.kind, -angle)
-        else:
-            for arr in (ket, b) if ket is not None else (b,):
-                if op.kind == CNOT:
-                    _apply_cnot(arr, num_qubits, op.control, op.target)
-                elif op.kind == PAULI_X:
-                    _apply_x(arr, op.target)
-                else:
-                    _apply_h(arr, op.target)
+        if wanted(op):
+            pk = _pauli_mul(ket, op.target, op.kind)
+            d = np.einsum("bi,bi->b", b.conj(), pk).imag
+            if op.slot >= 0:
+                dtheta[op.slot] += d.sum()
+            else:
+                dinput[:, op.col] += d
+            remaining_wanted -= 1
+            if remaining_wanted == 0:
+                ket = None
+        _apply_op(op, (b,) if ket is None else (ket, b), inputs, sign=-1.0)
     return dtheta, dinput, b
 
 
@@ -354,15 +310,13 @@ def apply_circuit(circuit: ParamCircuit, theta, state: StateVector) -> StateVect
         )
     ops = resolve_circuit(circuit, theta)
     states = state.amplitudes[None, :].copy()
-    apply_ops(ops, states, circuit.num_qubits)
+    apply_ops(ops, states)
     return StateVector(circuit.num_qubits, states[0])
 
 
-def _expectations(ops, num_qubits, input_amps, diags):
-    states = input_amps[None, :].copy()
-    apply_ops(ops, states, num_qubits)
-    probs = np.abs(states[0]) ** 2
-    return diags @ probs, states
+def _expectations(ops, input_amps, diags):
+    states = apply_ops(ops, input_amps[None, :].copy())
+    return diags @ np.abs(states[0]) ** 2
 
 
 def adjoint_gradients(circuit, theta, input_state: StateVector, cost_cotangent, ensemble):
@@ -381,10 +335,10 @@ def adjoint_gradients(circuit, theta, input_state: StateVector, cost_cotangent, 
         )
     ops = resolve_circuit(circuit, theta)
     states = input_state.amplitudes[None, :].copy()
-    apply_ops(ops, states, circuit.num_qubits)
+    apply_ops(ops, states)
     bra = (cot @ diags)[None, :] * states
     dtheta, _, back = adjoint_sweep(
-        ops, circuit.num_qubits, states, bra,
+        ops, states, bra,
         num_params=circuit.num_params, need_input=False,
     )
     return dtheta, back[0]
@@ -409,8 +363,8 @@ def parameter_shift_grad(circuit, theta, input_state: StateVector, ensemble, slo
         plus[i] = op._replace(angle=op.angle + np.pi / 2)
         minus = ops.copy()
         minus[i] = op._replace(angle=op.angle - np.pi / 2)
-        e_plus, _ = _expectations(plus, circuit.num_qubits, amps, diags)
-        e_minus, _ = _expectations(minus, circuit.num_qubits, amps, diags)
+        e_plus = _expectations(plus, amps, diags)
+        e_minus = _expectations(minus, amps, diags)
         total += 0.5 * (e_plus - e_minus)
     return total
 

@@ -295,11 +295,13 @@ def _jacobian_penalty_grad(model, Z, X, probes, weight, fd_step=1e-4):
     theta = model.theta
     for j in range(theta.shape[0]):
         orig = theta[j]
-        theta[j] = orig + fd_step
-        up = jacobian_frobenius_batch(model, Z, X, probes).mean()
-        theta[j] = orig - fd_step
-        down = jacobian_frobenius_batch(model, Z, X, probes).mean()
-        theta[j] = orig
+        try:
+            theta[j] = orig + fd_step
+            up = jacobian_frobenius_batch(model, Z, X, probes).mean()
+            theta[j] = orig - fd_step
+            down = jacobian_frobenius_batch(model, Z, X, probes).mean()
+        finally:
+            theta[j] = orig
         grad[j] = (up - down) / (2.0 * fd_step)
     return weight * grad
 

@@ -134,7 +134,7 @@ class TestAngleEncode:
         X = rng.uniform(0, 2 * np.pi, size=(6, 8))
         states = np.zeros((6, 4), dtype=np.complex128)
         states[:, 0] = 1.0
-        apply_ops(angle_encode_ops(2), states, 2, inputs=X)
+        apply_ops(angle_encode_ops(2), states, inputs=X)
         for i in range(6):
             single = _encode_angle_state(X[i], 2).amplitudes
             assert np.abs(states[i] - single).max() < 1e-12

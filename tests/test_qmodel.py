@@ -192,7 +192,7 @@ def _pre_circuit_state(model, z, x):
     states[:, 0] = 1.0
     from qdeq.simcore import apply_ops
 
-    apply_ops(enc.angle_encode_ops(model.num_qubits), states, model.num_qubits, inputs=v[None])
+    apply_ops(enc.angle_encode_ops(model.num_qubits), states, inputs=v[None])
     return states[0]
 
 

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from qdeq.encoding import angle_encode_ops
 from qdeq.errors import DimensionError, InvalidGateError, UnsupportedGateError
 from qdeq.measurement import ObservableEnsemble
 from qdeq.simcore import (
@@ -13,9 +14,12 @@ from qdeq.simcore import (
     ParamCircuit,
     StateVector,
     adjoint_gradients,
+    adjoint_sweep,
     apply_circuit,
+    apply_ops,
     parameter_shift_grad,
     random_layer,
+    resolve_circuit,
 )
 
 from conftest import dense_circuit
@@ -202,6 +206,78 @@ class TestParameterShift:
         ensemble = ObservableEnsemble.pauli_z_all(1)
         with pytest.raises(UnsupportedGateError):
             parameter_shift_grad(circuit, [0.1], StateVector.zero(1), ensemble, 3)
+
+
+class TestLargeBatchedStates:
+    """Batches above 2**14 amplitudes, the size every 10-qubit training batch has."""
+
+    Q, B = 8, 128
+
+    def _circuit(self):
+        gates, theta = random_layer(1, self.Q, 40)
+        gates += [GateOp(HADAMARD, 3), GateOp(PAULI_X, 6)]
+        return ParamCircuit.from_gates(self.Q, gates), theta
+
+    def _states(self, seed):
+        rng = np.random.default_rng(seed)
+        shape = (self.B, 1 << self.Q)
+        states = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        return states / np.linalg.norm(states, axis=1, keepdims=True)
+
+    def test_matches_dense_oracle(self):
+        circuit, theta = self._circuit()
+        cnots = [g for g in circuit.gates if g.kind == CNOT]
+        assert any(g.control > g.target for g in cnots)
+        assert any(g.control < g.target for g in cnots)
+        states = self._states(12)
+        out = apply_ops(resolve_circuit(circuit, theta), states.copy())
+        dense = states @ dense_circuit(circuit, theta).T
+        assert np.abs(out - dense).max() < 1e-12
+
+    def test_adjoint_theta_gradient_matches_parameter_shift(self):
+        circuit, theta = self._circuit()
+        states = self._states(13)
+        ensemble = ObservableEnsemble.pauli_z_all(self.Q)
+        cot = np.random.default_rng(14).normal(size=(self.B, self.Q))
+        ops = resolve_circuit(circuit, theta)
+        final = apply_ops(ops, states.copy())
+        bra = (cot @ ensemble.diagonals(self.Q)) * final
+        dtheta, _, _ = adjoint_sweep(
+            ops, final, bra, num_params=circuit.num_params, need_input=False
+        )
+        for slot in (0, circuit.num_params // 2, circuit.num_params - 1):
+            expected = sum(
+                cot[i] @ parameter_shift_grad(
+                    circuit, theta, StateVector(self.Q, states[i]), ensemble, slot
+                )
+                for i in range(self.B)
+            )
+            assert abs(dtheta[slot] - expected) <= 1e-8 * max(1.0, abs(expected))
+
+    def test_per_sample_angles_match_single_rows(self):
+        rows, num_qubits = 2048, 4
+        rng = np.random.default_rng(15)
+        X = rng.uniform(0.0, 2.0 * np.pi, size=(rows, 4 * num_qubits))
+        cot = rng.normal(size=(rows, num_qubits))
+        diags = ObservableEnsemble.pauli_z_all(num_qubits).diagonals(num_qubits)
+        ops = angle_encode_ops(num_qubits)
+
+        def run(inputs, cotangent):
+            states = np.zeros((inputs.shape[0], 1 << num_qubits), dtype=np.complex128)
+            states[:, 0] = 1.0
+            apply_ops(ops, states, inputs=inputs)
+            _, dinput, _ = adjoint_sweep(
+                ops, states, (cotangent @ diags) * states, inputs=inputs,
+                num_input_cols=inputs.shape[1], need_theta=False,
+            )
+            return states, dinput
+
+        states, dinput = run(X, cot)
+        assert states.size > 16384
+        for i in range(0, rows, 16):
+            single, single_dinput = run(X[i : i + 1], cot[i : i + 1])
+            assert np.abs(states[i] - single[0]).max() < 1e-12
+            assert np.abs(dinput[i] - single_dinput[0]).max() < 1e-12
 
 
 class TestRandomLayer:

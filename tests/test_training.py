@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from qdeq import training
 from qdeq.deqsolve import BroydenConfig, direct_unroll_batch, unroll_backward_batch
-from qdeq.errors import ConfigError, DataFormatError, TrainingAborted
+from qdeq.errors import ConfigError, DataFormatError, DegenerateInputError, TrainingAborted
 from qdeq.seeding import substream
 from qdeq.training import (
     AdamState,
@@ -250,6 +251,26 @@ class TestTrainLoop:
         model2, head2 = build_from_config(cfg_off)
         metrics_off, _ = train(small_bundle, model2, head2, cfg_off)
         assert metrics.epochs[0]["train_loss"] > metrics_off.epochs[0]["train_loss"]
+
+    def test_jacobian_penalty_restores_theta_on_error(self, small_bundle, monkeypatch):
+        cfg = _quick_config(epochs=1, warmup_steps=0, solver_mode="implicit")
+        model, _ = build_from_config(cfg)
+        before = model.theta.copy()
+        calls = []
+
+        def failing_probe(*args):
+            calls.append(1)
+            if len(calls) == 3:  # theta[1] is shifted by +fd_step at this point
+                raise DegenerateInputError("probe failed", rows=np.array([0]))
+            return np.zeros(1)
+
+        monkeypatch.setattr(training, "jacobian_frobenius_batch", failing_probe)
+        xb = small_bundle.x_train[:8]
+        probes = np.ones((1,) + xb.shape)
+        with pytest.raises(DegenerateInputError):
+            training._jacobian_penalty_grad(model, np.zeros_like(xb), xb, probes, 0.5)
+        assert len(calls) == 3
+        assert model.theta.tobytes() == before.tobytes()
 
     def test_divergence_aborts_with_diagnostics(self, small_bundle):
         cfg = _quick_config(epochs=1, warmup_steps=0, solver_mode="implicit")
