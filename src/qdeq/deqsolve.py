@@ -12,7 +12,7 @@ Residuals are reported in relative form ||f(z) - z|| / (||f(z)|| + 1e-9).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Protocol
+from typing import Callable, Protocol
 
 import numpy as np
 
@@ -39,19 +39,12 @@ class FixedPointLayer(Protocol):
 class BroydenConfig:
     max_steps: int = 10
     abs_tol: float = 1e-6
-    memory: Optional[int] = None  # rank of the inverse-Jacobian update; None = max_steps
 
     def __post_init__(self):
         if self.max_steps < 1:
             raise DimensionError("max_steps must be >= 1")
         if self.abs_tol <= 0:
             raise DimensionError("abs_tol must be positive")
-        if self.memory is not None and self.memory < 0:
-            raise DimensionError("memory must be >= 0")
-
-    @property
-    def rank(self) -> int:
-        return self.max_steps if self.memory is None else self.memory
 
 
 @dataclass
@@ -100,20 +93,18 @@ def broyden_root_batch(
 
     def evaluate(Zc, step):
         try:
-            return Zc, np.asarray(g(Zc), dtype=np.float64)
+            G = np.asarray(g(Zc), dtype=np.float64)
         except DegenerateInputError:
             if not halve_on_degenerate:
                 raise
             Zc = 0.5 * Zc
-            return Zc, np.asarray(g(Zc), dtype=np.float64)
-
-    def check(G, step):
+            G = np.asarray(g(Zc), dtype=np.float64)
         if not np.isfinite(G).all():
             raise SolverDivergedError(f"non-finite solver values at step {step}", step=step)
+        return Zc, G
 
     Z = np.asarray(Z0, dtype=np.float64).copy()
     Z, G = evaluate(Z, 0)
-    check(G, 0)
     rel, gnorm = _metrics(Z, G)
     best_rel, best_gnorm, best_Z = rel.copy(), gnorm.copy(), Z.copy()
     trace = [rel]
@@ -137,7 +128,6 @@ def broyden_root_batch(
     for step in range(1, cfg.max_steps + 1):
         Znew = Z - h_mat(G)
         Znew, Gnew = evaluate(Znew, step)
-        check(Gnew, step)
         rel, gnorm = _metrics(Znew, Gnew)
         better = rel < best_rel
         best_rel = np.where(better, rel, best_rel)
@@ -147,19 +137,15 @@ def broyden_root_batch(
         steps = step
         if np.all(best_gnorm <= cfg.abs_tol):
             break
-        if cfg.rank > 0:  # rank 0 pins H to -I: plain fixed-point iteration
-            dZ = Znew - Z
-            dG = Gnew - G
-            HdG = h_mat(dG)
-            denom = np.einsum("bn,bn->b", dZ, HdG)
-            safe = np.abs(denom) > 1e-30
-            u = np.where(safe[:, None], (dZ - HdG) / np.where(safe, denom, 1.0)[:, None], 0.0)
-            v = h_mat_t(dZ)
-            if len(us) >= cfg.rank:
-                us.pop(0)
-                vs.pop(0)
-            us.append(u)
-            vs.append(np.where(safe[:, None], v, 0.0))
+        dZ = Znew - Z
+        dG = Gnew - G
+        HdG = h_mat(dG)
+        denom = np.einsum("bn,bn->b", dZ, HdG)
+        safe = np.abs(denom) > 1e-30
+        u = np.where(safe[:, None], (dZ - HdG) / np.where(safe, denom, 1.0)[:, None], 0.0)
+        v = h_mat_t(dZ)
+        us.append(u)
+        vs.append(np.where(safe[:, None], v, 0.0))
         Z, G = Znew, Gnew
 
     return BatchFixedPoint(
@@ -172,9 +158,8 @@ def broyden_root_batch(
     )
 
 
-def broyden_root(g, z0, cfg: BroydenConfig = BroydenConfig()) -> FixedPointResult:
-    """Single-vector front end to the batched solver."""
-    res = broyden_root_batch(lambda Z: np.asarray(g(Z[0]))[None, :], np.asarray(z0, float)[None, :], cfg)
+def _first_row(res: BatchFixedPoint) -> FixedPointResult:
+    """The single-vector result held in row 0 of a batched one."""
     return FixedPointResult(
         z_star=res.z_star[0],
         residual=float(res.residual[0]),
@@ -182,6 +167,12 @@ def broyden_root(g, z0, cfg: BroydenConfig = BroydenConfig()) -> FixedPointResul
         converged=bool(res.converged[0]),
         trace=[float(r) for r in res.trace[:, 0]],
     )
+
+
+def broyden_root(g, z0, cfg: BroydenConfig = BroydenConfig()) -> FixedPointResult:
+    """Single-vector front end to the batched solver."""
+    Z0 = np.asarray(z0, float)[None, :]
+    return _first_row(broyden_root_batch(lambda Z: np.asarray(g(Z[0]))[None, :], Z0, cfg))
 
 
 def forward_fixed_point_batch(
@@ -197,14 +188,7 @@ def forward_fixed_point_batch(
 
 
 def forward_fixed_point(model, x, cfg: BroydenConfig = BroydenConfig()) -> FixedPointResult:
-    res = forward_fixed_point_batch(model, np.atleast_2d(x), cfg)
-    return FixedPointResult(
-        z_star=res.z_star[0],
-        residual=float(res.residual[0]),
-        steps_taken=res.steps_taken,
-        converged=bool(res.converged[0]),
-        trace=[float(r) for r in res.trace[:, 0]],
-    )
+    return _first_row(forward_fixed_point_batch(model, np.atleast_2d(x), cfg))
 
 
 def implicit_backward_batch(
@@ -269,29 +253,24 @@ def unroll_backward_batch(model: FixedPointLayer, X: np.ndarray, iterates, loss_
     return dtheta
 
 
-def direct_unroll_batch(model: FixedPointLayer, X: np.ndarray, depth: int, loss_grads=None):
-    """z(0) = 0; z(i+1) = f(z(i); x) for ``depth`` layers.
-
-    Returns (iterates list of length depth+1, dtheta or None). The gradient is
-    explicit reverse accumulation through all layers with weight tying:
-    per-layer theta contributions are summed.
-    """
+def direct_unroll_batch(model: FixedPointLayer, X: np.ndarray, depth: int) -> list:
+    """The iterates z(0) = 0, ..., z(depth) of z(i+1) = f(z(i); x), for ``unroll_backward_batch``."""
     if depth < 1:
         raise DimensionError("unroll depth must be >= 1")
     X = np.asarray(X, dtype=np.float64)
     iterates = [np.zeros_like(X)]
     for _ in range(depth):
         iterates.append(model.forward_batch(iterates[-1], X))
-    if loss_grads is None:
-        return iterates, None
-    return iterates, unroll_backward_batch(model, X, iterates, loss_grads)
+    return iterates
 
 
 def direct_unroll(model, x, depth: int, loss_grad=None):
     """Single-sample unroll: (z_depth, dtheta or None)."""
-    grads = None if loss_grad is None else np.atleast_2d(loss_grad)
-    iterates, dtheta = direct_unroll_batch(model, np.atleast_2d(x), depth, grads)
-    return iterates[-1][0], dtheta
+    X = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    iterates = direct_unroll_batch(model, X, depth)
+    if loss_grad is None:
+        return iterates[-1][0], None
+    return iterates[-1][0], unroll_backward_batch(model, X, iterates, np.atleast_2d(loss_grad))
 
 
 def jacobian_frobenius_batch(model: FixedPointLayer, Z, X, probes: np.ndarray) -> np.ndarray:

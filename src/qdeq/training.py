@@ -248,6 +248,7 @@ def build_from_config(cfg: TrainConfig):
 
 
 _RESIDUAL_EPS = 1e-9
+_PENALTY_FD_STEP = 1e-4
 
 
 def _direct_residual(model: QuantumModel, X, iterates) -> np.ndarray:
@@ -259,6 +260,17 @@ def _direct_residual(model: QuantumModel, X, iterates) -> np.ndarray:
         z_last = model.forward_batch(z_prev, X)
     diff = np.linalg.norm(z_last - z_prev, axis=1)
     return diff / (np.linalg.norm(z_last, axis=1) + _RESIDUAL_EPS)
+
+
+def _solve(model: QuantumModel, X, depth: int, broyden: BroydenConfig):
+    """(z, per-sample residual, backward: dz -> dtheta); depth 0 is the fixed-point solve."""
+    if depth == 0:
+        fp = forward_fixed_point_batch(model, X, broyden)
+        z = fp.z_star
+        return z, fp.residual, lambda dz: implicit_backward_batch(model, X, z, dz, broyden)[0]
+    iterates = direct_unroll_batch(model, X, depth)
+    z = iterates[-1]
+    return z, _direct_residual(model, X, iterates), lambda dz: unroll_backward_batch(model, X, iterates, dz)
 
 
 def evaluate(
@@ -275,35 +287,27 @@ def evaluate(
     residuals = []
     for start in range(0, X.shape[0], batch_size):
         xb = X[start : start + batch_size]
-        if mode.implicit_family:
-            fp = forward_fixed_point_batch(model, xb, broyden)
-            z = fp.z_star
-            residuals.append(fp.residual)
-        else:
-            iterates, _ = direct_unroll_batch(model, xb, mode.depth)
-            z = iterates[-1]
-            residuals.append(_direct_residual(model, xb, iterates))
+        z, residual, _ = _solve(model, xb, mode.depth, broyden)
+        residuals.append(residual)
         logits, _ = head_forward_batch(head, z, train_mode=False)
         correct += int((logits.argmax(axis=1) == y[start : start + batch_size]).sum())
     accuracy = 100.0 * correct / X.shape[0]
     return accuracy, float(np.concatenate(residuals).mean())
 
 
-def _jacobian_penalty_grad(model, Z, X, probes, weight, fd_step=1e-4):
-    """Finite-difference theta-gradient of the Hutchinson penalty (probes frozen)."""
+def _jacobian_penalty_grad(model, Z, X, probes, weight):
+    """Theta-gradient of the Hutchinson penalty mean ||J_z^T eps||^2 (probes frozen).
+
+    With v = J_z^T eps held fixed, grad ||J_z^T eps||^2 = 2 grad <eps, J_z v> =
+    2 d/dt grad <eps, f(z + t v)> at t = 0: a central difference in z of the
+    adjoint theta-gradient, so theta itself is never perturbed.
+    """
+    prep = model.prepare(Z, X)
     grad = np.zeros(model.num_params)
-    theta = model.theta
-    for j in range(theta.shape[0]):
-        orig = theta[j]
-        try:
-            theta[j] = orig + fd_step
-            up = jacobian_frobenius_batch(model, Z, X, probes).mean()
-            theta[j] = orig - fd_step
-            down = jacobian_frobenius_batch(model, Z, X, probes).mean()
-        finally:
-            theta[j] = orig
-        grad[j] = (up - down) / (2.0 * fd_step)
-    return weight * grad
+    for eps in probes:
+        v = _PENALTY_FD_STEP * model.vjp_z_batch(Z, X, eps, prepared=prep)
+        grad += model.grad_theta_batch(Z + v, X, eps) - model.grad_theta_batch(Z - v, X, eps)
+    return weight * grad / (_PENALTY_FD_STEP * probes.shape[0] * Z.shape[0])
 
 
 def train(bundle: DataBundle, model: QuantumModel, head: ClassifierHead, cfg: TrainConfig,
@@ -339,23 +343,12 @@ def train(bundle: DataBundle, model: QuantumModel, head: ClassifierHead, cfg: Tr
             epoch_phase = phase if epoch_phase in (None, phase) else "mixed"
             dropout_rng = substream(cfg.seed, "dropout", step)
             try:
-                if phase == IMPLICIT:
-                    fp = forward_fixed_point_batch(model, xb, broyden)
-                    z = fp.z_star
-                    residuals.append(fp.residual)
-                    logits, mask = head_forward_batch(head, z, train_mode=True, rng=dropout_rng)
-                    loss, dlogits = cross_entropy_batch(logits, yb)
-                    dz = (dlogits @ head.weight) * mask
-                    dtheta, _ = implicit_backward_batch(model, xb, z, dz, broyden)
-                else:
-                    depth = cfg.warmup_depth if warm else mode.depth
-                    iterates, _ = direct_unroll_batch(model, xb, depth)
-                    z = iterates[-1]
-                    residuals.append(_direct_residual(model, xb, iterates))
-                    logits, mask = head_forward_batch(head, z, train_mode=True, rng=dropout_rng)
-                    loss, dlogits = cross_entropy_batch(logits, yb)
-                    dz = (dlogits @ head.weight) * mask
-                    dtheta = unroll_backward_batch(model, xb, iterates, dz)
+                depth = cfg.warmup_depth if warm else mode.depth
+                z, residual, backward = _solve(model, xb, depth, broyden)
+                residuals.append(residual)
+                logits, mask = head_forward_batch(head, z, train_mode=True, rng=dropout_rng)
+                loss, dlogits = cross_entropy_batch(logits, yb)
+                dtheta = backward((dlogits @ head.weight) * mask)
                 if (
                     phase == IMPLICIT
                     and cfg.jac_loss_weight > 0.0
@@ -444,18 +437,25 @@ def load_checkpoint(path):
         raise DataFormatError(f"unexpected checkpoint format {payload.get('format')!r}")
     cfg = TrainConfig.from_dict(payload["config"])
     model, head = build_from_config(cfg)
-    theta = np.asarray(payload["theta"], dtype=np.float64)
-    if theta.shape != model.theta.shape:
-        raise DataFormatError("checkpoint theta does not match the rebuilt circuit")
-    model.theta[:] = theta
-    head.weight[:] = np.asarray(payload["head_weight"], dtype=np.float64)
-    head.bias[:] = np.asarray(payload["head_bias"], dtype=np.float64)
+    params = [model.theta, head.weight, head.bias]
+    saved = [payload[key] for key in ("theta", "head_weight", "head_bias")]
+    for param, arr in zip(params, _checkpoint_arrays(saved, params, "parameter")):
+        param[:] = arr
     adam = None
     if "adam" in payload:
         adam = AdamState(
-            m=[np.asarray(a, dtype=np.float64) for a in payload["adam"]["m"]],
-            v=[np.asarray(a, dtype=np.float64) for a in payload["adam"]["v"]],
+            m=_checkpoint_arrays(payload["adam"]["m"], params, "Adam m"),
+            v=_checkpoint_arrays(payload["adam"]["v"], params, "Adam v"),
             t=payload["adam"]["t"],
             skipped=payload["adam"]["skipped"],
         )
     return cfg, model, head, adam, payload.get("step", 0)
+
+
+def _checkpoint_arrays(values: list, like: list, what: str) -> list:
+    """``values`` as float arrays, which must match the shapes of ``like`` one to one."""
+    arrays = [np.asarray(v, dtype=np.float64) for v in values]
+    shapes, expected = [a.shape for a in arrays], [p.shape for p in like]
+    if shapes != expected:
+        raise DataFormatError(f"checkpoint {what} shapes {shapes} differ from the model's {expected}")
+    return arrays

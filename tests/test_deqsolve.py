@@ -100,30 +100,11 @@ class TestBroydenRoot:
         assert np.abs(res.z_star - targets).max() < 1e-12
         assert res.converged.all()
 
-    def test_memory_cap_still_converges(self):
-        rng = np.random.default_rng(3)
-        A = _spectral_scale(rng, 6, 0.5)
-        b = rng.normal(size=6)
-        res = broyden_root(
-            lambda z: A @ z + b - z, np.zeros(6), BroydenConfig(max_steps=50, memory=3)
-        )
-        assert np.abs(res.z_star - np.linalg.solve(np.eye(6) - A, b)).max() < 1e-6
-
-    def test_zero_memory_is_plain_fixed_point_iteration(self):
-        layer_map = 0.5 * np.eye(3)
-        x = np.array([1.0, 2.0, -1.0])
-        res = broyden_root(
-            lambda z: layer_map @ z + x - z, np.zeros(3), BroydenConfig(max_steps=40, memory=0)
-        )
-        assert np.abs(res.z_star - 2.0 * x).max() < 1e-6
-
     def test_invalid_config(self):
         with pytest.raises(DimensionError):
             BroydenConfig(max_steps=0)
         with pytest.raises(DimensionError):
             BroydenConfig(abs_tol=0.0)
-        with pytest.raises(DimensionError):
-            BroydenConfig(memory=-1)
 
 
 class TestForwardFixedPoint:

@@ -1,5 +1,6 @@
 """Head, loss, Adam, the train/evaluate loops, and checkpoint round-trips."""
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from qdeq import training
 from qdeq.deqsolve import BroydenConfig, direct_unroll_batch, unroll_backward_batch
 from qdeq.errors import ConfigError, DataFormatError, DegenerateInputError, TrainingAborted
+from qdeq.qmodel import QuantumModel
 from qdeq.seeding import substream
 from qdeq.training import (
     AdamState,
@@ -220,12 +222,12 @@ class TestTrainLoop:
         yb = rng.integers(0, 4, size=8)
 
         def batch_loss():
-            iterates, _ = direct_unroll_batch(model, xb, 2)
+            iterates = direct_unroll_batch(model, xb, 2)
             logits, _ = head_forward_batch(head, iterates[-1], train_mode=False)
             loss, _ = cross_entropy_batch(logits, yb)
             return loss
 
-        iterates, _ = direct_unroll_batch(model, xb, 2)
+        iterates = direct_unroll_batch(model, xb, 2)
         logits, mask = head_forward_batch(head, iterates[-1], train_mode=False)
         _, dlogits = cross_entropy_batch(logits, yb)
         dz = (dlogits @ head.weight) * mask
@@ -257,20 +259,56 @@ class TestTrainLoop:
         model, _ = build_from_config(cfg)
         before = model.theta.copy()
         calls = []
+        original = QuantumModel.backward_batch
 
-        def failing_probe(*args):
+        def failing_backward(self, *args, **kwargs):
             calls.append(1)
-            if len(calls) == 3:  # theta[1] is shifted by +fd_step at this point
+            if len(calls) == 3:  # the theta-gradient at the shifted point z - h v
                 raise DegenerateInputError("probe failed", rows=np.array([0]))
-            return np.zeros(1)
+            return original(self, *args, **kwargs)
 
-        monkeypatch.setattr(training, "jacobian_frobenius_batch", failing_probe)
+        monkeypatch.setattr(QuantumModel, "backward_batch", failing_backward)
         xb = small_bundle.x_train[:8]
         probes = np.ones((1,) + xb.shape)
         with pytest.raises(DegenerateInputError):
             training._jacobian_penalty_grad(model, np.zeros_like(xb), xb, probes, 0.5)
         assert len(calls) == 3
         assert model.theta.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize(
+        "dataset, encoding, batch, num_probes, slots",
+        [
+            ("mnist4", "amplitude", 16, 2, None),
+            ("mnist4", "angle", 16, 2, None),
+            ("cifar10", "amplitude", 3, 1, 12),
+        ],
+    )
+    def test_jacobian_penalty_grad_matches_theta_differences(
+        self, dataset, encoding, batch, num_probes, slots
+    ):
+        # oracle: central differences in theta of the frozen-probe Hutchinson penalty
+        cfg = _quick_config(dataset=dataset, encoding=encoding, solver_mode="implicit")
+        model, _ = build_from_config(cfg)
+        rng = np.random.default_rng(5)
+        n = cfg.shape[1]
+        X = rng.uniform(0.1, 1.0, size=(batch, n))
+        Z = rng.uniform(-0.5, 0.5, size=(batch, n))
+        probes = rng.integers(0, 2, size=(num_probes, batch, n)) * 2.0 - 1.0
+        idx = np.arange(model.num_params)
+        if slots is not None:
+            idx = np.sort(rng.choice(model.num_params, size=slots, replace=False))
+        grad = training._jacobian_penalty_grad(model, Z, X, probes, 1.0)
+        step = 1e-5
+        oracle = np.empty(idx.shape[0])
+        for k, j in enumerate(idx):
+            orig = model.theta[j]
+            model.theta[j] = orig + step
+            up = training.jacobian_frobenius_batch(model, Z, X, probes).mean()
+            model.theta[j] = orig - step
+            down = training.jacobian_frobenius_batch(model, Z, X, probes).mean()
+            model.theta[j] = orig
+            oracle[k] = (up - down) / (2.0 * step)
+        assert grad[idx] == pytest.approx(oracle, rel=1e-5, abs=1e-8)
 
     def test_divergence_aborts_with_diagnostics(self, small_bundle):
         cfg = _quick_config(epochs=1, warmup_steps=0, solver_mode="implicit")
@@ -347,6 +385,39 @@ class TestCheckpoint:
         path.write_text("not json at all")
         with pytest.raises(DataFormatError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "bad_weight",
+        [
+            lambda w: w[:1],  # one row would broadcast to every class
+            lambda w: w[:, :-1],
+            lambda w: 0.5,  # a scalar would broadcast to the whole matrix
+        ],
+        ids=["one-row", "wrong-width", "scalar"],
+    )
+    def test_rejects_malformed_head(self, tmp_path, bad_weight):
+        cfg = _quick_config(epochs=1)
+        model, head = build_from_config(cfg)
+        path = tmp_path / "ckpt.txt"
+        save_checkpoint(path, cfg, model, head)
+        payload = json.loads(path.read_text())
+        payload["head_weight"] = np.asarray(bad_weight(head.weight)).tolist()
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataFormatError):
+            load_checkpoint(path)
+
+    def test_rejects_adam_moments_that_do_not_pair_with_parameters(self, tmp_path):
+        cfg = _quick_config(epochs=1)
+        model, head = build_from_config(cfg)
+        path = tmp_path / "ckpt.txt"
+        save_checkpoint(path, cfg, model, head, AdamState.init([model.theta, head.weight, head.bias]))
+        payload = json.loads(path.read_text())
+        for corrupt in (lambda m: m[:2], lambda m: [m[0], m[1][0], m[2]]):
+            bad = json.loads(json.dumps(payload))
+            bad["adam"]["m"] = corrupt(bad["adam"]["m"])
+            path.write_text(json.dumps(bad))
+            with pytest.raises(DataFormatError):
+                load_checkpoint(path)
 
     def test_init_head_deterministic(self):
         a = init_head(4, 16, 0.1, substream(5, "head"))
