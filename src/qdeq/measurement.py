@@ -78,32 +78,24 @@ def expect_batch(states: np.ndarray, diags: np.ndarray) -> np.ndarray:
     return probs @ diags.T
 
 
-ISOMETRIC = "isometric"
-UNSCALED = "unscaled"
-
-
 @dataclass(frozen=True)
 class UpsampleMap:
     """Entry repetition from K readouts to n latent entries, scaled 1/sqrt(r).
 
-    With n = r*K the map is an exact isometry. ``scale_mode='unscaled'`` keeps
-    plain repetition for comparison against magnitude-sensitive setups.
+    r = ceil(n / K) is the repeat count; with n = r*K the map is an exact isometry.
     """
 
     num_outputs: int  # K
     target_dim: int  # n
-    scale_mode: str = ISOMETRIC
     repeat: int = field(init=False)
     scale: float = field(init=False)
 
     def __post_init__(self):
         if self.num_outputs < 1 or self.target_dim < 1:
             raise DimensionError("upsample dims must be positive")
-        if self.scale_mode not in (ISOMETRIC, UNSCALED):
-            raise DimensionError(f"unknown scale mode {self.scale_mode!r}")
         r = math.ceil(self.target_dim / self.num_outputs)
         object.__setattr__(self, "repeat", r)
-        object.__setattr__(self, "scale", 1.0 / math.sqrt(r) if self.scale_mode == ISOMETRIC else 1.0)
+        object.__setattr__(self, "scale", 1.0 / math.sqrt(r))
 
 
 def upsample(v: np.ndarray, umap: UpsampleMap) -> np.ndarray:

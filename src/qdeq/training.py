@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
 from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
@@ -22,7 +23,6 @@ from .deqsolve import (
     direct_unroll_batch,
     forward_fixed_point_batch,
     implicit_backward_batch,
-    jacobian_frobenius_batch,
     unroll_backward_batch,
 )
 from .errors import ConfigError, DataFormatError, DimensionError, SolverDivergedError, TrainingAborted
@@ -49,10 +49,8 @@ class SolverMode:
 
     @classmethod
     def parse(cls, text: str) -> "SolverMode":
-        if text == IMPLICIT:
-            return cls(IMPLICIT)
-        if text == IMPLICIT_WARMUP:
-            return cls(IMPLICIT_WARMUP)
+        if text in (IMPLICIT, IMPLICIT_WARMUP):
+            return cls(text)
         if text.startswith("direct_"):
             try:
                 depth = int(text.split("_", 1)[1])
@@ -295,19 +293,20 @@ def evaluate(
     return accuracy, float(np.concatenate(residuals).mean())
 
 
-def _jacobian_penalty_grad(model, Z, X, probes, weight):
-    """Theta-gradient of the Hutchinson penalty mean ||J_z^T eps||^2 (probes frozen).
+def _jacobian_penalty(model, Z, X, probes):
+    """(mean ||J_z^T eps||^2, its theta-gradient) for the Hutchinson penalty, probes frozen.
 
-    With v = J_z^T eps held fixed, grad ||J_z^T eps||^2 = 2 grad <eps, J_z v> =
-    2 d/dt grad <eps, f(z + t v)> at t = 0: a central difference in z of the
-    adjoint theta-gradient, so theta itself is never perturbed.
+    All P probes run as one (P*B)-row batch: one vjp gives V = J_z^T E. With V
+    held fixed, grad ||v||^2 = 2 grad <eps, J_z v> = 2 d/dt grad <eps, f(z + t v)>
+    at t = 0, so the gradient is one adjoint backward over the stacked rows
+    [Z + hV; Z - hV] with cotangents [E; -E]; theta itself is never perturbed.
     """
-    prep = model.prepare(Z, X)
-    grad = np.zeros(model.num_params)
-    for eps in probes:
-        v = _PENALTY_FD_STEP * model.vjp_z_batch(Z, X, eps, prepared=prep)
-        grad += model.grad_theta_batch(Z + v, X, eps) - model.grad_theta_batch(Z - v, X, eps)
-    return weight * grad / (_PENALTY_FD_STEP * probes.shape[0] * Z.shape[0])
+    num_probes = probes.shape[0]
+    Zs, Xs, E = np.tile(Z, (num_probes, 1)), np.tile(X, (num_probes, 1)), probes.reshape(-1, Z.shape[1])
+    V = model.vjp_z_batch(Zs, Xs, E)
+    hV = _PENALTY_FD_STEP * V
+    dtheta = model.grad_theta_batch(np.vstack([Zs + hV, Zs - hV]), np.vstack([Xs, Xs]), np.vstack([E, -E]))
+    return float(np.einsum("bn,bn->", V, V)) / E.shape[0], dtheta / (_PENALTY_FD_STEP * E.shape[0])
 
 
 def train(bundle: DataBundle, model: QuantumModel, head: ClassifierHead, cfg: TrainConfig,
@@ -354,16 +353,11 @@ def train(bundle: DataBundle, model: QuantumModel, head: ClassifierHead, cfg: Tr
                     and cfg.jac_loss_weight > 0.0
                     and substream(cfg.seed, "jac-gate", step).random() < cfg.jac_loss_freq
                 ):
-                    probes = (
-                        substream(cfg.seed, "jac-probes", step).integers(
-                            0, 2, size=(cfg.jac_probes, xb.shape[0], xb.shape[1])
-                        )
-                        * 2.0
-                        - 1.0
-                    )
-                    penalty = jacobian_frobenius_batch(model, z, xb, probes).mean()
-                    loss += cfg.jac_loss_weight * float(penalty)
-                    dtheta = dtheta + _jacobian_penalty_grad(model, z, xb, probes, cfg.jac_loss_weight)
+                    shape = (cfg.jac_probes,) + xb.shape
+                    probes = substream(cfg.seed, "jac-probes", step).integers(0, 2, size=shape) * 2.0 - 1.0
+                    penalty, dpenalty = _jacobian_penalty(model, z, xb, probes)
+                    loss += cfg.jac_loss_weight * penalty
+                    dtheta += cfg.jac_loss_weight * dpenalty
             except SolverDivergedError:
                 diverged += 1
                 if diverged > max_diverged:
@@ -424,7 +418,14 @@ def save_checkpoint(path, cfg: TrainConfig, model: QuantumModel, head: Classifie
             "m": [m.tolist() for m in adam.m],
             "v": [v.tolist() for v in adam.v],
         }
-    Path(path).write_text(json.dumps(payload, indent=1))
+    # write beside the target, then rename over it: a failed write leaves the old file intact
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_text(json.dumps(payload, indent=1))
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_checkpoint(path):
@@ -433,23 +434,32 @@ def load_checkpoint(path):
         payload = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"checkpoint {path} is not valid JSON: {exc}") from exc
-    if payload.get("format") != _CHECKPOINT_FORMAT:
-        raise DataFormatError(f"unexpected checkpoint format {payload.get('format')!r}")
-    cfg = TrainConfig.from_dict(payload["config"])
+    if _checkpoint_field(payload, "format") != _CHECKPOINT_FORMAT:
+        raise DataFormatError(f"unexpected checkpoint format {payload['format']!r}")
+    cfg = TrainConfig.from_dict(_checkpoint_field(payload, "config"))
     model, head = build_from_config(cfg)
     params = [model.theta, head.weight, head.bias]
-    saved = [payload[key] for key in ("theta", "head_weight", "head_bias")]
+    saved = [_checkpoint_field(payload, key) for key in ("theta", "head_weight", "head_bias")]
     for param, arr in zip(params, _checkpoint_arrays(saved, params, "parameter")):
         param[:] = arr
     adam = None
     if "adam" in payload:
+        m, v, t, skipped = (
+            _checkpoint_field(payload["adam"], key, "checkpoint adam") for key in ("m", "v", "t", "skipped")
+        )
         adam = AdamState(
-            m=_checkpoint_arrays(payload["adam"]["m"], params, "Adam m"),
-            v=_checkpoint_arrays(payload["adam"]["v"], params, "Adam v"),
-            t=payload["adam"]["t"],
-            skipped=payload["adam"]["skipped"],
+            _checkpoint_arrays(m, params, "Adam m"), _checkpoint_arrays(v, params, "Adam v"), t, skipped
         )
     return cfg, model, head, adam, payload.get("step", 0)
+
+
+def _checkpoint_field(payload, key: str, where: str = "checkpoint"):
+    """``payload[key]``; DataFormatError naming the key if it is missing or payload is no object."""
+    if not isinstance(payload, dict):
+        raise DataFormatError(f"{where} is not a JSON object")
+    if key not in payload:
+        raise DataFormatError(f"{where} lacks the {key!r} field")
+    return payload[key]
 
 
 def _checkpoint_arrays(values: list, like: list, what: str) -> list:

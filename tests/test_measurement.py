@@ -109,11 +109,6 @@ class TestUpsample:
         expected = np.repeat(np.arange(1.0, 5.0), 3)[:10] / np.sqrt(3)
         assert np.allclose(out, expected)
 
-    def test_unscaled_mode(self):
-        umap = UpsampleMap(4, 16, "unscaled")
-        out = upsample(np.array([1.0, 0, 0, 0]), umap)
-        assert np.allclose(out[:4], 1.0)
-
     def test_transpose_is_adjoint(self):
         rng = np.random.default_rng(3)
         for num_out, target in ((4, 16), (10, 100), (4, 10), (3, 7)):

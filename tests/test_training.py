@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qdeq import training
-from qdeq.deqsolve import BroydenConfig, direct_unroll_batch, unroll_backward_batch
+from qdeq.deqsolve import BroydenConfig, direct_unroll_batch, jacobian_frobenius_batch, unroll_backward_batch
 from qdeq.errors import ConfigError, DataFormatError, DegenerateInputError, TrainingAborted
 from qdeq.qmodel import QuantumModel
 from qdeq.seeding import substream
@@ -263,17 +263,19 @@ class TestTrainLoop:
 
         def failing_backward(self, *args, **kwargs):
             calls.append(1)
-            if len(calls) == 3:  # the theta-gradient at the shifted point z - h v
+            if len(calls) == 2:  # 1st call: the vjp; 2nd: the stacked theta-gradient at z +- h v
                 raise DegenerateInputError("probe failed", rows=np.array([0]))
             return original(self, *args, **kwargs)
 
         monkeypatch.setattr(QuantumModel, "backward_batch", failing_backward)
         xb = small_bundle.x_train[:8]
-        probes = np.ones((1,) + xb.shape)
-        with pytest.raises(DegenerateInputError):
-            training._jacobian_penalty_grad(model, np.zeros_like(xb), xb, probes, 0.5)
-        assert len(calls) == 3
-        assert model.theta.tobytes() == before.tobytes()
+        for num_probes in (1, 2):  # the call count does not grow with the probe count
+            calls.clear()
+            probes = np.ones((num_probes,) + xb.shape)
+            with pytest.raises(DegenerateInputError):
+                training._jacobian_penalty(model, np.zeros_like(xb), xb, probes)
+            assert len(calls) == 2
+            assert model.theta.tobytes() == before.tobytes()
 
     @pytest.mark.parametrize(
         "dataset, encoding, batch, num_probes, slots",
@@ -297,15 +299,16 @@ class TestTrainLoop:
         idx = np.arange(model.num_params)
         if slots is not None:
             idx = np.sort(rng.choice(model.num_params, size=slots, replace=False))
-        grad = training._jacobian_penalty_grad(model, Z, X, probes, 1.0)
+        value, grad = training._jacobian_penalty(model, Z, X, probes)
+        assert value == pytest.approx(jacobian_frobenius_batch(model, Z, X, probes).mean(), rel=1e-12)
         step = 1e-5
         oracle = np.empty(idx.shape[0])
         for k, j in enumerate(idx):
             orig = model.theta[j]
             model.theta[j] = orig + step
-            up = training.jacobian_frobenius_batch(model, Z, X, probes).mean()
+            up = jacobian_frobenius_batch(model, Z, X, probes).mean()
             model.theta[j] = orig - step
-            down = training.jacobian_frobenius_batch(model, Z, X, probes).mean()
+            down = jacobian_frobenius_batch(model, Z, X, probes).mean()
             model.theta[j] = orig
             oracle[k] = (up - down) / (2.0 * step)
         assert grad[idx] == pytest.approx(oracle, rel=1e-5, abs=1e-8)
@@ -379,12 +382,18 @@ class TestCheckpoint:
 
     def test_rejects_foreign_files(self, tmp_path):
         path = tmp_path / "bad.txt"
-        path.write_text("{\"format\": \"something-else\"}")
-        with pytest.raises(DataFormatError):
-            load_checkpoint(path)
-        path.write_text("not json at all")
-        with pytest.raises(DataFormatError):
-            load_checkpoint(path)
+        for text in ("{\"format\": \"something-else\"}", "not json at all", "[1, 2]", "\"qdeq-checkpoint-v1\""):
+            path.write_text(text)
+            with pytest.raises(DataFormatError):
+                load_checkpoint(path)
+        cfg = _quick_config(epochs=1)
+        model, head = build_from_config(cfg)
+        save_checkpoint(path, cfg, model, head)
+        payload = json.loads(path.read_text())
+        for key in ("format", "config", "theta", "head_weight", "head_bias"):
+            path.write_text(json.dumps({k: v for k, v in payload.items() if k != key}))
+            with pytest.raises(DataFormatError, match=f"'{key}'"):
+                load_checkpoint(path)
 
     @pytest.mark.parametrize(
         "bad_weight",
@@ -418,6 +427,39 @@ class TestCheckpoint:
             path.write_text(json.dumps(bad))
             with pytest.raises(DataFormatError):
                 load_checkpoint(path)
+        for key in ("m", "v", "t", "skipped"):
+            bad = json.loads(json.dumps(payload))
+            del bad["adam"][key]
+            path.write_text(json.dumps(bad))
+            with pytest.raises(DataFormatError, match=f"'{key}'"):
+                load_checkpoint(path)
+        path.write_text(json.dumps(dict(payload, adam=[1, 2])))
+        with pytest.raises(DataFormatError):
+            load_checkpoint(path)
+
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        cfg = _quick_config(epochs=1)
+        model, head = build_from_config(cfg)
+        adam = AdamState.init([model.theta, head.weight, head.bias])
+        path = tmp_path / "ckpt.txt"
+        save_checkpoint(path, cfg, model, head, adam, step=3)
+        saved_text, saved_theta = path.read_text(), model.theta.copy()
+        original = type(path).write_text
+
+        def half_write(self, text, *args, **kwargs):
+            original(self, text[: len(text) // 2], *args, **kwargs)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(type(path), "write_text", half_write)
+        model.theta += 1.0
+        with pytest.raises(OSError):
+            save_checkpoint(path, cfg, model, head, adam, step=4)
+        monkeypatch.undo()
+        assert path.read_text() == saved_text
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.txt"]
+        _, model2, _, _, step = load_checkpoint(path)
+        assert step == 3
+        assert model2.theta.tobytes() == saved_theta.tobytes()
 
     def test_init_head_deterministic(self):
         a = init_head(4, 16, 0.1, substream(5, "head"))
