@@ -127,8 +127,13 @@ def _cmd_eval(args) -> int:
     cfg, model, head, _, _ = load_checkpoint(args.checkpoint)
     data_dir = _resolve_data_dir(args.data_dir)
     bundle = prepare_bundle(cfg.dataset, data_dir, cfg.seed)
-    X, y = getattr(bundle, f"x_{args.split}"), getattr(bundle, f"y_{args.split}")
-    accuracy, residual = evaluate(model, head, X, y, SolverMode.parse(cfg.solver_mode), BroydenConfig())
+    features = {
+        "train": (bundle.x_train, bundle.y_train),
+        "val": (bundle.x_val, bundle.y_val),
+        "test": (bundle.x_test, bundle.y_test),
+    }[args.split]
+    mode = SolverMode.parse(cfg.solver_mode)
+    accuracy, residual = evaluate(model, head, features[0], features[1], mode, BroydenConfig())
     print(f"split={args.split} accuracy={accuracy:.2f}% mean_residual={residual:.3e}")
     return 0
 

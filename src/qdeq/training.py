@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import tempfile
 import time
 from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
@@ -49,8 +50,10 @@ class SolverMode:
 
     @classmethod
     def parse(cls, text: str) -> "SolverMode":
-        if text in (IMPLICIT, IMPLICIT_WARMUP):
-            return cls(text)
+        if text == IMPLICIT:
+            return cls(IMPLICIT)
+        if text == IMPLICIT_WARMUP:
+            return cls(IMPLICIT_WARMUP)
         if text.startswith("direct_"):
             try:
                 depth = int(text.split("_", 1)[1])
@@ -298,15 +301,17 @@ def _jacobian_penalty(model, Z, X, probes):
 
     All P probes run as one (P*B)-row batch: one vjp gives V = J_z^T E. With V
     held fixed, grad ||v||^2 = 2 grad <eps, J_z v> = 2 d/dt grad <eps, f(z + t v)>
-    at t = 0, so the gradient is one adjoint backward over the stacked rows
-    [Z + hV; Z - hV] with cotangents [E; -E]; theta itself is never perturbed.
+    at t = 0: a central difference in z of the adjoint theta-gradient, two
+    backward passes over P*B rows, so theta itself is never perturbed.
     """
-    num_probes = probes.shape[0]
-    Zs, Xs, E = np.tile(Z, (num_probes, 1)), np.tile(X, (num_probes, 1)), probes.reshape(-1, Z.shape[1])
+    Zs = np.tile(Z, (probes.shape[0], 1))
+    Xs = np.tile(X, (probes.shape[0], 1))
+    E = probes.reshape(Zs.shape)
     V = model.vjp_z_batch(Zs, Xs, E)
     hV = _PENALTY_FD_STEP * V
-    dtheta = model.grad_theta_batch(np.vstack([Zs + hV, Zs - hV]), np.vstack([Xs, Xs]), np.vstack([E, -E]))
-    return float(np.einsum("bn,bn->", V, V)) / E.shape[0], dtheta / (_PENALTY_FD_STEP * E.shape[0])
+    dtheta = model.grad_theta_batch(Zs + hV, Xs, E) - model.grad_theta_batch(Zs - hV, Xs, E)
+    rows = E.shape[0]
+    return float(np.einsum("bn,bn->", V, V)) / rows, dtheta / (_PENALTY_FD_STEP * rows)
 
 
 def train(bundle: DataBundle, model: QuantumModel, head: ClassifierHead, cfg: TrainConfig,
@@ -353,8 +358,13 @@ def train(bundle: DataBundle, model: QuantumModel, head: ClassifierHead, cfg: Tr
                     and cfg.jac_loss_weight > 0.0
                     and substream(cfg.seed, "jac-gate", step).random() < cfg.jac_loss_freq
                 ):
-                    shape = (cfg.jac_probes,) + xb.shape
-                    probes = substream(cfg.seed, "jac-probes", step).integers(0, 2, size=shape) * 2.0 - 1.0
+                    probes = (
+                        substream(cfg.seed, "jac-probes", step).integers(
+                            0, 2, size=(cfg.jac_probes, xb.shape[0], xb.shape[1])
+                        )
+                        * 2.0
+                        - 1.0
+                    )
                     penalty, dpenalty = _jacobian_penalty(model, z, xb, probes)
                     loss += cfg.jac_loss_weight * penalty
                     dtheta += cfg.jac_loss_weight * dpenalty
@@ -418,14 +428,18 @@ def save_checkpoint(path, cfg: TrainConfig, model: QuantumModel, head: Classifie
             "m": [m.tolist() for m in adam.m],
             "v": [v.tolist() for v in adam.v],
         }
-    # write beside the target, then rename over it: a failed write leaves the old file intact
+    # write and flush a temp file beside the target, then rename it over the target:
+    # a failed or interrupted save leaves the previous checkpoint intact
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
+    tmp = tempfile.NamedTemporaryFile("w", dir=path.parent, prefix=path.name, suffix=".tmp", delete=False)
     try:
-        tmp.write_text(json.dumps(payload, indent=1))
-        os.replace(tmp, path)
+        with tmp:
+            tmp.write(json.dumps(payload, indent=1))
+            tmp.flush()
+            os.fsync(tmp.fileno())
+        os.replace(tmp.name, path)
     finally:
-        tmp.unlink(missing_ok=True)
+        Path(tmp.name).unlink(missing_ok=True)
 
 
 def load_checkpoint(path):
@@ -447,6 +461,9 @@ def load_checkpoint(path):
         m, v, t, skipped = (
             _checkpoint_field(payload["adam"], key, "checkpoint adam") for key in ("m", "v", "t", "skipped")
         )
+        for key, count in (("t", t), ("skipped", skipped)):
+            if type(count) is not int or count < 0:
+                raise DataFormatError(f"checkpoint adam {key!r} must be a non-negative integer, got {count!r}")
         adam = AdamState(
             _checkpoint_arrays(m, params, "Adam m"), _checkpoint_arrays(v, params, "Adam v"), t, skipped
         )
@@ -464,7 +481,10 @@ def _checkpoint_field(payload, key: str, where: str = "checkpoint"):
 
 def _checkpoint_arrays(values: list, like: list, what: str) -> list:
     """``values`` as float arrays, which must match the shapes of ``like`` one to one."""
-    arrays = [np.asarray(v, dtype=np.float64) for v in values]
+    try:
+        arrays = [np.asarray(v, dtype=np.float64) for v in values]
+    except (TypeError, ValueError) as exc:
+        raise DataFormatError(f"checkpoint {what} values are not arrays of numbers: {exc}") from exc
     shapes, expected = [a.shape for a in arrays], [p.shape for p in like]
     if shapes != expected:
         raise DataFormatError(f"checkpoint {what} shapes {shapes} differ from the model's {expected}")

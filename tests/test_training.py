@@ -2,6 +2,9 @@
 import dataclasses
 import json
 import math
+import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -263,7 +266,7 @@ class TestTrainLoop:
 
         def failing_backward(self, *args, **kwargs):
             calls.append(1)
-            if len(calls) == 2:  # 1st call: the vjp; 2nd: the stacked theta-gradient at z +- h v
+            if len(calls) == 3:  # the vjp, then the theta-gradients at z + h v and z - h v
                 raise DegenerateInputError("probe failed", rows=np.array([0]))
             return original(self, *args, **kwargs)
 
@@ -274,7 +277,7 @@ class TestTrainLoop:
             probes = np.ones((num_probes,) + xb.shape)
             with pytest.raises(DegenerateInputError):
                 training._jacobian_penalty(model, np.zeros_like(xb), xb, probes)
-            assert len(calls) == 2
+            assert len(calls) == 3
             assert model.theta.tobytes() == before.tobytes()
 
     @pytest.mark.parametrize(
@@ -401,8 +404,9 @@ class TestCheckpoint:
             lambda w: w[:1],  # one row would broadcast to every class
             lambda w: w[:, :-1],
             lambda w: 0.5,  # a scalar would broadcast to the whole matrix
+            lambda w: np.full(w.shape, "x"),
         ],
-        ids=["one-row", "wrong-width", "scalar"],
+        ids=["one-row", "wrong-width", "scalar", "not-numbers"],
     )
     def test_rejects_malformed_head(self, tmp_path, bad_weight):
         cfg = _quick_config(epochs=1)
@@ -433,6 +437,10 @@ class TestCheckpoint:
             path.write_text(json.dumps(bad))
             with pytest.raises(DataFormatError, match=f"'{key}'"):
                 load_checkpoint(path)
+        for key, count in (("t", "3"), ("t", 2.0), ("t", True), ("t", -1), ("skipped", None)):
+            path.write_text(json.dumps(dict(payload, adam=dict(payload["adam"], **{key: count}))))
+            with pytest.raises(DataFormatError, match=f"'{key}'"):
+                load_checkpoint(path)
         path.write_text(json.dumps(dict(payload, adam=[1, 2])))
         with pytest.raises(DataFormatError):
             load_checkpoint(path)
@@ -444,13 +452,20 @@ class TestCheckpoint:
         path = tmp_path / "ckpt.txt"
         save_checkpoint(path, cfg, model, head, adam, step=3)
         saved_text, saved_theta = path.read_text(), model.theta.copy()
-        original = type(path).write_text
+        original = tempfile.NamedTemporaryFile
 
-        def half_write(self, text, *args, **kwargs):
-            original(self, text[: len(text) // 2], *args, **kwargs)
-            raise OSError("disk full")
+        def half_writing_file(*args, **kwargs):
+            handle = original(*args, **kwargs)
+            write = handle.write
 
-        monkeypatch.setattr(type(path), "write_text", half_write)
+            def half_write(text):
+                write(text[: len(text) // 2])
+                raise OSError("disk full")
+
+            handle.write = half_write
+            return handle
+
+        monkeypatch.setattr(tempfile, "NamedTemporaryFile", half_writing_file)
         model.theta += 1.0
         with pytest.raises(OSError):
             save_checkpoint(path, cfg, model, head, adam, step=4)
@@ -460,6 +475,28 @@ class TestCheckpoint:
         _, model2, _, _, step = load_checkpoint(path)
         assert step == 3
         assert model2.theta.tobytes() == saved_theta.tobytes()
+
+    def test_save_syncs_the_data_before_the_rename(self, tmp_path, monkeypatch):
+        cfg = _quick_config(epochs=1)
+        model, head = build_from_config(cfg)
+        path = tmp_path / "ckpt.txt"
+        events = []
+        fsync, replace = os.fsync, os.replace
+
+        def recording_fsync(fd):
+            events.append(("fsync", os.fstat(fd).st_size))
+            fsync(fd)
+
+        def recording_replace(src, dst):
+            events.append(("replace", Path(src).stat().st_size))
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        monkeypatch.setattr(os, "replace", recording_replace)
+        save_checkpoint(path, cfg, model, head)
+        size = path.stat().st_size
+        assert size > 0
+        assert events == [("fsync", size), ("replace", size)]
 
     def test_init_head_deterministic(self):
         a = init_head(4, 16, 0.1, substream(5, "head"))
