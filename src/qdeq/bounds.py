@@ -11,10 +11,10 @@ import csv
 from dataclasses import dataclass
 import numpy as np
 
-from .encoding import AMPLITUDE, amplitude_encode_batch, angle_encode_ops
+from .encoding import AMPLITUDE, amplitude_encode_batch, angle_encode_batch
 from .errors import DimensionError
 from .measurement import PAULI_Z, expect_batch
-from .simcore import StateVector, apply_ops
+from .simcore import StateVector
 
 _SLACK = 1e-12
 
@@ -104,12 +104,6 @@ def verify_amplitude_overlap(num_pairs: int, seed: int = 0, dim: int = 16) -> Bo
     )
 
 
-def _angle_states(Z: np.ndarray, num_qubits: int) -> np.ndarray:
-    states = np.zeros((Z.shape[0], 1 << num_qubits), dtype=np.complex128)
-    states[:, 0] = 1.0
-    return apply_ops(angle_encode_ops(num_qubits), states, inputs=Z)
-
-
 def _angle_pairs(rng, num_pairs, num_qubits):
     dim = 4 * num_qubits
     z = rng.uniform(0.0, 2.0 * np.pi, size=(num_pairs, dim))
@@ -127,7 +121,7 @@ def verify_angle_overlap(num_pairs: int = 3000, seed: int = 0) -> BoundReport:
     total = 0
     for num_qubits in (1, 2, 4):
         z, w = _angle_pairs(rng, num_pairs, num_qubits)
-        overlap = _overlaps(_angle_states(z, num_qubits), _angle_states(w, num_qubits))
+        overlap = _overlaps(angle_encode_batch(z, num_qubits), angle_encode_batch(w, num_qubits))
         dist_sq = np.linalg.norm(z - w, axis=1) ** 2
         bound = 1.0 - np.sin(dist_sq)
         margin = overlap - bound

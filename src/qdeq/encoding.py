@@ -1,9 +1,11 @@
 """Classical-to-quantum encodings and the fixed-point input injection.
 
-Amplitude encoding normalizes the (zero-padded) vector straight into the
-amplitudes; angle encoding writes four rotation angles per qubit in the
-Y, Z, X, Y order. Injection is elementwise addition of the original input
-into the current iterate; the encoder normalizes downstream where needed.
+Each encoding is a batch encoder plus its vjp, so the simulator runs only the
+trainable circuit. Amplitude encoding normalizes the (zero-padded) vector
+straight into the amplitudes. Angle encoding rotates each qubit's |0> by four
+angles in the Y, Z, X, Y order and builds the product state from the per-qubit
+2-vectors. Injection is elementwise addition of the original input into the
+current iterate; the encoder normalizes downstream where needed.
 """
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, DimensionError
-from .simcore import RX, RY, RZ, GateOp, Op, StateVector
+from .simcore import _GENERATOR, RX, RY, RZ, GateOp, StateVector, _rotation
 
 AMPLITUDE = "amplitude"
 ANGLE = "angle"
@@ -99,10 +101,55 @@ def angle_encode(x: np.ndarray, num_qubits: int) -> list[GateOp]:
     return gates
 
 
-def angle_encode_ops(num_qubits: int) -> list[Op]:
-    """Resolved ops reading per-sample angles from input columns 0..4Q-1."""
-    ops = []
-    for q in range(num_qubits):
-        for j, kind in enumerate(_ANGLE_ORDER):
-            ops.append(Op(kind, q, -1, 0.0, 4 * q + j, -1))
-    return ops
+def _rotate(u, ket):
+    """Apply the 2x2 gate (u00, u01, u10, u11) to the 2-vectors ket[..., :2]."""
+    u00, u01, u10, u11 = (0.0 if c is None else c for c in u)
+    a, b = ket[..., 0], ket[..., 1]
+    return np.stack([u00 * a + u01 * b, u10 * a + u11 * b], axis=-1)
+
+
+def _qubit_kets(angles: np.ndarray) -> list:
+    """Each qubit's ket after each of its four rotations: four (B, Q, 2) arrays."""
+    kets = [np.array([1.0, 0.0], dtype=np.complex128)]
+    for j, kind in enumerate(_ANGLE_ORDER):
+        kets.append(_rotate(_rotation(kind, angles[..., j]), kets[-1]))
+    return kets[1:]
+
+
+def _product(kets: np.ndarray) -> np.ndarray:
+    """(B, k, 2) per-qubit kets -> (B, 2**k) product state, qubit 0 least significant."""
+    out = np.ones((kets.shape[0], 1), dtype=np.complex128)
+    for q in range(kets.shape[1]):
+        out = (kets[:, q, :, None] * out[:, None, :]).reshape(kets.shape[0], -1)
+    return out
+
+
+def angle_encode_batch(X: np.ndarray, num_qubits: int) -> np.ndarray:
+    """(B, 4Q) angles -> product states (B, 2**Q) of RY.RX.RZ.RY|0> per qubit."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.shape[1] != 4 * num_qubits:
+        raise DimensionError(f"angle encoding needs {4 * num_qubits} values, got {X.shape[1]}")
+    return _product(_qubit_kets(X.reshape(X.shape[0], num_qubits, 4))[-1])
+
+
+def angle_encode_vjp(X: np.ndarray, bra: np.ndarray) -> np.ndarray:
+    """Chain the complex state cotangent ``bra`` = dE/d(conj(amplitudes)) back to the angles.
+
+    dE/dx_(q,j) = 2 Re<env_q, d phi_q/d x_(q,j)>, where env_q is ``bra`` contracted
+    with every other qubit's ket; env_q walks back through qubit q's rotations
+    as the adjoint sweep walks the bra.
+    """
+    angles = np.asarray(X, dtype=np.float64).reshape(len(X), -1, 4)
+    rows = angles.shape[0]
+    kets = _qubit_kets(angles)
+    phi = kets[-1]
+    env = np.empty_like(phi)
+    for q in range(phi.shape[1]):
+        high, low = _product(phi[:, q + 1 :]).conj(), _product(phi[:, :q]).conj()
+        env[:, q] = np.einsum("bhsl,bh,bl->bs", bra.reshape(rows, -1, 2, 1 << q), high, low)
+    grad = np.empty(angles.shape)
+    for j, kind in reversed(list(enumerate(_ANGLE_ORDER))):
+        # 2 Re<env, -i/2 P ket> = Im<env, P ket> for R(a) = exp(-i a P / 2)
+        grad[..., j] = np.einsum("bqs,bqs->bq", env.conj(), _rotate(_GENERATOR[kind], kets[j])).imag
+        env = _rotate(_rotation(kind, -angles[..., j]), env)
+    return grad.reshape(rows, -1)

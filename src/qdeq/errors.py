@@ -45,7 +45,7 @@ class DataFormatError(QdeqError, ValueError):
 
 
 class TrainingAborted(QdeqError, RuntimeError):
-    """Training stopped because too many batches diverged in one epoch."""
+    """Training stopped because too many batches diverged or failed to encode in one epoch."""
 
     def __init__(self, message, diagnostics=None):
         super().__init__(message)

@@ -42,7 +42,6 @@ class Prepared(NamedTuple):
     """Cached forward pass at fixed (Z, X), reused across backward sweeps."""
 
     combined: np.ndarray  # z + x, shape (B, n)
-    inputs: Optional[np.ndarray]  # per-sample encode angles (angle encoding only)
     norms: Optional[np.ndarray]  # pre-encode norms (amplitude encoding only)
     states: np.ndarray  # final states (B, 2**Q)
     ops: list
@@ -101,15 +100,10 @@ class QuantumModel:
         ops = resolve_circuit(self.circuit, self.theta)
         if self.encoding.kind == enc.AMPLITUDE:
             states, norms = enc.amplitude_encode_batch(combined, self.num_qubits)
-            inputs = None
         else:
-            norms = None
-            inputs = combined
-            states = np.zeros((combined.shape[0], 1 << self.num_qubits), dtype=np.complex128)
-            states[:, 0] = 1.0
-            ops = enc.angle_encode_ops(self.num_qubits) + ops
-        apply_ops(ops, states, inputs)
-        return Prepared(combined, inputs, norms, states, ops)
+            states, norms = enc.angle_encode_batch(combined, self.num_qubits), None
+        apply_ops(ops, states)
+        return Prepared(combined, norms, states, ops)
 
     def forward_batch(self, Z: np.ndarray, X: np.ndarray, prepared: Optional[Prepared] = None) -> np.ndarray:
         prep = prepared if prepared is not None else self.prepare(Z, X)
@@ -139,23 +133,15 @@ class QuantumModel:
         diags = self.ensemble.diagonals(self.num_qubits)
         chat = upsample_transpose_batch(np.atleast_2d(cotangents), self.upsample)
         bra = (chat @ diags) * prep.states
-        angle_cols = self.input_dim if self.encoding.kind == enc.ANGLE else 0
-        dtheta, dinput, back = adjoint_sweep(
-            prep.ops,
-            prep.states,
-            bra,
-            inputs=prep.inputs,
-            num_params=self.num_params,
-            num_input_cols=angle_cols,
-            need_theta=need_theta,
-            need_input=need_z,
+        dtheta, back = adjoint_sweep(
+            prep.ops, prep.states, bra, num_params=self.num_params, need_theta=need_theta
         )
-        dZ = None
-        if need_z:
-            if self.encoding.kind == enc.AMPLITUDE:
-                dZ = enc.amplitude_encode_vjp(prep.combined, prep.norms, back)
-            else:
-                dZ = dinput
+        if not need_z:
+            dZ = None
+        elif self.encoding.kind == enc.AMPLITUDE:
+            dZ = enc.amplitude_encode_vjp(prep.combined, prep.norms, back)
+        else:
+            dZ = enc.angle_encode_vjp(prep.combined, back)
         return dZ, (dtheta if need_theta else None)
 
     def vjp_z_batch(self, Z, X, cotangents, prepared=None) -> np.ndarray:

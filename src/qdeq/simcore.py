@@ -8,9 +8,13 @@ diagonal gate, which only scales them), and ``_apply_cnot`` swaps the target
 halves inside the control=1 half. No 2**Q x 2**Q matrix is built outside the
 test oracles.
 
+Gate coefficients are scalars: per-sample data never reach this module, since
+the encodings (``encoding.py``) build the input states and chain their
+cotangents back.
+
 ``_apply_op`` is the one gate dispatch. The forward pass and the reverse
 (adjoint) sweep share it; the sweep walks the gate list backwards once for the
-derivative of every rotation angle and the input-amplitude cotangent. The
+derivative of every trainable angle and the input-state cotangent. The
 parameter-shift rule (f(theta + pi/2) - f(theta - pi/2)) / 2 is the second,
 exact route for Pauli-generated rotations.
 """
@@ -128,13 +132,12 @@ class ParamCircuit:
 
 
 class Op(NamedTuple):
-    """Resolved gate ready for application: angle baked, or read from an input column."""
+    """Resolved gate ready for application, its angle baked in."""
 
     kind: str
     target: int
     control: int
     angle: float
-    col: int  # -1 unless the angle comes from inputs[:, col]
     slot: int  # -1 unless the angle came from theta[slot]
 
 
@@ -149,10 +152,7 @@ def _bit_view(states: np.ndarray, q: int) -> np.ndarray:
 
 
 def _apply_1q(states, q, u00, u01, u10, u11):
-    """Apply [[u00, u01], [u10, u11]] to qubit q; ``u01 is None`` marks a diagonal gate.
-
-    Each coefficient is a scalar or a per-sample (B, 1, 1) array.
-    """
+    """Apply the scalars [[u00, u01], [u10, u11]] to qubit q; ``u01 is None`` marks a diagonal gate."""
     v = _bit_view(states, q)
     if u01 is None:
         v[:, :, 0, :] *= u00
@@ -197,14 +197,7 @@ def _rotation(kind, angle):
     return c - 1j * s, None, None, c + 1j * s
 
 
-def _pauli_mul(states, q, kind):
-    """Return P |states> for the generator P of rotation ``kind`` on qubit q."""
-    out = states.copy()
-    _apply_1q(out, q, *_GENERATOR[kind])
-    return out
-
-
-def _apply_op(op, arrays, inputs, sign=1.0):
+def _apply_op(op, arrays, sign=1.0):
     """Apply ``op`` (its inverse when ``sign`` is -1) in place to each array in ``arrays``.
 
     CNOT, X and H are self-inverse, so ``sign`` only flips rotation angles.
@@ -214,8 +207,7 @@ def _apply_op(op, arrays, inputs, sign=1.0):
             _apply_cnot(states, op.control, op.target)
         return
     if op.kind in ROTATION_KINDS:
-        angle = inputs[:, op.col, None, None] if op.col >= 0 else op.angle
-        u = _rotation(op.kind, sign * angle)
+        u = _rotation(op.kind, sign * op.angle)
     else:
         u = _CONSTANT[op.kind]
     for states in arrays:
@@ -234,68 +226,48 @@ def resolve_circuit(circuit: ParamCircuit, theta: np.ndarray) -> list[Op]:
         )
     ops = []
     for g in circuit.gates:
-        if g.kind in ROTATION_KINDS:
-            if g.param_slot is not None:
-                ops.append(Op(g.kind, g.target, -1, float(theta[g.param_slot]), -1, g.param_slot))
-            else:
-                ops.append(Op(g.kind, g.target, -1, float(g.fixed_angle), -1, -1))
-        elif g.kind == CNOT:
-            ops.append(Op(CNOT, g.target, g.control, 0.0, -1, -1))
+        if g.param_slot is not None:
+            angle, slot = theta[g.param_slot], g.param_slot
         else:
-            ops.append(Op(g.kind, g.target, -1, 0.0, -1, -1))
+            angle, slot = (0.0 if g.fixed_angle is None else g.fixed_angle), -1
+        control = -1 if g.control is None else g.control
+        ops.append(Op(g.kind, g.target, control, float(angle), slot))
     return ops
 
 
-def apply_ops(ops, states, inputs=None):
+def apply_ops(ops, states):
     """Apply a resolved op list in place to states of shape (B, 2**Q)."""
     for op in ops:
-        _apply_op(op, (states,), inputs)
+        _apply_op(op, (states,))
     return states
 
 
-def adjoint_sweep(
-    ops,
-    final_states,
-    bra,
-    inputs=None,
-    num_params=0,
-    num_input_cols=0,
-    need_theta=True,
-    need_input=True,
-):
+def adjoint_sweep(ops, final_states, bra, num_params=0, need_theta=True):
     """Reverse sweep computing d(Re<bra|ket>)-style rotation derivatives.
 
     ``final_states`` is the ket after all ops; ``bra`` is M_total |ket> (the
-    expectation cotangent). Returns (dtheta summed over the batch, dinput of
-    shape (B, num_input_cols), back-propagated bra). The returned bra equals
-    U^dagger M_total U |input>, i.e. dE/d(conj(amplitude)) at the input state;
-    for real upstream parameters chain with 2 * Re(<d input/d param, bra>).
+    expectation cotangent). Returns (dtheta summed over the batch,
+    back-propagated bra). The returned bra equals U^dagger M_total U |input>,
+    i.e. dE/d(conj(amplitude)) at the input state; the encodings' vjps chain
+    it back to the real pre-encode vector.
     """
-    def wanted(op):
-        return op.kind in ROTATION_KINDS and (
-            (need_theta and op.slot >= 0) or (need_input and op.col >= 0)
-        )
-
     # the ket is only consumed by derivative vdots; once the last (lowest-index)
-    # wanted rotation has been processed, only the bra needs to keep walking
-    remaining_wanted = sum(1 for op in ops if wanted(op))
-    ket = final_states.copy() if remaining_wanted else None
+    # trainable rotation has been processed, only the bra needs to keep walking
+    remaining = sum(1 for op in ops if op.slot >= 0) if need_theta else 0
+    ket = final_states.copy() if remaining else None
     b = bra.copy()
     dtheta = np.zeros(num_params)
-    dinput = np.zeros((final_states.shape[0], num_input_cols)) if num_input_cols else None
     for op in reversed(ops):
-        if wanted(op):
-            pk = _pauli_mul(ket, op.target, op.kind)
+        if ket is not None and op.slot >= 0:
+            pk = ket.copy()  # P|ket> for the rotation's generator P
+            _apply_1q(pk, op.target, *_GENERATOR[op.kind])
             d = np.einsum("bi,bi->b", b.conj(), pk).imag
-            if op.slot >= 0:
-                dtheta[op.slot] += d.sum()
-            else:
-                dinput[:, op.col] += d
-            remaining_wanted -= 1
-            if remaining_wanted == 0:
+            dtheta[op.slot] += d.sum()
+            remaining -= 1
+            if remaining == 0:
                 ket = None
-        _apply_op(op, (b,) if ket is None else (ket, b), inputs, sign=-1.0)
-    return dtheta, dinput, b
+        _apply_op(op, (b,) if ket is None else (ket, b), sign=-1.0)
+    return dtheta, b
 
 
 # ---------------------------------------------------------------------------
@@ -337,10 +309,7 @@ def adjoint_gradients(circuit, theta, input_state: StateVector, cost_cotangent, 
     states = input_state.amplitudes[None, :].copy()
     apply_ops(ops, states)
     bra = (cot @ diags)[None, :] * states
-    dtheta, _, back = adjoint_sweep(
-        ops, states, bra,
-        num_params=circuit.num_params, need_input=False,
-    )
+    dtheta, back = adjoint_sweep(ops, states, bra, num_params=circuit.num_params)
     return dtheta, back[0]
 
 

@@ -26,7 +26,9 @@ from .deqsolve import (
     implicit_backward_batch,
     unroll_backward_batch,
 )
-from .errors import ConfigError, DataFormatError, DimensionError, SolverDivergedError, TrainingAborted
+from .errors import (
+    ConfigError, DataFormatError, DegenerateInputError, DimensionError, SolverDivergedError, TrainingAborted,
+)
 from .qmodel import QuantumModel, build_default_model
 from .seeding import substream
 
@@ -318,8 +320,9 @@ def train(bundle: DataBundle, model: QuantumModel, head: ClassifierHead, cfg: Tr
           broyden: BroydenConfig = BroydenConfig(), log=None):
     """Run the full optimization; returns (RunMetrics, AdamState).
 
-    Aborts with TrainingAborted when more than 10% of an epoch's batches
-    diverge in the fixed-point solver.
+    A batch whose solve diverges, or that holds an input the encoder rejects
+    (an all-zero row under amplitude encoding), is skipped; training aborts
+    with TrainingAborted when more than 10% of an epoch's batches are skipped.
     """
     mode = SolverMode.parse(cfg.solver_mode)
     params = [model.theta, head.weight, head.bias]
@@ -368,11 +371,11 @@ def train(bundle: DataBundle, model: QuantumModel, head: ClassifierHead, cfg: Tr
                     penalty, dpenalty = _jacobian_penalty(model, z, xb, probes)
                     loss += cfg.jac_loss_weight * penalty
                     dtheta += cfg.jac_loss_weight * dpenalty
-            except SolverDivergedError:
+            except (SolverDivergedError, DegenerateInputError):
                 diverged += 1
                 if diverged > max_diverged:
                     raise TrainingAborted(
-                        f"{diverged} diverged batches in epoch {epoch}",
+                        f"{diverged} diverged or unencodable batches in epoch {epoch}",
                         diagnostics={"epoch": epoch, "diverged_batches": diverged, "step": step},
                     )
                 step += 1

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import os
 import struct
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,9 @@ import pytest
 
 from qdeq.datasets import dataset_available
 from qdeq.training import DataBundle
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
+import synthdata  # noqa: E402  (the benchmark's dataset writer, shared with the tests)
 
 
 def data_dir():
@@ -88,7 +92,7 @@ def dense_oracle():
 
 
 # ---------------------------------------------------------------------------
-# synthetic bundles and IDX fixtures (sklearn digits rendered as MNIST-style files)
+# synthetic bundles and IDX fixtures
 
 
 def synthetic_bundle(seed=0, n_train=400, n_val=100, n_test=100, n=16, classes=4, noise=0.12):
@@ -121,38 +125,17 @@ def _idx_label_bytes(labels_u8: np.ndarray) -> bytes:
     return struct.pack(">II", 0x00000801, labels_u8.shape[0]) + labels_u8.tobytes()
 
 
-def write_idx_pair(directory: Path, prefix: str, images_u8, labels_u8):
-    (directory / f"{prefix}-images-idx3-ubyte").write_bytes(_idx_image_bytes(images_u8))
-    (directory / f"{prefix}-labels-idx1-ubyte").write_bytes(_idx_label_bytes(labels_u8))
-
-
 @pytest.fixture(scope="session")
 def digits_data_dir(tmp_path_factory) -> Path:
     """A stand-in data root covering all four dataset layouts.
 
-    sklearn's 8x8 digits are written as 28x28 MNIST-style IDX files (served
-    both as mnist and fashion-mnist), and small random CIFAR-10 binary
-    batches complete the directory.
+    The benchmark's seeded generator writes learnable MNIST-layout IDX files
+    (served as mnist and, from another seed, as fashion-mnist) and CIFAR-10
+    binary batches, with numpy only.
     """
-    sklearn_datasets = pytest.importorskip("sklearn.datasets")
-    bunch = sklearn_datasets.load_digits()
-    images = np.repeat(np.repeat(bunch.images / 16.0, 4, axis=1), 4, axis=2)[:, 2:30, 2:30]
-    images_u8 = np.clip(images * 255.0, 0, 255).astype(np.uint8)
-    labels_u8 = bunch.target.astype(np.uint8)
-    base = tmp_path_factory.mktemp("digits-idx")
-    split = 1300
-    for sub in ("mnist", "fashion-mnist"):
-        root = base / sub
-        root.mkdir()
-        write_idx_pair(root, "train", images_u8[:split], labels_u8[:split])
-        write_idx_pair(root, "t10k", images_u8[split:], labels_u8[split:])
-    rng = np.random.default_rng(0)
-    cifar = base / "cifar-10-batches-bin"
-    cifar.mkdir()
-    for name, count in [(f"data_batch_{i}.bin", 64) for i in range(1, 6)] + [("test_batch.bin", 32)]:
-        records = bytearray()
-        for _ in range(count):
-            records.append(int(rng.integers(0, 10)))
-            records.extend(rng.integers(0, 256, size=3072, dtype=np.uint8).tobytes())
-        (cifar / name).write_bytes(bytes(records))
+    base = tmp_path_factory.mktemp("synthetic-data")
+    synthdata.write_mnist(base, 0, train_per_class=130, test_per_class=50)
+    fashion = synthdata.write_mnist(base / "fashion", 1, train_per_class=130, test_per_class=50)
+    fashion.rename(base / "fashion-mnist")
+    synthdata.write_cifar(base, 0, batch_per_class=6, test_per_class=3)
     return base

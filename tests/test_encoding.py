@@ -7,12 +7,13 @@ from qdeq.encoding import (
     amplitude_encode,
     amplitude_encode_batch,
     angle_encode,
-    angle_encode_ops,
+    angle_encode_batch,
+    angle_encode_vjp,
     inject,
 )
 from qdeq.errors import DegenerateInputError, DimensionError
 from qdeq.measurement import ObservableEnsemble, expect_ensemble
-from qdeq.simcore import ParamCircuit, StateVector, apply_circuit, apply_ops
+from qdeq.simcore import ParamCircuit, StateVector, apply_circuit
 
 from conftest import _rot_matrix
 
@@ -132,12 +133,28 @@ class TestAngleEncode:
     def test_batched_ops_match_single(self):
         rng = np.random.default_rng(3)
         X = rng.uniform(0, 2 * np.pi, size=(6, 8))
-        states = np.zeros((6, 4), dtype=np.complex128)
-        states[:, 0] = 1.0
-        apply_ops(angle_encode_ops(2), states, inputs=X)
+        states = angle_encode_batch(X, 2)
         for i in range(6):
             single = _encode_angle_state(X[i], 2).amplitudes
             assert np.abs(states[i] - single).max() < 1e-12
+
+    def test_per_sample_angles_match_single_rows(self):
+        rows, num_qubits = 2048, 4
+        rng = np.random.default_rng(15)
+        X = rng.uniform(0.0, 2.0 * np.pi, size=(rows, 4 * num_qubits))
+        cot = rng.normal(size=(rows, num_qubits))
+        diags = ObservableEnsemble.pauli_z_all(num_qubits).diagonals(num_qubits)
+
+        def run(inputs, cotangent):
+            states = angle_encode_batch(inputs, num_qubits)
+            return states, angle_encode_vjp(inputs, (cotangent @ diags) * states)
+
+        states, dinput = run(X, cot)
+        assert states.size > 16384
+        for i in range(0, rows, 16):
+            single, single_dinput = run(X[i : i + 1], cot[i : i + 1])
+            assert np.abs(states[i] - single[0]).max() < 1e-12
+            assert np.abs(dinput[i] - single_dinput[0]).max() < 1e-12
 
 
 class TestEncodingSpec:

@@ -4,9 +4,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from qdeq.encoding import EncodingSpec
+from qdeq.encoding import EncodingSpec, angle_encode
 from qdeq.errors import DimensionError
-from qdeq.measurement import ObservableEnsemble, UpsampleMap
+from qdeq.measurement import ObservableEnsemble, UpsampleMap, upsample_transpose_batch
 from qdeq.qmodel import (
     QuantumModel,
     build_block4,
@@ -14,7 +14,7 @@ from qdeq.qmodel import (
     build_staircase10,
 )
 from qdeq.seeding import child_seed
-from qdeq.simcore import ParamCircuit, parameter_shift_grad, StateVector
+from qdeq.simcore import GateOp, ParamCircuit, StateVector, adjoint_gradients, parameter_shift_grad
 
 from conftest import dense_circuit
 
@@ -181,6 +181,37 @@ class TestReversePasses:
         assert np.abs(summed_theta - single_theta).max() < 1e-10
 
 
+class TestAngleEncoderAgainstGates:
+    """The product-state encoder and its vjp against the gate-by-gate adjoint."""
+
+    @pytest.mark.parametrize("num_qubits", [2, 4])
+    def test_matches_trainable_encoding_circuit(self, num_qubits):
+        # the 4Q encoding rotations become trainable slots 0..4Q-1 holding z + x,
+        # so adjoint_gradients' dtheta over them is dE/dz and the rest is dE/dtheta
+        rng = np.random.default_rng(9)
+        n = 4 * num_qubits
+        model = build_default_model("angle", num_qubits, n, seed=10, random_ops=12)
+        z = rng.normal(size=n) * 0.3
+        x = rng.uniform(0.0, 2.0 * np.pi, size=n)
+        cot = rng.normal(size=n)
+        encoder = [
+            GateOp(g.kind, g.target, param_slot=k)
+            for k, g in enumerate(angle_encode(z + x, num_qubits))
+        ]
+        shifted = [
+            g if g.param_slot is None else dataclasses.replace(g, param_slot=g.param_slot + n)
+            for g in model.circuit.gates
+        ]
+        circuit = ParamCircuit(num_qubits, tuple(encoder + shifted), n + model.num_params)
+        chat = upsample_transpose_batch(cot[None], model.upsample)[0]
+        dtheta, _ = adjoint_gradients(
+            circuit, np.concatenate([z + x, model.theta]), StateVector.zero(num_qubits),
+            chat, model.ensemble,
+        )
+        assert np.abs(dtheta[:n] - model.vjp_z(z, x, cot)).max() < 1e-12
+        assert np.abs(dtheta[n:] - model.grad_theta(z, x, cot)).max() < 1e-12
+
+
 def _pre_circuit_state(model, z, x):
     from qdeq import encoding as enc
 
@@ -188,12 +219,7 @@ def _pre_circuit_state(model, z, x):
     if model.encoding.kind == "amplitude":
         states, _ = enc.amplitude_encode_batch(v[None], model.num_qubits)
         return states[0]
-    states = np.zeros((1, 1 << model.num_qubits), dtype=np.complex128)
-    states[:, 0] = 1.0
-    from qdeq.simcore import apply_ops
-
-    apply_ops(enc.angle_encode_ops(model.num_qubits), states, inputs=v[None])
-    return states[0]
+    return enc.angle_encode_batch(v[None], model.num_qubits)[0]
 
 
 class TestBuilders:

@@ -2,7 +2,6 @@
 import numpy as np
 import pytest
 
-from qdeq.encoding import angle_encode_ops
 from qdeq.errors import DimensionError, InvalidGateError, UnsupportedGateError
 from qdeq.measurement import ObservableEnsemble
 from qdeq.simcore import (
@@ -242,9 +241,7 @@ class TestLargeBatchedStates:
         ops = resolve_circuit(circuit, theta)
         final = apply_ops(ops, states.copy())
         bra = (cot @ ensemble.diagonals(self.Q)) * final
-        dtheta, _, _ = adjoint_sweep(
-            ops, final, bra, num_params=circuit.num_params, need_input=False
-        )
+        dtheta, _ = adjoint_sweep(ops, final, bra, num_params=circuit.num_params)
         for slot in (0, circuit.num_params // 2, circuit.num_params - 1):
             expected = sum(
                 cot[i] @ parameter_shift_grad(
@@ -253,31 +250,6 @@ class TestLargeBatchedStates:
                 for i in range(self.B)
             )
             assert abs(dtheta[slot] - expected) <= 1e-8 * max(1.0, abs(expected))
-
-    def test_per_sample_angles_match_single_rows(self):
-        rows, num_qubits = 2048, 4
-        rng = np.random.default_rng(15)
-        X = rng.uniform(0.0, 2.0 * np.pi, size=(rows, 4 * num_qubits))
-        cot = rng.normal(size=(rows, num_qubits))
-        diags = ObservableEnsemble.pauli_z_all(num_qubits).diagonals(num_qubits)
-        ops = angle_encode_ops(num_qubits)
-
-        def run(inputs, cotangent):
-            states = np.zeros((inputs.shape[0], 1 << num_qubits), dtype=np.complex128)
-            states[:, 0] = 1.0
-            apply_ops(ops, states, inputs=inputs)
-            _, dinput, _ = adjoint_sweep(
-                ops, states, (cotangent @ diags) * states, inputs=inputs,
-                num_input_cols=inputs.shape[1], need_theta=False,
-            )
-            return states, dinput
-
-        states, dinput = run(X, cot)
-        assert states.size > 16384
-        for i in range(0, rows, 16):
-            single, single_dinput = run(X[i : i + 1], cot[i : i + 1])
-            assert np.abs(states[i] - single[0]).max() < 1e-12
-            assert np.abs(dinput[i] - single_dinput[0]).max() < 1e-12
 
 
 class TestRandomLayer:

@@ -324,6 +324,20 @@ class TestTrainLoop:
             train(small_bundle, model, head, cfg)
         assert "diverged_batches" in err.value.diagnostics
 
+    @pytest.mark.parametrize("solver_mode", ["direct_1", "implicit"])
+    def test_zero_input_row_skips_its_batch(self, small_bundle, solver_mode):
+        # amplitude encoding rejects an all-zero row; its batch is skipped and
+        # counted toward the 10% abort instead of ending the run
+        bundle = dataclasses.replace(small_bundle, x_train=small_bundle.x_train.copy())
+        bundle.x_train[5] = 0.0
+        cfg = _quick_config(epochs=1, batch_size=32, warmup_steps=0, solver_mode=solver_mode)
+        model, head = build_from_config(cfg)
+        metrics, adam = train(bundle, model, head, cfg)
+        steps_per_epoch = math.ceil(bundle.x_train.shape[0] / cfg.batch_size)
+        assert steps_per_epoch >= 10
+        assert adam.t == steps_per_epoch - 1
+        assert np.isfinite(metrics.epochs[0]["train_loss"])
+
     def test_untrained_model_near_chance(self):
         # labels drawn independently of the features: any classifier sits at 25%
         bundle = synthetic_bundle(n_train=40, n_test=2000)
