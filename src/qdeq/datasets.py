@@ -2,8 +2,11 @@
 
 IDX files are read bit-exactly (big-endian, image magic 0x00000803, label
 magic 0x00000801) with transparent gzip handling; CIFAR-10 binary batches are
-3073-byte records (label byte + 3x1024 pixel planes) converted to grayscale
-luma. Pixels are scaled to [0, 1].
+3073-byte records (label byte + 3x1024 pixel planes). The loaders, the class
+filter, the subset draw and the split all pass raw uint8 pixels along; only
+``_features`` scales them to [0, 1], converts CIFAR planes to grayscale luma
+and pools or resizes, a chunk of rows at a time, so no float64 copy of a
+whole image set is ever held.
 """
 from __future__ import annotations
 
@@ -24,7 +27,9 @@ LABEL_MAGIC = 0x00000801
 
 @dataclass
 class ImageDataset:
-    images: np.ndarray  # (N, H, W) float64 in [0, 1]
+    """Raw uint8 pixels with int64 labels; features come from ``_features``."""
+
+    images: np.ndarray  # (N, H, W) uint8, or (N, 3, H, W) uint8 RGB planes for CIFAR
     labels: np.ndarray  # (N,) int64
     name: str = ""
 
@@ -52,8 +57,7 @@ def _parse_idx_images(raw: bytes, path) -> np.ndarray:
     expected = 16 + count * height * width
     if len(raw) != expected:
         raise DataFormatError(f"{path}: expected {expected} bytes, found {len(raw)}")
-    pixels = np.frombuffer(raw, dtype=np.uint8, offset=16)
-    return pixels.reshape(count, height, width).astype(np.float64) / 255.0
+    return np.frombuffer(raw, dtype=np.uint8, offset=16).reshape(count, height, width)
 
 
 def _parse_idx_labels(raw: bytes, path) -> np.ndarray:
@@ -77,20 +81,15 @@ def load_idx(images_path, labels_path, name: str = "") -> ImageDataset:
     return ImageDataset(images, labels, name)
 
 
-_LUMA = np.array([0.299, 0.587, 0.114])
-
-
 def load_cifar_binary(path, name: str = "cifar10") -> ImageDataset:
-    """One CIFAR-10 binary batch -> grayscale (luma) images in [0, 1]."""
+    """One CIFAR-10 binary batch -> uint8 RGB planes (N, 3, 32, 32) and labels."""
     raw = _read_bytes(path)
     record = 1 + 3 * 1024
     if len(raw) == 0 or len(raw) % record != 0:
         raise DataFormatError(f"{path}: length {len(raw)} is not a multiple of {record}")
     data = np.frombuffer(raw, dtype=np.uint8).reshape(-1, record)
     labels = data[:, 0].astype(np.int64)
-    planes = data[:, 1:].reshape(-1, 3, 32, 32).astype(np.float64) / 255.0
-    gray = np.einsum("c,nchw->nhw", _LUMA, planes)
-    return ImageDataset(gray, labels, name)
+    return ImageDataset(data[:, 1:].reshape(-1, 3, 32, 32), labels, name)
 
 
 def avg_pool(image: np.ndarray, out_side: int = 4) -> np.ndarray:
@@ -127,17 +126,16 @@ def resize_bilinear(image: np.ndarray, out_side: int = 10) -> np.ndarray:
     h, w = image.shape[-2:]
     rows = _bilinear_weights(h, out_side)
     cols = _bilinear_weights(w, out_side)
-    return np.einsum("oh,...hw,pw->...op", rows, image, cols)
+    return rows @ image @ cols.T
 
 
 def filter_classes(dataset: ImageDataset, keep) -> ImageDataset:
     """Order-preserving class filter with ascending label remap."""
-    keep_sorted = sorted(set(int(k) for k in keep))
-    if not keep_sorted:
+    keep_sorted = np.array(sorted(set(int(k) for k in keep)), dtype=np.int64)
+    if not keep_sorted.size:
         raise DimensionError("keep set must be nonempty")
-    remap = {orig: new for new, orig in enumerate(keep_sorted)}
     sel = np.isin(dataset.labels, keep_sorted)
-    labels = np.array([remap[int(l)] for l in dataset.labels[sel]], dtype=np.int64)
+    labels = np.searchsorted(keep_sorted, dataset.labels[sel]).astype(np.int64)
     return ImageDataset(dataset.images[sel], labels, dataset.name)
 
 
@@ -220,10 +218,26 @@ def _load_cifar(data_dir: Path):
     return train, load_cifar_binary(test_path)
 
 
+_FEATURE_CHUNK_ROWS = 1024  # images scaled to float64 at a time
+_LUMA = np.array([0.299, 0.587, 0.114])
+
+
 def _features(dataset: str, images: np.ndarray) -> np.ndarray:
-    if dataset == "mnist4":
-        return avg_pool(images, 4).reshape(images.shape[0], -1)
-    return resize_bilinear(images, 10).reshape(images.shape[0], -1)
+    """uint8 images (N, H, W) or RGB planes (N, 3, H, W) -> (N, n) float64 features.
+
+    Each chunk of rows is scaled to [0, 1], converted to luma if it has three
+    channels, then 4x4 average-pooled (mnist4) or bilinearly resized to 10x10.
+    """
+    side = 4 if dataset == "mnist4" else 10
+    out = np.empty((images.shape[0], side * side))
+    for start in range(0, images.shape[0], _FEATURE_CHUNK_ROWS):
+        chunk = images[start : start + _FEATURE_CHUNK_ROWS].astype(np.float64)
+        chunk /= 255.0
+        if chunk.ndim == 4:
+            chunk = np.einsum("c,nchw->nhw", _LUMA, chunk)
+        small = avg_pool(chunk, side) if dataset == "mnist4" else resize_bilinear(chunk, side)
+        out[start : start + chunk.shape[0]] = small.reshape(chunk.shape[0], -1)
+    return out
 
 
 def prepare_bundle(dataset: str, data_dir, seed: int, subset: int | None = None):

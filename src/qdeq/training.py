@@ -285,12 +285,20 @@ def evaluate(
     broyden: BroydenConfig = BroydenConfig(),
     batch_size: int = 256,
 ):
-    """(accuracy %, mean relative residual) over a dataset split."""
+    """(accuracy %, mean relative residual) over a dataset split.
+
+    The rows of a batch whose solve diverges, or that holds an input the
+    encoder rejects, count as misclassified with residual inf.
+    """
     correct = 0
     residuals = []
     for start in range(0, X.shape[0], batch_size):
         xb = X[start : start + batch_size]
-        z, residual, _ = _solve(model, xb, mode.depth, broyden)
+        try:
+            z, residual, _ = _solve(model, xb, mode.depth, broyden)
+        except (SolverDivergedError, DegenerateInputError):
+            residuals.append(np.full(xb.shape[0], np.inf))
+            continue
         residuals.append(residual)
         logits, _ = head_forward_batch(head, z, train_mode=False)
         correct += int((logits.argmax(axis=1) == y[start : start + batch_size]).sum())
@@ -332,7 +340,7 @@ def train(bundle: DataBundle, model: QuantumModel, head: ClassifierHead, cfg: Tr
     steps_per_epoch = math.ceil(n_train / cfg.batch_size)
     max_diverged = 0.1 * steps_per_epoch
     step = 0
-    t0 = time.time()
+    t0 = time.perf_counter()
 
     for epoch in range(cfg.epochs):
         order = substream(cfg.seed, "batch-order", epoch).permutation(n_train)
@@ -404,7 +412,7 @@ def train(bundle: DataBundle, model: QuantumModel, head: ClassifierHead, cfg: Tr
     metrics.test_acc, metrics.test_residual = evaluate(
         model, head, bundle.x_test, bundle.y_test, mode, broyden, cfg.batch_size
     )
-    metrics.wall_time_seconds = time.time() - t0
+    metrics.wall_time_seconds = time.perf_counter() - t0
     return metrics, adam
 
 

@@ -1,12 +1,18 @@
 """IDX/CIFAR parsing, pooling, resizing, filtering, splitting."""
 import gzip
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from qdeq import datasets
 from qdeq.datasets import (
     ImageDataset,
+    _bilinear_weights,
+    _features,
+    _find,
+    _load_pair,
     avg_pool,
     dataset_available,
     filter_classes,
@@ -17,6 +23,7 @@ from qdeq.datasets import (
     split,
 )
 from qdeq.errors import DataFormatError, DimensionError
+from qdeq.seeding import child_seed
 
 from conftest import _idx_image_bytes, _idx_label_bytes
 
@@ -34,8 +41,9 @@ class TestLoadIdx:
     def test_single_image_scaling(self, one_image_idx):
         ds = load_idx(*one_image_idx)
         assert ds.images.shape == (1, 28, 28)
-        assert ds.images[0, 3, 4] == 1.0
-        assert ds.images.sum() == 1.0
+        assert ds.images.dtype == np.uint8
+        assert ds.images[0, 3, 4] == 255
+        assert ds.images.sum() == 255
         assert ds.labels[0] == 7
 
     def test_gzip_transparent(self, tmp_path, one_image_idx):
@@ -45,7 +53,8 @@ class TestLoadIdx:
         gz_img.write_bytes(gzip.compress(img_path.read_bytes()))
         gz_lbl.write_bytes(gzip.compress(lbl_path.read_bytes()))
         ds = load_idx(gz_img, gz_lbl)
-        assert ds.images[0, 3, 4] == 1.0
+        assert ds.images.dtype == np.uint8
+        assert ds.images[0, 3, 4] == 255
 
     def test_image_magic_passed_as_labels(self, tmp_path, one_image_idx):
         img_path, _ = one_image_idx
@@ -79,8 +88,8 @@ class TestLoadCifar:
         path = tmp_path / "batch.bin"
         path.write_bytes(bytes(3073))
         ds = load_cifar_binary(path)
-        assert ds.images.shape == (1, 32, 32)
-        assert ds.images.sum() == 0.0 and ds.labels[0] == 0
+        assert ds.images.shape == (1, 3, 32, 32)
+        assert ds.images.sum() == 0 and ds.labels[0] == 0
 
     def test_luma_conversion(self, tmp_path):
         record = bytearray(3073)
@@ -89,7 +98,7 @@ class TestLoadCifar:
         path = tmp_path / "red.bin"
         path.write_bytes(bytes(record))
         ds = load_cifar_binary(path)
-        assert np.allclose(ds.images[0], 0.299, atol=1e-12)
+        assert np.allclose(_features("cifar10", ds.images), 0.299, atol=1e-12)
         assert ds.labels[0] == 3
 
     def test_bad_length(self, tmp_path):
@@ -216,6 +225,101 @@ class TestPrepareBundle:
             assert dataset_available(name, digits_data_dir)
             assert not dataset_available(name, tmp_path)
         assert not dataset_available("mnist4", None)
+
+
+_REFERENCE_LUMA = np.array([0.299, 0.587, 0.114])
+
+
+def _reference_bundle(dataset, data_dir, seed):
+    """(x, y) per split from the float64 pipeline that uint8 ingestion replaced.
+
+    Pixels become float64 in [0, 1] (and luma) on load; the class filter and
+    the split select rows of the float images; resizing is the three-operand
+    einsum.
+    """
+    def scaled(ds):
+        images = ds.images.astype(np.float64) / 255.0
+        if images.ndim == 4:
+            images = np.einsum("c,nchw->nhw", _REFERENCE_LUMA, images)
+        return images, ds.labels
+
+    if dataset == "cifar10":
+        batches = [_find(data_dir, dataset, f"data_batch_{i}.bin") for i in range(1, 6)]
+        parts = [scaled(load_cifar_binary(path)) for path in batches]
+        train = (np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts]))
+        test = scaled(load_cifar_binary(_find(data_dir, dataset, "test_batch.bin")))
+    else:
+        train, test = (scaled(ds) for ds in _load_pair(data_dir, dataset))
+    if dataset == "mnist4":
+        remap = {0: 0, 3: 1, 6: 2, 9: 3}
+
+        def keep(images, labels):
+            sel = np.isin(labels, list(remap))
+            return images[sel], np.array([remap[int(l)] for l in labels[sel]], dtype=np.int64)
+
+        train, test = keep(*train), keep(*test)
+    order = np.random.default_rng(child_seed(seed, "data-split")).permutation(len(train[1]))
+    n_train = int(0.8 * len(order))
+    head, tail = order[:n_train], order[n_train:]
+
+    def features(images):
+        if dataset == "mnist4":
+            return images.reshape(-1, 4, 7, 4, 7).mean(axis=(-3, -1)).reshape(len(images), -1)
+        rows = _bilinear_weights(images.shape[1], 10)
+        cols = _bilinear_weights(images.shape[2], 10)
+        return np.einsum("oh,...hw,pw->...op", rows, images, cols).reshape(len(images), -1)
+
+    return [
+        (features(train[0][head]), train[1][head]),
+        (features(train[0][tail]), train[1][tail]),
+        (features(test[0]), test[1]),
+    ]
+
+
+def _bundle_splits(bundle):
+    return [(bundle.x_train, bundle.y_train), (bundle.x_val, bundle.y_val), (bundle.x_test, bundle.y_test)]
+
+
+class TestIngestion:
+    @pytest.mark.parametrize(
+        "dataset, atol",
+        [("mnist4", 0.0), ("mnist10", 1e-15), ("fashionmnist10", 1e-15), ("cifar10", 1e-15)],
+    )
+    def test_matches_float_pipeline(self, digits_data_dir, dataset, atol):
+        # pooling arithmetic is unchanged (bit for bit); the matmul resize
+        # reorders the einsum's sums (within 1e-15)
+        bundle = prepare_bundle(dataset, digits_data_dir, seed=0)
+        reference = _reference_bundle(dataset, digits_data_dir, 0)
+        for (x, y), (x_ref, y_ref) in zip(_bundle_splits(bundle), reference):
+            assert x.dtype == np.float64 and x.shape == x_ref.shape
+            assert np.array_equal(y, y_ref)
+            assert np.abs(x - x_ref).max() <= atol
+
+    @pytest.mark.parametrize("dataset", ["mnist4", "cifar10"])
+    def test_chunk_boundaries_do_not_change_features(self, digits_data_dir, monkeypatch, dataset):
+        whole = prepare_bundle(dataset, digits_data_dir, seed=0)
+        monkeypatch.setattr(datasets, "_FEATURE_CHUNK_ROWS", 7)
+        assert whole.x_test.shape[0] > 7
+        chunked = prepare_bundle(dataset, digits_data_dir, seed=0)
+        for (x, _), (x_chunked, _) in zip(_bundle_splits(whole), _bundle_splits(chunked)):
+            assert np.array_equal(x, x_chunked)
+
+    def test_empty_split_has_feature_columns(self):
+        assert _features("mnist4", np.zeros((0, 28, 28), dtype=np.uint8)).shape == (0, 16)
+        assert _features("cifar10", np.zeros((0, 3, 32, 32), dtype=np.uint8)).shape == (0, 100)
+
+    def test_peak_memory_per_pixel(self, digits_data_dir):
+        # pixels stay uint8 until a bounded chunk is scaled; a float64 copy of
+        # every image would cost 8 bytes per pixel on its own
+        prepare_bundle("mnist4", digits_data_dir, seed=0)
+        tracemalloc.start()
+        try:
+            prepare_bundle("mnist4", digits_data_dir, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        train, test = _load_pair(digits_data_dir, "mnist4")
+        assert peak < 5 * (train.images.size + test.images.size)
 
 
 class TestCifarBundle:

@@ -338,6 +338,26 @@ class TestTrainLoop:
         assert adam.t == steps_per_epoch - 1
         assert np.isfinite(metrics.epochs[0]["train_loss"])
 
+    @pytest.mark.parametrize("solver_mode", ["direct_1", "implicit"])
+    def test_unencodable_held_out_row_fails_only_its_batch(self, small_bundle, solver_mode):
+        # an all-zero validation row fails its evaluation batch: training still
+        # finishes, and that batch's rows count as misclassified with residual inf
+        bundle = dataclasses.replace(small_bundle, x_val=small_bundle.x_val.copy())
+        bundle.x_val[3] = 0.0
+        cfg = _quick_config(epochs=1, batch_size=32, warmup_steps=0, solver_mode=solver_mode)
+        model, head = build_from_config(cfg)
+        metrics, _ = train(bundle, model, head, cfg)
+        mode = SolverMode.parse(solver_mode)
+        acc, residual = evaluate(model, head, bundle.x_val, bundle.y_val, mode, batch_size=32)
+        rest_acc, rest_residual = evaluate(
+            model, head, bundle.x_val[32:], bundle.y_val[32:], mode, batch_size=32
+        )
+        n_val, n_rest = bundle.x_val.shape[0], bundle.x_val.shape[0] - 32
+        assert metrics.epochs[0]["val_acc"] == acc
+        assert acc == pytest.approx(rest_acc * n_rest / n_val, rel=1e-12)
+        assert residual == np.inf and np.isfinite(rest_residual)
+        assert np.isfinite(metrics.test_residual)
+
     def test_untrained_model_near_chance(self):
         # labels drawn independently of the features: any classifier sits at 25%
         bundle = synthetic_bundle(n_train=40, n_test=2000)
