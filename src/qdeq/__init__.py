@@ -15,16 +15,7 @@ from .bounds import (
     verify_contraction_bound,
     verify_trig_inequality,
 )
-from .deqsolve import (
-    BroydenConfig,
-    FixedPointResult,
-    broyden_root,
-    direct_unroll,
-    forward_fixed_point,
-    implicit_backward,
-    jacobian_frobenius_estimate,
-    universality_stack,
-)
+from .deqsolve import BroydenConfig, universality_stack
 from .encoding import EncodingSpec, amplitude_encode, angle_encode, inject
 from .measurement import ObservableEnsemble, UpsampleMap, expect_ensemble, upsample
 from .qmodel import QuantumModel, build_block4, build_default_model, build_staircase10
@@ -44,7 +35,6 @@ __all__ = [
     "BroydenConfig",
     "ClassifierHead",
     "EncodingSpec",
-    "FixedPointResult",
     "GateOp",
     "ObservableEnsemble",
     "ParamCircuit",
@@ -57,18 +47,13 @@ __all__ = [
     "amplitude_encode",
     "angle_encode",
     "apply_circuit",
-    "broyden_root",
     "build_block4",
     "build_default_model",
     "build_staircase10",
-    "direct_unroll",
     "estimate_lipschitz",
     "evaluate",
     "expect_ensemble",
-    "forward_fixed_point",
-    "implicit_backward",
     "inject",
-    "jacobian_frobenius_estimate",
     "parameter_shift_grad",
     "random_layer",
     "renormalization_shift",

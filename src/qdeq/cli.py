@@ -106,7 +106,8 @@ def _cmd_train(args) -> int:
         print(
             f"epoch {row['epoch']:3d} [{row['phase']}] "
             f"loss {row['train_loss']:.4f} train {row['train_acc']:.2f}% "
-            f"val {row['val_acc']:.2f}% residual {row['mean_residual']:.3e}"
+            f"val {row['val_acc']:.2f}% residual {row['mean_residual']:.3e} "
+            f"unconverged {row['unconverged']}"
         )
 
     try:

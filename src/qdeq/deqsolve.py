@@ -8,6 +8,9 @@ function theorem with the same solver, falling back to a truncated Neumann
 series if it produces non-finite values.
 
 Residuals are reported in relative form ||f(z) - z|| / (||f(z)|| + 1e-9).
+
+The solvers and unrolls work on batches only: z, x and cotangents are (B, n)
+arrays, and a single sample is a one-row batch.
 """
 from __future__ import annotations
 
@@ -30,10 +33,6 @@ class FixedPointLayer(Protocol):
 
     def backward_batch(self, Z, X, cotangents, need_z=True, need_theta=True, prepared=None): ...
 
-    def vjp_z_batch(self, Z, X, cotangents, prepared=None): ...
-
-    def grad_theta_batch(self, Z, X, cotangents, prepared=None): ...
-
 
 @dataclass(frozen=True)
 class BroydenConfig:
@@ -45,15 +44,6 @@ class BroydenConfig:
             raise DimensionError("max_steps must be >= 1")
         if self.abs_tol <= 0:
             raise DimensionError("abs_tol must be positive")
-
-
-@dataclass
-class FixedPointResult:
-    z_star: np.ndarray
-    residual: float
-    steps_taken: int
-    converged: bool
-    trace: list
 
 
 @dataclass
@@ -81,22 +71,19 @@ def broyden_root_batch(
     g: Callable[[np.ndarray], np.ndarray],
     Z0: np.ndarray,
     cfg: BroydenConfig = BroydenConfig(),
-    halve_on_degenerate: bool = False,
 ) -> BatchFixedPoint:
     """Solve g(Z) = 0 row-wise; every sample runs its own inverse-Jacobian estimate.
 
     Returns the per-sample iterate with the smallest relative residual among
     those visited. Non-finite g output raises SolverDivergedError with the step
-    index; with ``halve_on_degenerate`` a DegenerateInputError from g halves the
-    offending iterate once before failing hard.
+    index; a DegenerateInputError from g (an iterate the encoder rejects) halves
+    that iterate once before failing hard.
     """
 
     def evaluate(Zc, step):
         try:
             G = np.asarray(g(Zc), dtype=np.float64)
         except DegenerateInputError:
-            if not halve_on_degenerate:
-                raise
             Zc = 0.5 * Zc
             G = np.asarray(g(Zc), dtype=np.float64)
         if not np.isfinite(G).all():
@@ -158,23 +145,6 @@ def broyden_root_batch(
     )
 
 
-def _first_row(res: BatchFixedPoint) -> FixedPointResult:
-    """The single-vector result held in row 0 of a batched one."""
-    return FixedPointResult(
-        z_star=res.z_star[0],
-        residual=float(res.residual[0]),
-        steps_taken=res.steps_taken,
-        converged=bool(res.converged[0]),
-        trace=[float(r) for r in res.trace[:, 0]],
-    )
-
-
-def broyden_root(g, z0, cfg: BroydenConfig = BroydenConfig()) -> FixedPointResult:
-    """Single-vector front end to the batched solver."""
-    Z0 = np.asarray(z0, float)[None, :]
-    return _first_row(broyden_root_batch(lambda Z: np.asarray(g(Z[0]))[None, :], Z0, cfg))
-
-
 def forward_fixed_point_batch(
     model: FixedPointLayer, X: np.ndarray, cfg: BroydenConfig = BroydenConfig()
 ) -> BatchFixedPoint:
@@ -184,11 +154,7 @@ def forward_fixed_point_batch(
     def g(Z):
         return model.forward_batch(Z, X) - Z
 
-    return broyden_root_batch(g, np.zeros_like(X), cfg, halve_on_degenerate=True)
-
-
-def forward_fixed_point(model, x, cfg: BroydenConfig = BroydenConfig()) -> FixedPointResult:
-    return _first_row(forward_fixed_point_batch(model, np.atleast_2d(x), cfg))
+    return broyden_root_batch(g, np.zeros_like(X), cfg)
 
 
 def implicit_backward_batch(
@@ -211,7 +177,7 @@ def implicit_backward_batch(
     diagnostics = {"neumann_fallback": False}
 
     def h(Q):
-        return model.vjp_z_batch(Z_star, X, Q, prepared=prep) - Q + loss_grads
+        return model.backward_batch(Z_star, X, Q, need_theta=False, prepared=prep)[0] - Q + loss_grads
 
     try:
         res = broyden_root_batch(h, np.zeros_like(loss_grads), cfg)
@@ -222,22 +188,14 @@ def implicit_backward_batch(
         q = loss_grads.copy()
         term = loss_grads.copy()
         for _ in range(cfg.max_steps - 1):
-            term = model.vjp_z_batch(Z_star, X, term, prepared=prep)
+            term = model.backward_batch(Z_star, X, term, need_theta=False, prepared=prep)[0]
             q += term
         if not np.isfinite(q).all():
             raise
         diagnostics["neumann_fallback"] = True
 
-    dtheta = model.grad_theta_batch(Z_star, X, q, prepared=prep)
+    dtheta = model.backward_batch(Z_star, X, q, need_z=False, prepared=prep)[1]
     return dtheta, diagnostics
-
-
-def implicit_backward(model, x, z_star, loss_grad, cfg: BroydenConfig = BroydenConfig()):
-    """Single-sample dtheta for a loss with gradient ``loss_grad`` at ``z_star``."""
-    dtheta, _ = implicit_backward_batch(
-        model, np.atleast_2d(x), np.atleast_2d(z_star), np.atleast_2d(loss_grad), cfg
-    )
-    return dtheta
 
 
 def unroll_backward_batch(model: FixedPointLayer, X: np.ndarray, iterates, loss_grads) -> np.ndarray:
@@ -264,15 +222,6 @@ def direct_unroll_batch(model: FixedPointLayer, X: np.ndarray, depth: int) -> li
     return iterates
 
 
-def direct_unroll(model, x, depth: int, loss_grad=None):
-    """Single-sample unroll: (z_depth, dtheta or None)."""
-    X = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    iterates = direct_unroll_batch(model, X, depth)
-    if loss_grad is None:
-        return iterates[-1][0], None
-    return iterates[-1][0], unroll_backward_batch(model, X, iterates, np.atleast_2d(loss_grad))
-
-
 def jacobian_frobenius_batch(model: FixedPointLayer, Z, X, probes: np.ndarray) -> np.ndarray:
     """Hutchinson estimates of ||d f/d z||_F^2 per sample.
 
@@ -282,19 +231,9 @@ def jacobian_frobenius_batch(model: FixedPointLayer, Z, X, probes: np.ndarray) -
     prep = model.prepare(Z, X)
     total = np.zeros(probes.shape[1])
     for eps in probes:
-        jt = model.vjp_z_batch(Z, X, eps, prepared=prep)
+        jt = model.backward_batch(Z, X, eps, need_theta=False, prepared=prep)[0]
         total += np.einsum("bn,bn->b", jt, jt)
     return total / probes.shape[0]
-
-
-def jacobian_frobenius_estimate(model, z, x, num_probes: int, rng=None) -> float:
-    """Single-sample Hutchinson estimate with Rademacher probes."""
-    if num_probes < 1:
-        raise DimensionError("num_probes must be >= 1")
-    rng = rng if rng is not None else np.random.default_rng(0)
-    z = np.atleast_2d(z)
-    probes = rng.integers(0, 2, size=(num_probes, 1, z.shape[1])) * 2.0 - 1.0
-    return float(jacobian_frobenius_batch(model, z, np.atleast_2d(x), probes)[0])
 
 
 def universality_stack(models: list, x: np.ndarray) -> np.ndarray:
@@ -312,14 +251,13 @@ def universality_stack(models: list, x: np.ndarray) -> np.ndarray:
     for m in models[1:]:
         if not first.same_shape_as(m):
             raise DimensionError("stacked models must share their shape")
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
+    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
     depth = len(models)
     zeros = np.zeros_like(x)
-    blocks = [x] + [zeros.copy() for _ in range(depth)]
+    blocks = [x] + [zeros] * depth
     for _ in range(depth):
-        new = [x]
-        new.append(models[0].forward(blocks[0], zeros))
+        new = [x, models[0].forward_batch(blocks[0], zeros)]
         for j in range(2, depth + 1):
-            new.append(models[j - 1].forward(blocks[j - 1], x))
+            new.append(models[j - 1].forward_batch(blocks[j - 1], x))
         blocks = new
-    return np.stack(blocks)
+    return np.concatenate(blocks)

@@ -1,8 +1,8 @@
 """Quantum model family: encoding + parametrized circuit + readout + upsample.
 
 A model maps an iterate z and input x to upsample(<M_k>) of the state
-U(theta)|encode(z + x)>. Forward and reverse passes are batched over samples;
-the single-sample methods wrap the batched ones.
+U(theta)|encode(z + x)>. Forward and reverse passes work on (B, n) batches of
+samples only; a single sample is a one-row batch.
 
 Circuit builders follow the 4-qubit block (seeded random layer, then a
 trainable RY wall, RZ wall, CNOT ring, RY wall) and its 10-qubit staircase
@@ -110,9 +110,6 @@ class QuantumModel:
         diags = self.ensemble.diagonals(self.num_qubits)
         return upsample_batch(expect_batch(prep.states, diags), self.upsample)
 
-    def forward(self, z: np.ndarray, x: np.ndarray) -> np.ndarray:
-        return self.forward_batch(np.atleast_2d(z), np.atleast_2d(x))[0]
-
     # -- reverse -----------------------------------------------------------
 
     def backward_batch(
@@ -143,20 +140,6 @@ class QuantumModel:
         else:
             dZ = enc.angle_encode_vjp(prep.combined, back)
         return dZ, (dtheta if need_theta else None)
-
-    def vjp_z_batch(self, Z, X, cotangents, prepared=None) -> np.ndarray:
-        dZ, _ = self.backward_batch(Z, X, cotangents, need_theta=False, prepared=prepared)
-        return dZ
-
-    def grad_theta_batch(self, Z, X, cotangents, prepared=None) -> np.ndarray:
-        _, dtheta = self.backward_batch(Z, X, cotangents, need_z=False, prepared=prepared)
-        return dtheta
-
-    def vjp_z(self, z, x, cotangent) -> np.ndarray:
-        return self.vjp_z_batch(np.atleast_2d(z), np.atleast_2d(x), np.atleast_2d(cotangent))[0]
-
-    def grad_theta(self, z, x, cotangent) -> np.ndarray:
-        return self.grad_theta_batch(np.atleast_2d(z), np.atleast_2d(x), np.atleast_2d(cotangent))
 
 
 # ---------------------------------------------------------------------------

@@ -168,11 +168,6 @@ def head_forward_batch(head: ClassifierHead, Z: np.ndarray, train_mode: bool, rn
     return hidden @ head.weight.T + head.bias, mask
 
 
-def head_forward(head: ClassifierHead, z_star, train_mode: bool, rng=None) -> np.ndarray:
-    logits, _ = head_forward_batch(head, np.atleast_2d(z_star), train_mode, rng)
-    return logits[0]
-
-
 def cross_entropy_batch(logits: np.ndarray, labels: np.ndarray):
     """(mean loss, dloss/dlogits already divided by the batch size)."""
     logits = np.atleast_2d(logits)
@@ -185,13 +180,6 @@ def cross_entropy_batch(logits: np.ndarray, labels: np.ndarray):
     grad = np.exp(log_probs)
     grad[np.arange(n), labels] -= 1.0
     return float(loss), grad / n
-
-
-def cross_entropy(logits, label: int) -> float:
-    if label >= np.asarray(logits).reshape(-1).shape[0]:
-        raise DimensionError("label outside logit range")
-    loss, _ = cross_entropy_batch(np.atleast_2d(logits), np.array([label]))
-    return loss
 
 
 @dataclass
@@ -225,7 +213,8 @@ def adam_step(params: list, grads: list, state: AdamState, cfg: TrainConfig) -> 
 
 @dataclass
 class RunMetrics:
-    epochs: list = field(default_factory=list)  # dicts: epoch, phase, train_loss, train_acc, val_acc, mean_residual
+    # dicts: epoch, phase, train_loss, train_acc, val_acc, mean_residual, unconverged
+    epochs: list = field(default_factory=list)
     test_acc: float = 0.0
     test_residual: float = 0.0
     wall_time_seconds: float = 0.0
@@ -266,14 +255,18 @@ def _direct_residual(model: QuantumModel, X, iterates) -> np.ndarray:
 
 
 def _solve(model: QuantumModel, X, depth: int, broyden: BroydenConfig):
-    """(z, per-sample residual, backward: dz -> dtheta); depth 0 is the fixed-point solve."""
+    """(z, per-sample residual, backward: dz -> dtheta, unconverged row count).
+
+    Depth 0 is the fixed-point solve; its unconverged rows are those the
+    Broyden solver left above ``abs_tol``. Unrolls report 0.
+    """
     if depth == 0:
         fp = forward_fixed_point_batch(model, X, broyden)
-        z = fp.z_star
-        return z, fp.residual, lambda dz: implicit_backward_batch(model, X, z, dz, broyden)[0]
+        z, unconverged = fp.z_star, int(np.count_nonzero(~fp.converged))
+        return z, fp.residual, lambda dz: implicit_backward_batch(model, X, z, dz, broyden)[0], unconverged
     iterates = direct_unroll_batch(model, X, depth)
     z = iterates[-1]
-    return z, _direct_residual(model, X, iterates), lambda dz: unroll_backward_batch(model, X, iterates, dz)
+    return z, _direct_residual(model, X, iterates), lambda dz: unroll_backward_batch(model, X, iterates, dz), 0
 
 
 def evaluate(
@@ -288,14 +281,17 @@ def evaluate(
     """(accuracy %, mean relative residual) over a dataset split.
 
     The rows of a batch whose solve diverges, or that holds an input the
-    encoder rejects, count as misclassified with residual inf.
+    encoder rejects, count as misclassified with residual inf. An X with no
+    rows raises DimensionError.
     """
+    if X.shape[0] == 0:
+        raise DimensionError("cannot evaluate a split with no rows")
     correct = 0
     residuals = []
     for start in range(0, X.shape[0], batch_size):
         xb = X[start : start + batch_size]
         try:
-            z, residual, _ = _solve(model, xb, mode.depth, broyden)
+            z, residual, _, _ = _solve(model, xb, mode.depth, broyden)
         except (SolverDivergedError, DegenerateInputError):
             residuals.append(np.full(xb.shape[0], np.inf))
             continue
@@ -317,9 +313,12 @@ def _jacobian_penalty(model, Z, X, probes):
     Zs = np.tile(Z, (probes.shape[0], 1))
     Xs = np.tile(X, (probes.shape[0], 1))
     E = probes.reshape(Zs.shape)
-    V = model.vjp_z_batch(Zs, Xs, E)
+    V = model.backward_batch(Zs, Xs, E, need_theta=False)[0]
     hV = _PENALTY_FD_STEP * V
-    dtheta = model.grad_theta_batch(Zs + hV, Xs, E) - model.grad_theta_batch(Zs - hV, Xs, E)
+    dtheta = (
+        model.backward_batch(Zs + hV, Xs, E, need_z=False)[1]
+        - model.backward_batch(Zs - hV, Xs, E, need_z=False)[1]
+    )
     rows = E.shape[0]
     return float(np.einsum("bn,bn->", V, V)) / rows, dtheta / (_PENALTY_FD_STEP * rows)
 
@@ -331,7 +330,11 @@ def train(bundle: DataBundle, model: QuantumModel, head: ClassifierHead, cfg: Tr
     A batch whose solve diverges, or that holds an input the encoder rejects
     (an all-zero row under amplitude encoding), is skipped; training aborts
     with TrainingAborted when more than 10% of an epoch's batches are skipped.
+    A split with no rows raises DimensionError before the first step.
     """
+    for split in ("x_train", "x_val", "x_test"):
+        if getattr(bundle, split).shape[0] == 0:
+            raise DimensionError(f"the {split} split of {bundle.name!r} has no rows")
     mode = SolverMode.parse(cfg.solver_mode)
     params = [model.theta, head.weight, head.bias]
     adam = AdamState.init(params)
@@ -348,6 +351,7 @@ def train(bundle: DataBundle, model: QuantumModel, head: ClassifierHead, cfg: Tr
         residuals = []
         correct = 0
         diverged = 0
+        unconverged = 0
         epoch_phase = None
         for start in range(0, n_train, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
@@ -359,7 +363,8 @@ def train(bundle: DataBundle, model: QuantumModel, head: ClassifierHead, cfg: Tr
             dropout_rng = substream(cfg.seed, "dropout", step)
             try:
                 depth = cfg.warmup_depth if warm else mode.depth
-                z, residual, backward = _solve(model, xb, depth, broyden)
+                z, residual, backward, batch_unconverged = _solve(model, xb, depth, broyden)
+                unconverged += batch_unconverged
                 residuals.append(residual)
                 logits, mask = head_forward_batch(head, z, train_mode=True, rng=dropout_rng)
                 loss, dlogits = cross_entropy_batch(logits, yb)
@@ -404,6 +409,7 @@ def train(bundle: DataBundle, model: QuantumModel, head: ClassifierHead, cfg: Tr
             "train_acc": 100.0 * correct / n_train,
             "val_acc": val_acc,
             "mean_residual": float(np.concatenate(residuals).mean()) if residuals else float("nan"),
+            "unconverged": unconverged,
         }
         metrics.epochs.append(row)
         if log is not None:

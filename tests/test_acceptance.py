@@ -21,10 +21,10 @@ from qdeq.bounds import (
 from qdeq.datasets import prepare_bundle
 from qdeq.deqsolve import (
     BroydenConfig,
-    direct_unroll,
-    forward_fixed_point,
+    direct_unroll_batch,
     forward_fixed_point_batch,
-    implicit_backward,
+    implicit_backward_batch,
+    unroll_backward_batch,
     universality_stack,
 )
 from qdeq.measurement import ObservableEnsemble
@@ -141,11 +141,11 @@ def test_criterion_3_universality_stacking():
         ]
         x = rng.uniform(0.1, 1.0, size=4)
         stack = universality_stack(models, x)
-        z = np.zeros(4)
+        z = np.zeros((1, 4))
         sequential = [x]
         for m in models:
-            z = m.forward(z, x)
-            sequential.append(z)
+            z = m.forward_batch(z, x[None])
+            sequential.append(z[0])
         worst = max(
             worst, max(np.abs(stack[i] - sequential[i]).max() for i in range(depth + 1))
         )
@@ -159,19 +159,19 @@ def test_criterion_4_implicit_gradient_fidelity():
     A = rng.normal(size=(n, n))
     A *= 0.6 / np.abs(np.linalg.eigvals(A)).max()
     layer = LinearLayer(A, rng.normal(size=(n, p)), rng.normal(size=p))
-    x = rng.normal(size=n)
-    lg = rng.normal(size=n)
-    res = forward_fixed_point(layer, x, BroydenConfig(max_steps=60, abs_tol=1e-12))
-    dtheta = implicit_backward(layer, x, res.z_star, lg, BroydenConfig(max_steps=60, abs_tol=1e-13))
-    closed = layer.B.T @ np.linalg.solve(np.eye(n) - A.T, lg)
+    x = rng.normal(size=(1, n))
+    lg = rng.normal(size=(1, n))
+    res = forward_fixed_point_batch(layer, x, BroydenConfig(max_steps=60, abs_tol=1e-12))
+    dtheta, _ = implicit_backward_batch(layer, x, res.z_star, lg, BroydenConfig(max_steps=60, abs_tol=1e-13))
+    closed = layer.B.T @ np.linalg.solve(np.eye(n) - A.T, lg[0])
     linear_err = np.abs(dtheta - closed).max()
 
     model = build_default_model("amplitude", 2, 4, seed=3, random_ops=8)
-    xq = np.array([0.9, 0.3, 0.4, 0.1])
-    fp = forward_fixed_point(model, xq)
-    lgq = np.random.default_rng(41).normal(size=4)
-    dth = implicit_backward(model, xq, fp.z_star, lgq)
-    _, unrolled = direct_unroll(model, xq, 60, loss_grad=lgq)
+    xq = np.array([[0.9, 0.3, 0.4, 0.1]])
+    fp = forward_fixed_point_batch(model, xq)
+    lgq = np.random.default_rng(41).normal(size=(1, 4))
+    dth, _ = implicit_backward_batch(model, xq, fp.z_star, lgq)
+    unrolled = unroll_backward_batch(model, xq, direct_unroll_batch(model, xq, 60), lgq)
     rel = np.linalg.norm(dth - unrolled) / np.linalg.norm(unrolled)
     _report(
         4,

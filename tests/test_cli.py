@@ -1,5 +1,6 @@
 """Command-line behaviors: subcommands, exit codes, emitted files."""
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,9 @@ import pytest
 
 from qdeq.cli import main
 from qdeq.errors import TrainingAborted
-from qdeq.training import TrainConfig
+from qdeq.training import TrainConfig, build_from_config, save_checkpoint
+
+from conftest import synthdata
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -187,6 +190,23 @@ class TestTrainEval:
         assert code == 0
         out = capsys.readouterr().out
         assert "accuracy=" in out and "mean_residual=" in out
+
+    def test_train_log_reports_unconverged_rows(self, tmp_path, smoke_config, digits_data_dir, capsys):
+        args = ["--config", str(smoke_config), "--data-dir", str(digits_data_dir), "--output-dir", str(tmp_path)]
+        assert main(["train", *args]) == 0
+        epoch_lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("epoch")]
+        assert len(epoch_lines) == 2
+        assert all(re.search(r" unconverged \d+$", line) for line in epoch_lines)
+
+    def test_eval_on_empty_split_exits_one(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        synthdata.write_mnist(data, 0, train_per_class=5, test_per_class=0)
+        cfg = TrainConfig(dataset="mnist4", solver_mode="implicit", learning_rate=0.05)
+        model, head = build_from_config(cfg)
+        save_checkpoint(tmp_path / "ckpt.txt", cfg, model, head)
+        code = main(["eval", "--checkpoint", str(tmp_path / "ckpt.txt"), "--split", "test", "--data-dir", str(data)])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
 
     def test_seed_override_lands_in_echo(self, tmp_path, smoke_config, digits_data_dir):
         out_dir = tmp_path / "run2"

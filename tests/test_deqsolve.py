@@ -6,15 +6,12 @@ import pytest
 
 from qdeq.deqsolve import (
     BroydenConfig,
-    broyden_root,
     broyden_root_batch,
-    direct_unroll,
-    forward_fixed_point,
+    direct_unroll_batch,
     forward_fixed_point_batch,
-    implicit_backward,
     implicit_backward_batch,
     jacobian_frobenius_batch,
-    jacobian_frobenius_estimate,
+    unroll_backward_batch,
     universality_stack,
 )
 from qdeq.errors import DimensionError, SolverDivergedError
@@ -37,20 +34,11 @@ class LinearLayer:
     def forward_batch(self, Z, X, prepared=None):
         return np.atleast_2d(Z) @ self.A.T + self.theta @ self.B.T + np.atleast_2d(X)
 
-    def forward(self, z, x):
-        return self.forward_batch(z[None], x[None])[0]
-
     def backward_batch(self, Z, X, C, need_z=True, need_theta=True, prepared=None):
         C = np.atleast_2d(C)
         dz = C @ self.A if need_z else None
         dth = (C @ self.B).sum(axis=0) if need_theta else None
         return dz, dth
-
-    def vjp_z_batch(self, Z, X, C, prepared=None):
-        return self.backward_batch(Z, X, C, need_theta=False)[0]
-
-    def grad_theta_batch(self, Z, X, C, prepared=None):
-        return self.backward_batch(Z, X, C, need_z=False)[1]
 
 
 def _spectral_scale(rng, n, radius):
@@ -61,36 +49,38 @@ def _spectral_scale(rng, n, radius):
 class TestBroydenRoot:
     def test_constant_target_two_steps(self):
         c = np.array([1.5, -2.0, 0.25])
-        res = broyden_root(lambda z: c - z, np.zeros(3))
-        assert res.converged and res.steps_taken <= 2
-        assert np.abs(res.z_star - c).max() < 1e-12
+        res = broyden_root_batch(lambda Z: c - Z, np.zeros((1, 3)))
+        assert res.converged[0] and res.steps_taken <= 2
+        assert np.abs(res.z_star[0] - c).max() < 1e-12
 
     def test_affine_matches_direct_solve(self):
         rng = np.random.default_rng(0)
         A = _spectral_scale(rng, 6, 0.7)
         b = rng.normal(size=6)
-        res = broyden_root(lambda z: A @ z + b - z, np.zeros(6), BroydenConfig(max_steps=60))
+        res = broyden_root_batch(lambda Z: Z @ A.T + b - Z, np.zeros((1, 6)), BroydenConfig(max_steps=60))
         oracle = np.linalg.solve(np.eye(6) - A, b)
-        assert np.abs(res.z_star - oracle).max() < 1e-6
+        assert np.abs(res.z_star[0] - oracle).max() < 1e-6
 
     def test_scalar_cosine_root(self):
-        res = broyden_root(lambda z: np.cos(z) - z, np.zeros(1), BroydenConfig(max_steps=40))
-        assert abs(res.z_star[0] - 0.7390851332151607) < 1e-7
+        res = broyden_root_batch(lambda Z: np.cos(Z) - Z, np.zeros((1, 1)), BroydenConfig(max_steps=40))
+        assert abs(res.z_star[0, 0] - 0.7390851332151607) < 1e-7
 
     def test_residual_is_trace_minimum(self):
         rng = np.random.default_rng(1)
         A = _spectral_scale(rng, 5, 0.9)
         b = rng.normal(size=5)
-        res = broyden_root(lambda z: A @ z + b - z, np.zeros(5), BroydenConfig(max_steps=7, abs_tol=1e-14))
-        assert res.residual == min(res.trace)
+        res = broyden_root_batch(
+            lambda Z: Z @ A.T + b - Z, np.zeros((1, 5)), BroydenConfig(max_steps=7, abs_tol=1e-14)
+        )
+        assert res.residual[0] == res.trace[:, 0].min()
         assert res.steps_taken <= 7
 
     def test_nonfinite_raises_with_step(self):
-        def g(z):
-            return np.full_like(z, np.nan) if np.linalg.norm(z) > 0.5 else z + 1.0
+        def g(Z):
+            return np.full_like(Z, np.nan) if np.linalg.norm(Z) > 0.5 else Z + 1.0
 
         with pytest.raises(SolverDivergedError) as err:
-            broyden_root(g, np.zeros(2))
+            broyden_root_batch(g, np.zeros((1, 2)))
         assert err.value.step >= 1
 
     def test_batch_rows_solve_independently(self):
@@ -111,15 +101,15 @@ class TestForwardFixedPoint:
     def test_synthetic_contraction_geometric_series(self):
         layer = LinearLayer(0.5 * np.eye(4), np.zeros((4, 1)), np.zeros(1))
         x = np.array([0.2, -0.4, 1.0, 0.8])
-        res = forward_fixed_point(layer, x, BroydenConfig(max_steps=30))
-        assert np.abs(res.z_star - 2.0 * x).max() < 1e-9
+        res = forward_fixed_point_batch(layer, x[None], BroydenConfig(max_steps=30))
+        assert np.abs(res.z_star[0] - 2.0 * x).max() < 1e-9
 
     def test_first_iterate_is_forward_from_zero(self):
         layer = LinearLayer(0.5 * np.eye(2), np.zeros((2, 1)), np.zeros(1))
         x = np.array([1.0, 3.0])
-        res = forward_fixed_point(layer, x, BroydenConfig(max_steps=1, abs_tol=1e-30))
+        res = forward_fixed_point_batch(layer, x[None], BroydenConfig(max_steps=1, abs_tol=1e-30))
         # one Broyden step from z0 = 0 with H = -I lands exactly on f(0; x)
-        assert np.abs(res.z_star - layer.forward(np.zeros(2), x)).max() < 1e-12
+        assert np.abs(res.z_star - layer.forward_batch(np.zeros((1, 2)), x[None])).max() < 1e-12
 
     def test_quantum_model_converges(self):
         model = build_default_model("amplitude", 4, 16, seed=0)
@@ -155,8 +145,8 @@ class TestImplicitBackward:
     def test_zero_loss_grad_gives_zero(self):
         model = build_default_model("amplitude", 2, 4, seed=3, random_ops=8)
         x = np.array([0.9, 0.3, 0.4, 0.1])
-        res = forward_fixed_point(model, x)
-        dtheta = implicit_backward(model, x, res.z_star, np.zeros(4))
+        res = forward_fixed_point_batch(model, x[None])
+        dtheta, _ = implicit_backward_batch(model, x[None], res.z_star, np.zeros((1, 4)))
         assert np.array_equal(dtheta, np.zeros(model.num_params))
 
     def test_linear_layer_closed_form(self):
@@ -167,8 +157,10 @@ class TestImplicitBackward:
         layer = LinearLayer(A, B, rng.normal(size=p))
         x = rng.normal(size=n)
         lg = rng.normal(size=n)
-        res = forward_fixed_point(layer, x, BroydenConfig(max_steps=60, abs_tol=1e-12))
-        dtheta = implicit_backward(layer, x, res.z_star, lg, BroydenConfig(max_steps=60, abs_tol=1e-13))
+        res = forward_fixed_point_batch(layer, x[None], BroydenConfig(max_steps=60, abs_tol=1e-12))
+        dtheta, _ = implicit_backward_batch(
+            layer, x[None], res.z_star, lg[None], BroydenConfig(max_steps=60, abs_tol=1e-13)
+        )
         closed = B.T @ np.linalg.solve(np.eye(n) - A.T, lg)
         assert np.abs(dtheta - closed).max() < 1e-8
 
@@ -176,10 +168,10 @@ class TestImplicitBackward:
         # seed 3 gives sigma_max(J_f) ~ 0.54 at the fixed point for this x
         model = build_default_model("amplitude", 2, 4, seed=3, random_ops=8)
         x = np.array([0.9, 0.3, 0.4, 0.1])
-        res = forward_fixed_point(model, x)
-        lg = np.random.default_rng(6).normal(size=4)
-        dtheta = implicit_backward(model, x, res.z_star, lg)
-        _, unrolled = direct_unroll(model, x, 60, loss_grad=lg)
+        res = forward_fixed_point_batch(model, x[None])
+        lg = np.random.default_rng(6).normal(size=(1, 4))
+        dtheta, _ = implicit_backward_batch(model, x[None], res.z_star, lg)
+        unrolled = unroll_backward_batch(model, x[None], direct_unroll_batch(model, x[None], 60), lg)
         rel = np.linalg.norm(dtheta - unrolled) / np.linalg.norm(unrolled)
         assert rel < 1e-3
 
@@ -193,11 +185,10 @@ class TestImplicitBackward:
         limit = 1.6 * np.linalg.norm(lg)
 
         class Guarded(LinearLayer):
-            def vjp_z_batch(self, Z, X, C, prepared=None):
-                C = np.atleast_2d(C)
-                if np.linalg.norm(C) > limit:
-                    return np.full_like(C, np.nan)
-                return C @ self.A
+            def backward_batch(self, Z, X, C, need_z=True, need_theta=True, prepared=None):
+                if need_z and np.linalg.norm(C) > limit:
+                    return np.full_like(C, np.nan), None
+                return super().backward_batch(Z, X, C, need_z, need_theta, prepared)
 
         layer = Guarded(A, np.eye(n), np.zeros(n))
         z_star = np.zeros(n)
@@ -215,9 +206,10 @@ class TestImplicitBackward:
             layer = LinearLayer(A, rng.normal(size=(n, p)), rng.normal(size=p))
             x = rng.normal(size=n)
             lg = rng.normal(size=n)
-            res = forward_fixed_point(layer, x, BroydenConfig(max_steps=50, abs_tol=1e-12))
-            dtheta = implicit_backward(layer, x, res.z_star, lg, BroydenConfig(max_steps=50, abs_tol=1e-12))
-            _, unrolled = direct_unroll(layer, x, 60, loss_grad=lg)
+            cfg = BroydenConfig(max_steps=50, abs_tol=1e-12)
+            res = forward_fixed_point_batch(layer, x[None], cfg)
+            dtheta, _ = implicit_backward_batch(layer, x[None], res.z_star, lg[None], cfg)
+            unrolled = unroll_backward_batch(layer, x[None], direct_unroll_batch(layer, x[None], 60), lg[None])
             rel = np.linalg.norm(dtheta - unrolled) / max(np.linalg.norm(unrolled), 1e-12)
             assert rel < 1e-3
 
@@ -226,36 +218,36 @@ class TestDirectUnroll:
     def test_depth_one_is_single_forward(self):
         model = build_default_model("amplitude", 2, 4, seed=1, random_ops=6)
         x = np.array([0.5, 0.2, 0.8, 0.1])
-        z1, _ = direct_unroll(model, x, 1)
-        assert np.array_equal(z1, model.forward(np.zeros(4), x))
+        z1 = direct_unroll_batch(model, x[None], 1)[-1]
+        assert np.array_equal(z1, model.forward_batch(np.zeros((1, 4)), x[None]))
 
     def test_depth_fifty_reaches_broyden_fixed_point(self):
         layer = LinearLayer(0.5 * np.eye(3), np.zeros((3, 1)), np.zeros(1))
         x = np.array([1.0, -0.5, 0.25])
-        z50, _ = direct_unroll(layer, x, 50)
-        res = forward_fixed_point(layer, x, BroydenConfig(max_steps=30))
+        z50 = direct_unroll_batch(layer, x[None], 50)[-1]
+        res = forward_fixed_point_batch(layer, x[None], BroydenConfig(max_steps=30))
         assert np.abs(z50 - res.z_star).max() < 1e-5
 
     def test_depth_two_gradient_matches_finite_differences(self):
         model = build_default_model("amplitude", 2, 4, seed=2, random_ops=6)
         rng = np.random.default_rng(9)
-        x = rng.uniform(0.1, 1.0, size=4)
-        lg = rng.normal(size=4)
-        _, dtheta = direct_unroll(model, x, 2, loss_grad=lg)
+        X = rng.uniform(0.1, 1.0, size=(1, 4))
+        lg = rng.normal(size=(1, 4))
+        dtheta = unroll_backward_batch(model, X, direct_unroll_batch(model, X, 2), lg)
         eps = 1e-5
         for j in range(model.num_params):
             model.theta[j] += eps
-            up, _ = direct_unroll(model, x, 2)
+            up = direct_unroll_batch(model, X, 2)[-1]
             model.theta[j] -= 2 * eps
-            down, _ = direct_unroll(model, x, 2)
+            down = direct_unroll_batch(model, X, 2)[-1]
             model.theta[j] += eps
-            fd = lg @ (up - down) / (2 * eps)
+            fd = np.sum(lg * (up - down)) / (2 * eps)
             assert abs(dtheta[j] - fd) < 1e-5
 
     def test_depth_must_be_positive(self):
         model = build_default_model("amplitude", 2, 4, seed=1)
         with pytest.raises(DimensionError):
-            direct_unroll(model, np.ones(4), 0)
+            direct_unroll_batch(model, np.ones((1, 4)), 0)
 
 
 class TestJacobianFrobenius:
@@ -267,10 +259,11 @@ class TestJacobianFrobenius:
             def prepare(self, Z, X):
                 return None
 
-            def vjp_z_batch(self, Z, X, C, prepared=None):
-                return np.atleast_2d(C)
+            def backward_batch(self, Z, X, C, need_z=True, need_theta=True, prepared=None):
+                return C, None
 
-        est = jacobian_frobenius_estimate(Identity(), np.zeros(16), np.zeros(16), 4)
+        probes = np.random.default_rng(0).integers(0, 2, size=(4, 1, 16)) * 2.0 - 1.0
+        est = jacobian_frobenius_batch(Identity(), np.zeros((1, 16)), np.zeros((1, 16)), probes)[0]
         assert est == pytest.approx(16.0, abs=1e-12)
 
     def test_constant_map_is_zero(self):
@@ -281,19 +274,19 @@ class TestJacobianFrobenius:
             def prepare(self, Z, X):
                 return None
 
-            def vjp_z_batch(self, Z, X, C, prepared=None):
-                return np.zeros_like(np.atleast_2d(C))
+            def backward_batch(self, Z, X, C, need_z=True, need_theta=True, prepared=None):
+                return np.zeros_like(C), None
 
-        est = jacobian_frobenius_estimate(Constant(), np.zeros(8), np.zeros(8), 3)
+        probes = np.random.default_rng(0).integers(0, 2, size=(3, 1, 8)) * 2.0 - 1.0
+        est = jacobian_frobenius_batch(Constant(), np.zeros((1, 8)), np.zeros((1, 8)), probes)[0]
         assert est == 0.0
 
     def test_linear_map_matches_frobenius_norm(self):
         rng = np.random.default_rng(10)
         A = rng.normal(size=(6, 6)) * 0.3
         layer = LinearLayer(A, np.zeros((6, 1)), np.zeros(1))
-        est = jacobian_frobenius_estimate(
-            layer, np.zeros(6), np.zeros(6), 4096, rng=np.random.default_rng(11)
-        )
+        probes = np.random.default_rng(11).integers(0, 2, size=(4096, 1, 6)) * 2.0 - 1.0
+        est = jacobian_frobenius_batch(layer, np.zeros((1, 6)), np.zeros((1, 6)), probes)[0]
         exact = float(np.sum(A * A))
         assert abs(est - exact) / exact < 0.05
 
@@ -321,17 +314,17 @@ class TestUniversalityStack:
         x = np.array([0.6, 0.1, 0.3, 0.9])
         stack = universality_stack([model], x)
         assert np.array_equal(stack[0], x)
-        assert np.array_equal(stack[1], model.forward(np.zeros(4), x))
+        assert np.array_equal(stack[1], model.forward_batch(np.zeros((1, 4)), x[None])[0])
 
     def test_blockwise_equality_with_sequential_evaluation(self):
         models = self._models(3)
         x = np.array([0.6, 0.1, 0.3, 0.9])
         stack = universality_stack(models, x)
-        z = np.zeros(4)
+        z = np.zeros((1, 4))
         sequential = [x]
         for m in models:
-            z = m.forward(z, x)
-            sequential.append(z)
+            z = m.forward_batch(z, x[None])
+            sequential.append(z[0])
         for level in range(4):
             assert np.abs(stack[level] - sequential[level]).max() < 1e-12
 
@@ -339,7 +332,7 @@ class TestUniversalityStack:
         (model,) = self._models(1, seed=9)
         x = np.array([0.2, 0.7, 0.5, 0.4])
         stack = universality_stack([model, model, model], x)
-        z3, _ = direct_unroll(model, x, 3)
+        z3 = direct_unroll_batch(model, x[None], 3)[-1][0]
         assert np.abs(stack[-1] - z3).max() < 1e-12
 
     def test_shape_mismatch_rejected(self):

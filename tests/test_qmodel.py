@@ -33,16 +33,9 @@ class TestForward:
     def test_identity_circuit_hand_chain(self):
         model = _identity_model()
         x = np.array([1.0, 0.0, 0.0, 0.0])
-        out = model.forward(np.zeros(4), x)
+        out = model.forward_batch(np.zeros((1, 4)), x[None])[0]
         # encode |00>, expectations (1, 1), repeat twice each with scale 1/sqrt(2)
         assert np.allclose(out, np.full(4, 1 / np.sqrt(2)), atol=1e-12)
-
-    def test_first_broyden_iterate_is_forward_from_zero(self):
-        model = build_default_model("amplitude", 2, 4, seed=5, random_ops=6)
-        x = np.array([0.4, 0.3, 0.2, 0.6])
-        direct = model.forward(np.zeros(4), x)
-        injected_only = model.forward_batch(np.zeros((1, 4)), x[None])[0]
-        assert np.array_equal(direct, injected_only)
 
     @pytest.mark.parametrize("encoding", ["amplitude", "angle"])
     def test_brute_force_equivalence(self, encoding):
@@ -53,7 +46,7 @@ class TestForward:
         for _ in range(5):
             z = rng.normal(size=n) * 0.2
             x = rng.uniform(0.1, 1.0, size=n)
-            fast = model.forward(z, x)
+            fast = model.forward_batch(z[None], x[None])[0]
             # dense oracle: encoded state, full unitary, diagonal expectations
             prep = model.prepare(z[None], x[None])
             psi0 = prep.states[0].copy()
@@ -93,7 +86,7 @@ class TestForward:
         for _ in range(20):
             z = rng.normal(size=16)
             x = rng.uniform(0.1, 1.0, size=16)
-            assert np.linalg.norm(model.forward(z, x)) <= np.sqrt(4) + 1e-9
+            assert np.linalg.norm(model.forward_batch(z[None], x[None])) <= np.sqrt(4) + 1e-9
 
 
 class TestReversePasses:
@@ -104,13 +97,14 @@ class TestReversePasses:
         z = rng.normal(size=16) * 0.3
         x = rng.uniform(0.1, 1.0, size=16)
         cot = rng.normal(size=16)
-        vjp = model.vjp_z(z, x, cot)
+        vjp = model.backward_batch(z[None], x[None], cot[None], need_theta=False)[0][0]
         eps = 1e-5
         for j in range(16):
             zp, zm = z.copy(), z.copy()
             zp[j] += eps
             zm[j] -= eps
-            fd = cot @ (model.forward(zp, x) - model.forward(zm, x)) / (2 * eps)
+            diff = model.forward_batch(zp[None], x[None])[0] - model.forward_batch(zm[None], x[None])[0]
+            fd = cot @ diff / (2 * eps)
             assert abs(vjp[j] - fd) < 1e-5
 
     def test_vjp_linear_in_cotangent(self):
@@ -119,16 +113,18 @@ class TestReversePasses:
         z = rng.normal(size=8) * 0.2
         x = rng.uniform(0.1, 1.0, size=8)
         cot = rng.normal(size=8)
-        assert np.allclose(model.vjp_z(z, x, 2.5 * cot), 2.5 * model.vjp_z(z, x, cot), atol=1e-12)
+        scaled, _ = model.backward_batch(z[None], x[None], 2.5 * cot[None], need_theta=False)
+        unit, _ = model.backward_batch(z[None], x[None], cot[None], need_theta=False)
+        assert np.allclose(scaled, 2.5 * unit, atol=1e-12)
 
     def test_vjp_zero_cotangent(self):
         model = build_default_model("amplitude", 2, 4, seed=5, random_ops=4)
-        out = model.vjp_z(np.zeros(4), np.array([1.0, 0, 0, 0]), np.zeros(4))
-        assert np.array_equal(out, np.zeros(4))
+        out, _ = model.backward_batch(np.zeros((1, 4)), np.array([[1.0, 0, 0, 0]]), np.zeros((1, 4)))
+        assert np.array_equal(out, np.zeros((1, 4)))
 
     def test_grad_theta_empty_circuit(self):
         model = _identity_model()
-        grad = model.grad_theta(np.zeros(4), np.array([1.0, 0, 0, 0]), np.ones(4))
+        _, grad = model.backward_batch(np.zeros((1, 4)), np.array([[1.0, 0, 0, 0]]), np.ones((1, 4)))
         assert grad.shape == (0,)
 
     @pytest.mark.parametrize("encoding", ["amplitude", "angle"])
@@ -138,7 +134,7 @@ class TestReversePasses:
         z = rng.normal(size=16) * 0.3
         x = rng.uniform(0.1, 1.0, size=16)
         cot = rng.normal(size=16)
-        grad = model.grad_theta(z, x, cot)
+        _, grad = model.backward_batch(z[None], x[None], cot[None], need_z=False)
         # shift rule applies to the circuit expectations; chain upsample by hand
         prep = model.prepare(z[None], x[None])
         input_state = StateVector(model.num_qubits, _pre_circuit_state(model, z, x))
@@ -155,14 +151,14 @@ class TestReversePasses:
         z = rng.normal(size=8) * 0.2
         x = rng.uniform(0.1, 1.0, size=8)
         cot = rng.normal(size=8)
-        grad = model.grad_theta(z, x, cot)
+        _, grad = model.backward_batch(z[None], x[None], cot[None], need_z=False)
         eps = 1e-5
         for j in range(model.num_params):
             up = dataclasses.replace(model)
             model.theta[j] += eps
-            f_plus = cot @ model.forward(z, x)
+            f_plus = cot @ model.forward_batch(z[None], x[None])[0]
             model.theta[j] -= 2 * eps
-            f_minus = cot @ model.forward(z, x)
+            f_minus = cot @ model.forward_batch(z[None], x[None])[0]
             model.theta[j] += eps
             assert abs(grad[j] - (f_plus - f_minus) / (2 * eps)) < 1e-5
 
@@ -172,12 +168,12 @@ class TestReversePasses:
         Z = rng.normal(size=(5, 16)) * 0.2
         X = rng.uniform(0.1, 1.0, size=(5, 16))
         C = rng.normal(size=(5, 16))
-        batched = model.vjp_z_batch(Z, X, C)
-        summed_theta = model.grad_theta_batch(Z, X, C)
+        batched, summed_theta = model.backward_batch(Z, X, C)
         single_theta = np.zeros(model.num_params)
         for i in range(5):
-            assert np.abs(batched[i] - model.vjp_z(Z[i], X[i], C[i])).max() < 1e-12
-            single_theta += model.grad_theta(Z[i], X[i], C[i])
+            dz, dtheta = model.backward_batch(Z[i : i + 1], X[i : i + 1], C[i : i + 1])
+            assert np.abs(batched[i] - dz[0]).max() < 1e-12
+            single_theta += dtheta
         assert np.abs(summed_theta - single_theta).max() < 1e-10
 
 
@@ -208,8 +204,9 @@ class TestAngleEncoderAgainstGates:
             circuit, np.concatenate([z + x, model.theta]), StateVector.zero(num_qubits),
             chat, model.ensemble,
         )
-        assert np.abs(dtheta[:n] - model.vjp_z(z, x, cot)).max() < 1e-12
-        assert np.abs(dtheta[n:] - model.grad_theta(z, x, cot)).max() < 1e-12
+        dz, dtheta_model = model.backward_batch(z[None], x[None], cot[None])
+        assert np.abs(dtheta[:n] - dz[0]).max() < 1e-12
+        assert np.abs(dtheta[n:] - dtheta_model).max() < 1e-12
 
 
 def _pre_circuit_state(model, z, x):

@@ -11,7 +11,7 @@ import pytest
 
 from qdeq import training
 from qdeq.deqsolve import BroydenConfig, direct_unroll_batch, jacobian_frobenius_batch, unroll_backward_batch
-from qdeq.errors import ConfigError, DataFormatError, DegenerateInputError, TrainingAborted
+from qdeq.errors import ConfigError, DataFormatError, DegenerateInputError, DimensionError, TrainingAborted
 from qdeq.qmodel import QuantumModel
 from qdeq.seeding import substream
 from qdeq.training import (
@@ -21,10 +21,8 @@ from qdeq.training import (
     TrainConfig,
     adam_step,
     build_from_config,
-    cross_entropy,
     cross_entropy_batch,
     evaluate,
-    head_forward,
     head_forward_batch,
     init_head,
     load_checkpoint,
@@ -54,7 +52,8 @@ class TestHead:
     def test_identity_head_passthrough(self):
         head = ClassifierHead(weight=np.eye(4), bias=np.zeros(4), dropout_p=0.0)
         z = np.array([0.1, -0.3, 0.5, 0.9])
-        assert np.array_equal(head_forward(head, z, train_mode=True), z)
+        logits, _ = head_forward_batch(head, z[None], train_mode=True)
+        assert np.array_equal(logits[0], z)
 
     def test_dropout_probability_one_rejected(self):
         with pytest.raises(ConfigError):
@@ -70,7 +69,8 @@ class TestHead:
     def test_eval_mode_ignores_dropout(self):
         head = ClassifierHead(weight=np.eye(3), bias=np.ones(3), dropout_p=0.9)
         z = np.array([1.0, 2.0, 3.0])
-        assert np.array_equal(head_forward(head, z, train_mode=False), z + 1.0)
+        logits, _ = head_forward_batch(head, z[None], train_mode=False)
+        assert np.array_equal(logits[0], z + 1.0)
 
     def test_survivors_scaled(self):
         head = ClassifierHead(weight=np.eye(2), bias=np.zeros(2), dropout_p=0.5)
@@ -82,12 +82,12 @@ class TestHead:
 class TestCrossEntropy:
     def test_confident_correct_logits(self):
         # softmax arithmetic oracle: -log sigmoid(20) = log(1 + exp(-20))
-        assert cross_entropy(np.array([10.0, -10.0]), 0) == pytest.approx(
+        assert cross_entropy_batch(np.array([[10.0, -10.0]]), np.array([0]))[0] == pytest.approx(
             math.log1p(math.exp(-20.0)), rel=1e-12
         )
 
     def test_uniform_logits(self):
-        assert cross_entropy(np.zeros(4), 2) == pytest.approx(math.log(4.0), rel=1e-12)
+        assert cross_entropy_batch(np.zeros((1, 4)), np.array([2]))[0] == pytest.approx(math.log(4.0), rel=1e-12)
 
     def test_gradient_is_softmax_minus_onehot(self):
         loss, grad = cross_entropy_batch(np.zeros((1, 4)), np.array([1]))
@@ -97,7 +97,7 @@ class TestCrossEntropy:
 
     def test_label_out_of_range(self):
         with pytest.raises(Exception):
-            cross_entropy(np.zeros(3), 5)
+            cross_entropy_batch(np.zeros((1, 3)), np.array([5]))
 
     def test_extreme_logits_stay_finite(self):
         loss, grad = cross_entropy_batch(np.array([[1e4, -1e4, 0.0]]), np.array([2]))
@@ -357,6 +357,63 @@ class TestTrainLoop:
         assert acc == pytest.approx(rest_acc * n_rest / n_val, rel=1e-12)
         assert residual == np.inf and np.isfinite(rest_residual)
         assert np.isfinite(metrics.test_residual)
+
+    @pytest.mark.parametrize("split", ["x_train", "x_val", "x_test"])
+    def test_empty_split_rejected_before_first_step(self, small_bundle, split):
+        bundle = dataclasses.replace(small_bundle, **{split: getattr(small_bundle, split)[:0]})
+        cfg = _quick_config(epochs=1)
+        model, head = build_from_config(cfg)
+        before = model.theta.copy()
+        with pytest.raises(DimensionError, match=split):
+            train(bundle, model, head, cfg)
+        assert model.theta.tobytes() == before.tobytes()
+
+    def test_subset_of_one_gives_empty_train_split(self, digits_data_dir):
+        from qdeq.datasets import prepare_bundle
+
+        cfg = _quick_config(epochs=1)
+        bundle = prepare_bundle("mnist4", digits_data_dir, cfg.seed, subset=1)
+        assert bundle.x_train.shape[0] == 0
+        model, head = build_from_config(cfg)
+        with pytest.raises(DimensionError, match="x_train"):
+            train(bundle, model, head, cfg)
+
+    def test_evaluate_rejects_empty_split(self, small_bundle):
+        model, head = build_from_config(_quick_config())
+        with pytest.raises(DimensionError):
+            evaluate(model, head, small_bundle.x_val[:0], small_bundle.y_val[:0], SolverMode.parse("implicit"))
+
+    def test_one_step_broyden_leaves_rows_unconverged(self, small_bundle):
+        cfg = _quick_config(epochs=1, warmup_steps=0, solver_mode="implicit")
+        model, head = build_from_config(cfg)
+        metrics, _ = train(small_bundle, model, head, cfg, BroydenConfig(max_steps=1))
+        assert metrics.epochs[0]["unconverged"] > 0
+
+    @pytest.mark.parametrize("broyden", [BroydenConfig(), BroydenConfig(abs_tol=1e-11)], ids=["default", "tight"])
+    def test_unconverged_count_matches_forward_solves(self, small_bundle, monkeypatch, broyden):
+        # the first steps_per_epoch forward solves are the training steps; the
+        # held-out evaluations follow them
+        solves = []
+        original = training.forward_fixed_point_batch
+
+        def recording_solve(*args, **kwargs):
+            result = original(*args, **kwargs)
+            solves.append(int((~result.converged).sum()))
+            return result
+
+        monkeypatch.setattr(training, "forward_fixed_point_batch", recording_solve)
+        cfg = _quick_config(epochs=1, warmup_steps=0, solver_mode="implicit")
+        model, head = build_from_config(cfg)
+        metrics, adam = train(small_bundle, model, head, cfg, broyden)
+        steps_per_epoch = math.ceil(small_bundle.x_train.shape[0] / cfg.batch_size)
+        assert adam.t == steps_per_epoch
+        assert metrics.epochs[0]["unconverged"] == sum(solves[:steps_per_epoch])
+
+    def test_unrolls_report_no_unconverged_rows(self, small_bundle):
+        cfg = _quick_config(epochs=1, solver_mode="direct_2")
+        model, head = build_from_config(cfg)
+        metrics, _ = train(small_bundle, model, head, cfg, BroydenConfig(max_steps=1))
+        assert metrics.epochs[0]["unconverged"] == 0
 
     def test_untrained_model_near_chance(self):
         # labels drawn independently of the features: any classifier sits at 25%
