@@ -42,6 +42,12 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="qdeq", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -63,12 +69,12 @@ def _build_parser() -> _Parser:
         choices=["amplitude-overlap", "angle-overlap", "trig-inequality", "contraction", "all"],
         default="all",
     )
-    verify_p.add_argument("--pairs", type=int, default=None, help="sample count override")
+    verify_p.add_argument("--pairs", type=_positive_int, default=None, help="sample count override")
     verify_p.add_argument("--seed", type=int, default=0)
     verify_p.add_argument("--output-dir", default=None, help="where the scatter CSV lands")
 
     export_p = sub.add_parser("export-plot-data", help="emit the overlap scatter CSV")
-    export_p.add_argument("--pairs", type=int, default=3000)
+    export_p.add_argument("--pairs", type=_positive_int, default=3000)
     export_p.add_argument("--seed", type=int, default=0)
     export_p.add_argument("--output-dir", required=True)
     return parser
@@ -162,7 +168,7 @@ def _cmd_verify(args) -> int:
     suites = list(_SUITE_DEFAULT_SAMPLES) if args.suite == "all" else [args.suite]
     failed = False
     for suite in suites:
-        pairs = args.pairs or _SUITE_DEFAULT_SAMPLES[suite]
+        pairs = _SUITE_DEFAULT_SAMPLES[suite] if args.pairs is None else args.pairs
         report = run_suite(suite, pairs, args.seed)
         status = "ok" if report.ok else "VIOLATED"
         print(

@@ -23,6 +23,7 @@ from .seeding import child_seed, substream
 
 IMAGE_MAGIC = 0x00000803
 LABEL_MAGIC = 0x00000801
+_CIFAR_RECORD = 1 + 3 * 1024  # CIFAR-10 binary: label byte, then three 32x32 planes
 
 
 @dataclass
@@ -81,15 +82,22 @@ def load_idx(images_path, labels_path, name: str = "") -> ImageDataset:
     return ImageDataset(images, labels, name)
 
 
+def _read_cifar_bytes(path) -> bytes:
+    raw = _read_bytes(path)
+    if len(raw) == 0 or len(raw) % _CIFAR_RECORD != 0:
+        raise DataFormatError(f"{path}: length {len(raw)} is not a multiple of {_CIFAR_RECORD}")
+    return raw
+
+
+def _parse_cifar_records(raw, name: str) -> ImageDataset:
+    """Whole 3073-byte records -> uint8 RGB planes (N, 3, 32, 32), views of ``raw``, and labels."""
+    data = np.frombuffer(raw, dtype=np.uint8).reshape(-1, _CIFAR_RECORD)
+    return ImageDataset(data[:, 1:].reshape(-1, 3, 32, 32), data[:, 0].astype(np.int64), name)
+
+
 def load_cifar_binary(path, name: str = "cifar10") -> ImageDataset:
     """One CIFAR-10 binary batch -> uint8 RGB planes (N, 3, 32, 32) and labels."""
-    raw = _read_bytes(path)
-    record = 1 + 3 * 1024
-    if len(raw) == 0 or len(raw) % record != 0:
-        raise DataFormatError(f"{path}: length {len(raw)} is not a multiple of {record}")
-    data = np.frombuffer(raw, dtype=np.uint8).reshape(-1, record)
-    labels = data[:, 0].astype(np.int64)
-    return ImageDataset(data[:, 1:].reshape(-1, 3, 32, 32), labels, name)
+    return _parse_cifar_records(_read_cifar_bytes(path), name)
 
 
 def avg_pool(image: np.ndarray, out_side: int = 4) -> np.ndarray:
@@ -201,21 +209,17 @@ def _load_pair(data_dir: Path, dataset: str):
 
 
 def _load_cifar(data_dir: Path):
-    batches = []
+    # one growing buffer takes each training batch's bytes, so no batch outlives its append
+    raw = bytearray()
     for i in range(1, 6):
         found = _find(data_dir, "cifar10", f"data_batch_{i}.bin")
         if found is None:
             raise DataFormatError(f"cifar10: data_batch_{i}.bin not found under {data_dir}")
-        batches.append(load_cifar_binary(found))
+        raw += _read_cifar_bytes(found)
     test_path = _find(data_dir, "cifar10", "test_batch.bin")
     if test_path is None:
         raise DataFormatError(f"cifar10: test_batch.bin not found under {data_dir}")
-    train = ImageDataset(
-        np.concatenate([b.images for b in batches]),
-        np.concatenate([b.labels for b in batches]),
-        "cifar10",
-    )
-    return train, load_cifar_binary(test_path)
+    return _parse_cifar_records(raw, "cifar10"), load_cifar_binary(test_path)
 
 
 _FEATURE_CHUNK_ROWS = 1024  # images scaled to float64 at a time
@@ -261,6 +265,7 @@ def prepare_bundle(dataset: str, data_dir, seed: int, subset: int | None = None)
         pick.sort()
         train_full = ImageDataset(train_full.images[pick], train_full.labels[pick], dataset)
     train, val = split(train_full, 0.8, child_seed(seed, "data-split"))
+    del train_full  # split copied its rows; free the raw file bytes before the features
     return DataBundle(
         name=dataset,
         x_train=_features(dataset, train.images),

@@ -27,7 +27,7 @@ class FixedPointLayer(Protocol):
 
     num_params: int
 
-    def forward_batch(self, Z, X, prepared=None): ...
+    def forward_batch(self, Z, X): ...
 
     def prepare(self, Z, X): ...
 
@@ -52,7 +52,6 @@ class BatchFixedPoint:
 
     z_star: np.ndarray
     residual: np.ndarray
-    gnorm: np.ndarray
     converged: np.ndarray
     steps_taken: int
     trace: np.ndarray  # (steps_taken + 1, B) relative residuals
@@ -138,7 +137,6 @@ def broyden_root_batch(
     return BatchFixedPoint(
         z_star=best_Z,
         residual=best_rel,
-        gnorm=best_gnorm,
         converged=best_gnorm <= cfg.abs_tol,
         steps_taken=steps,
         trace=np.stack(trace),
@@ -167,35 +165,20 @@ def implicit_backward_batch(
     """Adjoint solve of the implicit function theorem, batched.
 
     Solves h(q) = J_f^T q - q + dl/dz* = 0 (i.e. J_g^T q = -dl/dz*) with the
-    Broyden solver, then returns (sum_b dtheta_b, diagnostics). Falls back to a
-    truncated Neumann series when the adjoint solve produces non-finite values.
+    Broyden solver, then returns (sum_b dtheta_b, diagnostics). Non-finite
+    adjoint values raise SolverDivergedError.
     """
     X = np.asarray(X, dtype=np.float64)
     Z_star = np.asarray(Z_star, dtype=np.float64)
     loss_grads = np.asarray(loss_grads, dtype=np.float64)
     prep = model.prepare(Z_star, X)
-    diagnostics = {"neumann_fallback": False}
 
     def h(Q):
         return model.backward_batch(Z_star, X, Q, need_theta=False, prepared=prep)[0] - Q + loss_grads
 
-    try:
-        res = broyden_root_batch(h, np.zeros_like(loss_grads), cfg)
-        q = res.z_star
-        diagnostics["backward_residual"] = res.residual
-        diagnostics["backward_converged"] = res.converged
-    except SolverDivergedError:
-        q = loss_grads.copy()
-        term = loss_grads.copy()
-        for _ in range(cfg.max_steps - 1):
-            term = model.backward_batch(Z_star, X, term, need_theta=False, prepared=prep)[0]
-            q += term
-        if not np.isfinite(q).all():
-            raise
-        diagnostics["neumann_fallback"] = True
-
-    dtheta = model.backward_batch(Z_star, X, q, need_z=False, prepared=prep)[1]
-    return dtheta, diagnostics
+    res = broyden_root_batch(h, np.zeros_like(loss_grads), cfg)
+    dtheta = model.backward_batch(Z_star, X, res.z_star, need_z=False, prepared=prep)[1]
+    return dtheta, {"backward_residual": res.residual, "backward_converged": res.converged}
 
 
 def unroll_backward_batch(model: FixedPointLayer, X: np.ndarray, iterates, loss_grads) -> np.ndarray:

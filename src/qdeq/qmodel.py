@@ -105,10 +105,9 @@ class QuantumModel:
         apply_ops(ops, states)
         return Prepared(combined, norms, states, ops)
 
-    def forward_batch(self, Z: np.ndarray, X: np.ndarray, prepared: Optional[Prepared] = None) -> np.ndarray:
-        prep = prepared if prepared is not None else self.prepare(Z, X)
+    def forward_batch(self, Z: np.ndarray, X: np.ndarray) -> np.ndarray:
         diags = self.ensemble.diagonals(self.num_qubits)
-        return upsample_batch(expect_batch(prep.states, diags), self.upsample)
+        return upsample_batch(expect_batch(self.prepare(Z, X).states, diags), self.upsample)
 
     # -- reverse -----------------------------------------------------------
 

@@ -1,12 +1,13 @@
 """Dense statevector simulation with exact gradients.
 
 States live in arrays of shape (batch, 2**Q), complex128, qubit 0 = least
-significant bit of the basis index. Two kernels apply every gate in place on
-reshaped views of the batch, at any state size: ``_apply_1q`` does slice
-arithmetic on the halves where the qubit is 0 and 1 (``u01 = None`` marks a
-diagonal gate, which only scales them), and ``_apply_cnot`` swaps the target
-halves inside the control=1 half. No 2**Q x 2**Q matrix is built outside the
-test oracles.
+significant bit of the basis index. The gate set is RX, RY and RZ (trainable
+or fixed-angle) and CNOT, all that the circuit builders emit. Two kernels
+apply every gate in place on reshaped views of the batch, at any state size:
+``_apply_1q`` does slice arithmetic on the halves where the qubit is 0 and 1
+(``u01 = None`` marks a diagonal gate, which only scales them), and
+``_apply_cnot`` swaps the target halves inside the control=1 half. No
+2**Q x 2**Q matrix is built outside the test oracles.
 
 Gate coefficients are scalars: per-sample data never reach this module, since
 the encodings (``encoding.py``) build the input states and chain their
@@ -31,16 +32,14 @@ RX = "rx"
 RY = "ry"
 RZ = "rz"
 CNOT = "cnot"
-PAULI_X = "x"
-HADAMARD = "h"
 
 ROTATION_KINDS = (RX, RY, RZ)
-GATE_KINDS = ROTATION_KINDS + (CNOT, PAULI_X, HADAMARD)
+GATE_KINDS = ROTATION_KINDS + (CNOT,)
 
 
 @dataclass(frozen=True)
 class GateOp:
-    """One gate: a rotation (trainable via ``param_slot`` or fixed-angle) or CNOT/X/H."""
+    """One gate: a rotation (trainable via ``param_slot`` or fixed-angle) or CNOT."""
 
     kind: str
     target: int
@@ -60,14 +59,11 @@ class GateOp:
                 raise InvalidGateError("rotation gates take no control qubit")
         else:
             if self.param_slot is not None or self.fixed_angle is not None:
-                raise InvalidGateError(f"{self.kind} gate takes no angle or slot")
-            if self.kind == CNOT:
-                if self.control is None:
-                    raise InvalidGateError("cnot needs a control qubit")
-                if self.control == self.target:
-                    raise InvalidGateError("cnot control and target must differ")
-            elif self.control is not None:
-                raise InvalidGateError(f"{self.kind} gate takes no control qubit")
+                raise InvalidGateError("cnot takes no angle or slot")
+            if self.control is None:
+                raise InvalidGateError("cnot needs a control qubit")
+            if self.control == self.target:
+                raise InvalidGateError("cnot control and target must differ")
 
 
 @dataclass
@@ -178,13 +174,8 @@ def _apply_cnot(states, control, target):
     v[:, :, 1, :, 1, :] = a
 
 
-_SQRT_HALF = 1.0 / np.sqrt(2.0)
-_CONSTANT = {
-    PAULI_X: (0.0, 1.0, 1.0, 0.0),
-    HADAMARD: (_SQRT_HALF, _SQRT_HALF, _SQRT_HALF, -_SQRT_HALF),
-}
 # Pauli generator of each rotation: R(angle) = exp(-i angle P / 2)
-_GENERATOR = {RX: _CONSTANT[PAULI_X], RY: (0.0, -1j, 1j, 0.0), RZ: (1.0, None, None, -1.0)}
+_GENERATOR = {RX: (0.0, 1.0, 1.0, 0.0), RY: (0.0, -1j, 1j, 0.0), RZ: (1.0, None, None, -1.0)}
 
 
 def _rotation(kind, angle):
@@ -200,16 +191,13 @@ def _rotation(kind, angle):
 def _apply_op(op, arrays, sign=1.0):
     """Apply ``op`` (its inverse when ``sign`` is -1) in place to each array in ``arrays``.
 
-    CNOT, X and H are self-inverse, so ``sign`` only flips rotation angles.
+    CNOT is self-inverse, so ``sign`` only flips rotation angles.
     """
     if op.kind == CNOT:
         for states in arrays:
             _apply_cnot(states, op.control, op.target)
         return
-    if op.kind in ROTATION_KINDS:
-        u = _rotation(op.kind, sign * op.angle)
-    else:
-        u = _CONSTANT[op.kind]
+    u = _rotation(op.kind, sign * op.angle)
     for states in arrays:
         _apply_1q(states, op.target, *u)
 

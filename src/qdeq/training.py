@@ -1,7 +1,7 @@
 """Classifier head, loss, Adam, and the end-to-end train/evaluate loops.
 
 Training runs in two phases when the solver mode is implicit_warmup: first
-``warmup_steps`` optimizer steps on a shallow explicit unroll, then implicit
+``warmup_steps`` optimizer steps on a one-layer explicit unroll, then implicit
 training (fixed-point solve forward, implicit-function-theorem backward).
 Warm-up steps count toward the fixed epoch total. Direct modes unroll a fixed
 number of weight-tied layers throughout.
@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 import tempfile
 import time
 from dataclasses import dataclass, field, fields, asdict
@@ -43,6 +44,7 @@ DATASET_SHAPES = {
     "fashionmnist10": (10, 100, 10),
     "cifar10": (10, 100, 10),
 }
+_TYPE_NAMES = {"int": "an integer", "float": "a finite number", "str": "a string"}  # TrainConfig field types
 
 
 @dataclass(frozen=True)
@@ -81,17 +83,18 @@ class TrainConfig:
     epochs: int = 100
     batch_size: int = 256
     warmup_steps: int = 0
-    warmup_depth: int = 1
     jac_loss_weight: float = 0.0
     jac_loss_freq: float = 0.0
-    jac_probes: int = 1
     dropout_p: float = 0.1
     seed: int = 0
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def __post_init__(self):
+        for f in fields(self):  # JSON may hold any type, NaN or a huge integer in any field
+            value = getattr(self, f.name)
+            num = isinstance(value, (int, float)) and not isinstance(value, bool)
+            ok = {"int": num and isinstance(value, int), "float": num and abs(value) <= sys.float_info.max}
+            if not ok.get(f.type, isinstance(value, str)):
+                raise ConfigError(f"{f.name} must be {_TYPE_NAMES[f.type]}, got {value!r}")
         if self.dataset not in DATASET_SHAPES:
             raise ConfigError(f"unknown dataset {self.dataset!r}")
         if self.encoding not in ("amplitude", "angle"):
@@ -103,12 +106,12 @@ class TrainConfig:
             raise ConfigError("jac_loss_freq must lie in [0, 1]")
         if self.warmup_steps < 0:
             raise ConfigError("warmup_steps must be >= 0")
-        if self.warmup_depth < 1:
-            raise ConfigError("warmup_depth must be >= 1")
+        if self.jac_loss_weight < 0:
+            raise ConfigError("jac_loss_weight must be >= 0")
         if not 0.0 <= self.dropout_p < 1.0:
             raise ConfigError("dropout_p must lie in [0, 1)")
-        if self.epochs < 1 or self.batch_size < 1 or self.jac_probes < 1:
-            raise ConfigError("epochs, batch_size and jac_probes must be positive")
+        if self.epochs < 1 or self.batch_size < 1:
+            raise ConfigError("epochs and batch_size must be positive")
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be positive")
 
@@ -194,6 +197,9 @@ class AdamState:
         return cls(m=[np.zeros_like(p) for p in params], v=[np.zeros_like(p) for p in params])
 
 
+_ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8  # the standard Adam constants
+
+
 def adam_step(params: list, grads: list, state: AdamState, cfg: TrainConfig) -> None:
     """Bias-corrected Adam update in place; a non-finite gradient skips the step."""
     for g in grads:
@@ -201,14 +207,14 @@ def adam_step(params: list, grads: list, state: AdamState, cfg: TrainConfig) -> 
             state.skipped += 1
             return
     state.t += 1
-    bc1 = 1.0 - cfg.adam_beta1**state.t
-    bc2 = 1.0 - cfg.adam_beta2**state.t
+    bc1 = 1.0 - _ADAM_BETA1**state.t
+    bc2 = 1.0 - _ADAM_BETA2**state.t
     for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= cfg.adam_beta1
-        m += (1.0 - cfg.adam_beta1) * g
-        v *= cfg.adam_beta2
-        v += (1.0 - cfg.adam_beta2) * g * g
-        p -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + cfg.adam_eps)
+        m *= _ADAM_BETA1
+        m += (1.0 - _ADAM_BETA1) * g
+        v *= _ADAM_BETA2
+        v += (1.0 - _ADAM_BETA2) * g * g
+        p -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + _ADAM_EPS)
 
 
 @dataclass
@@ -241,6 +247,7 @@ def build_from_config(cfg: TrainConfig):
 
 _RESIDUAL_EPS = 1e-9
 _PENALTY_FD_STEP = 1e-4
+_WARMUP_DEPTH = 1  # unroll depth of the implicit_warmup phase
 
 
 def _direct_residual(model: QuantumModel, X, iterates) -> np.ndarray:
@@ -302,22 +309,19 @@ def evaluate(
     return accuracy, float(np.concatenate(residuals).mean())
 
 
-def _jacobian_penalty(model, Z, X, probes):
-    """(mean ||J_z^T eps||^2, its theta-gradient) for the Hutchinson penalty, probes frozen.
+def _jacobian_penalty(model, Z, X, E):
+    """(mean ||J_z^T eps||^2, its theta-gradient) for the Hutchinson penalty, probe frozen.
 
-    All P probes run as one (P*B)-row batch: one vjp gives V = J_z^T E. With V
-    held fixed, grad ||v||^2 = 2 grad <eps, J_z v> = 2 d/dt grad <eps, f(z + t v)>
+    E is one (B, n) Rademacher probe; one vjp gives V = J_z^T E. With V held
+    fixed, grad ||v||^2 = 2 grad <eps, J_z v> = 2 d/dt grad <eps, f(z + t v)>
     at t = 0: a central difference in z of the adjoint theta-gradient, two
-    backward passes over P*B rows, so theta itself is never perturbed.
+    backward passes over the B rows, so theta itself is never perturbed.
     """
-    Zs = np.tile(Z, (probes.shape[0], 1))
-    Xs = np.tile(X, (probes.shape[0], 1))
-    E = probes.reshape(Zs.shape)
-    V = model.backward_batch(Zs, Xs, E, need_theta=False)[0]
+    V = model.backward_batch(Z, X, E, need_theta=False)[0]
     hV = _PENALTY_FD_STEP * V
     dtheta = (
-        model.backward_batch(Zs + hV, Xs, E, need_z=False)[1]
-        - model.backward_batch(Zs - hV, Xs, E, need_z=False)[1]
+        model.backward_batch(Z + hV, X, E, need_z=False)[1]
+        - model.backward_batch(Z - hV, X, E, need_z=False)[1]
     )
     rows = E.shape[0]
     return float(np.einsum("bn,bn->", V, V)) / rows, dtheta / (_PENALTY_FD_STEP * rows)
@@ -362,7 +366,7 @@ def train(bundle: DataBundle, model: QuantumModel, head: ClassifierHead, cfg: Tr
             epoch_phase = phase if epoch_phase in (None, phase) else "mixed"
             dropout_rng = substream(cfg.seed, "dropout", step)
             try:
-                depth = cfg.warmup_depth if warm else mode.depth
+                depth = _WARMUP_DEPTH if warm else mode.depth
                 z, residual, backward, batch_unconverged = _solve(model, xb, depth, broyden)
                 unconverged += batch_unconverged
                 residuals.append(residual)
@@ -374,14 +378,8 @@ def train(bundle: DataBundle, model: QuantumModel, head: ClassifierHead, cfg: Tr
                     and cfg.jac_loss_weight > 0.0
                     and substream(cfg.seed, "jac-gate", step).random() < cfg.jac_loss_freq
                 ):
-                    probes = (
-                        substream(cfg.seed, "jac-probes", step).integers(
-                            0, 2, size=(cfg.jac_probes, xb.shape[0], xb.shape[1])
-                        )
-                        * 2.0
-                        - 1.0
-                    )
-                    penalty, dpenalty = _jacobian_penalty(model, z, xb, probes)
+                    probe = substream(cfg.seed, "jac-probes", step).integers(0, 2, size=xb.shape) * 2.0 - 1.0
+                    penalty, dpenalty = _jacobian_penalty(model, z, xb, probe)
                     loss += cfg.jac_loss_weight * penalty
                     dtheta += cfg.jac_loss_weight * dpenalty
             except (SolverDivergedError, DegenerateInputError):
@@ -425,7 +423,7 @@ def train(bundle: DataBundle, model: QuantumModel, head: ClassifierHead, cfg: Tr
 # ---------------------------------------------------------------------------
 # checkpoints: JSON text, floats round-trip bit-exactly at double precision
 
-_CHECKPOINT_FORMAT = "qdeq-checkpoint-v1"
+_CHECKPOINT_FORMAT = "qdeq-checkpoint-v2"
 
 
 def save_checkpoint(path, cfg: TrainConfig, model: QuantumModel, head: ClassifierHead,

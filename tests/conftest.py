@@ -37,7 +37,6 @@ def require_slow():
 
 _I2 = np.eye(2, dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
-_H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 _P0 = np.array([[1, 0], [0, 0]], dtype=complex)
 _P1 = np.array([[0, 0], [0, 1]], dtype=complex)
 
@@ -69,13 +68,8 @@ def dense_gate(gate, theta, num_qubits: int) -> np.ndarray:
         on[gate.target] = _X
         return _kron_chain(off) + _kron_chain(on)
     factors = [_I2] * num_qubits
-    if gate.kind == "x":
-        factors[gate.target] = _X
-    elif gate.kind == "h":
-        factors[gate.target] = _H
-    else:
-        angle = theta[gate.param_slot] if gate.param_slot is not None else gate.fixed_angle
-        factors[gate.target] = _rot_matrix(gate.kind, angle)
+    angle = theta[gate.param_slot] if gate.param_slot is not None else gate.fixed_angle
+    factors[gate.target] = _rot_matrix(gate.kind, angle)
     return _kron_chain(factors)
 
 

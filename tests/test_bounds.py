@@ -191,7 +191,7 @@ class TestLipschitz:
         class Constant:
             input_dim = 4
 
-            def forward_batch(self, Z, X, prepared=None):
+            def forward_batch(self, Z, X):
                 return np.ones_like(np.atleast_2d(Z))
 
         assert estimate_lipschitz(Constant(), 100, seed=0) == 0.0
@@ -211,7 +211,7 @@ class TestLipschitz:
         class Linear:
             input_dim = 8
 
-            def forward_batch(self, Z, X, prepared=None):
+            def forward_batch(self, Z, X):
                 return np.atleast_2d(Z) @ A.T
 
         sampled = estimate_lipschitz(Linear(), 4000, norm="l2", seed=9)

@@ -29,7 +29,6 @@ class TestShippedConfigs:
         warm = json.loads((CONFIG_DIR / "mnist4_amp_implicit_warmup.json").read_text())
         assert warm["learning_rate"] == 0.05
         assert warm["warmup_steps"] == 1875
-        assert warm["warmup_depth"] == 1
         assert warm["jac_loss_weight"] == 0.0 and warm["jac_loss_freq"] == 0.0
         m10 = json.loads((CONFIG_DIR / "mnist10_implicit.json").read_text())
         assert m10["jac_loss_weight"] == 0.8 and m10["jac_loss_freq"] == 1.0
@@ -100,7 +99,6 @@ def smoke_config(tmp_path):
         "epochs": 2,
         "batch_size": 128,
         "warmup_steps": 5,
-        "warmup_depth": 1,
         "seed": 7,
     }
     path = tmp_path / "cfg.json"
@@ -142,6 +140,14 @@ class TestVerifyBounds:
 
     def test_amplitude_suite(self, capsys):
         assert main(["verify-bounds", "--suite", "amplitude-overlap", "--pairs", "500"]) == 0
+
+    @pytest.mark.parametrize("command", [["verify-bounds", "--suite", "amplitude-overlap"], ["export-plot-data"]])
+    @pytest.mark.parametrize("pairs", ["-5", "0", "many"])
+    def test_pairs_must_be_a_positive_integer(self, command, pairs, tmp_path, capsys):
+        assert main([*command, "--pairs", pairs, "--output-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "usage" in err.lower() and "--pairs" in err
+        assert not (tmp_path / "angle_overlap.csv").exists()
 
 
 class TestExportPlotData:
@@ -234,6 +240,21 @@ class TestTrainEval:
         )
         assert code == 1
         assert "typo_key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, literal", [("epochs", '"3"'), ("epochs", "2.5"), ("batch_size", "true"), ("learning_rate", "NaN")]
+    )
+    def test_mistyped_config_value_exits_one(self, tmp_path, digits_data_dir, capsys, key, literal):
+        base = {"dataset": "mnist4", "solver_mode": "implicit", "learning_rate": 0.05}
+        base.pop(key, None)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(base)[:-1] + f', "{key}": {literal}}}')  # json reads NaN too
+        code = main(
+            ["train", "--config", str(path), "--data-dir", str(digits_data_dir), "--output-dir", str(tmp_path / "o")]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and key in err
 
     def test_missing_data_dir_exits_one(self, tmp_path, smoke_config, monkeypatch, capsys):
         monkeypatch.delenv("QDEQ_DATA_DIR", raising=False)

@@ -12,6 +12,7 @@ from qdeq.datasets import (
     _bilinear_weights,
     _features,
     _find,
+    _load_cifar,
     _load_pair,
     avg_pool,
     dataset_available,
@@ -25,7 +26,7 @@ from qdeq.datasets import (
 from qdeq.errors import DataFormatError, DimensionError
 from qdeq.seeding import child_seed
 
-from conftest import _idx_image_bytes, _idx_label_bytes
+from conftest import _idx_image_bytes, _idx_label_bytes, synthdata
 
 
 @pytest.fixture
@@ -321,6 +322,19 @@ class TestIngestion:
         train, test = _load_pair(digits_data_dir, "mnist4")
         assert peak < 5 * (train.images.size + test.images.size)
 
+    def test_cifar_load_peak_memory(self, tmp_path):
+        # the five training batches share one byte buffer, so loading holds
+        # little beyond the training pixels themselves
+        synthdata.write_cifar(tmp_path, 1, 100, 10)
+        tracemalloc.start()
+        try:
+            train, _ = _load_cifar(tmp_path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert train.images.shape == (5000, 3, 32, 32)
+        assert peak < 1.5 * train.images.nbytes
+
 
 class TestCifarBundle:
     @pytest.fixture
@@ -343,6 +357,20 @@ class TestCifarBundle:
         assert bundle.x_test.shape == (20, 100)
         assert bundle.x_train.min() >= 0.0 and bundle.x_train.max() <= 1.0
         assert set(np.unique(bundle.y_train)) <= set(range(10))
+
+    def test_training_batches_load_in_file_order(self, cifar_dir):
+        train, test = _load_cifar(cifar_dir)
+        root = cifar_dir / "cifar-10-batches-bin"
+        parts = [load_cifar_binary(root / f"data_batch_{i}.bin") for i in range(1, 6)]
+        assert np.array_equal(train.images, np.concatenate([p.images for p in parts]))
+        assert np.array_equal(train.labels, np.concatenate([p.labels for p in parts]))
+        assert test.images.shape == (20, 3, 32, 32)
+
+    def test_truncated_training_batch_named(self, cifar_dir):
+        path = cifar_dir / "cifar-10-batches-bin" / "data_batch_3.bin"
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(DataFormatError, match="data_batch_3"):
+            _load_cifar(cifar_dir)
 
 
 class TestOfficialFiles:

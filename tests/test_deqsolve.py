@@ -31,7 +31,7 @@ class LinearLayer:
     def prepare(self, Z, X):
         return None
 
-    def forward_batch(self, Z, X, prepared=None):
+    def forward_batch(self, Z, X):
         return np.atleast_2d(Z) @ self.A.T + self.theta @ self.B.T + np.atleast_2d(X)
 
     def backward_batch(self, Z, X, C, need_z=True, need_theta=True, prepared=None):
@@ -130,7 +130,7 @@ class TestForwardFixedPoint:
             input_dim = 2
             num_params = 0
 
-            def forward_batch(self, Z, X, prepared=None):
+            def forward_batch(self, Z, X):
                 if np.linalg.norm(Z + X) < 1e-9:
                     raise DegenerateInputError("zero after injection", rows=np.array([0]))
                 calls.append(Z.copy())
@@ -148,6 +148,14 @@ class TestImplicitBackward:
         res = forward_fixed_point_batch(model, x[None])
         dtheta, _ = implicit_backward_batch(model, x[None], res.z_star, np.zeros((1, 4)))
         assert np.array_equal(dtheta, np.zeros(model.num_params))
+
+    def test_diagnostics_report_adjoint_convergence_per_row(self):
+        layer = LinearLayer(0.5 * np.eye(3), np.eye(3), np.zeros(3))
+        lg = np.random.default_rng(4).normal(size=(2, 3))
+        _, diag = implicit_backward_batch(layer, np.zeros((2, 3)), np.zeros((2, 3)), lg)
+        assert sorted(diag) == ["backward_converged", "backward_residual"]
+        assert diag["backward_converged"].tolist() == [True, True]
+        assert diag["backward_residual"].shape == (2,)
 
     def test_linear_layer_closed_form(self):
         rng = np.random.default_rng(5)
@@ -175,9 +183,9 @@ class TestImplicitBackward:
         rel = np.linalg.norm(dtheta - unrolled) / np.linalg.norm(unrolled)
         assert rel < 1e-3
 
-    def test_neumann_fallback_on_solver_blowup(self):
-        # vjp explodes outside a ball that the Broyden iterates must cross,
-        # while the Neumann terms stay inside it
+    def test_adjoint_blowup_raises_solver_diverged(self):
+        # vjp explodes outside a ball that the Broyden iterates must cross:
+        # the adjoint solve must raise, not return an unconverged answer
         rng = np.random.default_rng(7)
         n = 4
         A = 0.475 * np.eye(n)
@@ -192,10 +200,8 @@ class TestImplicitBackward:
 
         layer = Guarded(A, np.eye(n), np.zeros(n))
         z_star = np.zeros(n)
-        dtheta, diag = implicit_backward_batch(layer, np.zeros((1, n)), z_star[None], lg[None])
-        assert diag["neumann_fallback"]
-        exact = np.linalg.solve(np.eye(n) - A.T, lg)
-        assert np.abs(dtheta - exact).max() < 1e-2  # truncated series, 0.475**10
+        with pytest.raises(SolverDivergedError):
+            implicit_backward_batch(layer, np.zeros((1, n)), z_star[None], lg[None])
 
     def test_implicit_explicit_agreement_on_contractions(self):
         # random Lipschitz <= 0.9 linear layers: implicit matches 60-layer unroll

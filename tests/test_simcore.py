@@ -6,8 +6,8 @@ from qdeq.errors import DimensionError, InvalidGateError, UnsupportedGateError
 from qdeq.measurement import ObservableEnsemble
 from qdeq.simcore import (
     CNOT,
-    HADAMARD,
-    PAULI_X,
+    GATE_KINDS,
+    RX,
     RY,
     GateOp,
     ParamCircuit,
@@ -36,9 +36,10 @@ def _random_state(rng, num_qubits):
 
 class TestApplyCircuit:
     def test_pauli_x_flips_zero(self):
-        circuit = ParamCircuit(1, (GateOp(PAULI_X, 0),), 0)
+        # RX(pi) = -iX: Pauli X up to a global phase
+        circuit = ParamCircuit(1, (GateOp(RX, 0, fixed_angle=np.pi),), 0)
         out = apply_circuit(circuit, [], StateVector.zero(1))
-        assert np.allclose(out.amplitudes, [0.0, 1.0])
+        assert np.allclose(out.amplitudes, [0.0, -1j])
 
     def test_ry_half_pi(self):
         circuit = ParamCircuit(1, (GateOp(RY, 0, param_slot=0),), 1)
@@ -47,7 +48,9 @@ class TestApplyCircuit:
         assert np.allclose(out.amplitudes, expected, atol=1e-12)
 
     def test_bell_state(self):
-        circuit = ParamCircuit(2, (GateOp(HADAMARD, 0), GateOp(CNOT, target=1, control=0)), 0)
+        # RY(pi/2) takes |0> to (|0> + |1>)/sqrt(2), as a Hadamard would
+        gates = (GateOp(RY, 0, fixed_angle=np.pi / 2), GateOp(CNOT, target=1, control=0))
+        circuit = ParamCircuit(2, gates, 0)
         out = apply_circuit(circuit, [], StateVector.zero(2))
         expected = np.zeros(4)
         expected[0] = expected[3] = 1 / np.sqrt(2)
@@ -56,7 +59,7 @@ class TestApplyCircuit:
     def test_input_state_unmodified(self):
         state = StateVector.zero(2)
         before = state.amplitudes.copy()
-        circuit = ParamCircuit(2, (GateOp(HADAMARD, 0),), 0)
+        circuit = ParamCircuit(2, (GateOp(RY, 0, fixed_angle=np.pi / 2),), 0)
         apply_circuit(circuit, [], state)
         assert np.array_equal(state.amplitudes, before)
 
@@ -84,7 +87,7 @@ class TestApplyCircuit:
             apply_circuit(circuit, [0.1, 0.2], StateVector.zero(1))
 
     def test_qubit_count_mismatch(self):
-        circuit = ParamCircuit(2, (GateOp(HADAMARD, 0),), 0)
+        circuit = ParamCircuit(2, (GateOp(RY, 0, fixed_angle=np.pi / 2),), 0)
         with pytest.raises(DimensionError):
             apply_circuit(circuit, [], StateVector.zero(3))
 
@@ -109,8 +112,14 @@ class TestGateValidation:
         with pytest.raises(InvalidGateError):
             GateOp(CNOT, target=1, control=0, param_slot=0)
 
+    def test_gate_set_is_rotations_and_cnot(self):
+        assert GATE_KINDS == ("rx", "ry", "rz", "cnot")
+        for kind in ("x", "h"):
+            with pytest.raises(InvalidGateError, match="unknown gate kind"):
+                GateOp(kind, 0)
+
     def test_circuit_reports_offending_gate_index(self):
-        gates = (GateOp(HADAMARD, 0), GateOp(PAULI_X, 5))
+        gates = (GateOp(RY, 0, fixed_angle=np.pi / 2), GateOp(RX, 5, fixed_angle=np.pi))
         with pytest.raises(InvalidGateError, match="gate 1"):
             ParamCircuit(2, gates, 0)
 
@@ -214,7 +223,7 @@ class TestLargeBatchedStates:
 
     def _circuit(self):
         gates, theta = random_layer(1, self.Q, 40)
-        gates += [GateOp(HADAMARD, 3), GateOp(PAULI_X, 6)]
+        gates += [GateOp(RY, 3, fixed_angle=np.pi / 2), GateOp(RX, 6, fixed_angle=np.pi)]
         return ParamCircuit.from_gates(self.Q, gates), theta
 
     def _states(self, seed):

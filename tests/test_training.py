@@ -11,7 +11,9 @@ import pytest
 
 from qdeq import training
 from qdeq.deqsolve import BroydenConfig, direct_unroll_batch, jacobian_frobenius_batch, unroll_backward_batch
-from qdeq.errors import ConfigError, DataFormatError, DegenerateInputError, DimensionError, TrainingAborted
+from qdeq.errors import (
+    ConfigError, DataFormatError, DegenerateInputError, DimensionError, SolverDivergedError, TrainingAborted,
+)
 from qdeq.qmodel import QuantumModel
 from qdeq.seeding import substream
 from qdeq.training import (
@@ -41,7 +43,6 @@ def _quick_config(**overrides):
         epochs=3,
         batch_size=64,
         warmup_steps=7,
-        warmup_depth=1,
         seed=42,
     )
     base.update(overrides)
@@ -173,6 +174,44 @@ class TestConfig:
         with pytest.raises(ConfigError):
             _quick_config(encoding="angle", dataset="mnist10")
 
+    def test_eleven_fields(self):
+        assert len(dataclasses.fields(TrainConfig)) == 11
+
+    @pytest.mark.parametrize("key", ["warmup_depth", "jac_probes", "adam_beta1", "adam_beta2", "adam_eps"])
+    def test_removed_keys_rejected_by_name(self, key):
+        raw = {"dataset": "mnist4", "solver_mode": "implicit", "learning_rate": 0.05, key: 1}
+        with pytest.raises(ConfigError, match=key):
+            TrainConfig.from_dict(raw)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("epochs", "3"),
+            ("epochs", 2.5),
+            ("batch_size", True),
+            ("seed", None),
+            ("warmup_steps", 1.0),
+            ("learning_rate", float("nan")),
+            ("learning_rate", "0.05"),
+            ("learning_rate", float("inf")),
+            pytest.param("learning_rate", 10**400, id="learning_rate-huge-int"),
+            ("jac_loss_weight", -0.5),
+            ("jac_loss_weight", float("nan")),
+            ("jac_loss_freq", False),
+            ("dropout_p", [0.1]),
+            ("dataset", 4),
+            ("solver_mode", None),
+        ],
+    )
+    def test_field_types_and_ranges_checked(self, key, value):
+        raw = {"dataset": "mnist4", "solver_mode": "implicit", "learning_rate": 0.05, key: value}
+        with pytest.raises(ConfigError, match=key):
+            TrainConfig.from_dict(raw)
+
+    def test_integer_valued_floats_accepted(self):
+        cfg = TrainConfig.from_dict({"dataset": "mnist4", "solver_mode": "implicit", "learning_rate": 1})
+        assert cfg.learning_rate == 1
+
 
 class TestTrainLoop:
     def test_overfits_tiny_subset_with_direct_one(self):
@@ -248,7 +287,7 @@ class TestTrainLoop:
     def test_jacobian_penalty_changes_gradient_path(self, small_bundle):
         cfg = _quick_config(
             epochs=1, warmup_steps=0, solver_mode="implicit",
-            jac_loss_weight=0.5, jac_loss_freq=1.0, jac_probes=1, batch_size=400,
+            jac_loss_weight=0.5, jac_loss_freq=1.0, batch_size=400,
         )
         model, head = build_from_config(cfg)
         metrics, _ = train(small_bundle, model, head, cfg)
@@ -272,25 +311,20 @@ class TestTrainLoop:
 
         monkeypatch.setattr(QuantumModel, "backward_batch", failing_backward)
         xb = small_bundle.x_train[:8]
-        for num_probes in (1, 2):  # the call count does not grow with the probe count
-            calls.clear()
-            probes = np.ones((num_probes,) + xb.shape)
-            with pytest.raises(DegenerateInputError):
-                training._jacobian_penalty(model, np.zeros_like(xb), xb, probes)
-            assert len(calls) == 3
-            assert model.theta.tobytes() == before.tobytes()
+        with pytest.raises(DegenerateInputError):
+            training._jacobian_penalty(model, np.zeros_like(xb), xb, np.ones(xb.shape))
+        assert len(calls) == 3
+        assert model.theta.tobytes() == before.tobytes()
 
     @pytest.mark.parametrize(
-        "dataset, encoding, batch, num_probes, slots",
+        "dataset, encoding, batch, slots",
         [
-            ("mnist4", "amplitude", 16, 2, None),
-            ("mnist4", "angle", 16, 2, None),
-            ("cifar10", "amplitude", 3, 1, 12),
+            ("mnist4", "amplitude", 16, None),
+            ("mnist4", "angle", 16, None),
+            ("cifar10", "amplitude", 3, 12),
         ],
     )
-    def test_jacobian_penalty_grad_matches_theta_differences(
-        self, dataset, encoding, batch, num_probes, slots
-    ):
+    def test_jacobian_penalty_grad_matches_theta_differences(self, dataset, encoding, batch, slots):
         # oracle: central differences in theta of the frozen-probe Hutchinson penalty
         cfg = _quick_config(dataset=dataset, encoding=encoding, solver_mode="implicit")
         model, _ = build_from_config(cfg)
@@ -298,11 +332,12 @@ class TestTrainLoop:
         n = cfg.shape[1]
         X = rng.uniform(0.1, 1.0, size=(batch, n))
         Z = rng.uniform(-0.5, 0.5, size=(batch, n))
-        probes = rng.integers(0, 2, size=(num_probes, batch, n)) * 2.0 - 1.0
+        E = rng.integers(0, 2, size=(batch, n)) * 2.0 - 1.0
+        probes = E[None]  # the same probe as the (P, B, n) stack jacobian_frobenius_batch takes
         idx = np.arange(model.num_params)
         if slots is not None:
             idx = np.sort(rng.choice(model.num_params, size=slots, replace=False))
-        value, grad = training._jacobian_penalty(model, Z, X, probes)
+        value, grad = training._jacobian_penalty(model, Z, X, E)
         assert value == pytest.approx(jacobian_frobenius_batch(model, Z, X, probes).mean(), rel=1e-12)
         step = 1e-5
         oracle = np.empty(idx.shape[0])
@@ -315,6 +350,26 @@ class TestTrainLoop:
             model.theta[j] = orig
             oracle[k] = (up - down) / (2.0 * step)
         assert grad[idx] == pytest.approx(oracle, rel=1e-5, abs=1e-8)
+
+    def test_diverged_backward_skips_its_batch(self, small_bundle, monkeypatch):
+        # a diverged adjoint solve skips that batch's Adam step; training carries on
+        calls = []
+        original = training.implicit_backward_batch
+
+        def diverge_once(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise SolverDivergedError("non-finite solver values at step 3", step=3)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(training, "implicit_backward_batch", diverge_once)
+        cfg = _quick_config(epochs=1, batch_size=32, warmup_steps=0, solver_mode="implicit")
+        model, head = build_from_config(cfg)
+        metrics, adam = train(small_bundle, model, head, cfg)
+        steps_per_epoch = math.ceil(small_bundle.x_train.shape[0] / cfg.batch_size)
+        assert len(calls) == steps_per_epoch
+        assert adam.t == steps_per_epoch - 1
+        assert np.isfinite(metrics.epochs[0]["train_loss"])
 
     def test_divergence_aborts_with_diagnostics(self, small_bundle):
         cfg = _quick_config(epochs=1, warmup_steps=0, solver_mode="implicit")
@@ -488,6 +543,19 @@ class TestCheckpoint:
             path.write_text(json.dumps({k: v for k, v in payload.items() if k != key}))
             with pytest.raises(DataFormatError, match=f"'{key}'"):
                 load_checkpoint(path)
+
+    def test_rejects_version_one_checkpoint_by_format(self, tmp_path):
+        # v1 configs carried the since-removed keys; the format check names the version
+        cfg = _quick_config(epochs=1)
+        model, head = build_from_config(cfg)
+        path = tmp_path / "ckpt.txt"
+        save_checkpoint(path, cfg, model, head)
+        payload = json.loads(path.read_text())
+        payload["format"] = "qdeq-checkpoint-v1"
+        payload["config"].update(warmup_depth=1, jac_probes=1, adam_beta1=0.9, adam_beta2=0.999, adam_eps=1e-8)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataFormatError, match="qdeq-checkpoint-v1"):
+            load_checkpoint(path)
 
     @pytest.mark.parametrize(
         "bad_weight",
