@@ -13,7 +13,6 @@ import sys
 from pathlib import Path
 
 from . import bounds as bnd
-from .deqsolve import BroydenConfig
 from .errors import QdeqError, TrainingAborted
 from .datasets import prepare_bundle
 from .qmodel import build_default_model
@@ -42,10 +41,15 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _positive_int(text: str) -> int:
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return int(text)
+def _decimal_int(least: int, what: str):
+    def parse(text: str) -> int:
+        if not text.isdecimal() or int(text) < least:
+            raise argparse.ArgumentTypeError(f"expected a {what} integer, got {text!r}")
+        return int(text)
+    return parse
+
+
+_positive_int, _non_negative_int = _decimal_int(1, "positive"), _decimal_int(0, "non-negative")
 
 
 def _build_parser() -> _Parser:
@@ -70,12 +74,12 @@ def _build_parser() -> _Parser:
         default="all",
     )
     verify_p.add_argument("--pairs", type=_positive_int, default=None, help="sample count override")
-    verify_p.add_argument("--seed", type=int, default=0)
+    verify_p.add_argument("--seed", type=_non_negative_int, default=0)
     verify_p.add_argument("--output-dir", default=None, help="where the scatter CSV lands")
 
     export_p = sub.add_parser("export-plot-data", help="emit the overlap scatter CSV")
     export_p.add_argument("--pairs", type=_positive_int, default=3000)
-    export_p.add_argument("--seed", type=int, default=0)
+    export_p.add_argument("--seed", type=_non_negative_int, default=0)
     export_p.add_argument("--output-dir", required=True)
     return parser
 
@@ -97,7 +101,7 @@ def _write_metrics(path, metrics):
 
 def _cmd_train(args) -> int:
     raw = json.loads(Path(args.config).read_text())
-    if args.seed is not None:
+    if args.seed is not None and isinstance(raw, dict):  # from_dict rejects any other JSON value
         raw["seed"] = args.seed
     cfg = TrainConfig.from_dict(raw)
     data_dir = _resolve_data_dir(args.data_dir)
@@ -113,7 +117,7 @@ def _cmd_train(args) -> int:
             f"epoch {row['epoch']:3d} [{row['phase']}] "
             f"loss {row['train_loss']:.4f} train {row['train_acc']:.2f}% "
             f"val {row['val_acc']:.2f}% residual {row['mean_residual']:.3e} "
-            f"unconverged {row['unconverged']}"
+            f"backward_unconverged {row['backward_unconverged']} unconverged {row['unconverged']}"
         )
 
     try:
@@ -134,13 +138,8 @@ def _cmd_eval(args) -> int:
     cfg, model, head, _, _ = load_checkpoint(args.checkpoint)
     data_dir = _resolve_data_dir(args.data_dir)
     bundle = prepare_bundle(cfg.dataset, data_dir, cfg.seed)
-    features = {
-        "train": (bundle.x_train, bundle.y_train),
-        "val": (bundle.x_val, bundle.y_val),
-        "test": (bundle.x_test, bundle.y_test),
-    }[args.split]
-    mode = SolverMode.parse(cfg.solver_mode)
-    accuracy, residual = evaluate(model, head, features[0], features[1], mode, BroydenConfig())
+    X, y = getattr(bundle, f"x_{args.split}"), getattr(bundle, f"y_{args.split}")
+    accuracy, residual = evaluate(model, head, X, y, SolverMode.parse(cfg.solver_mode))
     print(f"split={args.split} accuracy={accuracy:.2f}% mean_residual={residual:.3e}")
     return 0
 

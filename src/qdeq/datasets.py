@@ -27,6 +27,19 @@ _CIFAR_RECORD = 1 + 3 * 1024  # CIFAR-10 binary: label byte, then three 32x32 pl
 
 
 @dataclass
+class DataBundle:
+    """Flat float64 features and int64 labels for the train, validation and test splits."""
+
+    name: str
+    x_train: np.ndarray
+    y_train: np.ndarray
+    x_val: np.ndarray
+    y_val: np.ndarray
+    x_test: np.ndarray
+    y_test: np.ndarray
+
+
+@dataclass
 class ImageDataset:
     """Raw uint8 pixels with int64 labels; features come from ``_features``."""
 
@@ -244,14 +257,12 @@ def _features(dataset: str, images: np.ndarray) -> np.ndarray:
     return out
 
 
-def prepare_bundle(dataset: str, data_dir, seed: int, subset: int | None = None):
+def prepare_bundle(dataset: str, data_dir, seed: int, subset: int | None = None) -> DataBundle:
     """Load, filter, (optionally) subsample, split 80/20 and flatten a dataset.
 
     The split and subset draws come from named substreams of ``seed`` so they
     are shared across architecture sweeps.
     """
-    from .training import DataBundle  # local import to avoid a cycle
-
     data_dir = Path(data_dir)
     if dataset == "cifar10":
         train_full, test = _load_cifar(data_dir)

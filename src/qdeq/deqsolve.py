@@ -1,11 +1,12 @@
-"""Fixed-point forward pass, implicit backward pass, and explicit unrolling.
+"""Fixed-point forward pass, implicit backward pass, explicit unrolling, Jacobian penalty.
 
 The forward pass solves g(z) = f(z; x) - z = 0 with a "good Broyden" solver:
 rank-one updates of an inverse-Jacobian estimate initialized to -I (the exact
 Jacobian of g for a locally constant f, so step one is a plain fixed-point
 step). The backward pass solves the adjoint linear system of the implicit
-function theorem with the same solver, falling back to a truncated Neumann
-series if it produces non-finite values.
+function theorem with the same solver. ``solve_batch`` runs one training or
+evaluation batch through either solve or a weight-tied unroll, and
+``jacobian_penalty_batch`` gives the Hutchinson penalty with its theta-gradient.
 
 Residuals are reported in relative form ||f(z) - z|| / (||f(z)|| + 1e-9).
 
@@ -58,12 +59,21 @@ class BatchFixedPoint:
 
 
 _EPS = 1e-9
+_PENALTY_FD_STEP = 1e-4
 
 
-def _metrics(Z, G):
-    gnorm = np.linalg.norm(G, axis=1)
-    fnorm = np.linalg.norm(G + Z, axis=1)
-    return gnorm / (fnorm + _EPS), gnorm
+def _relative(diff, out):
+    """(||diff|| / (||out|| + eps), ||diff||) per row."""
+    dnorm = np.linalg.norm(diff, axis=1)
+    return dnorm / (np.linalg.norm(out, axis=1) + _EPS), dnorm
+
+
+def _h_mat(W, left, right):
+    """(-I + sum_i l_i r_i^T) w per row; swap ``left`` and ``right`` for the transpose."""
+    out = -W
+    for l, r in zip(left, right):
+        out = out + l * np.einsum("bn,bn->b", r, W)[:, None]
+    return out
 
 
 def broyden_root_batch(
@@ -91,30 +101,18 @@ def broyden_root_batch(
 
     Z = np.asarray(Z0, dtype=np.float64).copy()
     Z, G = evaluate(Z, 0)
-    rel, gnorm = _metrics(Z, G)
+    rel, gnorm = _relative(G, G + Z)
     best_rel, best_gnorm, best_Z = rel.copy(), gnorm.copy(), Z.copy()
     trace = [rel]
 
     us: list[np.ndarray] = []
     vs: list[np.ndarray] = []
 
-    def h_mat(W):  # H w with H = -I + sum_i u_i v_i^T
-        out = -W
-        for u, v in zip(us, vs):
-            out = out + u * np.einsum("bn,bn->b", v, W)[:, None]
-        return out
-
-    def h_mat_t(W):  # H^T w
-        out = -W
-        for u, v in zip(us, vs):
-            out = out + v * np.einsum("bn,bn->b", u, W)[:, None]
-        return out
-
     steps = 0
     for step in range(1, cfg.max_steps + 1):
-        Znew = Z - h_mat(G)
+        Znew = Z - _h_mat(G, us, vs)  # H = -I + sum_i u_i v_i^T estimates the inverse Jacobian
         Znew, Gnew = evaluate(Znew, step)
-        rel, gnorm = _metrics(Znew, Gnew)
+        rel, gnorm = _relative(Gnew, Gnew + Znew)
         better = rel < best_rel
         best_rel = np.where(better, rel, best_rel)
         best_gnorm = np.where(better, gnorm, best_gnorm)
@@ -125,11 +123,11 @@ def broyden_root_batch(
             break
         dZ = Znew - Z
         dG = Gnew - G
-        HdG = h_mat(dG)
+        HdG = _h_mat(dG, us, vs)
         denom = np.einsum("bn,bn->b", dZ, HdG)
         safe = np.abs(denom) > 1e-30
         u = np.where(safe[:, None], (dZ - HdG) / np.where(safe, denom, 1.0)[:, None], 0.0)
-        v = h_mat_t(dZ)
+        v = _h_mat(dZ, vs, us)
         us.append(u)
         vs.append(np.where(safe[:, None], v, 0.0))
         Z, G = Znew, Gnew
@@ -205,6 +203,31 @@ def direct_unroll_batch(model: FixedPointLayer, X: np.ndarray, depth: int) -> li
     return iterates
 
 
+def solve_batch(model: FixedPointLayer, X: np.ndarray, depth: int, cfg: BroydenConfig = BroydenConfig()):
+    """(z, per-sample residual, backward: dz -> (dtheta, unconverged adjoint rows), unconverged rows).
+
+    Depth 0 is the fixed-point solve and its implicit backward; unconverged
+    rows are those the Broyden solver left above ``abs_tol``. Depth L >= 1
+    unrolls L layers (one extra forward pass for the residual when L is 1)
+    and reports 0 unconverged rows.
+    """
+    if depth == 0:
+        fp = forward_fixed_point_batch(model, X, cfg)
+        z = fp.z_star
+
+        def backward(dz):
+            dtheta, diagnostics = implicit_backward_batch(model, X, z, dz, cfg)
+            return dtheta, int(np.count_nonzero(~diagnostics["backward_converged"]))
+
+        return z, fp.residual, backward, int(np.count_nonzero(~fp.converged))
+    iterates = direct_unroll_batch(model, X, depth)
+    last, prev = iterates[-1], iterates[-2]
+    if depth == 1:
+        last, prev = model.forward_batch(last, X), last
+    residual = _relative(last - prev, last)[0]
+    return iterates[-1], residual, lambda dz: (unroll_backward_batch(model, X, iterates, dz), 0), 0
+
+
 def jacobian_frobenius_batch(model: FixedPointLayer, Z, X, probes: np.ndarray) -> np.ndarray:
     """Hutchinson estimates of ||d f/d z||_F^2 per sample.
 
@@ -217,6 +240,24 @@ def jacobian_frobenius_batch(model: FixedPointLayer, Z, X, probes: np.ndarray) -
         jt = model.backward_batch(Z, X, eps, need_theta=False, prepared=prep)[0]
         total += np.einsum("bn,bn->b", jt, jt)
     return total / probes.shape[0]
+
+
+def jacobian_penalty_batch(model: FixedPointLayer, Z, X, E):
+    """(mean ||J_z^T eps||^2, its theta-gradient) for the Hutchinson penalty, probe frozen.
+
+    E is one (B, n) Rademacher probe; one vjp gives V = J_z^T E. With V held
+    fixed, grad ||v||^2 = 2 grad <eps, J_z v> = 2 d/dt grad <eps, f(z + t v)>
+    at t = 0: a central difference in z of the adjoint theta-gradient, two
+    backward passes over the B rows, so theta itself is never perturbed.
+    """
+    V = model.backward_batch(Z, X, E, need_theta=False)[0]
+    hV = _PENALTY_FD_STEP * V
+    dtheta = (
+        model.backward_batch(Z + hV, X, E, need_z=False)[1]
+        - model.backward_batch(Z - hV, X, E, need_z=False)[1]
+    )
+    rows = E.shape[0]
+    return float(np.einsum("bn,bn->", V, V)) / rows, dtheta / (_PENALTY_FD_STEP * rows)
 
 
 def universality_stack(models: list, x: np.ndarray) -> np.ndarray:

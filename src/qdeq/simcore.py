@@ -239,10 +239,8 @@ def adjoint_sweep(ops, final_states, bra, num_params=0, need_theta=True):
     i.e. dE/d(conj(amplitude)) at the input state; the encodings' vjps chain
     it back to the real pre-encode vector.
     """
-    # the ket is only consumed by derivative vdots; once the last (lowest-index)
-    # trainable rotation has been processed, only the bra needs to keep walking
-    remaining = sum(1 for op in ops if op.slot >= 0) if need_theta else 0
-    ket = final_states.copy() if remaining else None
+    # the ket is only consumed by the rotations' derivative vdots
+    ket = final_states.copy() if need_theta else None
     b = bra.copy()
     dtheta = np.zeros(num_params)
     for op in reversed(ops):
@@ -251,9 +249,6 @@ def adjoint_sweep(ops, final_states, bra, num_params=0, need_theta=True):
             _apply_1q(pk, op.target, *_GENERATOR[op.kind])
             d = np.einsum("bi,bi->b", b.conj(), pk).imag
             dtheta[op.slot] += d.sum()
-            remaining -= 1
-            if remaining == 0:
-                ket = None
         _apply_op(op, (b,) if ket is None else (ket, b), sign=-1.0)
     return dtheta, b
 

@@ -20,13 +20,8 @@ from typing import Optional
 
 import numpy as np
 
-from .deqsolve import (
-    BroydenConfig,
-    direct_unroll_batch,
-    forward_fixed_point_batch,
-    implicit_backward_batch,
-    unroll_backward_batch,
-)
+from .datasets import DataBundle
+from .deqsolve import BroydenConfig, jacobian_penalty_batch, solve_batch
 from .errors import (
     ConfigError, DataFormatError, DegenerateInputError, DimensionError, SolverDivergedError, TrainingAborted,
 )
@@ -36,6 +31,7 @@ from .seeding import substream
 IMPLICIT = "implicit"
 IMPLICIT_WARMUP = "implicit_warmup"
 DIRECT = "direct"
+_WARMUP_DEPTH = 1  # unroll depth of the implicit_warmup phase
 
 # dataset name -> (num_qubits, input_dim, num_classes)
 DATASET_SHAPES = {
@@ -117,6 +113,8 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "TrainConfig":
+        if not isinstance(raw, dict):
+            raise ConfigError(f"a config must be a JSON object, got {raw!r}")
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(raw) - known)
         if unknown:
@@ -219,22 +217,11 @@ def adam_step(params: list, grads: list, state: AdamState, cfg: TrainConfig) -> 
 
 @dataclass
 class RunMetrics:
-    # dicts: epoch, phase, train_loss, train_acc, val_acc, mean_residual, unconverged
+    # dicts: epoch, phase, train_loss, train_acc, val_acc, mean_residual, backward_unconverged, unconverged
     epochs: list = field(default_factory=list)
     test_acc: float = 0.0
     test_residual: float = 0.0
     wall_time_seconds: float = 0.0
-
-
-@dataclass
-class DataBundle:
-    name: str
-    x_train: np.ndarray
-    y_train: np.ndarray
-    x_val: np.ndarray
-    y_val: np.ndarray
-    x_test: np.ndarray
-    y_test: np.ndarray
 
 
 def build_from_config(cfg: TrainConfig):
@@ -243,37 +230,6 @@ def build_from_config(cfg: TrainConfig):
     model = build_default_model(cfg.encoding, num_qubits, input_dim, cfg.seed)
     head = init_head(num_classes, input_dim, cfg.dropout_p, substream(cfg.seed, "head"))
     return model, head
-
-
-_RESIDUAL_EPS = 1e-9
-_PENALTY_FD_STEP = 1e-4
-_WARMUP_DEPTH = 1  # unroll depth of the implicit_warmup phase
-
-
-def _direct_residual(model: QuantumModel, X, iterates) -> np.ndarray:
-    """Relative residual for explicit unrolls (extra forward when depth is 1)."""
-    if len(iterates) >= 3:
-        z_last, z_prev = iterates[-1], iterates[-2]
-    else:
-        z_prev = iterates[-1]
-        z_last = model.forward_batch(z_prev, X)
-    diff = np.linalg.norm(z_last - z_prev, axis=1)
-    return diff / (np.linalg.norm(z_last, axis=1) + _RESIDUAL_EPS)
-
-
-def _solve(model: QuantumModel, X, depth: int, broyden: BroydenConfig):
-    """(z, per-sample residual, backward: dz -> dtheta, unconverged row count).
-
-    Depth 0 is the fixed-point solve; its unconverged rows are those the
-    Broyden solver left above ``abs_tol``. Unrolls report 0.
-    """
-    if depth == 0:
-        fp = forward_fixed_point_batch(model, X, broyden)
-        z, unconverged = fp.z_star, int(np.count_nonzero(~fp.converged))
-        return z, fp.residual, lambda dz: implicit_backward_batch(model, X, z, dz, broyden)[0], unconverged
-    iterates = direct_unroll_batch(model, X, depth)
-    z = iterates[-1]
-    return z, _direct_residual(model, X, iterates), lambda dz: unroll_backward_batch(model, X, iterates, dz), 0
 
 
 def evaluate(
@@ -298,7 +254,7 @@ def evaluate(
     for start in range(0, X.shape[0], batch_size):
         xb = X[start : start + batch_size]
         try:
-            z, residual, _, _ = _solve(model, xb, mode.depth, broyden)
+            z, residual, _, _ = solve_batch(model, xb, mode.depth, broyden)
         except (SolverDivergedError, DegenerateInputError):
             residuals.append(np.full(xb.shape[0], np.inf))
             continue
@@ -307,24 +263,6 @@ def evaluate(
         correct += int((logits.argmax(axis=1) == y[start : start + batch_size]).sum())
     accuracy = 100.0 * correct / X.shape[0]
     return accuracy, float(np.concatenate(residuals).mean())
-
-
-def _jacobian_penalty(model, Z, X, E):
-    """(mean ||J_z^T eps||^2, its theta-gradient) for the Hutchinson penalty, probe frozen.
-
-    E is one (B, n) Rademacher probe; one vjp gives V = J_z^T E. With V held
-    fixed, grad ||v||^2 = 2 grad <eps, J_z v> = 2 d/dt grad <eps, f(z + t v)>
-    at t = 0: a central difference in z of the adjoint theta-gradient, two
-    backward passes over the B rows, so theta itself is never perturbed.
-    """
-    V = model.backward_batch(Z, X, E, need_theta=False)[0]
-    hV = _PENALTY_FD_STEP * V
-    dtheta = (
-        model.backward_batch(Z + hV, X, E, need_z=False)[1]
-        - model.backward_batch(Z - hV, X, E, need_z=False)[1]
-    )
-    rows = E.shape[0]
-    return float(np.einsum("bn,bn->", V, V)) / rows, dtheta / (_PENALTY_FD_STEP * rows)
 
 
 def train(bundle: DataBundle, model: QuantumModel, head: ClassifierHead, cfg: TrainConfig,
@@ -355,7 +293,7 @@ def train(bundle: DataBundle, model: QuantumModel, head: ClassifierHead, cfg: Tr
         residuals = []
         correct = 0
         diverged = 0
-        unconverged = 0
+        unconverged = backward_unconverged = 0
         epoch_phase = None
         for start in range(0, n_train, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
@@ -367,19 +305,20 @@ def train(bundle: DataBundle, model: QuantumModel, head: ClassifierHead, cfg: Tr
             dropout_rng = substream(cfg.seed, "dropout", step)
             try:
                 depth = _WARMUP_DEPTH if warm else mode.depth
-                z, residual, backward, batch_unconverged = _solve(model, xb, depth, broyden)
+                z, residual, backward, batch_unconverged = solve_batch(model, xb, depth, broyden)
                 unconverged += batch_unconverged
                 residuals.append(residual)
                 logits, mask = head_forward_batch(head, z, train_mode=True, rng=dropout_rng)
                 loss, dlogits = cross_entropy_batch(logits, yb)
-                dtheta = backward((dlogits @ head.weight) * mask)
+                dtheta, batch_backward_unconverged = backward((dlogits @ head.weight) * mask)
+                backward_unconverged += batch_backward_unconverged
                 if (
                     phase == IMPLICIT
                     and cfg.jac_loss_weight > 0.0
                     and substream(cfg.seed, "jac-gate", step).random() < cfg.jac_loss_freq
                 ):
                     probe = substream(cfg.seed, "jac-probes", step).integers(0, 2, size=xb.shape) * 2.0 - 1.0
-                    penalty, dpenalty = _jacobian_penalty(model, z, xb, probe)
+                    penalty, dpenalty = jacobian_penalty_batch(model, z, xb, probe)
                     loss += cfg.jac_loss_weight * penalty
                     dtheta += cfg.jac_loss_weight * dpenalty
             except (SolverDivergedError, DegenerateInputError):
@@ -407,6 +346,7 @@ def train(bundle: DataBundle, model: QuantumModel, head: ClassifierHead, cfg: Tr
             "train_acc": 100.0 * correct / n_train,
             "val_acc": val_acc,
             "mean_residual": float(np.concatenate(residuals).mean()) if residuals else float("nan"),
+            "backward_unconverged": backward_unconverged,
             "unconverged": unconverged,
         }
         metrics.epochs.append(row)

@@ -1,0 +1,21 @@
+"""Smoke run of the benchmark command on its shortest workload."""
+import json
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_benchmark_command_runs_and_passes_its_gate():
+    workload, seed = "mnist4-angle-direct5", 97
+    cmd = [sys.executable, str(ROOT / "benchmarks" / "run.py"),
+           "--workload", workload, "--seed", str(seed), "--seconds", "0"]
+    try:
+        done = subprocess.run(cmd, capture_output=True, text=True, timeout=300)
+    finally:
+        shutil.rmtree(ROOT / ".bench_work" / f"{workload}-seed{seed}-trace0", ignore_errors=True)
+    assert done.returncode == 0, done.stdout + done.stderr
+    summary = json.loads(done.stdout.splitlines()[-1])
+    assert summary["correct"] is True and summary["failed"] == 0

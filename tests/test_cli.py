@@ -149,6 +149,14 @@ class TestVerifyBounds:
         assert "usage" in err.lower() and "--pairs" in err
         assert not (tmp_path / "angle_overlap.csv").exists()
 
+    @pytest.mark.parametrize("command", [["verify-bounds", "--suite", "amplitude-overlap"], ["export-plot-data"]])
+    @pytest.mark.parametrize("seed", ["-1", "1.5", "x"])
+    def test_seed_must_be_a_non_negative_integer(self, command, seed, tmp_path, capsys):
+        assert main([*command, "--pairs", "10", "--seed", seed, "--output-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "usage" in err.lower() and "--seed" in err
+        assert not (tmp_path / "angle_overlap.csv").exists()
+
 
 class TestExportPlotData:
     def test_writes_csv(self, tmp_path, capsys):
@@ -204,6 +212,13 @@ class TestTrainEval:
         assert len(epoch_lines) == 2
         assert all(re.search(r" unconverged \d+$", line) for line in epoch_lines)
 
+    def test_train_log_reports_backward_unconverged_rows(self, tmp_path, smoke_config, digits_data_dir, capsys):
+        args = ["--config", str(smoke_config), "--data-dir", str(digits_data_dir), "--output-dir", str(tmp_path)]
+        assert main(["train", *args]) == 0
+        epoch_lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("epoch")]
+        assert len(epoch_lines) == 2
+        assert all(re.search(r" backward_unconverged \d+ unconverged \d+$", line) for line in epoch_lines)
+
     def test_eval_on_empty_split_exits_one(self, tmp_path, capsys):
         data = tmp_path / "data"
         synthdata.write_mnist(data, 0, train_per_class=5, test_per_class=0)
@@ -240,6 +255,27 @@ class TestTrainEval:
         )
         assert code == 1
         assert "typo_key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("literal", ["5", "null", "[1, 2]", '"implicit"'])
+    @pytest.mark.parametrize("seed_flag", [[], ["--seed", "3"]], ids=["config-seed", "flag-seed"])
+    def test_config_that_is_no_json_object_exits_one(self, tmp_path, digits_data_dir, capsys, literal, seed_flag):
+        path = tmp_path / "bad.json"
+        path.write_text(literal)
+        args = ["--config", str(path), "--data-dir", str(digits_data_dir), "--output-dir", str(tmp_path / "o")]
+        assert main(["train", *args, *seed_flag]) == 1
+        assert "error: a config must be a JSON object" in capsys.readouterr().err
+
+    def test_checkpoint_config_that_is_no_json_object_exits_one(self, tmp_path, digits_data_dir, capsys):
+        cfg = TrainConfig(dataset="mnist4", solver_mode="implicit", learning_rate=0.05)
+        model, head = build_from_config(cfg)
+        path = tmp_path / "ckpt.txt"
+        save_checkpoint(path, cfg, model, head)
+        payload = json.loads(path.read_text())
+        payload["config"] = 5
+        path.write_text(json.dumps(payload))
+        code = main(["eval", "--checkpoint", str(path), "--data-dir", str(digits_data_dir)])
+        assert code == 1
+        assert "error: a config must be a JSON object" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "key, literal", [("epochs", '"3"'), ("epochs", "2.5"), ("batch_size", "true"), ("learning_rate", "NaN")]

@@ -9,8 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qdeq import training
-from qdeq.deqsolve import BroydenConfig, direct_unroll_batch, jacobian_frobenius_batch, unroll_backward_batch
+from qdeq import deqsolve, training
+from qdeq.deqsolve import (
+    BroydenConfig, direct_unroll_batch, jacobian_frobenius_batch, jacobian_penalty_batch, unroll_backward_batch,
+)
 from qdeq.errors import (
     ConfigError, DataFormatError, DegenerateInputError, DimensionError, SolverDivergedError, TrainingAborted,
 )
@@ -312,7 +314,7 @@ class TestTrainLoop:
         monkeypatch.setattr(QuantumModel, "backward_batch", failing_backward)
         xb = small_bundle.x_train[:8]
         with pytest.raises(DegenerateInputError):
-            training._jacobian_penalty(model, np.zeros_like(xb), xb, np.ones(xb.shape))
+            jacobian_penalty_batch(model, np.zeros_like(xb), xb, np.ones(xb.shape))
         assert len(calls) == 3
         assert model.theta.tobytes() == before.tobytes()
 
@@ -337,7 +339,7 @@ class TestTrainLoop:
         idx = np.arange(model.num_params)
         if slots is not None:
             idx = np.sort(rng.choice(model.num_params, size=slots, replace=False))
-        value, grad = training._jacobian_penalty(model, Z, X, E)
+        value, grad = jacobian_penalty_batch(model, Z, X, E)
         assert value == pytest.approx(jacobian_frobenius_batch(model, Z, X, probes).mean(), rel=1e-12)
         step = 1e-5
         oracle = np.empty(idx.shape[0])
@@ -354,7 +356,7 @@ class TestTrainLoop:
     def test_diverged_backward_skips_its_batch(self, small_bundle, monkeypatch):
         # a diverged adjoint solve skips that batch's Adam step; training carries on
         calls = []
-        original = training.implicit_backward_batch
+        original = deqsolve.implicit_backward_batch
 
         def diverge_once(*args, **kwargs):
             calls.append(1)
@@ -362,7 +364,7 @@ class TestTrainLoop:
                 raise SolverDivergedError("non-finite solver values at step 3", step=3)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(training, "implicit_backward_batch", diverge_once)
+        monkeypatch.setattr(deqsolve, "implicit_backward_batch", diverge_once)
         cfg = _quick_config(epochs=1, batch_size=32, warmup_steps=0, solver_mode="implicit")
         model, head = build_from_config(cfg)
         metrics, adam = train(small_bundle, model, head, cfg)
@@ -449,14 +451,14 @@ class TestTrainLoop:
         # the first steps_per_epoch forward solves are the training steps; the
         # held-out evaluations follow them
         solves = []
-        original = training.forward_fixed_point_batch
+        original = deqsolve.forward_fixed_point_batch
 
         def recording_solve(*args, **kwargs):
             result = original(*args, **kwargs)
             solves.append(int((~result.converged).sum()))
             return result
 
-        monkeypatch.setattr(training, "forward_fixed_point_batch", recording_solve)
+        monkeypatch.setattr(deqsolve, "forward_fixed_point_batch", recording_solve)
         cfg = _quick_config(epochs=1, warmup_steps=0, solver_mode="implicit")
         model, head = build_from_config(cfg)
         metrics, adam = train(small_bundle, model, head, cfg, broyden)
@@ -469,6 +471,32 @@ class TestTrainLoop:
         model, head = build_from_config(cfg)
         metrics, _ = train(small_bundle, model, head, cfg, BroydenConfig(max_steps=1))
         assert metrics.epochs[0]["unconverged"] == 0
+
+    @pytest.mark.parametrize("solver_mode", ["implicit", "direct_2"])
+    def test_one_step_broyden_adjoint_rows_unconverged(self, small_bundle, solver_mode):
+        # one Broyden step leaves adjoint rows above abs_tol; unrolls solve no adjoint system
+        cfg = _quick_config(epochs=1, warmup_steps=0, solver_mode=solver_mode)
+        model, head = build_from_config(cfg)
+        metrics, _ = train(small_bundle, model, head, cfg, BroydenConfig(max_steps=1))
+        count = metrics.epochs[0]["backward_unconverged"]
+        assert count > 0 if solver_mode == "implicit" else count == 0
+
+    @pytest.mark.parametrize("broyden", [BroydenConfig(), BroydenConfig(max_steps=2)], ids=["default", "two-steps"])
+    def test_backward_unconverged_count_matches_adjoint_solves(self, small_bundle, monkeypatch, broyden):
+        solves = []
+        original = deqsolve.implicit_backward_batch
+
+        def recording_backward(*args, **kwargs):
+            dtheta, diagnostics = original(*args, **kwargs)
+            solves.append(int((~diagnostics["backward_converged"]).sum()))
+            return dtheta, diagnostics
+
+        monkeypatch.setattr(deqsolve, "implicit_backward_batch", recording_backward)
+        cfg = _quick_config(epochs=1, warmup_steps=0, solver_mode="implicit")
+        model, head = build_from_config(cfg)
+        metrics, adam = train(small_bundle, model, head, cfg, broyden)
+        assert len(solves) == adam.t == math.ceil(small_bundle.x_train.shape[0] / cfg.batch_size)
+        assert metrics.epochs[0]["backward_unconverged"] == sum(solves)
 
     def test_untrained_model_near_chance(self):
         # labels drawn independently of the features: any classifier sits at 25%
