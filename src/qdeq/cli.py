@@ -139,7 +139,8 @@ def _cmd_eval(args) -> int:
     data_dir = _resolve_data_dir(args.data_dir)
     bundle = prepare_bundle(cfg.dataset, data_dir, cfg.seed)
     X, y = getattr(bundle, f"x_{args.split}"), getattr(bundle, f"y_{args.split}")
-    accuracy, residual = evaluate(model, head, X, y, SolverMode.parse(cfg.solver_mode))
+    mode = SolverMode.parse(cfg.solver_mode)
+    accuracy, residual = evaluate(model, head, X, y, mode, batch_size=cfg.batch_size)
     print(f"split={args.split} accuracy={accuracy:.2f}% mean_residual={residual:.3e}")
     return 0
 

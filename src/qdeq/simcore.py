@@ -15,9 +15,13 @@ cotangents back.
 
 ``_apply_op`` is the one gate dispatch. The forward pass and the reverse
 (adjoint) sweep share it; the sweep walks the gate list backwards once for the
-derivative of every trainable angle and the input-state cotangent. The
-parameter-shift rule (f(theta + pi/2) - f(theta - pi/2)) / 2 is the second,
-exact route for Pauli-generated rotations.
+derivative of every trainable angle and the input-state cotangent. Both walk
+the batch in row blocks of ``_BLOCK_BYTES`` (16 rows at Q=10, a whole 256-row
+batch at Q=4), every op on one block before the next: the block and the
+kernels' temporaries then stay in a core's L2 cache, where whole-batch passes
+streamed 4 MiB through memory per gate. The parameter-shift rule
+(f(theta + pi/2) - f(theta - pi/2)) / 2 is the second, exact route for
+Pauli-generated rotations.
 """
 from __future__ import annotations
 
@@ -188,18 +192,26 @@ def _rotation(kind, angle):
     return c - 1j * s, None, None, c + 1j * s
 
 
-def _apply_op(op, arrays, sign=1.0):
-    """Apply ``op`` (its inverse when ``sign`` is -1) in place to each array in ``arrays``.
+def _coefficients(ops, sign=1.0):
+    """Each op's kernel scalars (its inverse's when ``sign`` is -1); None for the self-inverse CNOT."""
+    return [None if op.kind == CNOT else _rotation(op.kind, sign * op.angle) for op in ops]
 
-    CNOT is self-inverse, so ``sign`` only flips rotation angles.
-    """
-    if op.kind == CNOT:
-        for states in arrays:
-            _apply_cnot(states, op.control, op.target)
-        return
-    u = _rotation(op.kind, sign * op.angle)
-    for states in arrays:
+
+def _apply_op(op, u, states):
+    """Apply ``op`` with its scalars ``u`` from ``_coefficients`` in place to ``states``."""
+    if u is None:
+        _apply_cnot(states, op.control, op.target)
+    else:
         _apply_1q(states, op.target, *u)
+
+
+# bytes of states per row block: a block and its kernels' temporaries stay in L2
+_BLOCK_BYTES = 256 << 10
+
+
+def _row_blocks(states):
+    rows = max(1, _BLOCK_BYTES // (states.shape[1] * states.itemsize))
+    return [slice(start, start + rows) for start in range(0, states.shape[0], rows)]
 
 
 # ---------------------------------------------------------------------------
@@ -224,9 +236,12 @@ def resolve_circuit(circuit: ParamCircuit, theta: np.ndarray) -> list[Op]:
 
 
 def apply_ops(ops, states):
-    """Apply a resolved op list in place to states of shape (B, 2**Q)."""
-    for op in ops:
-        _apply_op(op, (states,))
+    """Apply a resolved op list in place to states of shape (B, 2**Q), one row block at a time."""
+    coeffs = _coefficients(ops)
+    for rows in _row_blocks(states):
+        block = states[rows]  # a contiguous view: the kernels write through it
+        for op, u in zip(ops, coeffs):
+            _apply_op(op, u, block)
     return states
 
 
@@ -239,18 +254,22 @@ def adjoint_sweep(ops, final_states, bra, num_params=0, need_theta=True):
     i.e. dE/d(conj(amplitude)) at the input state; the encodings' vjps chain
     it back to the real pre-encode vector.
     """
-    # the ket is only consumed by the rotations' derivative vdots
-    ket = final_states.copy() if need_theta else None
-    b = bra.copy()
+    back = bra.copy()
     dtheta = np.zeros(num_params)
-    for op in reversed(ops):
-        if ket is not None and op.slot >= 0:
-            pk = ket.copy()  # P|ket> for the rotation's generator P
-            _apply_1q(pk, op.target, *_GENERATOR[op.kind])
-            d = np.einsum("bi,bi->b", b.conj(), pk).imag
-            dtheta[op.slot] += d.sum()
-        _apply_op(op, (b,) if ket is None else (ket, b), sign=-1.0)
-    return dtheta, b
+    steps = list(zip(reversed(ops), reversed(_coefficients(ops, sign=-1.0))))
+    for rows in _row_blocks(back):
+        b = back[rows]
+        # the ket is only consumed by the rotations' derivative vdots
+        ket = final_states[rows].copy() if need_theta else None
+        for op, u in steps:
+            if ket is not None:
+                if op.slot >= 0:
+                    pk = ket.copy()  # P|ket> for the rotation's generator P
+                    _apply_1q(pk, op.target, *_GENERATOR[op.kind])
+                    dtheta[op.slot] += np.vdot(b, pk).imag
+                _apply_op(op, u, ket)
+            _apply_op(op, u, b)
+    return dtheta, back
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,13 @@ exists, and the benchmark's gradient gate (``benchmarks/gate.py``) must pass
 on the library as it stands, so an API change that would break the benchmark
 fails here first.
 """
+import inspect
+
 import numpy as np
 import pytest
 
 from qdeq.qmodel import build_default_model
+from qdeq.simcore import adjoint_sweep, apply_ops
 
 import gate  # the benchmark's correctness gate; tests/conftest.py puts benchmarks/ on the path
 
@@ -32,3 +35,12 @@ def test_benchmark_gradient_gate_passes(encoding, num_qubits, input_dim):
     assert len(checks) == min(4, model.num_params) + 1
     failed = [(label, got, expected) for label, got, expected, ok in checks if not ok]
     assert not failed
+
+
+def test_simcore_entry_points_keep_the_tracer_argument_names():
+    # benchmarks/tracer.py reads these arguments by name and counts one call per circuit pass,
+    # so the row-block loop has to stay inside the two functions
+    assert list(inspect.signature(apply_ops).parameters) == ["ops", "states"]
+    assert list(inspect.signature(adjoint_sweep).parameters) == [
+        "ops", "final_states", "bra", "num_params", "need_theta"
+    ]

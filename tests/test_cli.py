@@ -229,6 +229,23 @@ class TestTrainEval:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_eval_batches_rows_as_the_checkpoint_config_does(self, tmp_path, digits_data_dir, capsys):
+        # Broyden stops when every row of a batch has converged, so the residual depends on the batching
+        from qdeq.datasets import prepare_bundle
+        from qdeq.training import SolverMode, evaluate
+
+        cfg = TrainConfig(dataset="mnist4", solver_mode="implicit", learning_rate=0.05, batch_size=64, seed=1)
+        model, head = build_from_config(cfg)
+        save_checkpoint(tmp_path / "ckpt.txt", cfg, model, head)
+        bundle = prepare_bundle(cfg.dataset, digits_data_dir, cfg.seed)
+        mode = SolverMode.parse(cfg.solver_mode)
+        _, residual = evaluate(model, head, bundle.x_test, bundle.y_test, mode, batch_size=64)
+        _, residual_256 = evaluate(model, head, bundle.x_test, bundle.y_test, mode, batch_size=256)
+        assert f"{residual:.3e}" != f"{residual_256:.3e}"
+        args = ["--checkpoint", str(tmp_path / "ckpt.txt"), "--split", "test", "--data-dir", str(digits_data_dir)]
+        assert main(["eval", *args]) == 0
+        assert f"mean_residual={residual:.3e}" in capsys.readouterr().out
+
     def test_seed_override_lands_in_echo(self, tmp_path, smoke_config, digits_data_dir):
         out_dir = tmp_path / "run2"
         code = main(

@@ -1,7 +1,10 @@
 """Gate application, circuit validation, and the three gradient routes."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from qdeq import simcore
 from qdeq.errors import DimensionError, InvalidGateError, UnsupportedGateError
 from qdeq.measurement import ObservableEnsemble
 from qdeq.simcore import (
@@ -259,6 +262,63 @@ class TestLargeBatchedStates:
                 for i in range(self.B)
             )
             assert abs(dtheta[slot] - expected) <= 1e-8 * max(1.0, abs(expected))
+
+
+class TestRowBlocks:
+    """The kernels walk the batch in row blocks; a block holds 16 rows at Q=10."""
+
+    Q = 10
+
+    def _circuit(self):
+        gates, theta = random_layer(2, self.Q, 80)
+        gates += [GateOp(RY, 4, fixed_angle=0.3), GateOp(CNOT, 9, control=0)]
+        return ParamCircuit.from_gates(self.Q, gates), theta
+
+    def _states(self, seed, rows):
+        rng = np.random.default_rng(seed)
+        shape = (rows, 1 << self.Q)
+        states = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        return states / np.linalg.norm(states, axis=1, keepdims=True)
+
+    @pytest.mark.parametrize("rows", [37, 1])  # 37 rows: blocks of 16, 16 and 5
+    def test_blocked_runs_match_per_row_runs(self, rows):
+        assert simcore._BLOCK_BYTES // ((1 << self.Q) * 16) == 16
+        circuit, theta = self._circuit()
+        ensemble = ObservableEnsemble.pauli_z_all(self.Q)
+        diags = ensemble.diagonals(self.Q)
+        states = self._states(21, rows)
+        cot = np.random.default_rng(22).normal(size=(rows, self.Q))
+        ops = resolve_circuit(circuit, theta)
+        final = apply_ops(ops, states.copy())
+        bra = np.stack([cot[i] @ diags for i in range(rows)]) * final
+        dtheta, back = adjoint_sweep(ops, final, bra, num_params=circuit.num_params)
+        expected = np.zeros(circuit.num_params)
+        for i in range(rows):
+            state = StateVector(self.Q, states[i])
+            assert np.array_equal(final[i], apply_circuit(circuit, theta, state).amplitudes)
+            row_dtheta, row_back = adjoint_gradients(circuit, theta, state, cot[i], ensemble)
+            assert np.array_equal(back[i], row_back)
+            expected += row_dtheta
+        assert np.abs(dtheta - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    def test_no_batch_sized_temporaries(self):
+        circuit, theta = self._circuit()
+        ops = resolve_circuit(circuit, theta)
+        states = self._states(23, 256)
+        bra = states[::-1].copy()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            apply_ops(ops, states)
+            apply_peak = tracemalloc.get_traced_memory()[1] - base
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            adjoint_sweep(ops, states, bra, num_params=circuit.num_params)
+            sweep_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert apply_peak < 0.5 * states.nbytes
+        assert sweep_peak < 1.5 * states.nbytes
 
 
 class TestRandomLayer:
