@@ -117,7 +117,7 @@ def _cmd_train(args) -> int:
             f"epoch {row['epoch']:3d} [{row['phase']}] "
             f"loss {row['train_loss']:.4f} train {row['train_acc']:.2f}% "
             f"val {row['val_acc']:.2f}% residual {row['mean_residual']:.3e} "
-            f"backward_unconverged {row['backward_unconverged']} unconverged {row['unconverged']}"
+            f"unconverged {row['unconverged']}"
         )
 
     try:

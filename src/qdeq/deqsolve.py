@@ -4,9 +4,11 @@ The forward pass solves g(z) = f(z; x) - z = 0 with a "good Broyden" solver:
 rank-one updates of an inverse-Jacobian estimate initialized to -I (the exact
 Jacobian of g for a locally constant f, so step one is a plain fixed-point
 step). The backward pass solves the adjoint linear system of the implicit
-function theorem with the same solver. ``solve_batch`` runs one training or
-evaluation batch through either solve or a weight-tied unroll, and
-``jacobian_penalty_batch`` gives the Hutchinson penalty with its theta-gradient.
+function theorem exactly: f reads out K values, so J_b = S D_b has rank K and
+Woodbury's identity reduces the n x n system to one K x K solve per row.
+``solve_batch`` runs one training or evaluation batch through either solve or
+a weight-tied unroll, and ``jacobian_penalty_batch`` gives the Hutchinson
+penalty with its theta-gradient.
 
 Residuals are reported in relative form ||f(z) - z|| / (||f(z)|| + 1e-9).
 
@@ -24,7 +26,7 @@ from .errors import DegenerateInputError, DimensionError, SolverDivergedError
 
 
 class FixedPointLayer(Protocol):
-    """What the solvers need from a model: batched forward and reverse passes."""
+    """What the solvers need from a model: batched forward and reverse passes, Jacobian factors."""
 
     num_params: int
 
@@ -33,6 +35,8 @@ class FixedPointLayer(Protocol):
     def prepare(self, Z, X): ...
 
     def backward_batch(self, Z, X, cotangents, need_z=True, need_theta=True, prepared=None): ...
+
+    def jacobian_factors(self, Z, X, prepared=None): ...
 
 
 @dataclass(frozen=True)
@@ -153,30 +157,25 @@ def forward_fixed_point_batch(
     return broyden_root_batch(g, np.zeros_like(X), cfg)
 
 
-def implicit_backward_batch(
-    model: FixedPointLayer,
-    X: np.ndarray,
-    Z_star: np.ndarray,
-    loss_grads: np.ndarray,
-    cfg: BroydenConfig = BroydenConfig(),
-):
-    """Adjoint solve of the implicit function theorem, batched.
+def implicit_backward_batch(model: FixedPointLayer, X: np.ndarray, Z_star, loss_grads) -> np.ndarray:
+    """Exact adjoint solve of the implicit function theorem; returns sum_b dtheta_b.
 
-    Solves h(q) = J_f^T q - q + dl/dz* = 0 (i.e. J_g^T q = -dl/dz*) with the
-    Broyden solver, then returns (sum_b dtheta_b, diagnostics). Non-finite
-    adjoint values raise SolverDivergedError.
+    With J_b = S D_b from ``jacobian_factors``, (I - J_b^T) q_b = g_b has the
+    Woodbury solution q_b = g_b + D_b^T (I_K - S^T D_b^T)^-1 S^T g_b: one
+    batched K x K solve, then one theta-sweep at q. A singular system or a
+    non-finite q raises SolverDivergedError.
     """
-    X = np.asarray(X, dtype=np.float64)
-    Z_star = np.asarray(Z_star, dtype=np.float64)
-    loss_grads = np.asarray(loss_grads, dtype=np.float64)
+    G = np.asarray(loss_grads, dtype=np.float64)
     prep = model.prepare(Z_star, X)
-
-    def h(Q):
-        return model.backward_batch(Z_star, X, Q, need_theta=False, prepared=prep)[0] - Q + loss_grads
-
-    res = broyden_root_batch(h, np.zeros_like(loss_grads), cfg)
-    dtheta = model.backward_batch(Z_star, X, res.z_star, need_z=False, prepared=prep)[1]
-    return dtheta, {"backward_residual": res.residual, "backward_converged": res.converged}
+    S, D = model.jacobian_factors(Z_star, X, prepared=prep)
+    try:
+        Y = np.linalg.solve(np.eye(S.shape[1]) - np.einsum("nk,bjn->bkj", S, D), (G @ S)[..., None])
+    except np.linalg.LinAlgError as exc:
+        raise SolverDivergedError(f"singular adjoint system: {exc}", step=0) from exc
+    Q = G + np.einsum("bkn,bk->bn", D, Y[..., 0])
+    if not np.isfinite(Q).all():
+        raise SolverDivergedError("non-finite adjoint values", step=0)
+    return model.backward_batch(Z_star, X, Q, need_z=False, prepared=prep)[1]
 
 
 def unroll_backward_batch(model: FixedPointLayer, X: np.ndarray, iterates, loss_grads) -> np.ndarray:
@@ -204,7 +203,7 @@ def direct_unroll_batch(model: FixedPointLayer, X: np.ndarray, depth: int) -> li
 
 
 def solve_batch(model: FixedPointLayer, X: np.ndarray, depth: int, cfg: BroydenConfig = BroydenConfig()):
-    """(z, per-sample residual, backward: dz -> (dtheta, unconverged adjoint rows), unconverged rows).
+    """(z, per-sample residual, backward: dz -> dtheta, unconverged rows).
 
     Depth 0 is the fixed-point solve and its implicit backward; unconverged
     rows are those the Broyden solver left above ``abs_tol``. Depth L >= 1
@@ -213,19 +212,14 @@ def solve_batch(model: FixedPointLayer, X: np.ndarray, depth: int, cfg: BroydenC
     """
     if depth == 0:
         fp = forward_fixed_point_batch(model, X, cfg)
-        z = fp.z_star
-
-        def backward(dz):
-            dtheta, diagnostics = implicit_backward_batch(model, X, z, dz, cfg)
-            return dtheta, int(np.count_nonzero(~diagnostics["backward_converged"]))
-
-        return z, fp.residual, backward, int(np.count_nonzero(~fp.converged))
+        unconverged = int(np.count_nonzero(~fp.converged))
+        return fp.z_star, fp.residual, lambda dz: implicit_backward_batch(model, X, fp.z_star, dz), unconverged
     iterates = direct_unroll_batch(model, X, depth)
     last, prev = iterates[-1], iterates[-2]
     if depth == 1:
         last, prev = model.forward_batch(last, X), last
     residual = _relative(last - prev, last)[0]
-    return iterates[-1], residual, lambda dz: (unroll_backward_batch(model, X, iterates, dz), 0), 0
+    return iterates[-1], residual, lambda dz: unroll_backward_batch(model, X, iterates, dz), 0
 
 
 def jacobian_frobenius_batch(model: FixedPointLayer, Z, X, probes: np.ndarray) -> np.ndarray:

@@ -39,7 +39,7 @@ from .simcore import (
 
 
 class Prepared(NamedTuple):
-    """Cached forward pass at fixed (Z, X), reused across backward sweeps."""
+    """Cached forward pass at fixed (Z, X), reused by ``jacobian_factors`` and the backward sweeps."""
 
     combined: np.ndarray  # z + x, shape (B, n)
     norms: Optional[np.ndarray]  # pre-encode norms (amplitude encoding only)
@@ -132,13 +132,30 @@ class QuantumModel:
         dtheta, back = adjoint_sweep(
             prep.ops, prep.states, bra, num_params=self.num_params, need_theta=need_theta
         )
-        if not need_z:
-            dZ = None
-        elif self.encoding.kind == enc.AMPLITUDE:
-            dZ = enc.amplitude_encode_vjp(prep.combined, prep.norms, back)
-        else:
-            dZ = enc.angle_encode_vjp(prep.combined, back)
+        dZ = self._encode_vjp(prep, back) if need_z else None
         return dZ, (dtheta if need_theta else None)
+
+    def jacobian_factors(self, Z: np.ndarray, X: np.ndarray, prepared: Optional[Prepared] = None):
+        """(S, D) with d forward(z_b, x_b) / d z_b = S @ D[b], of rank K.
+
+        S is the (n, K) upsample matrix. Row k of D[b] (shape (B, K, n)) is
+        readout k's input cotangent U^dagger M_k U psi_b chained through the
+        encoder vjp; U^dagger is read from the d columns of U that encoded
+        states occupy (the first n for amplitude encoding, all 2**Q for angle).
+        """
+        prep = prepared if prepared is not None else self.prepare(Z, X)
+        dim = 1 << self.num_qubits
+        d = self.input_dim if self.encoding.kind == enc.AMPLITUDE else dim
+        cols = apply_ops(prep.ops, np.eye(d, dim, dtype=np.complex128)).conj().T
+        diags = self.ensemble.diagonals(self.num_qubits)
+        D = np.stack([self._encode_vjp(prep, prep.states @ (m[:, None] * cols)) for m in diags], axis=1)
+        return upsample_batch(np.eye(self.ensemble.size), self.upsample).T, D
+
+    def _encode_vjp(self, prep: Prepared, bra: np.ndarray) -> np.ndarray:
+        """Chain a complex input-state cotangent back to the real z + x."""
+        if self.encoding.kind == enc.AMPLITUDE:
+            return enc.amplitude_encode_vjp(prep.combined, prep.norms, bra)
+        return enc.angle_encode_vjp(prep.combined, bra)
 
 
 # ---------------------------------------------------------------------------

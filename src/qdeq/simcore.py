@@ -249,16 +249,15 @@ def adjoint_sweep(ops, final_states, bra, num_params=0, need_theta=True):
     """Reverse sweep computing d(Re<bra|ket>)-style rotation derivatives.
 
     ``final_states`` is the ket after all ops; ``bra`` is M_total |ket> (the
-    expectation cotangent). Returns (dtheta summed over the batch,
-    back-propagated bra). The returned bra equals U^dagger M_total U |input>,
-    i.e. dE/d(conj(amplitude)) at the input state; the encodings' vjps chain
-    it back to the real pre-encode vector.
+    expectation cotangent), swept in place: it is overwritten and returned.
+    Returns (dtheta summed over the batch, back-propagated bra). The returned
+    bra equals U^dagger M_total U |input>, i.e. dE/d(conj(amplitude)) at the
+    input state; the encodings' vjps chain it back to the real pre-encode vector.
     """
-    back = bra.copy()
     dtheta = np.zeros(num_params)
     steps = list(zip(reversed(ops), reversed(_coefficients(ops, sign=-1.0))))
-    for rows in _row_blocks(back):
-        b = back[rows]
+    for rows in _row_blocks(bra):
+        b = bra[rows]
         # the ket is only consumed by the rotations' derivative vdots
         ket = final_states[rows].copy() if need_theta else None
         for op, u in steps:
@@ -269,7 +268,7 @@ def adjoint_sweep(ops, final_states, bra, num_params=0, need_theta=True):
                     dtheta[op.slot] += np.vdot(b, pk).imag
                 _apply_op(op, u, ket)
             _apply_op(op, u, b)
-    return dtheta, back
+    return dtheta, bra
 
 
 # ---------------------------------------------------------------------------

@@ -217,7 +217,7 @@ def adam_step(params: list, grads: list, state: AdamState, cfg: TrainConfig) -> 
 
 @dataclass
 class RunMetrics:
-    # dicts: epoch, phase, train_loss, train_acc, val_acc, mean_residual, backward_unconverged, unconverged
+    # dicts: epoch, phase, train_loss, train_acc, val_acc, mean_residual, unconverged
     epochs: list = field(default_factory=list)
     test_acc: float = 0.0
     test_residual: float = 0.0
@@ -293,7 +293,7 @@ def train(bundle: DataBundle, model: QuantumModel, head: ClassifierHead, cfg: Tr
         residuals = []
         correct = 0
         diverged = 0
-        unconverged = backward_unconverged = 0
+        unconverged = 0
         epoch_phase = None
         for start in range(0, n_train, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
@@ -310,8 +310,7 @@ def train(bundle: DataBundle, model: QuantumModel, head: ClassifierHead, cfg: Tr
                 residuals.append(residual)
                 logits, mask = head_forward_batch(head, z, train_mode=True, rng=dropout_rng)
                 loss, dlogits = cross_entropy_batch(logits, yb)
-                dtheta, batch_backward_unconverged = backward((dlogits @ head.weight) * mask)
-                backward_unconverged += batch_backward_unconverged
+                dtheta = backward((dlogits @ head.weight) * mask)
                 if (
                     phase == IMPLICIT
                     and cfg.jac_loss_weight > 0.0
@@ -346,7 +345,6 @@ def train(bundle: DataBundle, model: QuantumModel, head: ClassifierHead, cfg: Tr
             "train_acc": 100.0 * correct / n_train,
             "val_acc": val_acc,
             "mean_residual": float(np.concatenate(residuals).mean()) if residuals else float("nan"),
-            "backward_unconverged": backward_unconverged,
             "unconverged": unconverged,
         }
         metrics.epochs.append(row)

@@ -212,13 +212,6 @@ class TestTrainEval:
         assert len(epoch_lines) == 2
         assert all(re.search(r" unconverged \d+$", line) for line in epoch_lines)
 
-    def test_train_log_reports_backward_unconverged_rows(self, tmp_path, smoke_config, digits_data_dir, capsys):
-        args = ["--config", str(smoke_config), "--data-dir", str(digits_data_dir), "--output-dir", str(tmp_path)]
-        assert main(["train", *args]) == 0
-        epoch_lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("epoch")]
-        assert len(epoch_lines) == 2
-        assert all(re.search(r" backward_unconverged \d+ unconverged \d+$", line) for line in epoch_lines)
-
     def test_eval_on_empty_split_exits_one(self, tmp_path, capsys):
         data = tmp_path / "data"
         synthdata.write_mnist(data, 0, train_per_class=5, test_per_class=0)

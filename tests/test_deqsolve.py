@@ -40,6 +40,10 @@ class LinearLayer:
         dth = (C @ self.B).sum(axis=0) if need_theta else None
         return dz, dth
 
+    def jacobian_factors(self, Z, X, prepared=None):
+        n = self.A.shape[0]
+        return np.eye(n), np.broadcast_to(self.A, (np.atleast_2d(Z).shape[0], n, n))
+
 
 def _spectral_scale(rng, n, radius):
     A = rng.normal(size=(n, n))
@@ -146,16 +150,8 @@ class TestImplicitBackward:
         model = build_default_model("amplitude", 2, 4, seed=3, random_ops=8)
         x = np.array([0.9, 0.3, 0.4, 0.1])
         res = forward_fixed_point_batch(model, x[None])
-        dtheta, _ = implicit_backward_batch(model, x[None], res.z_star, np.zeros((1, 4)))
+        dtheta = implicit_backward_batch(model, x[None], res.z_star, np.zeros((1, 4)))
         assert np.array_equal(dtheta, np.zeros(model.num_params))
-
-    def test_diagnostics_report_adjoint_convergence_per_row(self):
-        layer = LinearLayer(0.5 * np.eye(3), np.eye(3), np.zeros(3))
-        lg = np.random.default_rng(4).normal(size=(2, 3))
-        _, diag = implicit_backward_batch(layer, np.zeros((2, 3)), np.zeros((2, 3)), lg)
-        assert sorted(diag) == ["backward_converged", "backward_residual"]
-        assert diag["backward_converged"].tolist() == [True, True]
-        assert diag["backward_residual"].shape == (2,)
 
     def test_linear_layer_closed_form(self):
         rng = np.random.default_rng(5)
@@ -166,9 +162,7 @@ class TestImplicitBackward:
         x = rng.normal(size=n)
         lg = rng.normal(size=n)
         res = forward_fixed_point_batch(layer, x[None], BroydenConfig(max_steps=60, abs_tol=1e-12))
-        dtheta, _ = implicit_backward_batch(
-            layer, x[None], res.z_star, lg[None], BroydenConfig(max_steps=60, abs_tol=1e-13)
-        )
+        dtheta = implicit_backward_batch(layer, x[None], res.z_star, lg[None])
         closed = B.T @ np.linalg.solve(np.eye(n) - A.T, lg)
         assert np.abs(dtheta - closed).max() < 1e-8
 
@@ -178,30 +172,42 @@ class TestImplicitBackward:
         x = np.array([0.9, 0.3, 0.4, 0.1])
         res = forward_fixed_point_batch(model, x[None])
         lg = np.random.default_rng(6).normal(size=(1, 4))
-        dtheta, _ = implicit_backward_batch(model, x[None], res.z_star, lg)
+        dtheta = implicit_backward_batch(model, x[None], res.z_star, lg)
         unrolled = unroll_backward_batch(model, x[None], direct_unroll_batch(model, x[None], 60), lg)
         rel = np.linalg.norm(dtheta - unrolled) / np.linalg.norm(unrolled)
         assert rel < 1e-3
 
-    def test_adjoint_blowup_raises_solver_diverged(self):
-        # vjp explodes outside a ball that the Broyden iterates must cross:
-        # the adjoint solve must raise, not return an unconverged answer
-        rng = np.random.default_rng(7)
-        n = 4
-        A = 0.475 * np.eye(n)
-        lg = rng.normal(size=n)
-        limit = 1.6 * np.linalg.norm(lg)
-
-        class Guarded(LinearLayer):
-            def backward_batch(self, Z, X, C, need_z=True, need_theta=True, prepared=None):
-                if need_z and np.linalg.norm(C) > limit:
-                    return np.full_like(C, np.nan), None
-                return super().backward_batch(Z, X, C, need_z, need_theta, prepared)
-
-        layer = Guarded(A, np.eye(n), np.zeros(n))
-        z_star = np.zeros(n)
+    def test_singular_adjoint_system_raises_solver_diverged(self):
+        # J = I leaves I - J^T singular: the backward must raise, not return a gradient
+        layer = LinearLayer(np.eye(3), np.eye(3), np.zeros(3))
+        lg = np.random.default_rng(7).normal(size=(2, 3))
         with pytest.raises(SolverDivergedError):
-            implicit_backward_batch(layer, np.zeros((1, n)), z_star[None], lg[None])
+            implicit_backward_batch(layer, np.zeros((2, 3)), np.zeros((2, 3)), lg)
+
+    @pytest.mark.parametrize(
+        "encoding, num_qubits, input_dim",
+        [("amplitude", 4, 16), ("angle", 4, 16), ("amplitude", 10, 100)],
+    )
+    def test_adjoint_solves_its_linear_system(self, encoding, num_qubits, input_dim, monkeypatch):
+        # the cotangent q handed to the final theta-sweep satisfies q - J^T q = g
+        rng = np.random.default_rng(15)
+        model = build_default_model(encoding, num_qubits, input_dim, seed=3)
+        X = rng.uniform(0.1, 1.0, size=(3, input_dim))
+        Z = 0.1 * rng.normal(size=X.shape)
+        G = rng.normal(size=X.shape)
+        sweeps = []
+        original = model.backward_batch
+
+        def recording(Z, X, C, **kwargs):
+            sweeps.append(C)
+            return original(Z, X, C, **kwargs)
+
+        monkeypatch.setattr(model, "backward_batch", recording)
+        dtheta = implicit_backward_batch(model, X, Z, G)
+        (q,) = sweeps
+        assert np.array_equal(dtheta, original(Z, X, q, need_z=False)[1])
+        residual = q - original(Z, X, q, need_theta=False)[0] - G
+        assert np.abs(residual).max() <= 1e-12 * np.abs(G).max()
 
     def test_implicit_explicit_agreement_on_contractions(self):
         # random Lipschitz <= 0.9 linear layers: implicit matches 60-layer unroll
@@ -214,7 +220,7 @@ class TestImplicitBackward:
             lg = rng.normal(size=n)
             cfg = BroydenConfig(max_steps=50, abs_tol=1e-12)
             res = forward_fixed_point_batch(layer, x[None], cfg)
-            dtheta, _ = implicit_backward_batch(layer, x[None], res.z_star, lg[None], cfg)
+            dtheta = implicit_backward_batch(layer, x[None], res.z_star, lg[None])
             unrolled = unroll_backward_batch(layer, x[None], direct_unroll_batch(layer, x[None], 60), lg[None])
             rel = np.linalg.norm(dtheta - unrolled) / max(np.linalg.norm(unrolled), 1e-12)
             assert rel < 1e-3

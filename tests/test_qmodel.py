@@ -177,6 +177,24 @@ class TestReversePasses:
         assert np.abs(summed_theta - single_theta).max() < 1e-10
 
 
+class TestJacobianFactors:
+    @pytest.mark.parametrize(
+        "encoding, num_qubits, input_dim",
+        [("amplitude", 4, 16), ("angle", 4, 16), ("amplitude", 10, 100)],
+    )
+    def test_factors_reproduce_the_vjp(self, encoding, num_qubits, input_dim):
+        # J_b = S D_b, so J_b^T c = D_b^T S^T c must be the backward pass's dZ
+        rng = np.random.default_rng(14)
+        model = build_default_model(encoding, num_qubits, input_dim, seed=3)
+        X = rng.uniform(0.1, 1.0, size=(3, input_dim))
+        Z = 0.1 * rng.normal(size=X.shape)
+        C = rng.normal(size=X.shape)
+        S, D = model.jacobian_factors(Z, X)
+        assert S.shape == (input_dim, num_qubits) and D.shape == (3, num_qubits, input_dim)
+        vjp = model.backward_batch(Z, X, C, need_theta=False)[0]
+        assert np.abs(np.einsum("bkn,bk->bn", D, C @ S) - vjp).max() <= 1e-12 * np.abs(vjp).max()
+
+
 class TestAngleEncoderAgainstGates:
     """The product-state encoder and its vjp against the gate-by-gate adjoint."""
 

@@ -318,7 +318,7 @@ class TestRowBlocks:
         finally:
             tracemalloc.stop()
         assert apply_peak < 0.5 * states.nbytes
-        assert sweep_peak < 1.5 * states.nbytes
+        assert sweep_peak < 0.5 * states.nbytes
 
 
 class TestRandomLayer:

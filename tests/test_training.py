@@ -472,32 +472,6 @@ class TestTrainLoop:
         metrics, _ = train(small_bundle, model, head, cfg, BroydenConfig(max_steps=1))
         assert metrics.epochs[0]["unconverged"] == 0
 
-    @pytest.mark.parametrize("solver_mode", ["implicit", "direct_2"])
-    def test_one_step_broyden_adjoint_rows_unconverged(self, small_bundle, solver_mode):
-        # one Broyden step leaves adjoint rows above abs_tol; unrolls solve no adjoint system
-        cfg = _quick_config(epochs=1, warmup_steps=0, solver_mode=solver_mode)
-        model, head = build_from_config(cfg)
-        metrics, _ = train(small_bundle, model, head, cfg, BroydenConfig(max_steps=1))
-        count = metrics.epochs[0]["backward_unconverged"]
-        assert count > 0 if solver_mode == "implicit" else count == 0
-
-    @pytest.mark.parametrize("broyden", [BroydenConfig(), BroydenConfig(max_steps=2)], ids=["default", "two-steps"])
-    def test_backward_unconverged_count_matches_adjoint_solves(self, small_bundle, monkeypatch, broyden):
-        solves = []
-        original = deqsolve.implicit_backward_batch
-
-        def recording_backward(*args, **kwargs):
-            dtheta, diagnostics = original(*args, **kwargs)
-            solves.append(int((~diagnostics["backward_converged"]).sum()))
-            return dtheta, diagnostics
-
-        monkeypatch.setattr(deqsolve, "implicit_backward_batch", recording_backward)
-        cfg = _quick_config(epochs=1, warmup_steps=0, solver_mode="implicit")
-        model, head = build_from_config(cfg)
-        metrics, adam = train(small_bundle, model, head, cfg, broyden)
-        assert len(solves) == adam.t == math.ceil(small_bundle.x_train.shape[0] / cfg.batch_size)
-        assert metrics.epochs[0]["backward_unconverged"] == sum(solves)
-
     def test_untrained_model_near_chance(self):
         # labels drawn independently of the features: any classifier sits at 25%
         bundle = synthetic_bundle(n_train=40, n_test=2000)
