@@ -176,11 +176,10 @@ def verify_contraction_bound(model, num_pairs: int, seed: int = 0) -> BoundRepor
     else:
         z, w = _angle_pairs(rng, num_pairs, model.num_qubits)
     zeros = np.zeros_like(z)
-    prep_z = model.prepare(z, zeros)
-    prep_w = model.prepare(w, zeros)
+    final_z, final_w = model.prepare(z, zeros), model.prepare(w, zeros)
     diags = model.ensemble.diagonals(model.num_qubits)
-    delta = np.abs(expect_batch(prep_z.states, diags) - expect_batch(prep_w.states, diags))
-    overlap = _overlaps(prep_z.states, prep_w.states)
+    delta = np.abs(expect_batch(final_z, diags) - expect_batch(final_w, diags))
+    overlap = _overlaps(final_z, final_w)
     tdist = np.sqrt(np.clip(1.0 - overlap**2, 0.0, None))
     factor = 2.0 if model.ensemble.kind == PAULI_Z else 1.0
     margin = factor * tdist[:, None] - delta

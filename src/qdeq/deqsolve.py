@@ -13,7 +13,8 @@ penalty with its theta-gradient.
 Residuals are reported in relative form ||f(z) - z|| / (||f(z)|| + 1e-9).
 
 The solvers and unrolls work on batches only: z, x and cotangents are (B, n)
-arrays, and a single sample is a one-row batch.
+arrays, and a single sample is a one-row batch. The theta-gradient is linear
+in the rows, so each backward computation makes one stacked theta-call.
 """
 from __future__ import annotations
 
@@ -32,11 +33,9 @@ class FixedPointLayer(Protocol):
 
     def forward_batch(self, Z, X): ...
 
-    def prepare(self, Z, X): ...
+    def backward_batch(self, Z, X, cotangents, need_z=True, need_theta=True): ...
 
-    def backward_batch(self, Z, X, cotangents, need_z=True, need_theta=True, prepared=None): ...
-
-    def jacobian_factors(self, Z, X, prepared=None): ...
+    def jacobian_factors(self, Z, X): ...
 
 
 @dataclass(frozen=True)
@@ -166,8 +165,7 @@ def implicit_backward_batch(model: FixedPointLayer, X: np.ndarray, Z_star, loss_
     non-finite q raises SolverDivergedError.
     """
     G = np.asarray(loss_grads, dtype=np.float64)
-    prep = model.prepare(Z_star, X)
-    S, D = model.jacobian_factors(Z_star, X, prepared=prep)
+    S, D = model.jacobian_factors(Z_star, X)
     try:
         Y = np.linalg.solve(np.eye(S.shape[1]) - np.einsum("nk,bjn->bkj", S, D), (G @ S)[..., None])
     except np.linalg.LinAlgError as exc:
@@ -175,20 +173,20 @@ def implicit_backward_batch(model: FixedPointLayer, X: np.ndarray, Z_star, loss_
     Q = G + np.einsum("bkn,bk->bn", D, Y[..., 0])
     if not np.isfinite(Q).all():
         raise SolverDivergedError("non-finite adjoint values", step=0)
-    return model.backward_batch(Z_star, X, Q, need_z=False, prepared=prep)[1]
+    return model.backward_batch(Z_star, X, Q, need_z=False)[1]
 
 
 def unroll_backward_batch(model: FixedPointLayer, X: np.ndarray, iterates, loss_grads) -> np.ndarray:
-    """Reverse accumulation through stored unroll iterates (weight-tied theta)."""
-    dtheta = np.zeros(model.num_params)
-    C = np.asarray(loss_grads, dtype=np.float64)
-    for i in range(len(iterates) - 1, 0, -1):
-        need_z = i > 1
-        dZ, dth = model.backward_batch(iterates[i - 1], X, C, need_z=need_z)
-        dtheta += dth
-        if need_z:
-            C = dZ
-    return dtheta
+    """Reverse accumulation through stored unroll iterates (weight-tied theta).
+
+    The cotangents chain back with dZ-only passes; then one theta-call over
+    the L layers' stacked inputs and cotangents gives the sum over layers.
+    """
+    cots = [np.asarray(loss_grads, dtype=np.float64)]
+    for Z in iterates[-2:0:-1]:
+        cots.append(model.backward_batch(Z, X, cots[-1], need_theta=False)[0])
+    stacked = np.concatenate(iterates[-2::-1])
+    return model.backward_batch(stacked, np.tile(X, (len(cots), 1)), np.concatenate(cots), need_z=False)[1]
 
 
 def direct_unroll_batch(model: FixedPointLayer, X: np.ndarray, depth: int) -> list:
@@ -228,10 +226,9 @@ def jacobian_frobenius_batch(model: FixedPointLayer, Z, X, probes: np.ndarray) -
     ``probes`` has shape (P, B, n) with +-1 entries; the estimate is the probe
     mean of ||J^T eps||^2, unbiased for the squared Frobenius norm.
     """
-    prep = model.prepare(Z, X)
     total = np.zeros(probes.shape[1])
     for eps in probes:
-        jt = model.backward_batch(Z, X, eps, need_theta=False, prepared=prep)[0]
+        jt = model.backward_batch(Z, X, eps, need_theta=False)[0]
         total += np.einsum("bn,bn->b", jt, jt)
     return total / probes.shape[0]
 
@@ -241,15 +238,15 @@ def jacobian_penalty_batch(model: FixedPointLayer, Z, X, E):
 
     E is one (B, n) Rademacher probe; one vjp gives V = J_z^T E. With V held
     fixed, grad ||v||^2 = 2 grad <eps, J_z v> = 2 d/dt grad <eps, f(z + t v)>
-    at t = 0: a central difference in z of the adjoint theta-gradient, two
-    backward passes over the B rows, so theta itself is never perturbed.
+    at t = 0: a central difference in z of the adjoint theta-gradient. It is
+    one theta-call over the stacked rows [z + h v; z - h v] with cotangents
+    [eps; -eps], so theta itself is never perturbed.
     """
     V = model.backward_batch(Z, X, E, need_theta=False)[0]
     hV = _PENALTY_FD_STEP * V
-    dtheta = (
-        model.backward_batch(Z + hV, X, E, need_z=False)[1]
-        - model.backward_batch(Z - hV, X, E, need_z=False)[1]
-    )
+    dtheta = model.backward_batch(
+        np.concatenate([Z + hV, Z - hV]), np.concatenate([X, X]), np.concatenate([E, -E]), need_z=False
+    )[1]
     rows = E.shape[0]
     return float(np.einsum("bn,bn->", V, V)) / rows, dtheta / (_PENALTY_FD_STEP * rows)
 

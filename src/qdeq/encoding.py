@@ -58,12 +58,8 @@ def amplitude_encode(x: np.ndarray, num_qubits: int) -> StateVector:
     return StateVector(num_qubits, states[0])
 
 
-def amplitude_encode_batch(X: np.ndarray, num_qubits: int):
-    """(B, n) -> complex states (B, 2**Q) plus the row norms used."""
-    X = np.asarray(X, dtype=np.float64)
-    dim = 1 << num_qubits
-    if X.shape[1] > dim:
-        raise DimensionError(f"{X.shape[1]} entries exceed 2**{num_qubits} amplitudes")
+def amplitude_normalize(X: np.ndarray):
+    """(B, n) float64 -> the real unit rows X / |X| (the occupied amplitudes) and the norms used."""
     norms = np.linalg.norm(X, axis=1)
     bad = np.flatnonzero(norms <= _DEGENERATE_NORM)
     if bad.size:
@@ -71,16 +67,26 @@ def amplitude_encode_batch(X: np.ndarray, num_qubits: int):
             f"cannot amplitude-encode (near-)zero vectors at rows {bad.tolist()}",
             rows=bad,
         )
+    return X / norms[:, None], norms
+
+
+def amplitude_encode_batch(X: np.ndarray, num_qubits: int):
+    """(B, n) -> complex states (B, 2**Q) plus the row norms used."""
+    X = np.asarray(X, dtype=np.float64)
+    dim = 1 << num_qubits
+    if X.shape[1] > dim:
+        raise DimensionError(f"{X.shape[1]} entries exceed 2**{num_qubits} amplitudes")
+    unit, norms = amplitude_normalize(X)
     states = np.zeros((X.shape[0], dim), dtype=np.complex128)
-    states[:, : X.shape[1]] = X / norms[:, None]
+    states[:, : X.shape[1]] = unit
     return states, norms
 
 
 def amplitude_encode_vjp(X: np.ndarray, norms: np.ndarray, bra: np.ndarray) -> np.ndarray:
     """Chain the complex amplitude cotangent back to the real pre-encode vector.
 
-    ``bra`` is dE/d(conj(amplitudes)); with phi = pad(x)/|x| the real gradient is
-    dE/dx_b = w_b/|x| - x_b (w . x)/|x|^3 over the first n entries, w = 2 Re(bra).
+    ``bra`` is dE/d(conj(amplitudes)), of width n or 2**Q; with phi = pad(x)/|x| the real
+    gradient is dE/dx_b = w_b/|x| - x_b (w . x)/|x|^3 over the first n entries, w = 2 Re(bra).
     """
     n = X.shape[1]
     w = 2.0 * bra.real[:, :n]

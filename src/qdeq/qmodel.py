@@ -2,7 +2,9 @@
 
 A model maps an iterate z and input x to upsample(<M_k>) of the state
 U(theta)|encode(z + x)>. Forward and reverse passes work on (B, n) batches of
-samples only; a single sample is a one-row batch.
+samples only; a single sample is a one-row batch. The forward pass runs the
+gate kernels on the B states; the reverse passes use the K readout forms on
+the d basis rows that encoded states occupy (``_compiled``), never the B rows.
 
 Circuit builders follow the 4-qubit block (seeded random layer, then a
 trainable RY wall, RZ wall, CNOT ring, RY wall) and its 10-qubit staircase
@@ -11,7 +13,6 @@ extension (4-qubit blocks at qubit offsets 0, 2, 4, 6).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -38,15 +39,6 @@ from .simcore import (
 )
 
 
-class Prepared(NamedTuple):
-    """Cached forward pass at fixed (Z, X), reused by ``jacobian_factors`` and the backward sweeps."""
-
-    combined: np.ndarray  # z + x, shape (B, n)
-    norms: Optional[np.ndarray]  # pre-encode norms (amplitude encoding only)
-    states: np.ndarray  # final states (B, 2**Q)
-    ops: list
-
-
 @dataclass
 class QuantumModel:
     encoding: enc.EncodingSpec
@@ -68,6 +60,7 @@ class QuantumModel:
         if self.upsample.target_dim != self.encoding.input_dim:
             raise DimensionError("upsample target dim must equal encoding input dim")
         self.ensemble.diagonals(self.circuit.num_qubits)  # validates sites
+        self._compiled_at = None  # (theta copy, ops, V, H) from ``_compiled``
 
     # -- shape helpers -----------------------------------------------------
 
@@ -94,68 +87,83 @@ class QuantumModel:
 
     # -- forward -----------------------------------------------------------
 
-    def prepare(self, Z: np.ndarray, X: np.ndarray) -> Prepared:
-        """Run encode + circuit for a batch, keeping what the sweep needs."""
+    def prepare(self, Z: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """The final states U(theta)|encode(z + x)>, shape (B, 2**Q), from the gate kernels."""
         combined = enc.inject(Z, X)
-        ops = resolve_circuit(self.circuit, self.theta)
         if self.encoding.kind == enc.AMPLITUDE:
-            states, norms = enc.amplitude_encode_batch(combined, self.num_qubits)
+            states = enc.amplitude_encode_batch(combined, self.num_qubits)[0]
         else:
-            states, norms = enc.angle_encode_batch(combined, self.num_qubits), None
-        apply_ops(ops, states)
-        return Prepared(combined, norms, states, ops)
+            states = enc.angle_encode_batch(combined, self.num_qubits)
+        return apply_ops(resolve_circuit(self.circuit, self.theta), states)
 
     def forward_batch(self, Z: np.ndarray, X: np.ndarray) -> np.ndarray:
         diags = self.ensemble.diagonals(self.num_qubits)
-        return upsample_batch(expect_batch(self.prepare(Z, X).states, diags), self.upsample)
+        return upsample_batch(expect_batch(self.prepare(Z, X), diags), self.upsample)
 
     # -- reverse -----------------------------------------------------------
 
-    def backward_batch(
-        self,
-        Z: np.ndarray,
-        X: np.ndarray,
-        cotangents: np.ndarray,
-        need_z: bool = True,
-        need_theta: bool = True,
-        prepared: Optional[Prepared] = None,
-    ):
-        """(dZ, dtheta) for sum_b cotangent_b . forward(z_b, x_b).
+    def _compiled(self):
+        """(ops, V, H) at theta, rebuilt when theta's values differ from the cached copy.
 
-        dZ is per sample; dtheta is summed over the batch (scale cotangents by
-        1/B upstream for a batch mean).
+        V (d, 2**Q) is U(theta) on the d basis rows that encoded states occupy (d = n for
+        amplitude, 2**Q for angle encoding), so a row psi ends as psi @ V. H (d, K*d) stacks
+        H_k = V diag(m_k) V^dagger: <M_k> = psi H_k psi^dagger (only Re H_k for real amplitude
+        rows). Values key the cache, because the optimizer and checkpoint loads write theta in place.
         """
-        prep = prepared if prepared is not None else self.prepare(Z, X)
-        diags = self.ensemble.diagonals(self.num_qubits)
-        chat = upsample_transpose_batch(np.atleast_2d(cotangents), self.upsample)
-        bra = (chat @ diags) * prep.states
-        dtheta, back = adjoint_sweep(
-            prep.ops, prep.states, bra, num_params=self.num_params, need_theta=need_theta
-        )
-        dZ = self._encode_vjp(prep, back) if need_z else None
-        return dZ, (dtheta if need_theta else None)
+        if self._compiled_at is None or not np.array_equal(self._compiled_at[0], self.theta):
+            ops = resolve_circuit(self.circuit, self.theta)
+            d = self.input_dim if self.encoding.kind == enc.AMPLITUDE else 1 << self.num_qubits
+            V = apply_ops(ops, np.eye(d, 1 << self.num_qubits, dtype=np.complex128))
+            diags = self.ensemble.diagonals(self.num_qubits)
+            if self.encoding.kind == enc.AMPLITUDE:
+                Vf = V.view(np.float64)  # real and imaginary parts interleaved
+                H = [(Vf * np.repeat(m, 2)) @ Vf.T for m in diags]
+            else:
+                H = [(V * m) @ V.conj().T for m in diags]
+            self._compiled_at = (self.theta.copy(), ops, V, np.stack(H, axis=1).reshape(d, -1))
+        return self._compiled_at[1:]
 
-    def jacobian_factors(self, Z: np.ndarray, X: np.ndarray, prepared: Optional[Prepared] = None):
+    def _encode(self, Z, X):
+        """(encoded rows psi of width d, the vjp chaining a complex cotangent on psi back to z + x)."""
+        combined = enc.inject(Z, X)
+        if self.encoding.kind == enc.AMPLITUDE:
+            psi, norms = enc.amplitude_normalize(combined)
+            return psi, lambda bra: enc.amplitude_encode_vjp(combined, norms, bra)
+        return enc.angle_encode_batch(combined, self.num_qubits), lambda bra: enc.angle_encode_vjp(combined, bra)
+
+    def backward_batch(self, Z, X, cotangents, need_z: bool = True, need_theta: bool = True):
+        """(dZ, dtheta) for sum_b cotangent_b . forward(z_b, x_b), from the forms of ``_compiled``.
+
+        With chat = S^T c, dZ is the encoder vjp of sum_k chat_bk psi_b H_k. dtheta
+        is summed over the batch (scale cotangents by 1/B upstream for a batch
+        mean). The objective is sum_k tr(H_k^T R_k) with R_k = sum_b chat_bk
+        psi_b^T conj(psi_b), so one adjoint sweep over the d rows of V, with bra
+        sum_k (R_k^T V) * m_k, gives it whatever B is.
+        """
+        ops, V, H = self._compiled()
+        psi, encode_vjp = self._encode(Z, X)
+        chat = upsample_transpose_batch(np.atleast_2d(cotangents), self.upsample)
+        dZ = dtheta = None
+        if need_z:
+            dZ = encode_vjp(np.einsum("bk,bkd->bd", chat, (psi @ H).reshape(chat.shape + (-1,))))
+        if need_theta:
+            bra, rows = np.zeros_like(V), psi.conj().T
+            for c, m in zip(chat.T, self.ensemble.diagonals(self.num_qubits)):
+                Rt = rows @ (c[:, None] * psi)  # R_k^T; real for amplitude rows, so a real matmul
+                bra += m * ((Rt @ V.view(np.float64)).view(np.complex128) if Rt.dtype.kind == "f" else Rt @ V)
+            dtheta = adjoint_sweep(ops, V, bra, num_params=self.num_params)[0]
+        return dZ, dtheta
+
+    def jacobian_factors(self, Z: np.ndarray, X: np.ndarray):
         """(S, D) with d forward(z_b, x_b) / d z_b = S @ D[b], of rank K.
 
         S is the (n, K) upsample matrix. Row k of D[b] (shape (B, K, n)) is
-        readout k's input cotangent U^dagger M_k U psi_b chained through the
-        encoder vjp; U^dagger is read from the d columns of U that encoded
-        states occupy (the first n for amplitude encoding, all 2**Q for angle).
+        readout k's input cotangent psi_b H_k chained through the encoder vjp.
         """
-        prep = prepared if prepared is not None else self.prepare(Z, X)
-        dim = 1 << self.num_qubits
-        d = self.input_dim if self.encoding.kind == enc.AMPLITUDE else dim
-        cols = apply_ops(prep.ops, np.eye(d, dim, dtype=np.complex128)).conj().T
-        diags = self.ensemble.diagonals(self.num_qubits)
-        D = np.stack([self._encode_vjp(prep, prep.states @ (m[:, None] * cols)) for m in diags], axis=1)
+        psi, encode_vjp = self._encode(Z, X)
+        PH = (psi @ self._compiled()[2]).reshape(len(psi), self.ensemble.size, -1)
+        D = np.stack([encode_vjp(PH[:, k]) for k in range(self.ensemble.size)], axis=1)
         return upsample_batch(np.eye(self.ensemble.size), self.upsample).T, D
-
-    def _encode_vjp(self, prep: Prepared, bra: np.ndarray) -> np.ndarray:
-        """Chain a complex input-state cotangent back to the real z + x."""
-        if self.encoding.kind == enc.AMPLITUDE:
-            return enc.amplitude_encode_vjp(prep.combined, prep.norms, bra)
-        return enc.angle_encode_vjp(prep.combined, bra)
 
 
 # ---------------------------------------------------------------------------

@@ -246,13 +246,13 @@ def apply_ops(ops, states):
 
 
 def adjoint_sweep(ops, final_states, bra, num_params=0, need_theta=True):
-    """Reverse sweep computing d(Re<bra|ket>)-style rotation derivatives.
+    """Reverse sweep: dtheta_j = sum over rows of 2 Re<bra, d ket / d theta_j>, bra held fixed.
 
-    ``final_states`` is the ket after all ops; ``bra`` is M_total |ket> (the
-    expectation cotangent), swept in place: it is overwritten and returned.
-    Returns (dtheta summed over the batch, back-propagated bra). The returned
-    bra equals U^dagger M_total U |input>, i.e. dE/d(conj(amplitude)) at the
-    input state; the encodings' vjps chain it back to the real pre-encode vector.
+    ``final_states`` holds the kets after all ops; ``bra`` is swept in place:
+    it is overwritten and returned. Returns (dtheta, U^dagger bra). With
+    bra = M_total |ket> that is the expectation's gradient and
+    dE/d(conj(amplitude)) at the input state (``adjoint_gradients``). The
+    model passes the d basis rows U|e_i> and a bra built from its batch.
     """
     dtheta = np.zeros(num_params)
     steps = list(zip(reversed(ops), reversed(_coefficients(ops, sign=-1.0))))

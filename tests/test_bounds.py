@@ -134,10 +134,10 @@ class TestContractionBound:
     def test_identical_inputs_zero_delta(self):
         model = build_default_model("amplitude", 2, 4, seed=0, random_ops=6)
         z = np.array([[0.5, 0.5, 0.5, 0.5]])
-        prep = model.prepare(z, np.zeros_like(z))
+        final = model.prepare(z, np.zeros_like(z))
         from qdeq.measurement import expect_batch
 
-        e = expect_batch(prep.states, model.ensemble.diagonals(2))
+        e = expect_batch(final, model.ensemble.diagonals(2))
         assert np.abs(e - e).max() == 0.0
 
     def test_saturating_orthogonal_pair(self):

@@ -28,19 +28,16 @@ class LinearLayer:
         self.num_params = self.theta.shape[0]
         self.input_dim = self.A.shape[0]
 
-    def prepare(self, Z, X):
-        return None
-
     def forward_batch(self, Z, X):
         return np.atleast_2d(Z) @ self.A.T + self.theta @ self.B.T + np.atleast_2d(X)
 
-    def backward_batch(self, Z, X, C, need_z=True, need_theta=True, prepared=None):
+    def backward_batch(self, Z, X, C, need_z=True, need_theta=True):
         C = np.atleast_2d(C)
         dz = C @ self.A if need_z else None
         dth = (C @ self.B).sum(axis=0) if need_theta else None
         return dz, dth
 
-    def jacobian_factors(self, Z, X, prepared=None):
+    def jacobian_factors(self, Z, X):
         n = self.A.shape[0]
         return np.eye(n), np.broadcast_to(self.A, (np.atleast_2d(Z).shape[0], n, n))
 
@@ -268,10 +265,7 @@ class TestJacobianFrobenius:
             num_params = 0
             input_dim = 16
 
-            def prepare(self, Z, X):
-                return None
-
-            def backward_batch(self, Z, X, C, need_z=True, need_theta=True, prepared=None):
+            def backward_batch(self, Z, X, C, need_z=True, need_theta=True):
                 return C, None
 
         probes = np.random.default_rng(0).integers(0, 2, size=(4, 1, 16)) * 2.0 - 1.0
@@ -283,10 +277,7 @@ class TestJacobianFrobenius:
             num_params = 0
             input_dim = 8
 
-            def prepare(self, Z, X):
-                return None
-
-            def backward_batch(self, Z, X, C, need_z=True, need_theta=True, prepared=None):
+            def backward_batch(self, Z, X, C, need_z=True, need_theta=True):
                 return np.zeros_like(C), None
 
         probes = np.random.default_rng(0).integers(0, 2, size=(3, 1, 8)) * 2.0 - 1.0

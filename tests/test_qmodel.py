@@ -4,6 +4,8 @@ import dataclasses
 import numpy as np
 import pytest
 
+from qdeq import deqsolve
+from qdeq import encoding as enc
 from qdeq.encoding import EncodingSpec, angle_encode
 from qdeq.errors import DimensionError
 from qdeq.measurement import ObservableEnsemble, UpsampleMap, upsample_transpose_batch
@@ -14,7 +16,11 @@ from qdeq.qmodel import (
     build_staircase10,
 )
 from qdeq.seeding import child_seed
-from qdeq.simcore import GateOp, ParamCircuit, StateVector, adjoint_gradients, parameter_shift_grad
+from qdeq.simcore import (
+    GateOp, ParamCircuit, StateVector, adjoint_gradients, adjoint_sweep, apply_ops, parameter_shift_grad,
+    resolve_circuit,
+)
+from qdeq.training import TrainConfig, build_from_config, load_checkpoint, save_checkpoint
 
 from conftest import dense_circuit
 
@@ -48,8 +54,6 @@ class TestForward:
             x = rng.uniform(0.1, 1.0, size=n)
             fast = model.forward_batch(z[None], x[None])[0]
             # dense oracle: encoded state, full unitary, diagonal expectations
-            prep = model.prepare(z[None], x[None])
-            psi0 = prep.states[0].copy()
             # rebuild the encoded (pre-circuit) state independently
             v = z + x
             if encoding == "amplitude":
@@ -136,7 +140,6 @@ class TestReversePasses:
         cot = rng.normal(size=16)
         _, grad = model.backward_batch(z[None], x[None], cot[None], need_z=False)
         # shift rule applies to the circuit expectations; chain upsample by hand
-        prep = model.prepare(z[None], x[None])
         input_state = StateVector(model.num_qubits, _pre_circuit_state(model, z, x))
         from qdeq.measurement import upsample_transpose_batch
 
@@ -195,6 +198,92 @@ class TestJacobianFactors:
         assert np.abs(np.einsum("bkn,bk->bn", D, C @ S) - vjp).max() <= 1e-12 * np.abs(vjp).max()
 
 
+def _gate_by_gate_backward(model, Z, X, C):
+    """(dZ, dtheta) from the circuit run on the B batch rows and one adjoint sweep over them."""
+    combined = Z + X
+    ops = resolve_circuit(model.circuit, model.theta)
+    if model.encoding.kind == "amplitude":
+        states, norms = enc.amplitude_encode_batch(combined, model.num_qubits)
+    else:
+        states = enc.angle_encode_batch(combined, model.num_qubits)
+    apply_ops(ops, states)
+    chat = upsample_transpose_batch(C, model.upsample)
+    bra = (chat @ model.ensemble.diagonals(model.num_qubits)) * states
+    dtheta, back = adjoint_sweep(ops, states, bra, num_params=model.num_params)
+    if model.encoding.kind == "amplitude":
+        return enc.amplitude_encode_vjp(combined, norms, back), dtheta
+    return enc.angle_encode_vjp(combined, back), dtheta
+
+
+def _rel(got, expected, scale=None):
+    return np.abs(got - expected).max() / np.abs(expected if scale is None else scale).max()
+
+
+SHAPES = [("amplitude", 4, 16), ("angle", 4, 16), ("amplitude", 10, 100)]
+
+
+class TestCompiledReverseAgainstGateByGate:
+    """The d-row reverse path of ``backward_batch`` against sweeping the B batch rows."""
+
+    def _batch(self, input_dim, rows=4, seed=21):
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(0.1, 1.0, size=(rows, input_dim))
+        return 0.1 * rng.normal(size=X.shape), X, rng.normal(size=X.shape)
+
+    @pytest.mark.parametrize("encoding, num_qubits, input_dim", SHAPES)
+    def test_dz_and_dtheta_match(self, encoding, num_qubits, input_dim):
+        model = build_default_model(encoding, num_qubits, input_dim, seed=3)
+        Z, X, C = self._batch(input_dim)
+        dZ, dtheta = model.backward_batch(Z, X, C)
+        ref_dZ, ref_dtheta = _gate_by_gate_backward(model, Z, X, C)
+        assert _rel(dZ, ref_dZ) <= 1e-12
+        assert _rel(dtheta, ref_dtheta) <= 1e-12
+
+    @pytest.mark.parametrize("encoding, num_qubits, input_dim", SHAPES[:2])
+    def test_stacked_unroll_equals_per_layer_sum(self, encoding, num_qubits, input_dim):
+        model = build_default_model(encoding, num_qubits, input_dim, seed=3)
+        _, X, G = self._batch(input_dim)
+        iterates = deqsolve.direct_unroll_batch(model, X, 5)
+        per_layer, C = np.zeros(model.num_params), G
+        for i in range(5, 0, -1):
+            C, dtheta = model.backward_batch(iterates[i - 1], X, C)
+            per_layer += dtheta
+        assert _rel(deqsolve.unroll_backward_batch(model, X, iterates, G), per_layer) <= 1e-12
+
+    @pytest.mark.parametrize("encoding, num_qubits, input_dim", SHAPES)
+    def test_stacked_penalty_equals_two_theta_calls(self, encoding, num_qubits, input_dim):
+        # the difference of the two calls cancels about four digits, so compare at their own scale
+        model = build_default_model(encoding, num_qubits, input_dim, seed=3)
+        Z, X, C = self._batch(input_dim)
+        E = np.sign(C)
+        _, dtheta = deqsolve.jacobian_penalty_batch(model, Z, X, E)
+        hV = deqsolve._PENALTY_FD_STEP * model.backward_batch(Z, X, E, need_theta=False)[0]
+        plus = model.backward_batch(Z + hV, X, E, need_z=False)[1]
+        minus = model.backward_batch(Z - hV, X, E, need_z=False)[1]
+        stacked = dtheta * deqsolve._PENALTY_FD_STEP * X.shape[0]
+        assert _rel(stacked, plus - minus, scale=plus) <= 1e-12
+
+    def test_theta_written_in_place_recompiles(self, tmp_path):
+        cfg = TrainConfig(dataset="mnist4", solver_mode="implicit", learning_rate=0.05, seed=42)
+        model, head = build_from_config(cfg)
+        Z, X, C = self._batch(model.input_dim)
+
+        def same_as_fresh(m):
+            fresh = dataclasses.replace(m, theta=m.theta.copy())
+            got, expected = m.backward_batch(Z, X, C), fresh.backward_batch(Z, X, C)
+            return all(a.tobytes() == b.tobytes() for a, b in zip(got, expected))
+
+        model.backward_batch(Z, X, C)
+        model.theta[3] += 0.1
+        assert same_as_fresh(model)
+        path = tmp_path / "checkpoint.json"
+        save_checkpoint(path, cfg, model, head)
+        loaded = load_checkpoint(path)[1]
+        assert same_as_fresh(loaded)
+        model.theta[:] = build_from_config(cfg)[0].theta  # what load_checkpoint does to its parameters
+        assert same_as_fresh(model)
+
+
 class TestAngleEncoderAgainstGates:
     """The product-state encoder and its vjp against the gate-by-gate adjoint."""
 
@@ -228,8 +317,6 @@ class TestAngleEncoderAgainstGates:
 
 
 def _pre_circuit_state(model, z, x):
-    from qdeq import encoding as enc
-
     v = z + x
     if model.encoding.kind == "amplitude":
         states, _ = enc.amplitude_encode_batch(v[None], model.num_qubits)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qdeq import deqsolve, training
+from qdeq import deqsolve, qmodel, training
 from qdeq.deqsolve import (
     BroydenConfig, direct_unroll_batch, jacobian_frobenius_batch, jacobian_penalty_batch, unroll_backward_batch,
 )
@@ -286,6 +286,31 @@ class TestTrainLoop:
             fd = (up - down) / (2 * eps)
             assert abs(dtheta[j] - fd) <= 1e-4 * max(1.0, abs(fd))
 
+    @pytest.mark.parametrize(
+        "encoding, solver_mode, jac_loss_weight, sweeps",
+        [("amplitude", "implicit", 0.0, 1), ("amplitude", "implicit", 0.5, 2), ("angle", "direct_5", 0.0, 1)],
+    )
+    def test_each_step_sweeps_only_the_basis_rows(
+        self, small_bundle, monkeypatch, encoding, solver_mode, jac_loss_weight, sweeps
+    ):
+        # every reverse pass of a step runs on the d = 16 basis rows, never on the 400 batch rows
+        rows = []
+        original = qmodel.adjoint_sweep
+
+        def recording(ops, final_states, bra, **kwargs):
+            rows.append(bra.shape[0])
+            return original(ops, final_states, bra, **kwargs)
+
+        monkeypatch.setattr(qmodel, "adjoint_sweep", recording)
+        cfg = _quick_config(
+            encoding=encoding, epochs=1, batch_size=small_bundle.x_train.shape[0], solver_mode=solver_mode,
+            warmup_steps=0, jac_loss_weight=jac_loss_weight, jac_loss_freq=1.0,
+        )
+        model, head = build_from_config(cfg)
+        _, adam = train(small_bundle, model, head, cfg)
+        assert adam.t == 1
+        assert rows == [16] * sweeps
+
     def test_jacobian_penalty_changes_gradient_path(self, small_bundle):
         cfg = _quick_config(
             epochs=1, warmup_steps=0, solver_mode="implicit",
@@ -307,7 +332,7 @@ class TestTrainLoop:
 
         def failing_backward(self, *args, **kwargs):
             calls.append(1)
-            if len(calls) == 3:  # the vjp, then the theta-gradients at z + h v and z - h v
+            if len(calls) == 2:  # the vjp, then one theta-gradient over the rows z + h v and z - h v
                 raise DegenerateInputError("probe failed", rows=np.array([0]))
             return original(self, *args, **kwargs)
 
@@ -315,7 +340,7 @@ class TestTrainLoop:
         xb = small_bundle.x_train[:8]
         with pytest.raises(DegenerateInputError):
             jacobian_penalty_batch(model, np.zeros_like(xb), xb, np.ones(xb.shape))
-        assert len(calls) == 3
+        assert len(calls) == 2
         assert model.theta.tobytes() == before.tobytes()
 
     @pytest.mark.parametrize(
