@@ -1,20 +1,19 @@
-"""Fixed-point forward pass, implicit backward pass, explicit unrolling, Jacobian penalty.
+"""Fixed-point forward pass, implicit backward pass with its Jacobian penalty, explicit unrolling.
 
 The forward pass solves g(z) = f(z; x) - z = 0 with a "good Broyden" solver:
 rank-one updates of an inverse-Jacobian estimate initialized to -I (the exact
 Jacobian of g for a locally constant f, so step one is a plain fixed-point
 step). The backward pass solves the adjoint linear system of the implicit
 function theorem exactly: f reads out K values, so J_b = S D_b has rank K and
-Woodbury's identity reduces the n x n system to one K x K solve per row.
-``solve_batch`` runs one training or evaluation batch through either solve or
-a weight-tied unroll, and ``jacobian_penalty_batch`` gives the Hutchinson
-penalty with its theta-gradient.
-
-Residuals are reported in relative form ||f(z) - z|| / (||f(z)|| + 1e-9).
+Woodbury's identity reduces the n x n system to one K x K solve per row. The
+same factors give the Jacobian penalty mean_b ||J_b||_F^2 exactly, and its
+theta-gradient joins the backward pass's one theta-sweep. ``solve_batch`` runs
+one training or evaluation batch through either solve or a weight-tied unroll.
 
 The solvers and unrolls work on batches only: z, x and cotangents are (B, n)
 arrays, and a single sample is a one-row batch. The theta-gradient is linear
 in the rows, so each backward computation makes one stacked theta-call.
+Residuals are reported in relative form ||f(z) - z|| / (||f(z)|| + 1e-9).
 """
 from __future__ import annotations
 
@@ -33,7 +32,7 @@ class FixedPointLayer(Protocol):
 
     def forward_batch(self, Z, X): ...
 
-    def backward_batch(self, Z, X, cotangents, need_z=True, need_theta=True): ...
+    def backward_batch(self, Z, X, cotangents, need_z=True, need_theta=True, tangents=None): ...
 
     def jacobian_factors(self, Z, X): ...
 
@@ -62,7 +61,6 @@ class BatchFixedPoint:
 
 
 _EPS = 1e-9
-_PENALTY_FD_STEP = 1e-4
 
 
 def _relative(diff, out):
@@ -156,13 +154,15 @@ def forward_fixed_point_batch(
     return broyden_root_batch(g, np.zeros_like(X), cfg)
 
 
-def implicit_backward_batch(model: FixedPointLayer, X: np.ndarray, Z_star, loss_grads) -> np.ndarray:
-    """Exact adjoint solve of the implicit function theorem; returns sum_b dtheta_b.
+def implicit_backward_batch(model: FixedPointLayer, X: np.ndarray, Z_star, loss_grads, jac_weight=0.0):
+    """Exact adjoint solve of the implicit function theorem; returns (sum_b dtheta_b, penalty).
 
     With J_b = S D_b from ``jacobian_factors``, (I - J_b^T) q_b = g_b has the
     Woodbury solution q_b = g_b + D_b^T (I_K - S^T D_b^T)^-1 S^T g_b: one
-    batched K x K solve, then one theta-sweep at q. A singular system or a
-    non-finite q raises SolverDivergedError.
+    batched K x K solve, then one theta-sweep at q. The penalty is the exact
+    mean_b ||J_b||_F^2 = mean_b <D_b, S^T S D_b>; ``jac_weight`` w > 0 adds w
+    times its theta-gradient to dtheta through the tangents (2w/B) S^T S D_b of
+    the same sweep. A singular system or a non-finite q raises SolverDivergedError.
     """
     G = np.asarray(loss_grads, dtype=np.float64)
     S, D = model.jacobian_factors(Z_star, X)
@@ -173,7 +173,10 @@ def implicit_backward_batch(model: FixedPointLayer, X: np.ndarray, Z_star, loss_
     Q = G + np.einsum("bkn,bk->bn", D, Y[..., 0])
     if not np.isfinite(Q).all():
         raise SolverDivergedError("non-finite adjoint values", step=0)
-    return model.backward_batch(Z_star, X, Q, need_z=False)[1]
+    SD = np.einsum("kj,bjn->bkn", S.T @ S, D)
+    tangents = (2.0 * jac_weight / len(D)) * SD if jac_weight else None
+    dtheta = model.backward_batch(Z_star, X, Q, need_z=False, tangents=tangents)[1]
+    return dtheta, float(np.einsum("bkn,bkn->", D, SD)) / len(D)
 
 
 def unroll_backward_batch(model: FixedPointLayer, X: np.ndarray, iterates, loss_grads) -> np.ndarray:
@@ -201,54 +204,24 @@ def direct_unroll_batch(model: FixedPointLayer, X: np.ndarray, depth: int) -> li
 
 
 def solve_batch(model: FixedPointLayer, X: np.ndarray, depth: int, cfg: BroydenConfig = BroydenConfig()):
-    """(z, per-sample residual, backward: dz -> dtheta, unconverged rows).
+    """(z, per-sample residual, backward: (dz, jac_weight) -> (dtheta, penalty), unconverged rows).
 
-    Depth 0 is the fixed-point solve and its implicit backward; unconverged
-    rows are those the Broyden solver left above ``abs_tol``. Depth L >= 1
-    unrolls L layers (one extra forward pass for the residual when L is 1)
-    and reports 0 unconverged rows.
+    Depth 0 is the fixed-point solve and its implicit backward with the
+    Jacobian penalty at z*; unconverged rows are those the Broyden solver left
+    above ``abs_tol``. Depth L >= 1 unrolls L layers (one extra forward pass
+    for the residual when L is 1) and reports 0 unconverged rows; with no fixed
+    point to penalize, its backward ignores ``jac_weight`` and returns 0 for it.
     """
     if depth == 0:
         fp = forward_fixed_point_batch(model, X, cfg)
-        unconverged = int(np.count_nonzero(~fp.converged))
-        return fp.z_star, fp.residual, lambda dz: implicit_backward_batch(model, X, fp.z_star, dz), unconverged
+        z, unconverged = fp.z_star, int(np.count_nonzero(~fp.converged))
+        return z, fp.residual, lambda dz, w: implicit_backward_batch(model, X, z, dz, w), unconverged
     iterates = direct_unroll_batch(model, X, depth)
     last, prev = iterates[-1], iterates[-2]
     if depth == 1:
         last, prev = model.forward_batch(last, X), last
     residual = _relative(last - prev, last)[0]
-    return iterates[-1], residual, lambda dz: unroll_backward_batch(model, X, iterates, dz), 0
-
-
-def jacobian_frobenius_batch(model: FixedPointLayer, Z, X, probes: np.ndarray) -> np.ndarray:
-    """Hutchinson estimates of ||d f/d z||_F^2 per sample.
-
-    ``probes`` has shape (P, B, n) with +-1 entries; the estimate is the probe
-    mean of ||J^T eps||^2, unbiased for the squared Frobenius norm.
-    """
-    total = np.zeros(probes.shape[1])
-    for eps in probes:
-        jt = model.backward_batch(Z, X, eps, need_theta=False)[0]
-        total += np.einsum("bn,bn->b", jt, jt)
-    return total / probes.shape[0]
-
-
-def jacobian_penalty_batch(model: FixedPointLayer, Z, X, E):
-    """(mean ||J_z^T eps||^2, its theta-gradient) for the Hutchinson penalty, probe frozen.
-
-    E is one (B, n) Rademacher probe; one vjp gives V = J_z^T E. With V held
-    fixed, grad ||v||^2 = 2 grad <eps, J_z v> = 2 d/dt grad <eps, f(z + t v)>
-    at t = 0: a central difference in z of the adjoint theta-gradient. It is
-    one theta-call over the stacked rows [z + h v; z - h v] with cotangents
-    [eps; -eps], so theta itself is never perturbed.
-    """
-    V = model.backward_batch(Z, X, E, need_theta=False)[0]
-    hV = _PENALTY_FD_STEP * V
-    dtheta = model.backward_batch(
-        np.concatenate([Z + hV, Z - hV]), np.concatenate([X, X]), np.concatenate([E, -E]), need_z=False
-    )[1]
-    rows = E.shape[0]
-    return float(np.einsum("bn,bn->", V, V)) / rows, dtheta / (_PENALTY_FD_STEP * rows)
+    return iterates[-1], residual, lambda dz, w: (unroll_backward_batch(model, X, iterates, dz), 0.0), 0
 
 
 def universality_stack(models: list, x: np.ndarray) -> np.ndarray:

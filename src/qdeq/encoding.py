@@ -1,7 +1,7 @@
 """Classical-to-quantum encodings and the fixed-point input injection.
 
-Each encoding is a batch encoder plus its vjp, so the simulator runs only the
-trainable circuit. Amplitude encoding normalizes the (zero-padded) vector
+Each encoding is a batch encoder plus its vjp and jvp, so the simulator runs
+only the trainable circuit. Amplitude encoding normalizes the (zero-padded) vector
 straight into the amplitudes. Angle encoding rotates each qubit's |0> by four
 angles in the Y, Z, X, Y order and builds the product state from the per-qubit
 2-vectors. Injection is elementwise addition of the original input into the
@@ -86,13 +86,16 @@ def amplitude_encode_vjp(X: np.ndarray, norms: np.ndarray, bra: np.ndarray) -> n
     """Chain the complex amplitude cotangent back to the real pre-encode vector.
 
     ``bra`` is dE/d(conj(amplitudes)), of width n or 2**Q; with phi = pad(x)/|x| the real
-    gradient is dE/dx_b = w_b/|x| - x_b (w . x)/|x|^3 over the first n entries, w = 2 Re(bra).
+    gradient is dE/dx_b = w_b/|x| - x_b (w . x)/|x|^3 over the first n entries, w = 2 Re(bra):
+    the jvp of w, since the Jacobian is symmetric.
     """
-    n = X.shape[1]
-    w = 2.0 * bra.real[:, :n]
+    return amplitude_encode_jvp(X, norms, 2.0 * bra.real[:, : X.shape[1]])
+
+
+def amplitude_encode_jvp(X: np.ndarray, norms: np.ndarray, tangent: np.ndarray) -> np.ndarray:
+    """d(X / |X|) along the real ``tangent``: (I - phi phi^T) t / |x| per row, real (B, n)."""
     unit = X / norms[:, None]
-    proj = np.einsum("bi,bi->b", w, unit)
-    return (w - unit * proj[:, None]) / norms[:, None]
+    return (tangent - unit * np.einsum("bi,bi->b", tangent, unit)[:, None]) / norms[:, None]
 
 
 def angle_encode(x: np.ndarray, num_qubits: int) -> list[GateOp]:
@@ -159,3 +162,17 @@ def angle_encode_vjp(X: np.ndarray, bra: np.ndarray) -> np.ndarray:
         grad[..., j] = np.einsum("bqs,bqs->bq", env.conj(), _rotate(_GENERATOR[kind], kets[j])).imag
         env = _rotate(_rotation(kind, -angles[..., j]), env)
     return grad.reshape(rows, -1)
+
+
+def angle_encode_jvp(X: np.ndarray, tangent: np.ndarray) -> np.ndarray:
+    """d(product state)/d(angles) along the real ``tangent``, complex (B, 2**Q): each qubit's ket
+    derivative by the product rule over its rotations, summed over which ket is differentiated."""
+    angles = np.asarray(X, dtype=np.float64).reshape(len(X), -1, 4)
+    steps = tangent.reshape(angles.shape)
+    kets = _qubit_kets(angles)
+    dket = np.zeros_like(kets[0])
+    for j, kind in enumerate(_ANGLE_ORDER):
+        generated = _rotate(_GENERATOR[kind], kets[j])  # P R(a)|.>, R(a) = exp(-i a P / 2)
+        dket = _rotate(_rotation(kind, angles[..., j]), dket) - 0.5j * steps[..., j, None] * generated
+    phi, qubits = kets[-1], np.arange(angles.shape[1])[:, None]
+    return sum(_product(np.where(qubits == q, dket, phi)) for q in qubits[:, 0])

@@ -13,6 +13,7 @@ extension (4-qubit blocks at qubit offsets 0, 2, 4, 6).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -124,32 +125,41 @@ class QuantumModel:
         return self._compiled_at[1:]
 
     def _encode(self, Z, X):
-        """(encoded rows psi of width d, the vjp chaining a complex cotangent on psi back to z + x)."""
+        """(rows psi of width d, the vjp of a complex psi cotangent, the jvp of a real z + x tangent)."""
         combined = enc.inject(Z, X)
         if self.encoding.kind == enc.AMPLITUDE:
             psi, norms = enc.amplitude_normalize(combined)
-            return psi, lambda bra: enc.amplitude_encode_vjp(combined, norms, bra)
-        return enc.angle_encode_batch(combined, self.num_qubits), lambda bra: enc.angle_encode_vjp(combined, bra)
+            args, vjp, jvp = (combined, norms), enc.amplitude_encode_vjp, enc.amplitude_encode_jvp
+        else:
+            psi = enc.angle_encode_batch(combined, self.num_qubits)
+            args, vjp, jvp = (combined,), enc.angle_encode_vjp, enc.angle_encode_jvp
+        return psi, partial(vjp, *args), partial(jvp, *args)
 
-    def backward_batch(self, Z, X, cotangents, need_z: bool = True, need_theta: bool = True):
+    def backward_batch(self, Z, X, cotangents, need_z: bool = True, need_theta: bool = True, tangents=None):
         """(dZ, dtheta) for sum_b cotangent_b . forward(z_b, x_b), from the forms of ``_compiled``.
 
         With chat = S^T c, dZ is the encoder vjp of sum_k chat_bk psi_b H_k. dtheta
         is summed over the batch (scale cotangents by 1/B upstream for a batch
         mean). The objective is sum_k tr(H_k^T R_k) with R_k = sum_b chat_bk
         psi_b^T conj(psi_b), so one adjoint sweep over the d rows of V, with bra
-        sum_k (R_k^T V) * m_k, gives it whatever B is.
+        sum_k (R_k^T V) * m_k, gives it whatever B is. ``tangents`` T (B, K, n)
+        add the theta-gradient of sum_bk <D_bk, T_bk> (D of ``jacobian_factors``,
+        T fixed): as <vjp(bra), t> = 2 Re<bra, jvp(t)>, that adds psi_b^H Phi_bk
+        + Phi_bk^H psi_b, Phi_bk = jvp(T_bk), to R_k^T before the sweep.
         """
         ops, V, H = self._compiled()
-        psi, encode_vjp = self._encode(Z, X)
+        psi, encode_vjp, encode_jvp = self._encode(Z, X)
         chat = upsample_transpose_batch(np.atleast_2d(cotangents), self.upsample)
         dZ = dtheta = None
         if need_z:
             dZ = encode_vjp(np.einsum("bk,bkd->bd", chat, (psi @ H).reshape(chat.shape + (-1,))))
         if need_theta:
             bra, rows = np.zeros_like(V), psi.conj().T
-            for c, m in zip(chat.T, self.ensemble.diagonals(self.num_qubits)):
+            for k, (c, m) in enumerate(zip(chat.T, self.ensemble.diagonals(self.num_qubits))):
                 Rt = rows @ (c[:, None] * psi)  # R_k^T; real for amplitude rows, so a real matmul
+                if tangents is not None:
+                    Y = rows @ encode_jvp(tangents[:, k])
+                    Rt += Y + Y.conj().T
                 bra += m * ((Rt @ V.view(np.float64)).view(np.complex128) if Rt.dtype.kind == "f" else Rt @ V)
             dtheta = adjoint_sweep(ops, V, bra, num_params=self.num_params)[0]
         return dZ, dtheta
@@ -160,7 +170,7 @@ class QuantumModel:
         S is the (n, K) upsample matrix. Row k of D[b] (shape (B, K, n)) is
         readout k's input cotangent psi_b H_k chained through the encoder vjp.
         """
-        psi, encode_vjp = self._encode(Z, X)
+        psi, encode_vjp, _ = self._encode(Z, X)
         PH = (psi @ self._compiled()[2]).reshape(len(psi), self.ensemble.size, -1)
         D = np.stack([encode_vjp(PH[:, k]) for k in range(self.ensemble.size)], axis=1)
         return upsample_batch(np.eye(self.ensemble.size), self.upsample).T, D

@@ -1,8 +1,8 @@
 """Named random substreams.
 
 Every source of randomness in a run is derived from the single config seed
-through a named substream, so each component (data split, circuit build,
-dropout masks, bound sampling, ...) is reproducible in isolation.
+through a named substream, so each component (data split, circuit build, dropout
+masks, Jacobian-penalty gate, bound sampling, ...) is reproducible in isolation.
 """
 from __future__ import annotations
 

@@ -245,7 +245,7 @@ def apply_ops(ops, states):
     return states
 
 
-def adjoint_sweep(ops, final_states, bra, num_params=0, need_theta=True):
+def adjoint_sweep(ops, final_states, bra, num_params=0):
     """Reverse sweep: dtheta_j = sum over rows of 2 Re<bra, d ket / d theta_j>, bra held fixed.
 
     ``final_states`` holds the kets after all ops; ``bra`` is swept in place:
@@ -257,16 +257,13 @@ def adjoint_sweep(ops, final_states, bra, num_params=0, need_theta=True):
     dtheta = np.zeros(num_params)
     steps = list(zip(reversed(ops), reversed(_coefficients(ops, sign=-1.0))))
     for rows in _row_blocks(bra):
-        b = bra[rows]
-        # the ket is only consumed by the rotations' derivative vdots
-        ket = final_states[rows].copy() if need_theta else None
+        b, ket = bra[rows], final_states[rows].copy()
         for op, u in steps:
-            if ket is not None:
-                if op.slot >= 0:
-                    pk = ket.copy()  # P|ket> for the rotation's generator P
-                    _apply_1q(pk, op.target, *_GENERATOR[op.kind])
-                    dtheta[op.slot] += np.vdot(b, pk).imag
-                _apply_op(op, u, ket)
+            if op.slot >= 0:
+                pk = ket.copy()  # P|ket> for the rotation's generator P
+                _apply_1q(pk, op.target, *_GENERATOR[op.kind])
+                dtheta[op.slot] += np.vdot(b, pk).imag
+            _apply_op(op, u, ket)
             _apply_op(op, u, b)
     return dtheta, bra
 

@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .datasets import DataBundle
-from .deqsolve import BroydenConfig, jacobian_penalty_batch, solve_batch
+from .deqsolve import BroydenConfig, solve_batch
 from .errors import (
     ConfigError, DataFormatError, DegenerateInputError, DimensionError, SolverDivergedError, TrainingAborted,
 )
@@ -272,11 +272,17 @@ def train(bundle: DataBundle, model: QuantumModel, head: ClassifierHead, cfg: Tr
     A batch whose solve diverges, or that holds an input the encoder rejects
     (an all-zero row under amplitude encoding), is skipped; training aborts
     with TrainingAborted when more than 10% of an epoch's batches are skipped.
-    A split with no rows raises DimensionError before the first step.
+    An implicit step that the ``jac-gate`` draw picks (probability jac_loss_freq)
+    adds jac_loss_weight times the exact penalty mean_b ||J_b||_F^2 to its loss.
+    A split with no rows, or a label outside [0, C) for the head's C classes,
+    raises DimensionError before the first step.
     """
-    for split in ("x_train", "x_val", "x_test"):
-        if getattr(bundle, split).shape[0] == 0:
-            raise DimensionError(f"the {split} split of {bundle.name!r} has no rows")
+    for split in ("train", "val", "test"):
+        if getattr(bundle, f"x_{split}").shape[0] == 0:
+            raise DimensionError(f"the x_{split} split of {bundle.name!r} has no rows")
+        labels = np.asarray(getattr(bundle, f"y_{split}"))
+        if np.any((labels < 0) | (labels >= head.bias.size)):
+            raise DimensionError(f"the y_{split} labels of {bundle.name!r} lie outside [0, {head.bias.size})")
     mode = SolverMode.parse(cfg.solver_mode)
     params = [model.theta, head.weight, head.bias]
     adam = AdamState.init(params)
@@ -310,16 +316,11 @@ def train(bundle: DataBundle, model: QuantumModel, head: ClassifierHead, cfg: Tr
                 residuals.append(residual)
                 logits, mask = head_forward_batch(head, z, train_mode=True, rng=dropout_rng)
                 loss, dlogits = cross_entropy_batch(logits, yb)
-                dtheta = backward((dlogits @ head.weight) * mask)
-                if (
-                    phase == IMPLICIT
-                    and cfg.jac_loss_weight > 0.0
-                    and substream(cfg.seed, "jac-gate", step).random() < cfg.jac_loss_freq
-                ):
-                    probe = substream(cfg.seed, "jac-probes", step).integers(0, 2, size=xb.shape) * 2.0 - 1.0
-                    penalty, dpenalty = jacobian_penalty_batch(model, z, xb, probe)
-                    loss += cfg.jac_loss_weight * penalty
-                    dtheta += cfg.jac_loss_weight * dpenalty
+                penalized = phase == IMPLICIT and cfg.jac_loss_weight > 0.0
+                penalized = penalized and substream(cfg.seed, "jac-gate", step).random() < cfg.jac_loss_freq
+                jac_weight = cfg.jac_loss_weight if penalized else 0.0
+                dtheta, penalty = backward((dlogits @ head.weight) * mask, jac_weight)
+                loss += jac_weight * penalty
             except (SolverDivergedError, DegenerateInputError):
                 diverged += 1
                 if diverged > max_diverged:

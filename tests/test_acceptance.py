@@ -162,7 +162,7 @@ def test_criterion_4_implicit_gradient_fidelity():
     x = rng.normal(size=(1, n))
     lg = rng.normal(size=(1, n))
     res = forward_fixed_point_batch(layer, x, BroydenConfig(max_steps=60, abs_tol=1e-12))
-    dtheta = implicit_backward_batch(layer, x, res.z_star, lg)
+    dtheta, _ = implicit_backward_batch(layer, x, res.z_star, lg)
     closed = layer.B.T @ np.linalg.solve(np.eye(n) - A.T, lg[0])
     linear_err = np.abs(dtheta - closed).max()
 
@@ -170,7 +170,7 @@ def test_criterion_4_implicit_gradient_fidelity():
     xq = np.array([[0.9, 0.3, 0.4, 0.1]])
     fp = forward_fixed_point_batch(model, xq)
     lgq = np.random.default_rng(41).normal(size=(1, 4))
-    dth = implicit_backward_batch(model, xq, fp.z_star, lgq)
+    dth, _ = implicit_backward_batch(model, xq, fp.z_star, lgq)
     unrolled = unroll_backward_batch(model, xq, direct_unroll_batch(model, xq, 60), lgq)
     rel = np.linalg.norm(dth - unrolled) / np.linalg.norm(unrolled)
     _report(

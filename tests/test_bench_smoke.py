@@ -1,4 +1,4 @@
-"""Smoke run of the benchmark command on its shortest workload."""
+"""Smoke runs of the benchmark command: its shortest workload and the penalized implicit one."""
 import json
 import shutil
 import subprocess
@@ -8,8 +8,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_benchmark_command_runs_and_passes_its_gate():
-    workload, seed = "mnist4-angle-direct5", 97
+def _run_and_check(workload, seed=97):
     cmd = [sys.executable, str(ROOT / "benchmarks" / "run.py"),
            "--workload", workload, "--seed", str(seed), "--seconds", "0"]
     try:
@@ -19,3 +18,12 @@ def test_benchmark_command_runs_and_passes_its_gate():
     assert done.returncode == 0, done.stdout + done.stderr
     summary = json.loads(done.stdout.splitlines()[-1])
     assert summary["correct"] is True and summary["failed"] == 0
+
+
+def test_benchmark_command_runs_and_passes_its_gate():
+    _run_and_check("mnist4-angle-direct5")
+
+
+def test_benchmark_command_passes_its_gate_with_the_jacobian_penalty():
+    # the gate's gradient checks and the bit-identical repeats, on the penalized implicit path
+    _run_and_check("mnist4-amp-implicit-jac")

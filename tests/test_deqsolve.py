@@ -10,7 +10,6 @@ from qdeq.deqsolve import (
     direct_unroll_batch,
     forward_fixed_point_batch,
     implicit_backward_batch,
-    jacobian_frobenius_batch,
     unroll_backward_batch,
     universality_stack,
 )
@@ -31,7 +30,8 @@ class LinearLayer:
     def forward_batch(self, Z, X):
         return np.atleast_2d(Z) @ self.A.T + self.theta @ self.B.T + np.atleast_2d(X)
 
-    def backward_batch(self, Z, X, C, need_z=True, need_theta=True):
+    def backward_batch(self, Z, X, C, need_z=True, need_theta=True, tangents=None):
+        # tangents add nothing: the Jacobian factor D = A does not depend on theta
         C = np.atleast_2d(C)
         dz = C @ self.A if need_z else None
         dth = (C @ self.B).sum(axis=0) if need_theta else None
@@ -147,7 +147,7 @@ class TestImplicitBackward:
         model = build_default_model("amplitude", 2, 4, seed=3, random_ops=8)
         x = np.array([0.9, 0.3, 0.4, 0.1])
         res = forward_fixed_point_batch(model, x[None])
-        dtheta = implicit_backward_batch(model, x[None], res.z_star, np.zeros((1, 4)))
+        dtheta, _ = implicit_backward_batch(model, x[None], res.z_star, np.zeros((1, 4)))
         assert np.array_equal(dtheta, np.zeros(model.num_params))
 
     def test_linear_layer_closed_form(self):
@@ -159,7 +159,7 @@ class TestImplicitBackward:
         x = rng.normal(size=n)
         lg = rng.normal(size=n)
         res = forward_fixed_point_batch(layer, x[None], BroydenConfig(max_steps=60, abs_tol=1e-12))
-        dtheta = implicit_backward_batch(layer, x[None], res.z_star, lg[None])
+        dtheta, _ = implicit_backward_batch(layer, x[None], res.z_star, lg[None])
         closed = B.T @ np.linalg.solve(np.eye(n) - A.T, lg)
         assert np.abs(dtheta - closed).max() < 1e-8
 
@@ -169,7 +169,7 @@ class TestImplicitBackward:
         x = np.array([0.9, 0.3, 0.4, 0.1])
         res = forward_fixed_point_batch(model, x[None])
         lg = np.random.default_rng(6).normal(size=(1, 4))
-        dtheta = implicit_backward_batch(model, x[None], res.z_star, lg)
+        dtheta, _ = implicit_backward_batch(model, x[None], res.z_star, lg)
         unrolled = unroll_backward_batch(model, x[None], direct_unroll_batch(model, x[None], 60), lg)
         rel = np.linalg.norm(dtheta - unrolled) / np.linalg.norm(unrolled)
         assert rel < 1e-3
@@ -180,6 +180,16 @@ class TestImplicitBackward:
         lg = np.random.default_rng(7).normal(size=(2, 3))
         with pytest.raises(SolverDivergedError):
             implicit_backward_batch(layer, np.zeros((2, 3)), np.zeros((2, 3)), lg)
+
+    def test_linear_layer_penalty_is_its_frobenius_norm(self):
+        # J = A for every row: the penalty is ||A||_F^2, and D = A carries no theta-gradient
+        rng = np.random.default_rng(10)
+        layer = LinearLayer(0.3 * rng.normal(size=(6, 6)), rng.normal(size=(6, 2)), rng.normal(size=2))
+        X, Z, G = rng.normal(size=(3, 6)), rng.normal(size=(3, 6)), rng.normal(size=(3, 6))
+        plain, penalty = implicit_backward_batch(layer, X, Z, G)
+        weighted, same = implicit_backward_batch(layer, X, Z, G, jac_weight=0.7)
+        assert penalty == same == pytest.approx(np.sum(layer.A**2), rel=1e-12)
+        assert np.array_equal(plain, weighted)
 
     @pytest.mark.parametrize(
         "encoding, num_qubits, input_dim",
@@ -200,7 +210,7 @@ class TestImplicitBackward:
             return original(Z, X, C, **kwargs)
 
         monkeypatch.setattr(model, "backward_batch", recording)
-        dtheta = implicit_backward_batch(model, X, Z, G)
+        dtheta, _ = implicit_backward_batch(model, X, Z, G)
         (q,) = sweeps
         assert np.array_equal(dtheta, original(Z, X, q, need_z=False)[1])
         residual = q - original(Z, X, q, need_theta=False)[0] - G
@@ -217,7 +227,7 @@ class TestImplicitBackward:
             lg = rng.normal(size=n)
             cfg = BroydenConfig(max_steps=50, abs_tol=1e-12)
             res = forward_fixed_point_batch(layer, x[None], cfg)
-            dtheta = implicit_backward_batch(layer, x[None], res.z_star, lg[None])
+            dtheta, _ = implicit_backward_batch(layer, x[None], res.z_star, lg[None])
             unrolled = unroll_backward_batch(layer, x[None], direct_unroll_batch(layer, x[None], 60), lg[None])
             rel = np.linalg.norm(dtheta - unrolled) / max(np.linalg.norm(unrolled), 1e-12)
             assert rel < 1e-3
@@ -257,50 +267,6 @@ class TestDirectUnroll:
         model = build_default_model("amplitude", 2, 4, seed=1)
         with pytest.raises(DimensionError):
             direct_unroll_batch(model, np.ones((1, 4)), 0)
-
-
-class TestJacobianFrobenius:
-    def test_identity_jacobian_is_exact(self):
-        class Identity:
-            num_params = 0
-            input_dim = 16
-
-            def backward_batch(self, Z, X, C, need_z=True, need_theta=True):
-                return C, None
-
-        probes = np.random.default_rng(0).integers(0, 2, size=(4, 1, 16)) * 2.0 - 1.0
-        est = jacobian_frobenius_batch(Identity(), np.zeros((1, 16)), np.zeros((1, 16)), probes)[0]
-        assert est == pytest.approx(16.0, abs=1e-12)
-
-    def test_constant_map_is_zero(self):
-        class Constant:
-            num_params = 0
-            input_dim = 8
-
-            def backward_batch(self, Z, X, C, need_z=True, need_theta=True):
-                return np.zeros_like(C), None
-
-        probes = np.random.default_rng(0).integers(0, 2, size=(3, 1, 8)) * 2.0 - 1.0
-        est = jacobian_frobenius_batch(Constant(), np.zeros((1, 8)), np.zeros((1, 8)), probes)[0]
-        assert est == 0.0
-
-    def test_linear_map_matches_frobenius_norm(self):
-        rng = np.random.default_rng(10)
-        A = rng.normal(size=(6, 6)) * 0.3
-        layer = LinearLayer(A, np.zeros((6, 1)), np.zeros(1))
-        probes = np.random.default_rng(11).integers(0, 2, size=(4096, 1, 6)) * 2.0 - 1.0
-        est = jacobian_frobenius_batch(layer, np.zeros((1, 6)), np.zeros((1, 6)), probes)[0]
-        exact = float(np.sum(A * A))
-        assert abs(est - exact) / exact < 0.05
-
-    def test_batch_estimates_per_sample(self):
-        rng = np.random.default_rng(12)
-        A = rng.normal(size=(4, 4)) * 0.4
-        layer = LinearLayer(A, np.zeros((4, 1)), np.zeros(1))
-        probes = rng.integers(0, 2, size=(64, 3, 4)) * 2.0 - 1.0
-        est = jacobian_frobenius_batch(layer, np.zeros((3, 4)), np.zeros((3, 4)), probes)
-        assert est.shape == (3,)
-        assert np.abs(est - np.sum(A * A)).max() / np.sum(A * A) < 0.5
 
 
 class TestUniversalityStack:

@@ -6,8 +6,11 @@ from qdeq.encoding import (
     EncodingSpec,
     amplitude_encode,
     amplitude_encode_batch,
+    amplitude_encode_jvp,
+    amplitude_encode_vjp,
     angle_encode,
     angle_encode_batch,
+    angle_encode_jvp,
     angle_encode_vjp,
     inject,
 )
@@ -155,6 +158,49 @@ class TestAngleEncode:
             single, single_dinput = run(X[i : i + 1], cot[i : i + 1])
             assert np.abs(states[i] - single[0]).max() < 1e-12
             assert np.abs(dinput[i] - single_dinput[0]).max() < 1e-12
+
+
+class TestEncoderJvp:
+    """The jvp of each encoder: adjoint to its vjp and the derivative of its batch encode."""
+
+    CASES = [("angle", 4), ("amplitude", 4), ("amplitude", 10)]
+
+    @staticmethod
+    def _encoder(kind, num_qubits, X):
+        """(states (B, 2**Q), vjp, jvp) at X; the amplitude jvp gives the n occupied amplitudes."""
+        if kind == "angle":
+            return (angle_encode_batch(X, num_qubits), lambda bra: angle_encode_vjp(X, bra),
+                    lambda t: angle_encode_jvp(X, t))
+        states, norms = amplitude_encode_batch(X, num_qubits)
+        return states, lambda bra: amplitude_encode_vjp(X, norms, bra), lambda t: amplitude_encode_jvp(X, norms, t)
+
+    @staticmethod
+    def _inputs(kind, num_qubits, seed=16):
+        rng = np.random.default_rng(seed)
+        n = 4 * num_qubits if kind == "angle" else {4: 16, 10: 100}[num_qubits]
+        X = rng.uniform(0.1, 2.0, size=(3, n))
+        return rng, X, rng.normal(size=X.shape)
+
+    @pytest.mark.parametrize("kind, num_qubits", CASES)
+    def test_adjoint_to_the_vjp(self, kind, num_qubits):
+        # <vjp(bra), t> = 2 Re<bra, jvp(t)> row by row
+        rng, X, T = self._inputs(kind, num_qubits)
+        _, vjp, jvp = self._encoder(kind, num_qubits, X)
+        tangent = jvp(T)
+        bra = rng.normal(size=tangent.shape) + 1j * rng.normal(size=tangent.shape)
+        lhs = np.einsum("bn,bn->b", vjp(bra), T)
+        rhs = 2.0 * np.einsum("bd,bd->b", bra.conj(), tangent).real
+        assert np.abs(lhs - rhs).max() <= 1e-12 * max(1.0, np.abs(lhs).max())
+
+    @pytest.mark.parametrize("kind, num_qubits", CASES)
+    def test_matches_central_difference_of_the_encode(self, kind, num_qubits):
+        _, X, T = self._inputs(kind, num_qubits)
+        tangent = self._encoder(kind, num_qubits, X)[2](T)
+        h = 1e-6
+        fd = (self._encoder(kind, num_qubits, X + h * T)[0] - self._encoder(kind, num_qubits, X - h * T)[0]) / (2 * h)
+        width = tangent.shape[1]
+        assert np.abs(fd[:, :width] - tangent).max() <= 1e-8 * np.abs(tangent).max()
+        assert not fd[:, width:].any()
 
 
 class TestEncodingSpec:

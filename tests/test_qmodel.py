@@ -250,19 +250,6 @@ class TestCompiledReverseAgainstGateByGate:
             per_layer += dtheta
         assert _rel(deqsolve.unroll_backward_batch(model, X, iterates, G), per_layer) <= 1e-12
 
-    @pytest.mark.parametrize("encoding, num_qubits, input_dim", SHAPES)
-    def test_stacked_penalty_equals_two_theta_calls(self, encoding, num_qubits, input_dim):
-        # the difference of the two calls cancels about four digits, so compare at their own scale
-        model = build_default_model(encoding, num_qubits, input_dim, seed=3)
-        Z, X, C = self._batch(input_dim)
-        E = np.sign(C)
-        _, dtheta = deqsolve.jacobian_penalty_batch(model, Z, X, E)
-        hV = deqsolve._PENALTY_FD_STEP * model.backward_batch(Z, X, E, need_theta=False)[0]
-        plus = model.backward_batch(Z + hV, X, E, need_z=False)[1]
-        minus = model.backward_batch(Z - hV, X, E, need_z=False)[1]
-        stacked = dtheta * deqsolve._PENALTY_FD_STEP * X.shape[0]
-        assert _rel(stacked, plus - minus, scale=plus) <= 1e-12
-
     def test_theta_written_in_place_recompiles(self, tmp_path):
         cfg = TrainConfig(dataset="mnist4", solver_mode="implicit", learning_rate=0.05, seed=42)
         model, head = build_from_config(cfg)

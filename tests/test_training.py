@@ -10,9 +10,7 @@ import numpy as np
 import pytest
 
 from qdeq import deqsolve, qmodel, training
-from qdeq.deqsolve import (
-    BroydenConfig, direct_unroll_batch, jacobian_frobenius_batch, jacobian_penalty_batch, unroll_backward_batch,
-)
+from qdeq.deqsolve import BroydenConfig, direct_unroll_batch, implicit_backward_batch, unroll_backward_batch
 from qdeq.errors import (
     ConfigError, DataFormatError, DegenerateInputError, DimensionError, SolverDivergedError, TrainingAborted,
 )
@@ -288,12 +286,18 @@ class TestTrainLoop:
 
     @pytest.mark.parametrize(
         "encoding, solver_mode, jac_loss_weight, sweeps",
-        [("amplitude", "implicit", 0.0, 1), ("amplitude", "implicit", 0.5, 2), ("angle", "direct_5", 0.0, 1)],
+        [
+            ("amplitude", "implicit", 0.0, 1),
+            ("amplitude", "implicit", 0.5, 1),
+            ("angle", "implicit", 0.5, 1),
+            ("angle", "direct_5", 0.0, 1),
+        ],
     )
     def test_each_step_sweeps_only_the_basis_rows(
         self, small_bundle, monkeypatch, encoding, solver_mode, jac_loss_weight, sweeps
     ):
-        # every reverse pass of a step runs on the d = 16 basis rows, never on the 400 batch rows
+        # every reverse pass of a step runs on the d = 16 basis rows, never on the 400 batch rows;
+        # the Jacobian penalty's theta-gradient rides in the implicit backward's one sweep
         rows = []
         original = qmodel.adjoint_sweep
 
@@ -324,24 +328,45 @@ class TestTrainLoop:
         assert metrics.epochs[0]["train_loss"] > metrics_off.epochs[0]["train_loss"]
 
     def test_jacobian_penalty_restores_theta_on_error(self, small_bundle, monkeypatch):
+        # the exact penalty never perturbs theta; a failure in its one sweep leaves theta as it was
         cfg = _quick_config(epochs=1, warmup_steps=0, solver_mode="implicit")
         model, _ = build_from_config(cfg)
         before = model.theta.copy()
         calls = []
-        original = QuantumModel.backward_batch
 
         def failing_backward(self, *args, **kwargs):
-            calls.append(1)
-            if len(calls) == 2:  # the vjp, then one theta-gradient over the rows z + h v and z - h v
-                raise DegenerateInputError("probe failed", rows=np.array([0]))
-            return original(self, *args, **kwargs)
+            calls.append(kwargs.get("tangents"))
+            raise DegenerateInputError("sweep failed", rows=np.array([0]))
 
         monkeypatch.setattr(QuantumModel, "backward_batch", failing_backward)
         xb = small_bundle.x_train[:8]
         with pytest.raises(DegenerateInputError):
-            jacobian_penalty_batch(model, np.zeros_like(xb), xb, np.ones(xb.shape))
-        assert len(calls) == 2
+            implicit_backward_batch(model, xb, np.zeros_like(xb), np.ones(xb.shape), jac_weight=0.5)
+        assert len(calls) == 1 and calls[0] is not None
         assert model.theta.tobytes() == before.tobytes()
+
+    def test_penalized_epoch_draws_no_probe(self, small_bundle, monkeypatch):
+        names = []
+
+        def recording(seed, name, *indices):
+            names.append(name)
+            return substream(seed, name, *indices)
+
+        monkeypatch.setattr(training, "substream", recording)
+        cfg = _quick_config(epochs=1, warmup_steps=0, solver_mode="implicit", jac_loss_weight=0.5, jac_loss_freq=1.0)
+        model, head = build_from_config(cfg)
+        _, adam = train(small_bundle, model, head, cfg)
+        assert adam.t > 0 and names.count("jac-gate") == adam.t
+        assert "jac-probes" not in names
+
+    @staticmethod
+    def _dense_penalty(model, Z, X):
+        """mean_b ||J_b||_F^2 from the rows J_b^T e_i of n vjps with the basis cotangents e_i."""
+        total = 0.0
+        for e in np.eye(X.shape[1]):
+            rows = model.backward_batch(Z, X, np.tile(e, (X.shape[0], 1)), need_theta=False)[0]
+            total += np.sum(rows * rows)
+        return total / X.shape[0]
 
     @pytest.mark.parametrize(
         "dataset, encoding, batch, slots",
@@ -352,28 +377,26 @@ class TestTrainLoop:
         ],
     )
     def test_jacobian_penalty_grad_matches_theta_differences(self, dataset, encoding, batch, slots):
-        # oracle: central differences in theta of the frozen-probe Hutchinson penalty
+        # oracle: the dense ||J_b||_F^2 from n vjps, and its central differences in theta
         cfg = _quick_config(dataset=dataset, encoding=encoding, solver_mode="implicit")
         model, _ = build_from_config(cfg)
         rng = np.random.default_rng(5)
         n = cfg.shape[1]
         X = rng.uniform(0.1, 1.0, size=(batch, n))
         Z = rng.uniform(-0.5, 0.5, size=(batch, n))
-        E = rng.integers(0, 2, size=(batch, n)) * 2.0 - 1.0
-        probes = E[None]  # the same probe as the (P, B, n) stack jacobian_frobenius_batch takes
         idx = np.arange(model.num_params)
         if slots is not None:
             idx = np.sort(rng.choice(model.num_params, size=slots, replace=False))
-        value, grad = jacobian_penalty_batch(model, Z, X, E)
-        assert value == pytest.approx(jacobian_frobenius_batch(model, Z, X, probes).mean(), rel=1e-12)
+        grad, value = implicit_backward_batch(model, X, Z, np.zeros((batch, n)), jac_weight=1.0)
+        assert value == pytest.approx(self._dense_penalty(model, Z, X), rel=1e-12)
         step = 1e-5
         oracle = np.empty(idx.shape[0])
         for k, j in enumerate(idx):
             orig = model.theta[j]
             model.theta[j] = orig + step
-            up = jacobian_frobenius_batch(model, Z, X, probes).mean()
+            up = self._dense_penalty(model, Z, X)
             model.theta[j] = orig - step
-            down = jacobian_frobenius_batch(model, Z, X, probes).mean()
+            down = self._dense_penalty(model, Z, X)
             model.theta[j] = orig
             oracle[k] = (up - down) / (2.0 * step)
         assert grad[idx] == pytest.approx(oracle, rel=1e-5, abs=1e-8)
@@ -447,6 +470,19 @@ class TestTrainLoop:
         model, head = build_from_config(cfg)
         before = model.theta.copy()
         with pytest.raises(DimensionError, match=split):
+            train(bundle, model, head, cfg)
+        assert model.theta.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("split, label", [("train", -1), ("val", 4), ("test", -1)])
+    def test_out_of_range_label_rejected_before_first_step(self, small_bundle, split, label):
+        # cross-entropy would score a label of -1 as the last class without complaint
+        labels = getattr(small_bundle, f"y_{split}").copy()
+        labels[3] = label
+        bundle = dataclasses.replace(small_bundle, **{f"y_{split}": labels})
+        cfg = _quick_config(epochs=1)
+        model, head = build_from_config(cfg)
+        before = model.theta.copy()
+        with pytest.raises(DimensionError, match=f"y_{split}"):
             train(bundle, model, head, cfg)
         assert model.theta.tobytes() == before.tobytes()
 
