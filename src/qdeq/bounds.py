@@ -2,8 +2,9 @@
 
 Each verifier samples its stated domain, checks the exact inequality with a
 1e-12 slack allowance, and reports violation counts plus the worst margin
-(minimum of bound - observed). The angle-overlap verifier also emits the
-plot-ready (dist_sq, overlap, bound) table.
+(minimum of bound - observed). The overlap verifiers encode their samples with
+``encoding.states``; the angle one also emits the plot-ready (dist_sq, overlap,
+bound) table.
 """
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ import csv
 from dataclasses import dataclass
 import numpy as np
 
-from .encoding import AMPLITUDE, amplitude_encode_batch, angle_encode_batch
+from .encoding import AMPLITUDE, ANGLE, EncodingSpec, states
 from .errors import DimensionError
 from .measurement import PAULI_Z, expect_batch
 from .simcore import StateVector
@@ -89,10 +90,8 @@ def verify_amplitude_overlap(num_pairs: int, seed: int = 0, dim: int = 16) -> Bo
     """
     rng = np.random.default_rng(seed)
     z, w = _amplitude_pairs(rng, num_pairs, dim)
-    num_qubits = max(1, int(np.ceil(np.log2(dim))))
-    enc_z, _ = amplitude_encode_batch(z, num_qubits)
-    enc_w, _ = amplitude_encode_batch(w, num_qubits)
-    overlap = _overlaps(enc_z, enc_w)
+    spec = EncodingSpec(AMPLITUDE, max(1, int(np.ceil(np.log2(dim)))), dim)
+    overlap = _overlaps(states(spec, z), states(spec, w))
     dist_sq = np.linalg.norm(z - w, axis=1) ** 2
     identity_err = np.abs(overlap - (1.0 - 0.5 * dist_sq))
     bound_margin = dist_sq - (1.0 - overlap**2)
@@ -121,7 +120,8 @@ def verify_angle_overlap(num_pairs: int = 3000, seed: int = 0) -> BoundReport:
     total = 0
     for num_qubits in (1, 2, 4):
         z, w = _angle_pairs(rng, num_pairs, num_qubits)
-        overlap = _overlaps(angle_encode_batch(z, num_qubits), angle_encode_batch(w, num_qubits))
+        spec = EncodingSpec(ANGLE, num_qubits, 4 * num_qubits)
+        overlap = _overlaps(states(spec, z), states(spec, w))
         dist_sq = np.linalg.norm(z - w, axis=1) ** 2
         bound = 1.0 - np.sin(dist_sq)
         margin = overlap - bound

@@ -1,15 +1,17 @@
 """Classical-to-quantum encodings and the fixed-point input injection.
 
-Each encoding is a batch encoder plus its vjp and jvp, so the simulator runs
-only the trainable circuit. Amplitude encoding normalizes the (zero-padded) vector
-straight into the amplitudes. Angle encoding rotates each qubit's |0> by four
-angles in the Y, Z, X, Y order and builds the product state from the per-qubit
-2-vectors. Injection is elementwise addition of the original input into the
-current iterate; the encoder normalizes downstream where needed.
+``encode`` is the one batch encoder: it encodes each row once and returns the
+amplitudes it occupies with their vjp and jvp, so the simulator runs only the
+trainable circuit; ``states`` pads them into full states. Amplitude encoding
+normalizes the (zero-padded) vector straight into the amplitudes. Angle encoding
+rotates each qubit's |0> by four angles in the Y, Z, X, Y order and builds the
+product state from the per-qubit 2-vectors. Injection is elementwise addition of
+the original input into the current iterate; the encoder normalizes downstream.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -42,6 +44,11 @@ class EncodingSpec:
                 f"angle encoding needs exactly {4 * self.num_qubits} entries, got {self.input_dim}"
             )
 
+    @property
+    def width(self) -> int:
+        """d, the amplitudes an encoded row occupies: n for amplitude, 2**Q for angle encoding."""
+        return self.input_dim if self.kind == AMPLITUDE else 1 << self.num_qubits
+
 
 def inject(z: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Combine the current iterate with the original input (elementwise add)."""
@@ -52,50 +59,45 @@ def inject(z: np.ndarray, x: np.ndarray) -> np.ndarray:
     return z + x
 
 
-def amplitude_encode(x: np.ndarray, num_qubits: int) -> StateVector:
-    """Normalized zero-padded x as real amplitudes; rejects the zero vector."""
-    states, _ = amplitude_encode_batch(np.asarray(x, dtype=np.float64)[None, :], num_qubits)
-    return StateVector(num_qubits, states[0])
+def encode(spec: EncodingSpec, X: np.ndarray):
+    """(psi, vjp, jvp) for the (B, n) rows of X, each row encoded once.
 
-
-def amplitude_normalize(X: np.ndarray):
-    """(B, n) float64 -> the real unit rows X / |X| (the occupied amplitudes) and the norms used."""
+    psi holds each row's d = ``spec.width`` occupied amplitudes: the real unit rows
+    X / |X| (amplitude) or the complex product states (angle). vjp maps dE/d(conj(psi)),
+    of width d or 2**Q, to the real (B, n) gradient and jvp a real tangent to d psi.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    if X.shape[1:] != (spec.input_dim,):
+        raise DimensionError(f"{spec.kind} encoding takes (B, {spec.input_dim}) rows, got {X.shape}")
+    if spec.kind == ANGLE:
+        angles = X.reshape(len(X), spec.num_qubits, 4)
+        kets = _qubit_kets(angles)
+        return _product(kets[-1]), partial(_angle_vjp, angles, kets), partial(_angle_jvp, angles, kets)
     norms = np.linalg.norm(X, axis=1)
     bad = np.flatnonzero(norms <= _DEGENERATE_NORM)
     if bad.size:
-        raise DegenerateInputError(
-            f"cannot amplitude-encode (near-)zero vectors at rows {bad.tolist()}",
-            rows=bad,
-        )
-    return X / norms[:, None], norms
-
-
-def amplitude_encode_batch(X: np.ndarray, num_qubits: int):
-    """(B, n) -> complex states (B, 2**Q) plus the row norms used."""
-    X = np.asarray(X, dtype=np.float64)
-    dim = 1 << num_qubits
-    if X.shape[1] > dim:
-        raise DimensionError(f"{X.shape[1]} entries exceed 2**{num_qubits} amplitudes")
-    unit, norms = amplitude_normalize(X)
-    states = np.zeros((X.shape[0], dim), dtype=np.complex128)
-    states[:, : X.shape[1]] = unit
-    return states, norms
-
-
-def amplitude_encode_vjp(X: np.ndarray, norms: np.ndarray, bra: np.ndarray) -> np.ndarray:
-    """Chain the complex amplitude cotangent back to the real pre-encode vector.
-
-    ``bra`` is dE/d(conj(amplitudes)), of width n or 2**Q; with phi = pad(x)/|x| the real
-    gradient is dE/dx_b = w_b/|x| - x_b (w . x)/|x|^3 over the first n entries, w = 2 Re(bra):
-    the jvp of w, since the Jacobian is symmetric.
-    """
-    return amplitude_encode_jvp(X, norms, 2.0 * bra.real[:, : X.shape[1]])
-
-
-def amplitude_encode_jvp(X: np.ndarray, norms: np.ndarray, tangent: np.ndarray) -> np.ndarray:
-    """d(X / |X|) along the real ``tangent``: (I - phi phi^T) t / |x| per row, real (B, n)."""
+        raise DegenerateInputError(f"cannot amplitude-encode (near-)zero rows {bad.tolist()}", rows=bad)
     unit = X / norms[:, None]
-    return (tangent - unit * np.einsum("bi,bi->b", tangent, unit)[:, None]) / norms[:, None]
+
+    def jvp(tangent):  # (I - phi phi^T) t / |x| per row
+        return (tangent - unit * np.einsum("bi,bi->b", tangent, unit)[:, None]) / norms[:, None]
+
+    # the vjp is the jvp of w = 2 Re(bra) on the n occupied entries, as the Jacobian is symmetric
+    return unit, lambda bra: jvp(2.0 * bra.real[:, : spec.input_dim]), jvp
+
+
+def states(spec: EncodingSpec, X: np.ndarray) -> np.ndarray:
+    """The encoded rows of X as the complex (B, 2**Q) states the gate kernels take."""
+    psi = encode(spec, X)[0]
+    out = np.zeros((len(psi), 1 << spec.num_qubits), dtype=np.complex128)
+    out[:, : psi.shape[1]] = psi
+    return out
+
+
+def amplitude_encode(x: np.ndarray, num_qubits: int) -> StateVector:
+    """Normalized zero-padded x as real amplitudes; rejects the zero vector."""
+    x = np.asarray(x, dtype=np.float64)
+    return StateVector(num_qubits, states(EncodingSpec(AMPLITUDE, num_qubits, len(x)), x[None])[0])
 
 
 def angle_encode(x: np.ndarray, num_qubits: int) -> list[GateOp]:
@@ -133,24 +135,14 @@ def _product(kets: np.ndarray) -> np.ndarray:
     return out
 
 
-def angle_encode_batch(X: np.ndarray, num_qubits: int) -> np.ndarray:
-    """(B, 4Q) angles -> product states (B, 2**Q) of RY.RX.RZ.RY|0> per qubit."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.shape[1] != 4 * num_qubits:
-        raise DimensionError(f"angle encoding needs {4 * num_qubits} values, got {X.shape[1]}")
-    return _product(_qubit_kets(X.reshape(X.shape[0], num_qubits, 4))[-1])
-
-
-def angle_encode_vjp(X: np.ndarray, bra: np.ndarray) -> np.ndarray:
-    """Chain the complex state cotangent ``bra`` = dE/d(conj(amplitudes)) back to the angles.
+def _angle_vjp(angles: np.ndarray, kets: list, bra: np.ndarray) -> np.ndarray:
+    """Chain the complex state cotangent ``bra`` = dE/d(conj(amplitudes)) back to the (B, Q, 4) angles.
 
     dE/dx_(q,j) = 2 Re<env_q, d phi_q/d x_(q,j)>, where env_q is ``bra`` contracted
     with every other qubit's ket; env_q walks back through qubit q's rotations
     as the adjoint sweep walks the bra.
     """
-    angles = np.asarray(X, dtype=np.float64).reshape(len(X), -1, 4)
     rows = angles.shape[0]
-    kets = _qubit_kets(angles)
     phi = kets[-1]
     env = np.empty_like(phi)
     for q in range(phi.shape[1]):
@@ -164,12 +156,10 @@ def angle_encode_vjp(X: np.ndarray, bra: np.ndarray) -> np.ndarray:
     return grad.reshape(rows, -1)
 
 
-def angle_encode_jvp(X: np.ndarray, tangent: np.ndarray) -> np.ndarray:
+def _angle_jvp(angles: np.ndarray, kets: list, tangent: np.ndarray) -> np.ndarray:
     """d(product state)/d(angles) along the real ``tangent``, complex (B, 2**Q): each qubit's ket
     derivative by the product rule over its rotations, summed over which ket is differentiated."""
-    angles = np.asarray(X, dtype=np.float64).reshape(len(X), -1, 4)
     steps = tangent.reshape(angles.shape)
-    kets = _qubit_kets(angles)
     dket = np.zeros_like(kets[0])
     for j, kind in enumerate(_ANGLE_ORDER):
         generated = _rotate(_GENERATOR[kind], kets[j])  # P R(a)|.>, R(a) = exp(-i a P / 2)

@@ -3,8 +3,9 @@
 A model maps an iterate z and input x to upsample(<M_k>) of the state
 U(theta)|encode(z + x)>. Forward and reverse passes work on (B, n) batches of
 samples only; a single sample is a one-row batch. The forward pass runs the
-gate kernels on the B states; the reverse passes use the K readout forms on
-the d basis rows that encoded states occupy (``_compiled``), never the B rows.
+gate kernels on the B states of ``encoding.states``; the reverse passes use the
+K readout forms on the d = ``EncodingSpec.width`` basis rows that encoded states
+occupy (``_compiled``), never the B rows, and ``encoding.encode``'s vjp and jvp.
 
 Circuit builders follow the 4-qubit block (seeded random layer, then a
 trainable RY wall, RZ wall, CNOT ring, RY wall) and its 10-qubit staircase
@@ -13,7 +14,6 @@ extension (4-qubit blocks at qubit offsets 0, 2, 4, 6).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -90,11 +90,7 @@ class QuantumModel:
 
     def prepare(self, Z: np.ndarray, X: np.ndarray) -> np.ndarray:
         """The final states U(theta)|encode(z + x)>, shape (B, 2**Q), from the gate kernels."""
-        combined = enc.inject(Z, X)
-        if self.encoding.kind == enc.AMPLITUDE:
-            states = enc.amplitude_encode_batch(combined, self.num_qubits)[0]
-        else:
-            states = enc.angle_encode_batch(combined, self.num_qubits)
+        states = enc.states(self.encoding, enc.inject(Z, X))
         return apply_ops(resolve_circuit(self.circuit, self.theta), states)
 
     def forward_batch(self, Z: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -106,14 +102,14 @@ class QuantumModel:
     def _compiled(self):
         """(ops, V, H) at theta, rebuilt when theta's values differ from the cached copy.
 
-        V (d, 2**Q) is U(theta) on the d basis rows that encoded states occupy (d = n for
-        amplitude, 2**Q for angle encoding), so a row psi ends as psi @ V. H (d, K*d) stacks
+        V (d, 2**Q) is U(theta) on the d basis rows that encoded states occupy (the encoding's
+        ``width``: n for amplitude, 2**Q for angle encoding), so a row psi ends as psi @ V. H (d, K*d) stacks
         H_k = V diag(m_k) V^dagger: <M_k> = psi H_k psi^dagger (only Re H_k for real amplitude
         rows). Values key the cache, because the optimizer and checkpoint loads write theta in place.
         """
         if self._compiled_at is None or not np.array_equal(self._compiled_at[0], self.theta):
             ops = resolve_circuit(self.circuit, self.theta)
-            d = self.input_dim if self.encoding.kind == enc.AMPLITUDE else 1 << self.num_qubits
+            d = self.encoding.width
             V = apply_ops(ops, np.eye(d, 1 << self.num_qubits, dtype=np.complex128))
             diags = self.ensemble.diagonals(self.num_qubits)
             if self.encoding.kind == enc.AMPLITUDE:
@@ -123,17 +119,6 @@ class QuantumModel:
                 H = [(V * m) @ V.conj().T for m in diags]
             self._compiled_at = (self.theta.copy(), ops, V, np.stack(H, axis=1).reshape(d, -1))
         return self._compiled_at[1:]
-
-    def _encode(self, Z, X):
-        """(rows psi of width d, the vjp of a complex psi cotangent, the jvp of a real z + x tangent)."""
-        combined = enc.inject(Z, X)
-        if self.encoding.kind == enc.AMPLITUDE:
-            psi, norms = enc.amplitude_normalize(combined)
-            args, vjp, jvp = (combined, norms), enc.amplitude_encode_vjp, enc.amplitude_encode_jvp
-        else:
-            psi = enc.angle_encode_batch(combined, self.num_qubits)
-            args, vjp, jvp = (combined,), enc.angle_encode_vjp, enc.angle_encode_jvp
-        return psi, partial(vjp, *args), partial(jvp, *args)
 
     def backward_batch(self, Z, X, cotangents, need_z: bool = True, need_theta: bool = True, tangents=None):
         """(dZ, dtheta) for sum_b cotangent_b . forward(z_b, x_b), from the forms of ``_compiled``.
@@ -148,7 +133,7 @@ class QuantumModel:
         + Phi_bk^H psi_b, Phi_bk = jvp(T_bk), to R_k^T before the sweep.
         """
         ops, V, H = self._compiled()
-        psi, encode_vjp, encode_jvp = self._encode(Z, X)
+        psi, encode_vjp, encode_jvp = enc.encode(self.encoding, enc.inject(Z, X))
         chat = upsample_transpose_batch(np.atleast_2d(cotangents), self.upsample)
         dZ = dtheta = None
         if need_z:
@@ -170,7 +155,7 @@ class QuantumModel:
         S is the (n, K) upsample matrix. Row k of D[b] (shape (B, K, n)) is
         readout k's input cotangent psi_b H_k chained through the encoder vjp.
         """
-        psi, encode_vjp, _ = self._encode(Z, X)
+        psi, encode_vjp, _ = enc.encode(self.encoding, enc.inject(Z, X))
         PH = (psi @ self._compiled()[2]).reshape(len(psi), self.ensemble.size, -1)
         D = np.stack([encode_vjp(PH[:, k]) for k in range(self.ensemble.size)], axis=1)
         return upsample_batch(np.eye(self.ensemble.size), self.upsample).T, D
@@ -182,20 +167,11 @@ class QuantumModel:
 
 def _trainable_block(num_qubits: int, slot_base: int) -> tuple[list[GateOp], int]:
     """RY wall, RZ wall, CNOT ring, RY wall; returns gates and slot count used."""
-    gates = []
-    s = slot_base
-    for q in range(num_qubits):
-        gates.append(GateOp(RY, target=q, param_slot=s))
-        s += 1
-    for q in range(num_qubits):
-        gates.append(GateOp(RZ, target=q, param_slot=s))
-        s += 1
-    for q in range(num_qubits):
-        gates.append(GateOp(CNOT, target=(q + 1) % num_qubits, control=q))
-    for q in range(num_qubits):
-        gates.append(GateOp(RY, target=q, param_slot=s))
-        s += 1
-    return gates, s - slot_base
+    def wall(kind, first):
+        return [GateOp(kind, target=q, param_slot=slot_base + first + q) for q in range(num_qubits)]
+
+    ring = [GateOp(CNOT, target=(q + 1) % num_qubits, control=q) for q in range(num_qubits)]
+    return wall(RY, 0) + wall(RZ, num_qubits) + ring + wall(RY, 2 * num_qubits), 3 * num_qubits
 
 
 def build_block(seed: int, num_qubits: int, random_ops: int = 50):

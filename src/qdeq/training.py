@@ -232,6 +232,15 @@ def build_from_config(cfg: TrainConfig):
     return model, head
 
 
+def _check_split(X: np.ndarray, y, num_classes: int, name: str = "the split") -> None:
+    """DimensionError unless X has rows and y holds one label in [0, num_classes) per row."""
+    if X.shape[0] == 0:
+        raise DimensionError(f"{name} has no rows")
+    y = np.asarray(y)
+    if y.shape != X.shape[:1] or np.any((y < 0) | (y >= num_classes)):
+        raise DimensionError(f"{name} needs one label in [0, {num_classes}) for each of its {X.shape[0]} rows")
+
+
 def evaluate(
     model: QuantumModel,
     head: ClassifierHead,
@@ -245,10 +254,9 @@ def evaluate(
 
     The rows of a batch whose solve diverges, or that holds an input the
     encoder rejects, count as misclassified with residual inf. An X with no
-    rows raises DimensionError.
+    rows, or a y that is not one label in [0, C) per row, raises DimensionError.
     """
-    if X.shape[0] == 0:
-        raise DimensionError("cannot evaluate a split with no rows")
+    _check_split(X, y, head.bias.size)
     correct = 0
     residuals = []
     for start in range(0, X.shape[0], batch_size):
@@ -274,15 +282,11 @@ def train(bundle: DataBundle, model: QuantumModel, head: ClassifierHead, cfg: Tr
     with TrainingAborted when more than 10% of an epoch's batches are skipped.
     An implicit step that the ``jac-gate`` draw picks (probability jac_loss_freq)
     adds jac_loss_weight times the exact penalty mean_b ||J_b||_F^2 to its loss.
-    A split with no rows, or a label outside [0, C) for the head's C classes,
-    raises DimensionError before the first step.
+    An empty split, or y not one label in [0, C) per row, raises DimensionError before any step.
     """
     for split in ("train", "val", "test"):
-        if getattr(bundle, f"x_{split}").shape[0] == 0:
-            raise DimensionError(f"the x_{split} split of {bundle.name!r} has no rows")
-        labels = np.asarray(getattr(bundle, f"y_{split}"))
-        if np.any((labels < 0) | (labels >= head.bias.size)):
-            raise DimensionError(f"the y_{split} labels of {bundle.name!r} lie outside [0, {head.bias.size})")
+        X, y = getattr(bundle, f"x_{split}"), getattr(bundle, f"y_{split}")
+        _check_split(X, y, head.bias.size, f"the x_{split}/y_{split} split of {bundle.name!r}")
     mode = SolverMode.parse(cfg.solver_mode)
     params = [model.theta, head.weight, head.bias]
     adam = AdamState.init(params)

@@ -1,4 +1,4 @@
-"""Smoke runs of the benchmark command: its shortest workload and the penalized implicit one."""
+"""Smoke runs of the benchmark command on each of its three workloads."""
 import json
 import shutil
 import subprocess
@@ -27,3 +27,8 @@ def test_benchmark_command_runs_and_passes_its_gate():
 def test_benchmark_command_passes_its_gate_with_the_jacobian_penalty():
     # the gate's gradient checks and the bit-identical repeats, on the penalized implicit path
     _run_and_check("mnist4-amp-implicit-jac")
+
+
+def test_benchmark_command_passes_its_gate_on_the_ten_qubit_workload():
+    # Q=10 amplitude encoding: 100 occupied amplitudes padded into 1024
+    _run_and_check("cifar10-implicit")

@@ -1,4 +1,5 @@
 """Command-line behaviors: subcommands, exit codes, emitted files."""
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -219,6 +220,20 @@ class TestTrainEval:
         model, head = build_from_config(cfg)
         save_checkpoint(tmp_path / "ckpt.txt", cfg, model, head)
         code = main(["eval", "--checkpoint", str(tmp_path / "ckpt.txt"), "--split", "test", "--data-dir", str(data)])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_eval_with_out_of_range_labels_exits_one(self, tmp_path, digits_data_dir, monkeypatch, capsys):
+        import qdeq.cli as cli_mod
+
+        cfg = TrainConfig(dataset="mnist4", solver_mode="implicit", learning_rate=0.05)
+        model, head = build_from_config(cfg)
+        save_checkpoint(tmp_path / "ckpt.txt", cfg, model, head)
+        bundle = cli_mod.prepare_bundle(cfg.dataset, digits_data_dir, cfg.seed)
+        bad = dataclasses.replace(bundle, y_test=np.full_like(bundle.y_test, 7))
+        monkeypatch.setattr(cli_mod, "prepare_bundle", lambda *args, **kwargs: bad)
+        code = main(["eval", "--checkpoint", str(tmp_path / "ckpt.txt"), "--split", "test",
+                     "--data-dir", str(digits_data_dir)])
         assert code == 1
         assert "error:" in capsys.readouterr().err
 

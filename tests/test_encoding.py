@@ -2,18 +2,8 @@
 import numpy as np
 import pytest
 
-from qdeq.encoding import (
-    EncodingSpec,
-    amplitude_encode,
-    amplitude_encode_batch,
-    amplitude_encode_jvp,
-    amplitude_encode_vjp,
-    angle_encode,
-    angle_encode_batch,
-    angle_encode_jvp,
-    angle_encode_vjp,
-    inject,
-)
+from qdeq import encoding
+from qdeq.encoding import EncodingSpec, amplitude_encode, angle_encode, encode, inject, states
 from qdeq.errors import DegenerateInputError, DimensionError
 from qdeq.measurement import ObservableEnsemble, expect_ensemble
 from qdeq.simcore import ParamCircuit, StateVector, apply_circuit
@@ -50,7 +40,7 @@ class TestAmplitudeEncode:
     def test_batch_reports_offending_rows(self):
         X = np.array([[1.0, 0.0], [0.0, 0.0], [0.5, 0.5], [0.0, 0.0]])
         with pytest.raises(DegenerateInputError) as err:
-            amplitude_encode_batch(X, 1)
+            encode(EncodingSpec("amplitude", 1, 2), X)
         assert list(err.value.rows) == [1, 3]
 
     def test_too_many_entries(self):
@@ -136,10 +126,10 @@ class TestAngleEncode:
     def test_batched_ops_match_single(self):
         rng = np.random.default_rng(3)
         X = rng.uniform(0, 2 * np.pi, size=(6, 8))
-        states = angle_encode_batch(X, 2)
+        batch = states(EncodingSpec("angle", 2, 8), X)
         for i in range(6):
             single = _encode_angle_state(X[i], 2).amplitudes
-            assert np.abs(states[i] - single).max() < 1e-12
+            assert np.abs(batch[i] - single).max() < 1e-12
 
     def test_per_sample_angles_match_single_rows(self):
         rows, num_qubits = 2048, 4
@@ -149,14 +139,14 @@ class TestAngleEncode:
         diags = ObservableEnsemble.pauli_z_all(num_qubits).diagonals(num_qubits)
 
         def run(inputs, cotangent):
-            states = angle_encode_batch(inputs, num_qubits)
-            return states, angle_encode_vjp(inputs, (cotangent @ diags) * states)
+            psi, vjp, _ = encode(EncodingSpec("angle", num_qubits, 4 * num_qubits), inputs)
+            return psi, vjp((cotangent @ diags) * psi)
 
-        states, dinput = run(X, cot)
-        assert states.size > 16384
+        psi, dinput = run(X, cot)
+        assert psi.size > 16384
         for i in range(0, rows, 16):
             single, single_dinput = run(X[i : i + 1], cot[i : i + 1])
-            assert np.abs(states[i] - single[0]).max() < 1e-12
+            assert np.abs(psi[i] - single[0]).max() < 1e-12
             assert np.abs(dinput[i] - single_dinput[0]).max() < 1e-12
 
 
@@ -168,11 +158,8 @@ class TestEncoderJvp:
     @staticmethod
     def _encoder(kind, num_qubits, X):
         """(states (B, 2**Q), vjp, jvp) at X; the amplitude jvp gives the n occupied amplitudes."""
-        if kind == "angle":
-            return (angle_encode_batch(X, num_qubits), lambda bra: angle_encode_vjp(X, bra),
-                    lambda t: angle_encode_jvp(X, t))
-        states, norms = amplitude_encode_batch(X, num_qubits)
-        return states, lambda bra: amplitude_encode_vjp(X, norms, bra), lambda t: amplitude_encode_jvp(X, norms, t)
+        spec = EncodingSpec(kind, num_qubits, X.shape[1])
+        return (states(spec, X),) + encode(spec, X)[1:]
 
     @staticmethod
     def _inputs(kind, num_qubits, seed=16):
@@ -203,6 +190,35 @@ class TestEncoderJvp:
         assert not fd[:, width:].any()
 
 
+class TestEncode:
+    CASES = [("angle", 4, 16), ("amplitude", 4, 16), ("amplitude", 10, 100)]
+
+    @pytest.mark.parametrize("kind, num_qubits, n", CASES)
+    def test_states_pad_psi_to_the_full_register(self, kind, num_qubits, n):
+        spec = EncodingSpec(kind, num_qubits, n)
+        X = np.random.default_rng(17).uniform(0.1, 2.0, size=(3, n))
+        psi = encode(spec, X)[0]
+        full = states(spec, X)
+        assert psi.shape == (3, spec.width) and full.shape == (3, 1 << num_qubits)
+        assert np.array_equal(full[:, : spec.width], psi) and not full[:, spec.width :].any()
+
+    @pytest.mark.parametrize("kind, num_qubits, n", CASES)
+    @pytest.mark.parametrize("shape", [(3, 8), (3, 17), (16,)])
+    def test_wrong_width_rejected(self, kind, num_qubits, n, shape):
+        with pytest.raises(DimensionError):
+            encode(EncodingSpec(kind, num_qubits, n), np.full(shape, 0.5))
+
+    def test_angle_kets_built_once_for_encode_vjp_and_jvp(self, monkeypatch):
+        built = []
+        qubit_kets = encoding._qubit_kets
+        monkeypatch.setattr(encoding, "_qubit_kets", lambda a: built.append(a) or qubit_kets(a))
+        X = np.random.default_rng(18).uniform(0.0, 2.0 * np.pi, size=(3, 16))
+        psi, vjp, jvp = encode(EncodingSpec("angle", 4, 16), X)
+        vjp(psi)
+        jvp(X)
+        assert len(built) == 1
+
+
 class TestEncodingSpec:
     def test_amplitude_capacity(self):
         EncodingSpec("amplitude", 4, 16)
@@ -213,6 +229,10 @@ class TestEncodingSpec:
         EncodingSpec("angle", 4, 16)
         with pytest.raises(DimensionError):
             EncodingSpec("angle", 4, 15)
+
+    def test_width_is_the_occupied_amplitude_count(self):
+        assert EncodingSpec("amplitude", 10, 100).width == 100
+        assert EncodingSpec("angle", 4, 16).width == 16
 
 
 class TestInject:

@@ -126,6 +126,19 @@ class TestReversePasses:
         out, _ = model.backward_batch(np.zeros((1, 4)), np.array([[1.0, 0, 0, 0]]), np.zeros((1, 4)))
         assert np.array_equal(out, np.zeros((1, 4)))
 
+    @pytest.mark.parametrize("encoding", ["amplitude", "angle"])
+    def test_wrong_input_width_rejected(self, encoding):
+        # an amplitude model must not read (3, 8) rows as the first 8 of its 16 amplitudes
+        model = build_default_model(encoding, 4, 16, seed=3)
+        Z = X = np.full((3, 8), 0.5)
+
+        def backward(Z, X):
+            return model.backward_batch(Z, X, np.ones((3, 16)))
+
+        for call in (model.forward_batch, model.jacobian_factors, backward):
+            with pytest.raises(DimensionError):
+                call(Z, X)
+
     def test_grad_theta_empty_circuit(self):
         model = _identity_model()
         _, grad = model.backward_batch(np.zeros((1, 4)), np.array([[1.0, 0, 0, 0]]), np.ones((1, 4)))
@@ -202,17 +215,11 @@ def _gate_by_gate_backward(model, Z, X, C):
     """(dZ, dtheta) from the circuit run on the B batch rows and one adjoint sweep over them."""
     combined = Z + X
     ops = resolve_circuit(model.circuit, model.theta)
-    if model.encoding.kind == "amplitude":
-        states, norms = enc.amplitude_encode_batch(combined, model.num_qubits)
-    else:
-        states = enc.angle_encode_batch(combined, model.num_qubits)
-    apply_ops(ops, states)
+    states = apply_ops(ops, enc.states(model.encoding, combined))
     chat = upsample_transpose_batch(C, model.upsample)
     bra = (chat @ model.ensemble.diagonals(model.num_qubits)) * states
     dtheta, back = adjoint_sweep(ops, states, bra, num_params=model.num_params)
-    if model.encoding.kind == "amplitude":
-        return enc.amplitude_encode_vjp(combined, norms, back), dtheta
-    return enc.angle_encode_vjp(combined, back), dtheta
+    return enc.encode(model.encoding, combined)[1](back), dtheta
 
 
 def _rel(got, expected, scale=None):
@@ -304,11 +311,7 @@ class TestAngleEncoderAgainstGates:
 
 
 def _pre_circuit_state(model, z, x):
-    v = z + x
-    if model.encoding.kind == "amplitude":
-        states, _ = enc.amplitude_encode_batch(v[None], model.num_qubits)
-        return states[0]
-    return enc.angle_encode_batch(v[None], model.num_qubits)[0]
+    return enc.states(model.encoding, (z + x)[None])[0]
 
 
 class TestBuilders:

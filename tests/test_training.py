@@ -486,6 +486,15 @@ class TestTrainLoop:
             train(bundle, model, head, cfg)
         assert model.theta.tobytes() == before.tobytes()
 
+    def test_short_label_array_rejected_before_first_step(self, small_bundle):
+        bundle = dataclasses.replace(small_bundle, y_val=small_bundle.y_val[:-1])
+        cfg = _quick_config(epochs=1)
+        model, head = build_from_config(cfg)
+        before = model.theta.copy()
+        with pytest.raises(DimensionError, match="y_val"):
+            train(bundle, model, head, cfg)
+        assert model.theta.tobytes() == before.tobytes()
+
     def test_subset_of_one_gives_empty_train_split(self, digits_data_dir):
         from qdeq.datasets import prepare_bundle
 
@@ -500,6 +509,13 @@ class TestTrainLoop:
         model, head = build_from_config(_quick_config())
         with pytest.raises(DimensionError):
             evaluate(model, head, small_bundle.x_val[:0], small_bundle.y_val[:0], SolverMode.parse("implicit"))
+
+    @pytest.mark.parametrize("labels", [[-1] * 8, [7] * 8, [0] * 7])
+    def test_evaluate_rejects_labels_that_do_not_fit(self, small_bundle, labels):
+        # C = 4: out-of-range labels were scored as misses, a short array failed in a numpy broadcast
+        model, head = build_from_config(_quick_config())
+        with pytest.raises(DimensionError):
+            evaluate(model, head, small_bundle.x_val[:8], np.array(labels), SolverMode.parse("implicit"))
 
     def test_one_step_broyden_leaves_rows_unconverged(self, small_bundle):
         cfg = _quick_config(epochs=1, warmup_steps=0, solver_mode="implicit")
