@@ -2,9 +2,10 @@
 
 Each verifier samples its stated domain, checks the exact inequality with a
 1e-12 slack allowance, and reports violation counts plus the worst margin
-(minimum of bound - observed). The overlap verifiers encode their samples with
-``encoding.states``; the angle one also emits the plot-ready (dist_sq, overlap,
-bound) table.
+(minimum of bound - observed). The overlap verifiers take their overlaps from
+the amplitudes ``encoding.encode`` returns; the angle one also emits the
+plot-ready (dist_sq, overlap, bound) table. The contraction verifier reads the
+model's readouts from ``QuantumModel.expectations``.
 """
 from __future__ import annotations
 
@@ -12,9 +13,9 @@ import csv
 from dataclasses import dataclass
 import numpy as np
 
-from .encoding import AMPLITUDE, ANGLE, EncodingSpec, states
+from .encoding import AMPLITUDE, ANGLE, EncodingSpec, encode
 from .errors import DimensionError
-from .measurement import PAULI_Z, expect_batch
+from .measurement import PAULI_Z
 from .simcore import StateVector
 
 _SLACK = 1e-12
@@ -53,8 +54,10 @@ def trace_distance(state_a: StateVector, state_b: StateVector) -> float:
     return float(np.sqrt(max(0.0, 1.0 - overlap**2)))
 
 
-def _overlaps(states_a: np.ndarray, states_b: np.ndarray) -> np.ndarray:
-    return np.abs(np.einsum("bi,bi->b", states_a.conj(), states_b))
+def _overlaps(spec: EncodingSpec, z: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """|<encode(z_b)|encode(w_b)>| per row, from the occupied amplitudes."""
+    psi_z, psi_w = encode(spec, z)[0], encode(spec, w)[0]
+    return np.abs(np.einsum("bi,bi->b", psi_z.conj(), psi_w))
 
 
 def _unit_rows(rng, count, dim):
@@ -91,7 +94,7 @@ def verify_amplitude_overlap(num_pairs: int, seed: int = 0, dim: int = 16) -> Bo
     rng = np.random.default_rng(seed)
     z, w = _amplitude_pairs(rng, num_pairs, dim)
     spec = EncodingSpec(AMPLITUDE, max(1, int(np.ceil(np.log2(dim)))), dim)
-    overlap = _overlaps(states(spec, z), states(spec, w))
+    overlap = _overlaps(spec, z, w)
     dist_sq = np.linalg.norm(z - w, axis=1) ** 2
     identity_err = np.abs(overlap - (1.0 - 0.5 * dist_sq))
     bound_margin = dist_sq - (1.0 - overlap**2)
@@ -121,7 +124,7 @@ def verify_angle_overlap(num_pairs: int = 3000, seed: int = 0) -> BoundReport:
     for num_qubits in (1, 2, 4):
         z, w = _angle_pairs(rng, num_pairs, num_qubits)
         spec = EncodingSpec(ANGLE, num_qubits, 4 * num_qubits)
-        overlap = _overlaps(states(spec, z), states(spec, w))
+        overlap = _overlaps(spec, z, w)
         dist_sq = np.linalg.norm(z - w, axis=1) ** 2
         bound = 1.0 - np.sin(dist_sq)
         margin = overlap - bound
@@ -176,10 +179,8 @@ def verify_contraction_bound(model, num_pairs: int, seed: int = 0) -> BoundRepor
     else:
         z, w = _angle_pairs(rng, num_pairs, model.num_qubits)
     zeros = np.zeros_like(z)
-    final_z, final_w = model.prepare(z, zeros), model.prepare(w, zeros)
-    diags = model.ensemble.diagonals(model.num_qubits)
-    delta = np.abs(expect_batch(final_z, diags) - expect_batch(final_w, diags))
-    overlap = _overlaps(final_z, final_w)
+    delta = np.abs(model.expectations(z, zeros) - model.expectations(w, zeros))
+    overlap = _overlaps(model.encoding, z, w)
     tdist = np.sqrt(np.clip(1.0 - overlap**2, 0.0, None))
     factor = 2.0 if model.ensemble.kind == PAULI_Z else 1.0
     margin = factor * tdist[:, None] - delta

@@ -3,13 +3,14 @@
 Both observable kinds used here (Pauli-Z on a site, projectors onto
 computational basis states) are diagonal in the computational basis, so an
 ensemble reduces to K real diagonal vectors and expectations to one matrix
-product against |amplitudes|^2.
+product against |amplitudes|^2. The upsampling map is the fixed (n, K) matrix S
+that takes the K readouts back to the input width.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -72,12 +73,6 @@ def expect_ensemble(state: StateVector, ensemble: ObservableEnsemble) -> np.ndar
     return diags @ (np.abs(state.amplitudes) ** 2)
 
 
-def expect_batch(states: np.ndarray, diags: np.ndarray) -> np.ndarray:
-    """(B, K) expectations for states of shape (B, 2**Q)."""
-    probs = states.real**2 + states.imag**2
-    return probs @ diags.T
-
-
 @dataclass(frozen=True)
 class UpsampleMap:
     """Entry repetition from K readouts to n latent entries, scaled 1/sqrt(r).
@@ -97,6 +92,13 @@ class UpsampleMap:
         object.__setattr__(self, "repeat", r)
         object.__setattr__(self, "scale", 1.0 / math.sqrt(r))
 
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """S (n, K), read-only: a batch of readouts E (B, K) upsamples to E @ S.T."""
+        S = self.scale * np.repeat(np.eye(self.num_outputs), self.repeat, axis=0)[: self.target_dim]
+        S.setflags(write=False)
+        return S
+
 
 def upsample(v: np.ndarray, umap: UpsampleMap) -> np.ndarray:
     """Repeat each entry ``repeat`` times, truncate to n, scale."""
@@ -104,15 +106,3 @@ def upsample(v: np.ndarray, umap: UpsampleMap) -> np.ndarray:
     if v.shape[0] != umap.num_outputs:
         raise DimensionError(f"expected {umap.num_outputs} entries, got {v.shape[0]}")
     return umap.scale * np.repeat(v, umap.repeat)[: umap.target_dim]
-
-
-def upsample_batch(V: np.ndarray, umap: UpsampleMap) -> np.ndarray:
-    return umap.scale * np.repeat(V, umap.repeat, axis=1)[:, : umap.target_dim]
-
-
-def upsample_transpose_batch(C: np.ndarray, umap: UpsampleMap) -> np.ndarray:
-    """Adjoint of upsample_batch: (B, n) cotangents to (B, K)."""
-    b = C.shape[0]
-    full = np.zeros((b, umap.num_outputs * umap.repeat))
-    full[:, : umap.target_dim] = C
-    return umap.scale * full.reshape(b, umap.num_outputs, umap.repeat).sum(axis=2)

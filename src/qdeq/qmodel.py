@@ -1,11 +1,13 @@
 """Quantum model family: encoding + parametrized circuit + readout + upsample.
 
-A model maps an iterate z and input x to upsample(<M_k>) of the state
-U(theta)|encode(z + x)>. Forward and reverse passes work on (B, n) batches of
-samples only; a single sample is a one-row batch. The forward pass runs the
-gate kernels on the B states of ``encoding.states``; the reverse passes use the
-K readout forms on the d = ``EncodingSpec.width`` basis rows that encoded states
-occupy (``_compiled``), never the B rows, and ``encoding.encode``'s vjp and jvp.
+A model maps an iterate z and input x to S <M_k>, the K readouts of the state
+U(theta)|encode(z + x)> taken back to the input width by the upsample matrix S
+(n, K). Forward and reverse passes work on (B, n) batches of samples only; a
+single sample is a one-row batch. ``expectations`` is the one place that runs
+the gate kernels on the B states of ``encoding.states``; the reverse passes use
+the K readout forms on the d = ``EncodingSpec.width`` basis rows that encoded
+states occupy (``_compiled``), never the B rows, and ``encoding.encode``'s vjp
+and jvp.
 
 Circuit builders follow the 4-qubit block (seeded random layer, then a
 trainable RY wall, RZ wall, CNOT ring, RY wall) and its 10-qubit staircase
@@ -19,13 +21,7 @@ import numpy as np
 
 from . import encoding as enc
 from .errors import DimensionError
-from .measurement import (
-    ObservableEnsemble,
-    UpsampleMap,
-    expect_batch,
-    upsample_batch,
-    upsample_transpose_batch,
-)
+from .measurement import ObservableEnsemble, UpsampleMap
 from .seeding import child_seed, substream
 from .simcore import (
     CNOT,
@@ -88,14 +84,14 @@ class QuantumModel:
 
     # -- forward -----------------------------------------------------------
 
-    def prepare(self, Z: np.ndarray, X: np.ndarray) -> np.ndarray:
-        """The final states U(theta)|encode(z + x)>, shape (B, 2**Q), from the gate kernels."""
+    def expectations(self, Z: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """(B, K) readouts <M_k> of U(theta)|encode(z + x)>, from the gate kernels on the B states."""
         states = enc.states(self.encoding, enc.inject(Z, X))
-        return apply_ops(resolve_circuit(self.circuit, self.theta), states)
+        final = apply_ops(resolve_circuit(self.circuit, self.theta), states)
+        return (final.real**2 + final.imag**2) @ self.ensemble.diagonals(self.num_qubits).T
 
     def forward_batch(self, Z: np.ndarray, X: np.ndarray) -> np.ndarray:
-        diags = self.ensemble.diagonals(self.num_qubits)
-        return upsample_batch(expect_batch(self.prepare(Z, X), diags), self.upsample)
+        return self.expectations(Z, X) @ self.upsample.matrix.T
 
     # -- reverse -----------------------------------------------------------
 
@@ -123,7 +119,7 @@ class QuantumModel:
     def backward_batch(self, Z, X, cotangents, need_z: bool = True, need_theta: bool = True, tangents=None):
         """(dZ, dtheta) for sum_b cotangent_b . forward(z_b, x_b), from the forms of ``_compiled``.
 
-        With chat = S^T c, dZ is the encoder vjp of sum_k chat_bk psi_b H_k. dtheta
+        With chat = c S, dZ is the encoder vjp of sum_k chat_bk psi_b H_k. dtheta
         is summed over the batch (scale cotangents by 1/B upstream for a batch
         mean). The objective is sum_k tr(H_k^T R_k) with R_k = sum_b chat_bk
         psi_b^T conj(psi_b), so one adjoint sweep over the d rows of V, with bra
@@ -134,7 +130,7 @@ class QuantumModel:
         """
         ops, V, H = self._compiled()
         psi, encode_vjp, encode_jvp = enc.encode(self.encoding, enc.inject(Z, X))
-        chat = upsample_transpose_batch(np.atleast_2d(cotangents), self.upsample)
+        chat = np.atleast_2d(cotangents) @ self.upsample.matrix
         dZ = dtheta = None
         if need_z:
             dZ = encode_vjp(np.einsum("bk,bkd->bd", chat, (psi @ H).reshape(chat.shape + (-1,))))
@@ -152,13 +148,13 @@ class QuantumModel:
     def jacobian_factors(self, Z: np.ndarray, X: np.ndarray):
         """(S, D) with d forward(z_b, x_b) / d z_b = S @ D[b], of rank K.
 
-        S is the (n, K) upsample matrix. Row k of D[b] (shape (B, K, n)) is
+        S is the (n, K) upsample matrix ``UpsampleMap.matrix``. Row k of D[b] (shape (B, K, n)) is
         readout k's input cotangent psi_b H_k chained through the encoder vjp.
         """
         psi, encode_vjp, _ = enc.encode(self.encoding, enc.inject(Z, X))
         PH = (psi @ self._compiled()[2]).reshape(len(psi), self.ensemble.size, -1)
         D = np.stack([encode_vjp(PH[:, k]) for k in range(self.ensemble.size)], axis=1)
-        return upsample_batch(np.eye(self.ensemble.size), self.upsample).T, D
+        return self.upsample.matrix, D
 
 
 # ---------------------------------------------------------------------------

@@ -233,12 +233,14 @@ def build_from_config(cfg: TrainConfig):
 
 
 def _check_split(X: np.ndarray, y, num_classes: int, name: str = "the split") -> None:
-    """DimensionError unless X has rows and y holds one label in [0, num_classes) per row."""
+    """DimensionError unless X has rows and y holds one whole-number label in [0, num_classes) per row."""
     if X.shape[0] == 0:
         raise DimensionError(f"{name} has no rows")
     y = np.asarray(y)
-    if y.shape != X.shape[:1] or np.any((y < 0) | (y >= num_classes)):
-        raise DimensionError(f"{name} needs one label in [0, {num_classes}) for each of its {X.shape[0]} rows")
+    if y.shape != X.shape[:1] or not np.all((y >= 0) & (y < num_classes) & (y == np.round(y))):
+        raise DimensionError(
+            f"{name} needs one whole-number label in [0, {num_classes}) for each of its {X.shape[0]} rows"
+        )
 
 
 def evaluate(
@@ -254,7 +256,7 @@ def evaluate(
 
     The rows of a batch whose solve diverges, or that holds an input the
     encoder rejects, count as misclassified with residual inf. An X with no
-    rows, or a y that is not one label in [0, C) per row, raises DimensionError.
+    rows, or a y that is not one whole-number label in [0, C) per row, raises DimensionError.
     """
     _check_split(X, y, head.bias.size)
     correct = 0
@@ -282,7 +284,7 @@ def train(bundle: DataBundle, model: QuantumModel, head: ClassifierHead, cfg: Tr
     with TrainingAborted when more than 10% of an epoch's batches are skipped.
     An implicit step that the ``jac-gate`` draw picks (probability jac_loss_freq)
     adds jac_loss_weight times the exact penalty mean_b ||J_b||_F^2 to its loss.
-    An empty split, or y not one label in [0, C) per row, raises DimensionError before any step.
+    An empty split, or y not one whole-number label in [0, C) per row, raises DimensionError before any step.
     """
     for split in ("train", "val", "test"):
         X, y = getattr(bundle, f"x_{split}"), getattr(bundle, f"y_{split}")
@@ -416,16 +418,12 @@ def load_checkpoint(path):
         param[:] = arr
     adam = None
     if "adam" in payload:
-        m, v, t, skipped = (
-            _checkpoint_field(payload["adam"], key, "checkpoint adam") for key in ("m", "v", "t", "skipped")
-        )
-        for key, count in (("t", t), ("skipped", skipped)):
-            if type(count) is not int or count < 0:
-                raise DataFormatError(f"checkpoint adam {key!r} must be a non-negative integer, got {count!r}")
+        m, v = (_checkpoint_field(payload["adam"], key, "checkpoint adam") for key in ("m", "v"))
+        t, skipped = (_checkpoint_count(payload["adam"], key, "checkpoint adam") for key in ("t", "skipped"))
         adam = AdamState(
             _checkpoint_arrays(m, params, "Adam m"), _checkpoint_arrays(v, params, "Adam v"), t, skipped
         )
-    return cfg, model, head, adam, payload.get("step", 0)
+    return cfg, model, head, adam, _checkpoint_count(payload, "step")
 
 
 def _checkpoint_field(payload, key: str, where: str = "checkpoint"):
@@ -435,6 +433,14 @@ def _checkpoint_field(payload, key: str, where: str = "checkpoint"):
     if key not in payload:
         raise DataFormatError(f"{where} lacks the {key!r} field")
     return payload[key]
+
+
+def _checkpoint_count(payload, key: str, where: str = "checkpoint") -> int:
+    """``payload[key]`` if it is a non-negative int, not a bool; DataFormatError naming the key otherwise."""
+    value = _checkpoint_field(payload, key, where)
+    if type(value) is not int or value < 0:
+        raise DataFormatError(f"{where} {key!r} must be a non-negative integer, got {value!r}")
+    return value
 
 
 def _checkpoint_arrays(values: list, like: list, what: str) -> list:

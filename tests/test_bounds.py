@@ -134,11 +134,9 @@ class TestContractionBound:
     def test_identical_inputs_zero_delta(self):
         model = build_default_model("amplitude", 2, 4, seed=0, random_ops=6)
         z = np.array([[0.5, 0.5, 0.5, 0.5]])
-        final = model.prepare(z, np.zeros_like(z))
-        from qdeq.measurement import expect_batch
-
-        e = expect_batch(final, model.ensemble.diagonals(2))
-        assert np.abs(e - e).max() == 0.0
+        e = model.expectations(z, np.zeros_like(z))
+        again = model.expectations(z.copy(), np.zeros_like(z))
+        assert np.abs(e - again).max() == 0.0
 
     def test_saturating_orthogonal_pair(self):
         # |0> vs |1> under Z: delta = 2, trace distance = 1, bound tight

@@ -10,8 +10,6 @@ from qdeq.measurement import (
     UpsampleMap,
     expect_ensemble,
     upsample,
-    upsample_batch,
-    upsample_transpose_batch,
 )
 from qdeq.simcore import StateVector
 
@@ -110,14 +108,29 @@ class TestUpsample:
         assert np.allclose(out, expected)
 
     def test_transpose_is_adjoint(self):
+        # c @ S, the backward pass's readout cotangent, is the adjoint of the reference upsample
         rng = np.random.default_rng(3)
         for num_out, target in ((4, 16), (10, 100), (4, 10), (3, 7)):
             umap = UpsampleMap(num_out, target)
             v = rng.normal(size=(5, num_out))
             c = rng.normal(size=(5, target))
-            lhs = np.einsum("bn,bn->b", upsample_batch(v, umap), c)
-            rhs = np.einsum("bk,bk->b", v, upsample_transpose_batch(c, umap))
+            lhs = np.array([upsample(row, umap) @ cot for row, cot in zip(v, c)])
+            rhs = np.einsum("bk,bk->b", v, c @ umap.matrix)
             assert np.abs(lhs - rhs).max() < 1e-12
+
+    @pytest.mark.parametrize("num_out, target", [(4, 16), (10, 100), (3, 8)])
+    def test_matrix_columns_are_upsampled_basis_vectors(self, num_out, target):
+        umap = UpsampleMap(num_out, target)
+        S = umap.matrix
+        assert S.shape == (target, num_out)
+        for k, e in enumerate(np.eye(num_out)):
+            assert np.array_equal(S[:, k], upsample(e, umap))
+
+    def test_matrix_is_cached_and_read_only(self):
+        umap = UpsampleMap(4, 16)
+        assert umap.matrix is umap.matrix
+        with pytest.raises(ValueError):
+            umap.matrix[0, 0] = 1.0
 
     def test_length_mismatch(self):
         with pytest.raises(DimensionError):

@@ -6,9 +6,9 @@ import pytest
 
 from qdeq import deqsolve
 from qdeq import encoding as enc
-from qdeq.encoding import EncodingSpec, angle_encode
+from qdeq.encoding import EncodingSpec, amplitude_encode, angle_encode
 from qdeq.errors import DimensionError
-from qdeq.measurement import ObservableEnsemble, UpsampleMap, upsample_transpose_batch
+from qdeq.measurement import ObservableEnsemble, UpsampleMap, expect_ensemble
 from qdeq.qmodel import (
     QuantumModel,
     build_block4,
@@ -17,8 +17,8 @@ from qdeq.qmodel import (
 )
 from qdeq.seeding import child_seed
 from qdeq.simcore import (
-    GateOp, ParamCircuit, StateVector, adjoint_gradients, adjoint_sweep, apply_ops, parameter_shift_grad,
-    resolve_circuit,
+    GateOp, ParamCircuit, StateVector, adjoint_gradients, adjoint_sweep, apply_circuit, apply_ops,
+    parameter_shift_grad, resolve_circuit,
 )
 from qdeq.training import TrainConfig, build_from_config, load_checkpoint, save_checkpoint
 
@@ -82,6 +82,27 @@ class TestForward:
             r = model.upsample.repeat
             expected = model.upsample.scale * np.repeat(expectations, r)[:n]
             assert np.abs(fast - expected).max() < 1e-10
+
+    @pytest.mark.parametrize(
+        "encoding, num_qubits, input_dim",
+        [("amplitude", 4, 16), ("angle", 4, 16), ("amplitude", 10, 100)],
+    )
+    def test_expectations_match_single_state_reference(self, encoding, num_qubits, input_dim):
+        # row by row: encode one state, run the circuit on it, read the ensemble
+        rng = np.random.default_rng(11)
+        model = build_default_model(encoding, num_qubits, input_dim, seed=3)
+        X = rng.uniform(0.1, 1.0, size=(4, input_dim))
+        Z = 0.1 * rng.normal(size=X.shape)
+        got = model.expectations(Z, X)
+        assert got.shape == (4, num_qubits)
+        for row, v in zip(got, Z + X):
+            if encoding == "amplitude":
+                state = amplitude_encode(v, num_qubits)
+            else:
+                encoder = ParamCircuit.from_gates(num_qubits, angle_encode(v, num_qubits))
+                state = apply_circuit(encoder, [], StateVector.zero(num_qubits))
+            final = apply_circuit(model.circuit, model.theta, state)
+            assert np.abs(row - expect_ensemble(final, model.ensemble)).max() <= 1e-12
 
     def test_output_norm_bound(self):
         # with isometric upsampling and Pauli-Z readout, ||f|| <= sqrt(K)
@@ -154,9 +175,7 @@ class TestReversePasses:
         _, grad = model.backward_batch(z[None], x[None], cot[None], need_z=False)
         # shift rule applies to the circuit expectations; chain upsample by hand
         input_state = StateVector(model.num_qubits, _pre_circuit_state(model, z, x))
-        from qdeq.measurement import upsample_transpose_batch
-
-        chat = upsample_transpose_batch(cot[None], model.upsample)[0]
+        chat = cot @ model.upsample.matrix
         for slot in range(model.num_params):
             shift = parameter_shift_grad(model.circuit, model.theta, input_state, model.ensemble, slot)
             assert abs(grad[slot] - chat @ shift) < 1e-6
@@ -216,7 +235,7 @@ def _gate_by_gate_backward(model, Z, X, C):
     combined = Z + X
     ops = resolve_circuit(model.circuit, model.theta)
     states = apply_ops(ops, enc.states(model.encoding, combined))
-    chat = upsample_transpose_batch(C, model.upsample)
+    chat = C @ model.upsample.matrix
     bra = (chat @ model.ensemble.diagonals(model.num_qubits)) * states
     dtheta, back = adjoint_sweep(ops, states, bra, num_params=model.num_params)
     return enc.encode(model.encoding, combined)[1](back), dtheta
@@ -300,7 +319,7 @@ class TestAngleEncoderAgainstGates:
             for g in model.circuit.gates
         ]
         circuit = ParamCircuit(num_qubits, tuple(encoder + shifted), n + model.num_params)
-        chat = upsample_transpose_batch(cot[None], model.upsample)[0]
+        chat = cot @ model.upsample.matrix
         dtheta, _ = adjoint_gradients(
             circuit, np.concatenate([z + x, model.theta]), StateVector.zero(num_qubits),
             chat, model.ensemble,

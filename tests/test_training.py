@@ -473,11 +473,11 @@ class TestTrainLoop:
             train(bundle, model, head, cfg)
         assert model.theta.tobytes() == before.tobytes()
 
-    @pytest.mark.parametrize("split, label", [("train", -1), ("val", 4), ("test", -1)])
+    @pytest.mark.parametrize("split, label", [("train", -1), ("val", 4), ("test", -1), ("train", 0.5)])
     def test_out_of_range_label_rejected_before_first_step(self, small_bundle, split, label):
-        # cross-entropy would score a label of -1 as the last class without complaint
-        labels = getattr(small_bundle, f"y_{split}").copy()
-        labels[3] = label
+        # cross-entropy would score a label of -1 as the last class, and truncate 0.5 to class 0
+        labels = getattr(small_bundle, f"y_{split}")
+        labels = np.where(np.arange(len(labels)) == 3, label, labels)
         bundle = dataclasses.replace(small_bundle, **{f"y_{split}": labels})
         cfg = _quick_config(epochs=1)
         model, head = build_from_config(cfg)
@@ -510,9 +510,10 @@ class TestTrainLoop:
         with pytest.raises(DimensionError):
             evaluate(model, head, small_bundle.x_val[:0], small_bundle.y_val[:0], SolverMode.parse("implicit"))
 
-    @pytest.mark.parametrize("labels", [[-1] * 8, [7] * 8, [0] * 7])
+    @pytest.mark.parametrize("labels", [[-1] * 8, [7] * 8, [0] * 7, [0.5] * 8, [1, np.nan] * 4])
     def test_evaluate_rejects_labels_that_do_not_fit(self, small_bundle, labels):
-        # C = 4: out-of-range labels were scored as misses, a short array failed in a numpy broadcast
+        # C = 4: out-of-range labels were scored as misses, a short array failed in a numpy broadcast,
+        # and 0.5 or NaN passed the range check (cross-entropy truncates 0.5 to class 0)
         model, head = build_from_config(_quick_config())
         with pytest.raises(DimensionError):
             evaluate(model, head, small_bundle.x_val[:8], np.array(labels), SolverMode.parse("implicit"))
@@ -618,7 +619,7 @@ class TestCheckpoint:
         model, head = build_from_config(cfg)
         save_checkpoint(path, cfg, model, head)
         payload = json.loads(path.read_text())
-        for key in ("format", "config", "theta", "head_weight", "head_bias"):
+        for key in ("format", "config", "step", "theta", "head_weight", "head_bias"):
             path.write_text(json.dumps({k: v for k, v in payload.items() if k != key}))
             with pytest.raises(DataFormatError, match=f"'{key}'"):
                 load_checkpoint(path)
@@ -681,6 +682,17 @@ class TestCheckpoint:
                 load_checkpoint(path)
         path.write_text(json.dumps(dict(payload, adam=[1, 2])))
         with pytest.raises(DataFormatError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("step", ["x", -3, True, 2.5, None])
+    def test_rejects_step_that_is_not_a_count(self, tmp_path, step):
+        cfg = _quick_config(epochs=1)
+        model, head = build_from_config(cfg)
+        path = tmp_path / "ckpt.txt"
+        save_checkpoint(path, cfg, model, head, step=3)
+        payload = json.loads(path.read_text())
+        path.write_text(json.dumps(dict(payload, step=step)))
+        with pytest.raises(DataFormatError, match="'step'"):
             load_checkpoint(path)
 
     def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
