@@ -2,11 +2,11 @@
 
 ``encode`` is the one batch encoder: it encodes each row once and returns the
 amplitudes it occupies with their vjp and jvp, so the simulator runs only the
-trainable circuit; ``states`` pads them into full states. Amplitude encoding
-normalizes the (zero-padded) vector straight into the amplitudes. Angle encoding
-rotates each qubit's |0> by four angles in the Y, Z, X, Y order and builds the
-product state from the per-qubit 2-vectors. Injection is elementwise addition of
-the original input into the current iterate; the encoder normalizes downstream.
+trainable circuit; ``states`` pads them into full states for the single-state
+references. Amplitude encoding normalizes the (zero-padded) vector straight
+into the amplitudes. Angle encoding rotates each qubit's |0> by Y, Z, X, Y
+angles and builds the product state from the per-qubit 2-vectors. Injection
+adds the original input to the current iterate; the encoder normalizes it.
 """
 from __future__ import annotations
 

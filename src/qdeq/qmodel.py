@@ -3,11 +3,10 @@
 A model maps an iterate z and input x to S <M_k>, the K readouts of the state
 U(theta)|encode(z + x)> taken back to the input width by the upsample matrix S
 (n, K). Forward and reverse passes work on (B, n) batches of samples only; a
-single sample is a one-row batch. ``expectations`` is the one place that runs
-the gate kernels on the B states of ``encoding.states``; the reverse passes use
-the K readout forms on the d = ``EncodingSpec.width`` basis rows that encoded
-states occupy (``_compiled``), never the B rows, and ``encoding.encode``'s vjp
-and jvp.
+single sample is a one-row batch. Every pass reads the K readout forms that
+``_compiled`` builds once per theta by running the circuit on the d =
+``EncodingSpec.width`` basis rows of the encoded states, never on the B rows;
+the theta-gradient is one adjoint sweep over the same d rows.
 
 Circuit builders follow the 4-qubit block (seeded random layer, then a
 trainable RY wall, RZ wall, CNOT ring, RY wall) and its 10-qubit staircase
@@ -85,10 +84,10 @@ class QuantumModel:
     # -- forward -----------------------------------------------------------
 
     def expectations(self, Z: np.ndarray, X: np.ndarray) -> np.ndarray:
-        """(B, K) readouts <M_k> of U(theta)|encode(z + x)>, from the gate kernels on the B states."""
-        states = enc.states(self.encoding, enc.inject(Z, X))
-        final = apply_ops(resolve_circuit(self.circuit, self.theta), states)
-        return (final.real**2 + final.imag**2) @ self.ensemble.diagonals(self.num_qubits).T
+        """(B, K) readouts <M_k> = psi_b H_k psi_b^dagger of U(theta)|encode(z + x)>, from ``_compiled``."""
+        psi = enc.encode(self.encoding, enc.inject(Z, X))[0]
+        PH = (psi @ self._compiled()[2]).reshape(len(psi), self.ensemble.size, -1)
+        return np.einsum("bkd,bd->bk", PH, psi.conj()).real
 
     def forward_batch(self, Z: np.ndarray, X: np.ndarray) -> np.ndarray:
         return self.expectations(Z, X) @ self.upsample.matrix.T

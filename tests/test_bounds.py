@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from qdeq import bounds
 from qdeq.bounds import (
     estimate_lipschitz,
     renormalization_shift,
@@ -74,6 +75,19 @@ class TestAmplitudeOverlap:
         w = np.array([0.5, np.sqrt(3) / 2])
         overlap = abs(np.vdot(amplitude_encode(z, 1).amplitudes, amplitude_encode(w, 1).amplitudes))
         assert overlap == pytest.approx(0.5, abs=1e-12)
+
+    def test_worst_margin_is_the_overlap_bound_margin(self):
+        report = verify_amplitude_overlap(500, seed=3)
+        z, w = bounds._amplitude_pairs(np.random.default_rng(3), 500, 16)
+        overlap = np.abs(np.einsum("bi,bi->b", z, w))
+        expected = (np.linalg.norm(z - w, axis=1) ** 2 - (1.0 - overlap**2)).min()
+        assert report.worst_margin == pytest.approx(expected, rel=1e-9)
+        assert report.worst_margin > 1e-6  # the bound's own margin, not the identity check's slack
+
+    def test_identity_error_above_the_slack_is_a_violation(self, monkeypatch):
+        overlaps = bounds._overlaps
+        monkeypatch.setattr(bounds, "_overlaps", lambda spec, z, w: overlaps(spec, z, w) + 1e-9)
+        assert verify_amplitude_overlap(200, seed=4).violations == 200
 
 
 class TestAngleOverlap:

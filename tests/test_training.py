@@ -315,6 +315,35 @@ class TestTrainLoop:
         assert adam.t == 1
         assert rows == [16] * sweeps
 
+    @pytest.mark.parametrize(
+        "encoding, solver_mode, jac_loss_weight",
+        [("amplitude", "implicit", 0.5), ("angle", "implicit", 0.5), ("amplitude", "direct_5", 0.0),
+         ("angle", "direct_5", 0.0)],
+    )
+    def test_circuit_runs_once_per_theta_on_the_basis_rows(
+        self, small_bundle, monkeypatch, encoding, solver_mode, jac_loss_weight
+    ):
+        # the forward, the reverse passes and evaluate all read one compile per theta, built on the
+        # d = 16 basis rows, never on the 32- or 8-row batches
+        calls = []
+        original = qmodel.apply_ops
+
+        def recording(ops, states):
+            calls.append((states.shape[0], model.theta.tobytes()))
+            return original(ops, states)
+
+        monkeypatch.setattr(qmodel, "apply_ops", recording)
+        cfg = _quick_config(
+            encoding=encoding, epochs=1, batch_size=32, solver_mode=solver_mode, warmup_steps=0,
+            jac_loss_weight=jac_loss_weight, jac_loss_freq=1.0,
+        )
+        model, head = build_from_config(cfg)
+        _, adam = train(small_bundle, model, head, cfg)
+        evaluate(model, head, small_bundle.x_test, small_bundle.y_test, SolverMode.parse(solver_mode), batch_size=8)
+        assert adam.t == 13
+        assert [rows for rows, _ in calls] == [16] * (adam.t + 1)
+        assert len({theta for _, theta in calls}) == adam.t + 1
+
     def test_jacobian_penalty_changes_gradient_path(self, small_bundle):
         cfg = _quick_config(
             epochs=1, warmup_steps=0, solver_mode="implicit",
