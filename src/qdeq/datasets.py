@@ -45,7 +45,6 @@ class ImageDataset:
 
     images: np.ndarray  # (N, H, W) uint8, or (N, 3, H, W) uint8 RGB planes for CIFAR
     labels: np.ndarray  # (N,) int64
-    name: str = ""
 
     def __post_init__(self):
         if self.images.shape[0] != self.labels.shape[0]:
@@ -85,14 +84,14 @@ def _parse_idx_labels(raw: bytes, path) -> np.ndarray:
     return np.frombuffer(raw, dtype=np.uint8, offset=8).astype(np.int64)
 
 
-def load_idx(images_path, labels_path, name: str = "") -> ImageDataset:
+def load_idx(images_path, labels_path) -> ImageDataset:
     images = _parse_idx_images(_read_bytes(images_path), images_path)
     labels = _parse_idx_labels(_read_bytes(labels_path), labels_path)
     if images.shape[0] != labels.shape[0]:
         raise DataFormatError(
             f"{images_path} holds {images.shape[0]} images but {labels_path} holds {labels.shape[0]} labels"
         )
-    return ImageDataset(images, labels, name)
+    return ImageDataset(images, labels)
 
 
 def _read_cifar_bytes(path) -> bytes:
@@ -102,15 +101,15 @@ def _read_cifar_bytes(path) -> bytes:
     return raw
 
 
-def _parse_cifar_records(raw, name: str) -> ImageDataset:
+def _parse_cifar_records(raw) -> ImageDataset:
     """Whole 3073-byte records -> uint8 RGB planes (N, 3, 32, 32), views of ``raw``, and labels."""
     data = np.frombuffer(raw, dtype=np.uint8).reshape(-1, _CIFAR_RECORD)
-    return ImageDataset(data[:, 1:].reshape(-1, 3, 32, 32), data[:, 0].astype(np.int64), name)
+    return ImageDataset(data[:, 1:].reshape(-1, 3, 32, 32), data[:, 0].astype(np.int64))
 
 
-def load_cifar_binary(path, name: str = "cifar10") -> ImageDataset:
+def load_cifar_binary(path) -> ImageDataset:
     """One CIFAR-10 binary batch -> uint8 RGB planes (N, 3, 32, 32) and labels."""
-    return _parse_cifar_records(_read_cifar_bytes(path), name)
+    return _parse_cifar_records(_read_cifar_bytes(path))
 
 
 def avg_pool(image: np.ndarray, out_side: int = 4) -> np.ndarray:
@@ -157,7 +156,7 @@ def filter_classes(dataset: ImageDataset, keep) -> ImageDataset:
         raise DimensionError("keep set must be nonempty")
     sel = np.isin(dataset.labels, keep_sorted)
     labels = np.searchsorted(keep_sorted, dataset.labels[sel]).astype(np.int64)
-    return ImageDataset(dataset.images[sel], labels, dataset.name)
+    return ImageDataset(dataset.images[sel], labels)
 
 
 def split(dataset: ImageDataset, train_frac: float = 0.8, seed: int = 0):
@@ -168,8 +167,8 @@ def split(dataset: ImageDataset, train_frac: float = 0.8, seed: int = 0):
     n_train = int(train_frac * len(dataset))
     head, tail = order[:n_train], order[n_train:]
     return (
-        ImageDataset(dataset.images[head], dataset.labels[head], dataset.name),
-        ImageDataset(dataset.images[tail], dataset.labels[tail], dataset.name),
+        ImageDataset(dataset.images[head], dataset.labels[head]),
+        ImageDataset(dataset.images[tail], dataset.labels[tail]),
     )
 
 
@@ -216,8 +215,8 @@ def _load_pair(data_dir: Path, dataset: str):
         if found is None:
             raise DataFormatError(f"{dataset}: {filename} not found under {data_dir}")
         paths[key] = found
-    train = load_idx(paths["train_images"], paths["train_labels"], dataset)
-    test = load_idx(paths["test_images"], paths["test_labels"], dataset)
+    train = load_idx(paths["train_images"], paths["train_labels"])
+    test = load_idx(paths["test_images"], paths["test_labels"])
     return train, test
 
 
@@ -232,7 +231,7 @@ def _load_cifar(data_dir: Path):
     test_path = _find(data_dir, "cifar10", "test_batch.bin")
     if test_path is None:
         raise DataFormatError(f"cifar10: test_batch.bin not found under {data_dir}")
-    return _parse_cifar_records(raw, "cifar10"), load_cifar_binary(test_path)
+    return _parse_cifar_records(raw), load_cifar_binary(test_path)
 
 
 _FEATURE_CHUNK_ROWS = 1024  # images scaled to float64 at a time
@@ -274,7 +273,7 @@ def prepare_bundle(dataset: str, data_dir, seed: int, subset: int | None = None)
     if subset is not None and subset < len(train_full):
         pick = substream(seed, "subset").choice(len(train_full), size=subset, replace=False)
         pick.sort()
-        train_full = ImageDataset(train_full.images[pick], train_full.labels[pick], dataset)
+        train_full = ImageDataset(train_full.images[pick], train_full.labels[pick])
     train, val = split(train_full, 0.8, child_seed(seed, "data-split"))
     del train_full  # split copied its rows; free the raw file bytes before the features
     return DataBundle(

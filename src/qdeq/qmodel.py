@@ -95,7 +95,7 @@ class QuantumModel:
     # -- reverse -----------------------------------------------------------
 
     def _compiled(self):
-        """(ops, V, H) at theta, rebuilt when theta's values differ from the cached copy.
+        """(ops, V, H) at theta, rebuilt when theta's values change; ops are (gate, angle) pairs.
 
         V (d, 2**Q) is U(theta) on the d basis rows that encoded states occupy (the encoding's
         ``width``: n for amplitude, 2**Q for angle encoding), so a row psi ends as psi @ V. H (d, K*d) stacks

@@ -13,20 +13,19 @@ Gate coefficients are scalars: per-sample data never reach this module, since
 the encodings (``encoding.py``) build the input states and chain their
 cotangents back.
 
-``_apply_op`` is the one gate dispatch. The forward pass and the reverse
-(adjoint) sweep share it; the sweep walks the gate list backwards once for the
-derivative of every trainable angle and the input-state cotangent. Both walk
-the batch in row blocks of ``_BLOCK_BYTES`` (16 rows at Q=10, a whole 256-row
-batch at Q=4), every op on one block before the next: the block and the
-kernels' temporaries then stay in a core's L2 cache, where whole-batch passes
-streamed 4 MiB through memory per gate. The parameter-shift rule
-(f(theta + pi/2) - f(theta - pi/2)) / 2 is the second, exact route for
-Pauli-generated rotations.
+``resolve_circuit`` pairs each ``GateOp`` with its angle, and ``_apply_op`` is
+the one dispatch over these (gate, angle) pairs. The forward pass and the
+reverse (adjoint) sweep share it; the sweep walks the pairs backwards once for
+the derivative of every trainable angle and the input-state cotangent. The
+model runs both on the d basis rows of its encoded states (16 at Q=4, 100 at
+Q=10, in 16-row blocks of ``_BLOCK_BYTES`` that stay in a core's L2 cache with
+the kernels' temporaries), the references on one row. The parameter-shift rule
+(f(theta + pi/2) - f(theta - pi/2)) / 2 is the second, exact route.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -131,16 +130,6 @@ class ParamCircuit:
         return cls(num_qubits, tuple(gates), max(slots) + 1 if slots else 0)
 
 
-class Op(NamedTuple):
-    """Resolved gate ready for application, its angle baked in."""
-
-    kind: str
-    target: int
-    control: int
-    angle: float
-    slot: int  # -1 unless the angle came from theta[slot]
-
-
 # ---------------------------------------------------------------------------
 # kernels: in place on states of shape (B, 2**Q); a reshaped view splits the
 # basis index at the gate's qubit(s), so one slice expression serves any size
@@ -193,16 +182,16 @@ def _rotation(kind, angle):
 
 
 def _coefficients(ops, sign=1.0):
-    """Each op's kernel scalars (its inverse's when ``sign`` is -1); None for the self-inverse CNOT."""
-    return [None if op.kind == CNOT else _rotation(op.kind, sign * op.angle) for op in ops]
+    """Each pair's kernel scalars (its inverse's when ``sign`` is -1); None for the self-inverse CNOT."""
+    return [None if g.kind == CNOT else _rotation(g.kind, sign * angle) for g, angle in ops]
 
 
-def _apply_op(op, u, states):
-    """Apply ``op`` with its scalars ``u`` from ``_coefficients`` in place to ``states``."""
+def _apply_op(gate, u, states):
+    """Apply ``gate`` with its scalars ``u`` from ``_coefficients`` in place to ``states``."""
     if u is None:
-        _apply_cnot(states, op.control, op.target)
+        _apply_cnot(states, gate.control, gate.target)
     else:
-        _apply_1q(states, op.target, *u)
+        _apply_1q(states, gate.target, *u)
 
 
 # bytes of states per row block: a block and its kernels' temporaries stay in L2
@@ -218,7 +207,8 @@ def _row_blocks(states):
 # compiled program execution
 
 
-def resolve_circuit(circuit: ParamCircuit, theta: np.ndarray) -> list[Op]:
+def resolve_circuit(circuit: ParamCircuit, theta: np.ndarray) -> list[tuple[GateOp, float]]:
+    """The circuit's gates, each paired with theta[param_slot], its fixed angle, or 0.0 for a CNOT."""
     theta = np.asarray(theta, dtype=np.float64).reshape(-1)
     if theta.shape[0] != circuit.num_params:
         raise DimensionError(
@@ -226,22 +216,18 @@ def resolve_circuit(circuit: ParamCircuit, theta: np.ndarray) -> list[Op]:
         )
     ops = []
     for g in circuit.gates:
-        if g.param_slot is not None:
-            angle, slot = theta[g.param_slot], g.param_slot
-        else:
-            angle, slot = (0.0 if g.fixed_angle is None else g.fixed_angle), -1
-        control = -1 if g.control is None else g.control
-        ops.append(Op(g.kind, g.target, control, float(angle), slot))
+        angle = g.fixed_angle if g.param_slot is None else theta[g.param_slot]
+        ops.append((g, 0.0 if angle is None else float(angle)))
     return ops
 
 
 def apply_ops(ops, states):
-    """Apply a resolved op list in place to states of shape (B, 2**Q), one row block at a time."""
+    """Apply resolved (gate, angle) pairs in place to states of shape (B, 2**Q), one row block at a time."""
     coeffs = _coefficients(ops)
     for rows in _row_blocks(states):
         block = states[rows]  # a contiguous view: the kernels write through it
-        for op, u in zip(ops, coeffs):
-            _apply_op(op, u, block)
+        for (g, _), u in zip(ops, coeffs):
+            _apply_op(g, u, block)
     return states
 
 
@@ -258,13 +244,13 @@ def adjoint_sweep(ops, final_states, bra, num_params=0):
     steps = list(zip(reversed(ops), reversed(_coefficients(ops, sign=-1.0))))
     for rows in _row_blocks(bra):
         b, ket = bra[rows], final_states[rows].copy()
-        for op, u in steps:
-            if op.slot >= 0:
+        for (g, _), u in steps:
+            if g.param_slot is not None:
                 pk = ket.copy()  # P|ket> for the rotation's generator P
-                _apply_1q(pk, op.target, *_GENERATOR[op.kind])
-                dtheta[op.slot] += np.vdot(b, pk).imag
-            _apply_op(op, u, ket)
-            _apply_op(op, u, b)
+                _apply_1q(pk, g.target, *_GENERATOR[g.kind])
+                dtheta[g.param_slot] += np.vdot(b, pk).imag
+            _apply_op(g, u, ket)
+            _apply_op(g, u, b)
     return dtheta, bra
 
 
@@ -318,21 +304,17 @@ def parameter_shift_grad(circuit, theta, input_state: StateVector, ensemble, slo
     of the slot, which is exact for Pauli-generated rotations.
     """
     ops = resolve_circuit(circuit, theta)
-    where = [i for i, op in enumerate(ops) if op.slot == slot]
+    where = [i for i, (g, _) in enumerate(ops) if g.param_slot == slot]
     if not where:
         raise UnsupportedGateError(f"slot {slot} is not bound to any rotation gate")
     diags = np.asarray(ensemble.diagonals(circuit.num_qubits))
     amps = np.asarray(input_state.amplitudes, dtype=np.complex128)
     total = np.zeros(diags.shape[0])
     for i in where:
-        op = ops[i]
-        plus = ops.copy()
-        plus[i] = op._replace(angle=op.angle + np.pi / 2)
-        minus = ops.copy()
-        minus[i] = op._replace(angle=op.angle - np.pi / 2)
-        e_plus = _expectations(plus, amps, diags)
-        e_minus = _expectations(minus, amps, diags)
-        total += 0.5 * (e_plus - e_minus)
+        g, angle = ops[i]
+        plus, minus = ops.copy(), ops.copy()
+        plus[i], minus[i] = (g, angle + np.pi / 2), (g, angle - np.pi / 2)
+        total += 0.5 * (_expectations(plus, amps, diags) - _expectations(minus, amps, diags))
     return total
 
 

@@ -232,8 +232,10 @@ def build_from_config(cfg: TrainConfig):
     return model, head
 
 
-def _check_split(X: np.ndarray, y, num_classes: int, name: str = "the split") -> None:
-    """DimensionError unless X has rows and y holds one whole-number label in [0, num_classes) per row."""
+def _check_split(X: np.ndarray, y, input_dim: int, num_classes: int, name: str = "the split") -> None:
+    """DimensionError unless X is (N > 0, input_dim) and y is N whole-number labels in [0, num_classes)."""
+    if X.ndim != 2 or X.shape[1] != input_dim:
+        raise DimensionError(f"{name} needs rows of {input_dim} features, got an X of shape {X.shape}")
     if X.shape[0] == 0:
         raise DimensionError(f"{name} has no rows")
     y = np.asarray(y)
@@ -255,10 +257,12 @@ def evaluate(
     """(accuracy %, mean relative residual) over a dataset split.
 
     The rows of a batch whose solve diverges, or that holds an input the
-    encoder rejects, count as misclassified with residual inf. An X with no
-    rows, or a y that is not one whole-number label in [0, C) per row, raises DimensionError.
+    encoder rejects, count as misclassified with residual inf. An X not (N > 0, input_dim), a y
+    not N whole-number labels in [0, C), or a batch_size below 1 raises DimensionError.
     """
-    _check_split(X, y, head.bias.size)
+    _check_split(X, y, model.input_dim, head.bias.size)
+    if batch_size < 1:
+        raise DimensionError(f"batch_size must be >= 1, got {batch_size}")
     correct = 0
     residuals = []
     for start in range(0, X.shape[0], batch_size):
@@ -284,11 +288,12 @@ def train(bundle: DataBundle, model: QuantumModel, head: ClassifierHead, cfg: Tr
     with TrainingAborted when more than 10% of an epoch's batches are skipped.
     An implicit step that the ``jac-gate`` draw picks (probability jac_loss_freq)
     adds jac_loss_weight times the exact penalty mean_b ||J_b||_F^2 to its loss.
-    An empty split, or y not one whole-number label in [0, C) per row, raises DimensionError before any step.
+    A split with no rows, rows not of input_dim features or y not one whole-number label in [0, C) per row
+    raises DimensionError before any step.
     """
     for split in ("train", "val", "test"):
         X, y = getattr(bundle, f"x_{split}"), getattr(bundle, f"y_{split}")
-        _check_split(X, y, head.bias.size, f"the x_{split}/y_{split} split of {bundle.name!r}")
+        _check_split(X, y, model.input_dim, head.bias.size, f"x_{split}/y_{split} of {bundle.name!r}")
     mode = SolverMode.parse(cfg.solver_mode)
     params = [model.theta, head.weight, head.bias]
     adam = AdamState.init(params)
@@ -369,10 +374,17 @@ def train(bundle: DataBundle, model: QuantumModel, head: ClassifierHead, cfg: Tr
 # checkpoints: JSON text, floats round-trip bit-exactly at double precision
 
 _CHECKPOINT_FORMAT = "qdeq-checkpoint-v2"
+_PARAM_KEYS = ("theta", "head_weight", "head_bias")  # the parameters, and each Adam moment list, in order
 
 
 def save_checkpoint(path, cfg: TrainConfig, model: QuantumModel, head: ClassifierHead,
                     adam: Optional[AdamState] = None, step: int = 0) -> None:
+    """Write a checkpoint; a non-finite parameter or Adam moment raises DataFormatError and writes nothing."""
+    params = [model.theta, head.weight, head.bias]
+    _checkpoint_arrays(params, params, "parameter")
+    if adam is not None:
+        _checkpoint_arrays(adam.m, params, "Adam m")
+        _checkpoint_arrays(adam.v, params, "Adam v")
     payload = {
         "format": _CHECKPOINT_FORMAT,
         "config": cfg.to_dict(),
@@ -394,7 +406,7 @@ def save_checkpoint(path, cfg: TrainConfig, model: QuantumModel, head: Classifie
     tmp = tempfile.NamedTemporaryFile("w", dir=path.parent, prefix=path.name, suffix=".tmp", delete=False)
     try:
         with tmp:
-            tmp.write(json.dumps(payload, indent=1))
+            tmp.write(json.dumps(payload, indent=1, allow_nan=False))
             tmp.flush()
             os.fsync(tmp.fileno())
         os.replace(tmp.name, path)
@@ -413,7 +425,7 @@ def load_checkpoint(path):
     cfg = TrainConfig.from_dict(_checkpoint_field(payload, "config"))
     model, head = build_from_config(cfg)
     params = [model.theta, head.weight, head.bias]
-    saved = [_checkpoint_field(payload, key) for key in ("theta", "head_weight", "head_bias")]
+    saved = [_checkpoint_field(payload, key) for key in _PARAM_KEYS]
     for param, arr in zip(params, _checkpoint_arrays(saved, params, "parameter")):
         param[:] = arr
     adam = None
@@ -444,7 +456,7 @@ def _checkpoint_count(payload, key: str, where: str = "checkpoint") -> int:
 
 
 def _checkpoint_arrays(values: list, like: list, what: str) -> list:
-    """``values`` as float arrays, which must match the shapes of ``like`` one to one."""
+    """``values`` as finite float arrays, which must match the shapes of ``like`` one to one."""
     try:
         arrays = [np.asarray(v, dtype=np.float64) for v in values]
     except (TypeError, ValueError) as exc:
@@ -452,4 +464,7 @@ def _checkpoint_arrays(values: list, like: list, what: str) -> list:
     shapes, expected = [a.shape for a in arrays], [p.shape for p in like]
     if shapes != expected:
         raise DataFormatError(f"checkpoint {what} shapes {shapes} differ from the model's {expected}")
+    for key, a in zip(_PARAM_KEYS, arrays):
+        if not np.isfinite(a).all():
+            raise DataFormatError(f"checkpoint {what} {key!r} holds a non-finite value")
     return arrays

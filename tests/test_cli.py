@@ -302,6 +302,18 @@ class TestTrainEval:
         assert code == 1
         assert "error: a config must be a JSON object" in capsys.readouterr().err
 
+    def test_eval_on_checkpoint_with_nan_exits_one(self, tmp_path, digits_data_dir, capsys):
+        cfg = TrainConfig(dataset="mnist4", solver_mode="implicit", learning_rate=0.05)
+        model, head = build_from_config(cfg)
+        path = tmp_path / "ckpt.txt"
+        save_checkpoint(path, cfg, model, head)
+        payload = json.loads(path.read_text())
+        payload["head_weight"][0][0] = float("nan")
+        path.write_text(json.dumps(payload))
+        code = main(["eval", "--checkpoint", str(path), "--split", "test", "--data-dir", str(digits_data_dir)])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "key, literal", [("epochs", '"3"'), ("epochs", "2.5"), ("batch_size", "true"), ("learning_rate", "NaN")]
     )

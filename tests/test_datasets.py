@@ -163,7 +163,7 @@ class TestFilterAndSplit:
     def _dataset(self, labels):
         labels = np.asarray(labels, dtype=np.int64)
         images = np.arange(labels.size, dtype=np.float64).reshape(-1, 1, 1) / labels.size
-        return ImageDataset(images, labels, "toy")
+        return ImageDataset(images, labels)
 
     def test_remap_ascending(self):
         ds = filter_classes(self._dataset([0, 3, 6, 9, 9, 1]), {0, 3, 6, 9})

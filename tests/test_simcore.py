@@ -131,6 +131,26 @@ class TestGateValidation:
             ParamCircuit(1, (GateOp(RY, 0, param_slot=0),), 2)
 
 
+class TestResolveCircuit:
+    def test_pairs_the_circuit_gates_with_their_angles(self):
+        gates = (
+            GateOp(RY, 0, param_slot=1),
+            GateOp(RX, 1, fixed_angle=-0.0),
+            GateOp(CNOT, target=1, control=0),
+            GateOp(RX, 1, fixed_angle=0.7),
+            GateOp(RY, 1, param_slot=0),
+        )
+        circuit = ParamCircuit(2, gates, 2)
+        ops = resolve_circuit(circuit, np.array([0.25, -1.5]))
+        assert [g for g, _ in ops] == list(gates)
+        assert all(g is gate for (g, _), gate in zip(ops, circuit.gates))
+        assert [angle for _, angle in ops] == [-1.5, 0.0, 0.0, 0.7, 0.25]
+        assert all(type(angle) is float for _, angle in ops)
+        assert np.copysign(1.0, ops[1][1]) == -1.0  # a fixed -0.0 keeps its sign
+        with pytest.raises(DimensionError, match="theta has 3 entries"):
+            resolve_circuit(circuit, [0.1, 0.2, 0.3])
+
+
 class TestAdjointGradients:
     def test_single_ry_matches_analytic(self):
         circuit = ParamCircuit(1, (GateOp(RY, 0, param_slot=0),), 1)

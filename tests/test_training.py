@@ -515,6 +515,17 @@ class TestTrainLoop:
             train(bundle, model, head, cfg)
         assert model.theta.tobytes() == before.tobytes()
 
+    @pytest.mark.parametrize("split", ["x_train", "x_val", "x_test"])
+    def test_wrong_feature_width_rejected_before_first_step(self, small_bundle, split):
+        bundle = dataclasses.replace(small_bundle, **{split: getattr(small_bundle, split)[:, :15]})
+        cfg = _quick_config(epochs=2)
+        model, head = build_from_config(cfg)
+        before, rows = model.theta.copy(), []
+        with pytest.raises(DimensionError, match=f"{split}.*16 features"):
+            train(bundle, model, head, cfg, log=rows.append)
+        assert model.theta.tobytes() == before.tobytes()
+        assert rows == []
+
     def test_short_label_array_rejected_before_first_step(self, small_bundle):
         bundle = dataclasses.replace(small_bundle, y_val=small_bundle.y_val[:-1])
         cfg = _quick_config(epochs=1)
@@ -538,6 +549,13 @@ class TestTrainLoop:
         model, head = build_from_config(_quick_config())
         with pytest.raises(DimensionError):
             evaluate(model, head, small_bundle.x_val[:0], small_bundle.y_val[:0], SolverMode.parse("implicit"))
+
+    @pytest.mark.parametrize("batch_size", [0, -4])
+    def test_evaluate_rejects_batch_size_below_one(self, small_bundle, batch_size):
+        model, head = build_from_config(_quick_config())
+        with pytest.raises(DimensionError, match="batch_size"):
+            evaluate(model, head, small_bundle.x_val[:8], small_bundle.y_val[:8], SolverMode.parse("implicit"),
+                     batch_size=batch_size)
 
     @pytest.mark.parametrize("labels", [[-1] * 8, [7] * 8, [0] * 7, [0.5] * 8, [1, np.nan] * 4])
     def test_evaluate_rejects_labels_that_do_not_fit(self, small_bundle, labels):
@@ -754,6 +772,45 @@ class TestCheckpoint:
         _, model2, _, _, step = load_checkpoint(path)
         assert step == 3
         assert model2.theta.tobytes() == saved_theta.tobytes()
+
+    @pytest.mark.parametrize("where", ["theta", "head_weight", "adam_m", "adam_v"])
+    def test_refused_save_keeps_previous_checkpoint(self, tmp_path, where):
+        cfg = _quick_config(epochs=1)
+        model, head = build_from_config(cfg)
+        adam = AdamState.init([model.theta, head.weight, head.bias])
+        path = tmp_path / "ckpt.txt"
+        save_checkpoint(path, cfg, model, head, adam, step=3)
+        saved = path.read_bytes()
+        target = {"theta": model.theta, "head_weight": head.weight, "adam_m": adam.m[1], "adam_v": adam.v[0]}[where]
+        target.reshape(-1)[0] = np.nan if where != "adam_v" else np.inf
+        with pytest.raises(DataFormatError, match="non-finite"):
+            save_checkpoint(path, cfg, model, head, adam, step=4)
+        assert path.read_bytes() == saved
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.txt"]
+
+    @pytest.mark.parametrize(
+        "keys, value, field",
+        [
+            (("theta", 0), float("nan"), "'theta'"),
+            (("head_bias", 1), float("-inf"), "'head_bias'"),
+            (("adam", "v", 1, 0, 2), float("inf"), "Adam v 'head_weight'"),
+        ],
+        ids=["nan-theta", "inf-head-bias", "inf-adam-v"],
+    )
+    def test_rejects_non_finite_values(self, tmp_path, keys, value, field):
+        cfg = _quick_config(epochs=1)
+        model, head = build_from_config(cfg)
+        path = tmp_path / "ckpt.txt"
+        save_checkpoint(path, cfg, model, head, AdamState.init([model.theta, head.weight, head.bias]))
+        payload = json.loads(path.read_text())
+        node = payload
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+        path.write_text(json.dumps(payload))  # json writes the bare NaN / Infinity tokens
+        assert "NaN" in path.read_text() or "Infinity" in path.read_text()
+        with pytest.raises(DataFormatError, match=field):
+            load_checkpoint(path)
 
     def test_save_syncs_the_data_before_the_rename(self, tmp_path, monkeypatch):
         cfg = _quick_config(epochs=1)
