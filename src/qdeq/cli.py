@@ -60,7 +60,7 @@ def _build_parser() -> _Parser:
     train_p.add_argument("--config", required=True, help="JSON config with TrainConfig fields")
     train_p.add_argument("--data-dir", default=None, help="dataset root (env QDEQ_DATA_DIR)")
     train_p.add_argument("--output-dir", required=True, help="where metrics/checkpoint/config land")
-    train_p.add_argument("--seed", type=int, default=None, help="override the config seed")
+    train_p.add_argument("--seed", type=_non_negative_int, default=None, help="override the config seed")
 
     eval_p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset split")
     eval_p.add_argument("--checkpoint", required=True)

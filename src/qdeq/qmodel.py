@@ -6,7 +6,10 @@ U(theta)|encode(z + x)> taken back to the input width by the upsample matrix S
 single sample is a one-row batch. Every pass reads the K readout forms that
 ``_compiled`` builds once per theta by running the circuit on the d =
 ``EncodingSpec.width`` basis rows of the encoded states, never on the B rows;
-the theta-gradient is one adjoint sweep over the same d rows.
+the theta-gradient is one adjoint sweep over the same d rows. On those rows
+``simcore`` applies the circuit as fused runs, one 16 x 16 matmul per run of
+gates on 4 adjacent qubits (4 runs for the 10-qubit staircase, 1 at Q=4), and
+the sweep takes each run's dtheta from its 16 x 16 environment.
 
 Circuit builders follow the 4-qubit block (seeded random layer, then a
 trainable RY wall, RZ wall, CNOT ring, RY wall) and its 10-qubit staircase

@@ -3,24 +3,34 @@
 States live in arrays of shape (batch, 2**Q), complex128, qubit 0 = least
 significant bit of the basis index. The gate set is RX, RY and RZ (trainable
 or fixed-angle) and CNOT, all that the circuit builders emit. Two kernels
-apply every gate in place on reshaped views of the batch, at any state size:
+apply one gate in place on reshaped views of a batch, at any state size:
 ``_apply_1q`` does slice arithmetic on the halves where the qubit is 0 and 1
 (``u01 = None`` marks a diagonal gate, which only scales them), and
-``_apply_cnot`` swaps the target halves inside the control=1 half. No
-2**Q x 2**Q matrix is built outside the test oracles.
+``_apply_cnot`` swaps the target halves inside the control=1 half.
+
+The circuit meets the batch in fused runs (as in qsim and Qulacs).
+``_fusion_plan`` groups the gates into maximal runs of consecutive gates
+whose qubits fit in one window of w = min(4, Q) adjacent qubits: the 10-qubit
+staircase is 4 runs of 66 gates at offsets 0, 2, 4 and 6, a 4-qubit circuit
+one run. The kernels build each run's 2**w x 2**w unitary on the identity
+rows, and the passes apply it as one matmul on a (rows, 2**(Q-off-w), 2**w,
+2**off) view; only a CNOT wider than the window runs its kernel on the
+batch. No 2**Q x 2**Q matrix is built outside the test oracles.
 
 Gate coefficients are scalars: per-sample data never reach this module, since
 the encodings (``encoding.py``) build the input states and chain their
 cotangents back.
 
 ``resolve_circuit`` pairs each ``GateOp`` with its angle, and ``_apply_op`` is
-the one dispatch over these (gate, angle) pairs. The forward pass and the
-reverse (adjoint) sweep share it; the sweep walks the pairs backwards once for
-the derivative of every trainable angle and the input-state cotangent. The
-model runs both on the d basis rows of its encoded states (16 at Q=4, 100 at
-Q=10, in 16-row blocks of ``_BLOCK_BYTES`` that stay in a core's L2 cache with
-the kernels' temporaries), the references on one row. The parameter-shift rule
-(f(theta + pi/2) - f(theta - pi/2)) / 2 is the second, exact route.
+the one dispatch over these (gate, angle) pairs. The reverse (adjoint) sweep
+walks the runs backwards once, collecting each run's 2**w x 2**w environment
+from the rows; one gate-by-gate sweep per run on 2**w rows then gives the
+derivative of every trainable angle, and the input-state cotangent is the
+bra swept back. The model runs both passes on the d basis rows of its encoded
+states (16 at Q=4, 100 at Q=10, in 16-row blocks of ``_BLOCK_BYTES`` that
+stay in a core's L2 cache with their temporaries), the references on one
+row. The parameter-shift rule (f(theta + pi/2) - f(theta - pi/2)) / 2 is the
+second, exact route.
 """
 from __future__ import annotations
 
@@ -186,12 +196,26 @@ def _coefficients(ops, sign=1.0):
     return [None if g.kind == CNOT else _rotation(g.kind, sign * angle) for g, angle in ops]
 
 
-def _apply_op(gate, u, states):
-    """Apply ``gate`` with its scalars ``u`` from ``_coefficients`` in place to ``states``."""
+def _apply_op(gate, u, states, offset=0):
+    """Apply ``gate`` with its scalars ``u`` from ``_coefficients`` in place to ``states``.
+
+    ``offset`` shifts the gate's qubits down, for states of the window of qubits from ``offset``.
+    """
     if u is None:
-        _apply_cnot(states, gate.control, gate.target)
+        _apply_cnot(states, gate.control - offset, gate.target - offset)
     else:
-        _apply_1q(states, gate.target, *u)
+        _apply_1q(states, gate.target - offset, *u)
+
+
+def _sweep_gates(pairs, ket, bra, dtheta, offset):
+    """Undo ``pairs`` on ket and bra in place, last first, adding 2 Re<bra, d ket / d theta_j> to dtheta."""
+    for (g, _), u in zip(reversed(pairs), reversed(_coefficients(pairs, sign=-1.0))):
+        if g.param_slot is not None:
+            pk = ket.copy()  # P|ket> for the rotation's generator P
+            _apply_1q(pk, g.target - offset, *_GENERATOR[g.kind])
+            dtheta[g.param_slot] += np.vdot(bra, pk).imag
+        _apply_op(g, u, ket, offset)
+        _apply_op(g, u, bra, offset)
 
 
 # bytes of states per row block: a block and its kernels' temporaries stay in L2
@@ -201,6 +225,56 @@ _BLOCK_BYTES = 256 << 10
 def _row_blocks(states):
     rows = max(1, _BLOCK_BYTES // (states.shape[1] * states.itemsize))
     return [slice(start, start + rows) for start in range(0, states.shape[0], rows)]
+
+
+# ---------------------------------------------------------------------------
+# gate fusion: a run of consecutive gates on one window of w adjacent qubits is
+# one 2**w x 2**w matrix, applied to a (rows, 2**(Q-off-w), 2**w, 2**off) view
+
+_WINDOW = 4  # qubits per run: 16 x 16 matrices
+
+
+def _fusion_plan(ops, num_qubits):
+    """[(offset, pairs)]: maximal runs of consecutive (gate, angle) pairs whose qubits fit in the
+    w = min(4, Q) qubits from ``offset``; a CNOT wider than w is a lone gate, with offset None."""
+    w = min(_WINDOW, num_qubits)
+    plan, lo, hi = [], -w, 0  # lo..hi: the qubits of the open run; wider than w when none is open
+    for pair in ops:
+        a = b = pair[0].target
+        c = pair[0].control
+        if c is not None:
+            a, b = (a, c) if a < c else (c, a)
+        joined_lo, joined_hi = (a if a < lo else lo), (b if b > hi else hi)
+        if joined_hi - joined_lo < w:
+            lo, hi = joined_lo, joined_hi
+            plan[-1][0] = lo
+            plan[-1][1].append(pair)
+        elif b - a < w:
+            lo, hi = a, b
+            plan.append([lo, [pair]])
+        else:
+            lo, hi = -w, 0
+            plan.append([None, [pair]])
+    return [(None if lo is None else min(lo, num_qubits - w), pairs) for lo, pairs in plan]
+
+
+def _run_rows(pairs, offset, w):
+    """U^T for the run's unitary U: its gates applied to the 2**w identity rows."""
+    rows = np.eye(1 << w, dtype=np.complex128)
+    for (g, _), u in zip(pairs, _coefficients(pairs)):
+        _apply_op(g, u, rows, offset)
+    return rows
+
+
+def _window(states, offset, w):
+    b, n = states.shape
+    return states.reshape(b, n >> (offset + w), 1 << w, 1 << offset)
+
+
+def _apply_matrix(states, matrix, offset, w):
+    """states <- matrix acting on the window of w qubits from ``offset``, in place."""
+    v = _window(states, offset, w)
+    np.matmul(matrix, v, out=v)
 
 
 # ---------------------------------------------------------------------------
@@ -222,12 +296,21 @@ def resolve_circuit(circuit: ParamCircuit, theta: np.ndarray) -> list[tuple[Gate
 
 
 def apply_ops(ops, states):
-    """Apply resolved (gate, angle) pairs in place to states of shape (B, 2**Q), one row block at a time."""
-    coeffs = _coefficients(ops)
+    """Apply resolved (gate, angle) pairs in place to states of shape (B, 2**Q), one row block at a time.
+
+    Each run of ``_fusion_plan`` is one matmul; a lone wide CNOT runs its kernel.
+    """
+    q = states.shape[1].bit_length() - 1
+    w = min(_WINDOW, q)
+    plan = _fusion_plan(ops, q)
+    steps = [(off, pairs[0][0] if off is None else _run_rows(pairs, off, w).T) for off, pairs in plan]
     for rows in _row_blocks(states):
-        block = states[rows]  # a contiguous view: the kernels write through it
-        for (g, _), u in zip(ops, coeffs):
-            _apply_op(g, u, block)
+        block = states[rows]  # a contiguous view: the matmuls and kernels write through it
+        for off, step in steps:
+            if off is None:
+                _apply_op(step, None, block)
+            else:
+                _apply_matrix(block, step, off, w)
     return states
 
 
@@ -239,18 +322,40 @@ def adjoint_sweep(ops, final_states, bra, num_params=0):
     bra = M_total |ket> that is the expectation's gradient and
     dE/d(conj(amplitude)) at the input state (``adjoint_gradients``). The
     model passes the d basis rows U|e_i> and a bra built from its batch.
+
+    Walking the runs of ``_fusion_plan`` backwards, each row block adds the
+    run's 2**w x 2**w environment E[a, c] = sum conj(bra_a) ket_c and undoes
+    the run on ket and bra. A run's dtheta then comes from one gate-by-gate
+    sweep on the 2**w identity rows with bra E^H; the first run's undo, needed
+    only for the returned bra, is that sweep's output kets.
     """
     dtheta = np.zeros(num_params)
-    steps = list(zip(reversed(ops), reversed(_coefficients(ops, sign=-1.0))))
+    q = final_states.shape[1].bit_length() - 1
+    w = min(_WINDOW, q)
+    plan = _fusion_plan(ops, q)
+    # U^dagger = conj(U^T) of each run but the first, whose undo comes from its local sweep below
+    undo = [None if off is None or i == 0 else _run_rows(pairs, off, w).conj()
+            for i, (off, pairs) in enumerate(plan)]
+    envs = [np.zeros((1 << w, 1 << w), dtype=np.complex128) for _ in plan]
     for rows in _row_blocks(bra):
         b, ket = bra[rows], final_states[rows].copy()
-        for (g, _), u in steps:
-            if g.param_slot is not None:
-                pk = ket.copy()  # P|ket> for the rotation's generator P
-                _apply_1q(pk, g.target, *_GENERATOR[g.kind])
-                dtheta[g.param_slot] += np.vdot(b, pk).imag
-            _apply_op(g, u, ket)
-            _apply_op(g, u, b)
+        for i in reversed(range(len(plan))):
+            off, pairs = plan[i]
+            if off is None:  # a lone wide CNOT, which has no angle
+                _sweep_gates(pairs, ket, b, dtheta, 0)
+                continue
+            bv, kv = (_window(x, off, w).swapaxes(0, 2).reshape(1 << w, -1) for x in (b, ket))
+            envs[i] += bv.conj() @ kv.T
+            if undo[i] is not None:
+                _apply_matrix(ket, undo[i], off, w)
+                _apply_matrix(b, undo[i], off, w)
+    for i, (off, pairs) in enumerate(plan):
+        if off is not None:
+            local = np.eye(1 << w, dtype=np.complex128)
+            _sweep_gates(pairs, local, envs[i].conj().T.copy(), dtheta, off)
+            if i == 0:
+                for rows in _row_blocks(bra):
+                    _apply_matrix(bra[rows], local.T, off, w)
     return dtheta, bra
 
 

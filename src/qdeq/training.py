@@ -59,7 +59,7 @@ class SolverMode:
                 depth = int(text.split("_", 1)[1])
             except ValueError:
                 depth = 0
-            if depth >= 1:
+            if depth >= 1 and text == f"direct_{depth}":  # int() also reads " 5", "+5", "05" and "1_0"
                 return cls(DIRECT, depth)
         raise ConfigError(
             f"unknown solver_mode {text!r}; expected implicit, implicit_warmup or direct_<L>"
@@ -98,6 +98,8 @@ class TrainConfig:
         if self.encoding == "angle" and self.dataset != "mnist4":
             raise ConfigError("angle encoding is only wired for the 4-qubit mnist4 setup")
         SolverMode.parse(self.solver_mode)
+        if not 0 <= self.seed < 1 << 64:  # the substreams take the seed as one 64-bit word
+            raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
         if not 0.0 <= self.jac_loss_freq <= 1.0:
             raise ConfigError("jac_loss_freq must lie in [0, 1]")
         if self.warmup_steps < 0:

@@ -272,6 +272,14 @@ class TestTrainEval:
         assert code == 0
         assert json.loads((out_dir / "config.json").read_text())["seed"] == 99
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64), "1.5"])
+    def test_seed_flag_outside_64_bits_exits_one(self, tmp_path, smoke_config, digits_data_dir, capsys, seed):
+        out_dir = tmp_path / "o"
+        args = ["--config", str(smoke_config), "--data-dir", str(digits_data_dir), "--output-dir", str(out_dir)]
+        assert main(["train", *args, "--seed", seed]) == 1
+        assert "seed" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_unknown_config_key_exits_one(self, tmp_path, digits_data_dir, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"dataset": "mnist4", "solver_mode": "implicit", "learning_rate": 0.05, "typo_key": 1}))

@@ -7,6 +7,7 @@ import pytest
 from qdeq import simcore
 from qdeq.errors import DimensionError, InvalidGateError, UnsupportedGateError
 from qdeq.measurement import ObservableEnsemble
+from qdeq.qmodel import build_default_model
 from qdeq.simcore import (
     CNOT,
     GATE_KINDS,
@@ -399,3 +400,70 @@ def test_gradient_triple_agreement_small():
                 assert abs(adjoint[slot] - shift) < 1e-6
                 assert abs(adjoint[slot] - fd) < 1e-6
                 assert abs(shift - fd) < 1e-6
+
+
+class TestFusedRuns:
+    """``apply_ops`` and ``adjoint_sweep`` fuse runs of gates on 4 adjacent qubits into 16 x 16 matmuls;
+    they must agree with every gate's kernel applied to every row."""
+
+    # Pauli generator of each rotation, in ``_apply_1q``'s scalar form
+    GENERATOR = {"rx": (0.0, 1.0, 1.0, 0.0), "ry": (0.0, -1j, 1j, 0.0), "rz": (1.0, None, None, -1.0)}
+
+    def _gate_by_gate(self, ops, states, bra, num_params):
+        """(final states, dtheta, U^dagger bra) from one kernel call per gate, forward then backward."""
+        ket = states.copy()
+        for pair in ops:
+            simcore._apply_op(pair[0], simcore._coefficients([pair])[0], ket)
+        final, bra = ket.copy(), bra.copy()
+        dtheta = np.zeros(num_params)
+        for g, angle in reversed(ops):
+            if g.param_slot is not None:
+                pk = ket.copy()
+                simcore._apply_1q(pk, g.target, *self.GENERATOR[g.kind])
+                dtheta[g.param_slot] += np.vdot(bra, pk).imag
+            undo = simcore._coefficients([(g, angle)], sign=-1.0)[0]
+            simcore._apply_op(g, undo, ket)
+            simcore._apply_op(g, undo, bra)
+        return final, dtheta, bra
+
+    def _check(self, circuit, theta, rows, seed):
+        rng = np.random.default_rng(seed)
+        shape = (rows, 1 << circuit.num_qubits)
+        states = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        bra = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        ops = resolve_circuit(circuit, theta)
+        final, dtheta, back = self._gate_by_gate(ops, states, bra, circuit.num_params)
+        fused = apply_ops(ops, states.copy())
+        fused_dtheta, fused_back = adjoint_sweep(ops, final, bra.copy(), num_params=circuit.num_params)
+        for got, want in ((fused, final), (fused_dtheta, dtheta), (fused_back, back)):
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def _plan(self, circuit, theta):
+        plan = simcore._fusion_plan(resolve_circuit(circuit, theta), circuit.num_qubits)
+        return [(off, len(pairs)) for off, pairs in plan]
+
+    def test_staircase_is_four_runs_of_one_block_each(self):
+        model = build_default_model("amplitude", 10, 100, seed=3)
+        assert self._plan(model.circuit, model.theta) == [(0, 66), (2, 66), (4, 66), (6, 66)]
+        self._check(model.circuit, model.theta, rows=20, seed=31)  # two row blocks: 16 and 4 rows
+
+    def test_four_qubit_circuit_is_one_run(self):
+        model = build_default_model("angle", 4, 16, seed=3)
+        assert self._plan(model.circuit, model.theta) == [(0, 66)]
+        self._check(model.circuit, model.theta, rows=16, seed=32)
+
+    def test_wide_cnots_stay_lone_gates(self):
+        gates, theta = random_layer(5, 8, 120)
+        gates = [GateOp(CNOT, 7, control=0)] + gates + [GateOp(RY, 6, fixed_angle=0.4), GateOp(CNOT, 1, control=6)]
+        circuit = ParamCircuit.from_gates(8, gates)
+        plan = self._plan(circuit, theta)
+        assert plan[0] == (None, 1) and plan[-1] == (None, 1)  # a lone gate first and last
+        assert sum(off is None for off, _ in plan) > 2 and {off for off, _ in plan} >= {0, 4}
+        assert sum(count for _, count in plan) == len(gates)
+        self._check(circuit, theta, rows=70, seed=33)  # two row blocks: 64 and 6 rows
+
+    @pytest.mark.parametrize("num_qubits", [1, 2, 3])
+    def test_narrow_circuits_are_one_run(self, num_qubits):
+        circuit, theta = _random_circuit(num_qubits, num_qubits, 40)
+        assert self._plan(circuit, theta) == [(0, 40)]
+        self._check(circuit, theta, rows=5, seed=34 + num_qubits)

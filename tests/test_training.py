@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qdeq import deqsolve, qmodel, training
+from qdeq import deqsolve, qmodel, simcore, training
+from qdeq.datasets import DataBundle
 from qdeq.deqsolve import BroydenConfig, direct_unroll_batch, implicit_backward_batch, unroll_backward_batch
 from qdeq.errors import (
     ConfigError, DataFormatError, DegenerateInputError, DimensionError, SolverDivergedError, TrainingAborted,
@@ -212,6 +213,24 @@ class TestConfig:
         cfg = TrainConfig.from_dict({"dataset": "mnist4", "solver_mode": "implicit", "learning_rate": 1})
         assert cfg.learning_rate == 1
 
+    @pytest.mark.parametrize(
+        "text", ["direct_1_0", "direct_ 5", "direct_+5", "direct_05", "direct_\u0665", "direct_5\n"]
+    )
+    def test_solver_mode_depth_must_be_canonical(self, text):
+        # int() reads each of these as 10 or 5; only "direct_<depth>" as str(depth) prints it parses
+        with pytest.raises(ConfigError, match="solver_mode"):
+            SolverMode.parse(text)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 3])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        # the substreams keep 64 bits of the seed, so 2**64 would build what seed 0 builds
+        with pytest.raises(ConfigError, match="seed"):
+            _quick_config(seed=seed)
+
+    def test_seed_range_ends_accepted(self):
+        assert _quick_config(seed=0).seed == 0
+        assert _quick_config(seed=2**64 - 1).seed == 2**64 - 1
+
 
 class TestTrainLoop:
     def test_overfits_tiny_subset_with_direct_one(self):
@@ -343,6 +362,26 @@ class TestTrainLoop:
         assert adam.t == 13
         assert [rows for rows, _ in calls] == [16] * (adam.t + 1)
         assert len({theta for _, theta in calls}) == adam.t + 1
+
+    def test_ten_qubit_kernels_see_only_sixteen_amplitudes(self, monkeypatch):
+        # the staircase meets the d = 100 basis rows as fused 16 x 16 matmuls, so the gate kernels
+        # only build the runs and sweep them locally, on states of 2**4 amplitudes
+        widths = []
+        for name in ("_apply_1q", "_apply_cnot"):
+            def recording(states, *args, _kernel=getattr(simcore, name)):
+                widths.append(states.shape[1])
+                return _kernel(states, *args)
+
+            monkeypatch.setattr(simcore, name, recording)
+        X = np.random.default_rng(5).uniform(0.1, 1.0, size=(40, 100))
+        y = np.arange(40) % 10
+        bundle = DataBundle("mnist10", X[:32], y[:32], X[32:36], y[32:36], X[36:], y[36:])
+        cfg = _quick_config(dataset="mnist10", solver_mode="implicit", epochs=1, batch_size=32, warmup_steps=0)
+        model, head = build_from_config(cfg)
+        _, adam = train(bundle, model, head, cfg)
+        evaluate(model, head, bundle.x_test, bundle.y_test, SolverMode.parse("implicit"), batch_size=4)
+        assert adam.t == 1
+        assert widths and max(widths) == 16
 
     def test_jacobian_penalty_changes_gradient_path(self, small_bundle):
         cfg = _quick_config(
