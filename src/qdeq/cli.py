@@ -43,7 +43,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _decimal_int(least: int, what: str):
     def parse(text: str) -> int:
-        if not text.isdecimal() or int(text) < least:
+        if not (text.isascii() and text.isdecimal()) or int(text) < least:
             raise argparse.ArgumentTypeError(f"expected a {what} integer, got {text!r}")
         return int(text)
     return parse

@@ -3,8 +3,11 @@
 Both observable kinds used here (Pauli-Z on a site, projectors onto
 computational basis states) are diagonal in the computational basis, so an
 ensemble reduces to K real diagonal vectors and expectations to one matrix
-product against |amplitudes|^2. The upsampling map is the fixed (n, K) matrix S
-that takes the K readouts back to the input width.
+product against |amplitudes|^2. Basis columns with equal diagonal entries are
+read alike, so ``ObservableEnsemble.classes`` sorts them into classes, per group
+of up to 5 observables, and the model builds its readout forms once per class.
+The upsampling map is the fixed (n, K) matrix S that takes the K readouts back
+to the input width.
 """
 from __future__ import annotations
 
@@ -19,6 +22,8 @@ from .simcore import StateVector
 
 PAULI_Z = "pauli_z"
 BASIS_PROJECTOR = "basis_projector"
+
+_GROUP = 5  # observables per class group: at most 2**5 Pauli-Z classes
 
 
 @lru_cache(maxsize=None)
@@ -38,6 +43,24 @@ def _diagonals(kind: str, sites: tuple, num_qubits: int) -> np.ndarray:
             rows[k, site] = 1.0
     rows.setflags(write=False)
     return rows
+
+
+@lru_cache(maxsize=None)
+def _classes(kind: str, sites: tuple, num_qubits: int) -> tuple:
+    diags = _diagonals(kind, sites, num_qubits)
+    table = []
+    for lo in range(0, len(sites), _GROUP):
+        block = diags[lo : lo + _GROUP]
+        live = np.flatnonzero(block.any(axis=0))
+        signs, inverse = np.unique(block[:, live], axis=1, return_inverse=True)
+        # both kinds give equal classes: 2**(Q - distinct sites) columns for Pauli-Z, one for a projector
+        cols = live[np.argsort(inverse.reshape(-1), kind="stable")].reshape(signs.shape[1], -1)
+        slots = np.full(diags.shape[1], cols.size)
+        slots[cols.reshape(-1)] = np.arange(cols.size)
+        for a in (signs, cols, slots):
+            a.setflags(write=False)
+        table.append((slice(lo, lo + len(block)), signs, cols, slots))
+    return tuple(table)
 
 
 @dataclass(frozen=True)
@@ -61,6 +84,18 @@ class ObservableEnsemble:
     def diagonals(self, num_qubits: int) -> np.ndarray:
         """(K, 2**Q) diagonal entries; rows have unit spectral norm."""
         return _diagonals(self.kind, self.sites, num_qubits)
+
+    def classes(self, num_qubits: int) -> tuple:
+        """Per group of up to 5 observables, (obs, signs, cols, slots), read-only.
+
+        ``obs`` slices the group's observables out of the K. Columns of the 2**Q
+        basis with equal non-zero diagonal entries over the group form a class:
+        class c holds the columns cols[c] (cols is (C, s), every class one size),
+        and signs[:, c] (shape (K_g, C)) are their entries. Columns whose entries
+        are all zero belong to no class. slots (2**Q,) gives each column's place
+        in cols.ravel(), and cols.size for a column of no class.
+        """
+        return _classes(self.kind, self.sites, num_qubits)
 
     @classmethod
     def pauli_z_all(cls, num_qubits: int) -> "ObservableEnsemble":

@@ -9,7 +9,11 @@ single sample is a one-row batch. Every pass reads the K readout forms that
 the theta-gradient is one adjoint sweep over the same d rows. On those rows
 ``simcore`` applies the circuit as fused runs, one 16 x 16 matmul per run of
 gates on 4 adjacent qubits (4 runs for the 10-qubit staircase, 1 at Q=4), and
-the sweep takes each run's dtheta from its 16 x 16 environment.
+the sweep takes each run's dtheta from its 16 x 16 environment. The observables
+are diagonal, so the readout forms and the sweep's bra depend on a basis column
+only through its diagonal entries: both are built once per class of equal
+columns (``ObservableEnsemble.classes``, groups of up to 5 observables), one
+batched matmul per group, not one product per observable.
 
 Circuit builders follow the 4-qubit block (seeded random layer, then a
 trainable RY wall, RZ wall, CNOT ring, RY wall) and its 10-qubit staircase
@@ -103,19 +107,21 @@ class QuantumModel:
         V (d, 2**Q) is U(theta) on the d basis rows that encoded states occupy (the encoding's
         ``width``: n for amplitude, 2**Q for angle encoding), so a row psi ends as psi @ V. H (d, K*d) stacks
         H_k = V diag(m_k) V^dagger: <M_k> = psi H_k psi^dagger (only Re H_k for real amplitude
-        rows). Values key the cache, because the optimizer and checkpoint loads write theta in place.
+        rows). H_k = sum_c m_k[c] G_c over the classes of ``ObservableEnsemble.classes``, so each
+        group of observables costs one batched Gram G_c = V_c V_c^dagger on its classes' columns
+        V_c (on V's real view for amplitude rows), not one product per observable. Values key
+        the cache, because the optimizer and checkpoint loads write theta in place.
         """
         if self._compiled_at is None or not np.array_equal(self._compiled_at[0], self.theta):
             ops = resolve_circuit(self.circuit, self.theta)
             d = self.encoding.width
             V = apply_ops(ops, np.eye(d, 1 << self.num_qubits, dtype=np.complex128))
-            diags = self.ensemble.diagonals(self.num_qubits)
-            if self.encoding.kind == enc.AMPLITUDE:
-                Vf = V.view(np.float64)  # real and imaginary parts interleaved
-                H = [(Vf * np.repeat(m, 2)) @ Vf.T for m in diags]
-            else:
-                H = [(V * m) @ V.conj().T for m in diags]
-            self._compiled_at = (self.theta.copy(), ops, V, np.stack(H, axis=1).reshape(d, -1))
+            dtype = np.float64 if self.encoding.kind == enc.AMPLITUDE else np.complex128
+            H = np.empty((self.ensemble.size, d, d), dtype=dtype)
+            for obs, signs, cols, _ in self.ensemble.classes(self.num_qubits):
+                Vc = np.take(V, cols, axis=1).view(dtype).transpose(1, 0, 2)  # (C, d, s) or its real view
+                H[obs] = _combine(signs, Vc @ Vc.conj().transpose(0, 2, 1))
+            self._compiled_at = (self.theta.copy(), ops, V, H.transpose(1, 0, 2).reshape(d, -1))
         return self._compiled_at[1:]
 
     def backward_batch(self, Z, X, cotangents, need_z: bool = True, need_theta: bool = True, tangents=None):
@@ -125,10 +131,12 @@ class QuantumModel:
         is summed over the batch (scale cotangents by 1/B upstream for a batch
         mean). The objective is sum_k tr(H_k^T R_k) with R_k = sum_b chat_bk
         psi_b^T conj(psi_b), so one adjoint sweep over the d rows of V, with bra
-        sum_k (R_k^T V) * m_k, gives it whatever B is. ``tangents`` T (B, K, n)
-        add the theta-gradient of sum_bk <D_bk, T_bk> (D of ``jacobian_factors``,
-        T fixed): as <vjp(bra), t> = 2 Re<bra, jvp(t)>, that adds psi_b^H Phi_bk
-        + Phi_bk^H psi_b, Phi_bk = jvp(T_bk), to R_k^T before the sweep.
+        sum_k (R_k^T V) * m_k, gives it whatever B is. Column j of that bra is
+        M_c V[:, j], M_c = sum_k m_k[c] R_k^T, for the class c of j in each group
+        of ``ObservableEnsemble.classes``: one batched M_c @ V_c per group.
+        ``tangents`` T (B, K, n) add the theta-gradient of sum_bk <D_bk, T_bk> (D of
+        ``jacobian_factors``, T fixed): as <vjp(bra), t> = 2 Re<bra, jvp(t)>, that
+        adds psi_b^H Phi_bk + Phi_bk^H psi_b, Phi_bk = jvp(T_bk), to R_k^T first.
         """
         ops, V, H = self._compiled()
         psi, encode_vjp, encode_jvp = enc.encode(self.encoding, enc.inject(Z, X))
@@ -137,13 +145,20 @@ class QuantumModel:
         if need_z:
             dZ = encode_vjp(np.einsum("bk,bkd->bd", chat, (psi @ H).reshape(chat.shape + (-1,))))
         if need_theta:
-            bra, rows = np.zeros_like(V), psi.conj().T
-            for k, (c, m) in enumerate(zip(chat.T, self.ensemble.diagonals(self.num_qubits))):
-                Rt = rows @ (c[:, None] * psi)  # R_k^T; real for amplitude rows, so a real matmul
+            rows, d = psi.conj().T, len(V)
+            R = np.empty((len(chat.T), d, d), dtype=psi.dtype)  # R_k^T; real for amplitude rows
+            for k, c in enumerate(chat.T):
+                np.matmul(rows, c[:, None] * psi, out=R[k])
                 if tangents is not None:
                     Y = rows @ encode_jvp(tangents[:, k])
-                    Rt += Y + Y.conj().T
-                bra += m * ((Rt @ V.view(np.float64)).view(np.complex128) if Rt.dtype.kind == "f" else Rt @ V)
+                    R[k] += Y + Y.conj().T
+            dtype, bra = R.dtype, np.zeros_like(V)  # a real R_k^T multiplies V's real view
+            for obs, signs, cols, slots in self.ensemble.classes(self.num_qubits):
+                out = np.zeros((d, cols.size + 1), dtype=np.complex128)  # bra columns in class order, then a 0
+                np.matmul(_combine(signs.T, R[obs]),  # M_c (C, d, d)
+                          np.take(V, cols, axis=1).view(dtype).transpose(1, 0, 2),  # V_c (C, d, s)
+                          out=out[:, :-1].reshape(d, *cols.shape).view(dtype).transpose(1, 0, 2))
+                bra += np.take(out, slots, axis=1)  # to basis order; columns of no class read the 0
             dtheta = adjoint_sweep(ops, V, bra, num_params=self.num_params)[0]
         return dZ, dtheta
 
@@ -157,6 +172,12 @@ class QuantumModel:
         PH = (psi @ self._compiled()[2]).reshape(len(psi), self.ensemble.size, -1)
         D = np.stack([encode_vjp(PH[:, k]) for k in range(self.ensemble.size)], axis=1)
         return self.upsample.matrix, D
+
+
+def _combine(weights, X):
+    """sum_c weights[i, c] X[c] for real weights (I, C) and a real or complex stack X (C, d, d)."""
+    flat = X.reshape(len(X), -1).view(np.float64)  # a real product on the complex entries' parts
+    return (weights @ flat).view(X.dtype).reshape(len(weights), *X.shape[1:])
 
 
 # ---------------------------------------------------------------------------

@@ -150,6 +150,14 @@ class TestVerifyBounds:
         assert "usage" in err.lower() and "--pairs" in err
         assert not (tmp_path / "angle_overlap.csv").exists()
 
+    @pytest.mark.parametrize("option, value", [("--pairs", "\u0665"), ("--seed", "\u0663"), ("--pairs", "\uff15")])
+    def test_non_ascii_digits_rejected(self, option, value, tmp_path, capsys):
+        args = {"--pairs": "10", "--seed": "3", option: value}
+        argv = ["verify-bounds", "--suite", "trig-inequality", "--output-dir", str(tmp_path)]
+        assert main(argv + [a for item in args.items() for a in item]) == 1
+        err = capsys.readouterr().err
+        assert "usage" in err.lower() and option in err
+
     @pytest.mark.parametrize("command", [["verify-bounds", "--suite", "amplitude-overlap"], ["export-plot-data"]])
     @pytest.mark.parametrize("seed", ["-1", "1.5", "x"])
     def test_seed_must_be_a_non_negative_integer(self, command, seed, tmp_path, capsys):

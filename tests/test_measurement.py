@@ -80,6 +80,55 @@ class TestExpectEnsemble:
             assert np.allclose(np.abs(diags).max(axis=1), 1.0)
 
 
+class TestClasses:
+    """The class table: columns with equal diagonal entries over a group of observables."""
+
+    CASES = [
+        (ObservableEnsemble.pauli_z_all(3), 3),
+        (ObservableEnsemble.pauli_z_all(4), 4),
+        (ObservableEnsemble.pauli_z_all(10), 10),
+        (ObservableEnsemble(PAULI_Z, (2, 0, 2)), 3),
+        (ObservableEnsemble(PAULI_Z, (1, 3)), 4),
+        (ObservableEnsemble(PAULI_Z, (9, 0, 4, 5, 7, 2, 8)), 10),
+        (ObservableEnsemble(BASIS_PROJECTOR, (6, 1, 6)), 3),
+        (ObservableEnsemble(BASIS_PROJECTOR, (0, 3, 5, 9)), 4),
+        (ObservableEnsemble(BASIS_PROJECTOR, (1023, 0, 17, 512, 64, 5, 900)), 10),
+    ]
+
+    @pytest.mark.parametrize("ensemble, num_qubits", CASES)
+    def test_classes_partition_the_live_columns_and_rebuild_the_diagonals(self, ensemble, num_qubits):
+        diags = ensemble.diagonals(num_qubits)
+        table = ensemble.classes(num_qubits)
+        assert [obs.indices(ensemble.size)[:2] for obs, *_ in table] == [
+            (lo, min(lo + 5, ensemble.size)) for lo in range(0, ensemble.size, 5)
+        ]
+        for obs, signs, cols, slots in table:
+            block = diags[obs]
+            live = np.flatnonzero(block.any(axis=0))
+            assert cols.ndim == 2 and signs.shape == (len(block), len(cols))
+            # every live column in exactly one class, and every class the same size
+            assert np.array_equal(np.sort(cols, axis=None), live)
+            assert np.abs(signs).sum(axis=0).min() > 0
+            rebuilt = np.zeros_like(block)
+            for c in range(len(cols)):
+                rebuilt[:, cols[c]] = signs[:, c, None]
+            assert np.array_equal(rebuilt, block)
+            assert np.array_equal(cols.reshape(-1)[slots[live]], live)
+            assert (np.delete(slots, live) == cols.size).all()
+
+    def test_class_sizes(self):
+        assert [c.shape for _, _, c, _ in ObservableEnsemble.pauli_z_all(10).classes(10)] == [(32, 32)] * 2
+        assert [c.shape for _, _, c, _ in ObservableEnsemble(PAULI_Z, (1, 3, 1)).classes(4)] == [(4, 4)]
+        assert [c.shape for _, _, c, _ in ObservableEnsemble(BASIS_PROJECTOR, (0, 3, 5, 9)).classes(4)] == [(4, 1)]
+
+    def test_table_is_cached_and_read_only(self):
+        ensemble = ObservableEnsemble.pauli_z_all(4)
+        assert ensemble.classes(4) is ObservableEnsemble.pauli_z_all(4).classes(4)
+        for array in ensemble.classes(4)[0][1:]:
+            with pytest.raises(ValueError):
+                array[0] = 0
+
+
 class TestUpsample:
     def test_basis_vector_isometry(self):
         umap = UpsampleMap(4, 16)

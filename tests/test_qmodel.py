@@ -8,7 +8,7 @@ from qdeq import deqsolve
 from qdeq import encoding as enc
 from qdeq.encoding import EncodingSpec, amplitude_encode, angle_encode
 from qdeq.errors import DimensionError
-from qdeq.measurement import ObservableEnsemble, UpsampleMap, expect_ensemble
+from qdeq.measurement import BASIS_PROJECTOR, ObservableEnsemble, UpsampleMap, expect_ensemble
 from qdeq.qmodel import (
     QuantumModel,
     build_block4,
@@ -301,6 +301,83 @@ class TestCompiledReverseAgainstGateByGate:
             assert same_as_fresh(load_checkpoint(path)[1], run)
             model.theta[:] = initial  # what load_checkpoint does to its parameters
             assert same_as_fresh(model, run)
+
+
+def _per_observable_forms(model):
+    """(K, d, d) H_k = V diag(m_k) V^dagger, one product per observable (Re H_k for amplitude rows)."""
+    V = model._compiled()[1]
+    H = np.stack([(V * m) @ V.conj().T for m in model.ensemble.diagonals(model.num_qubits)])
+    return H.real if model.encoding.kind == "amplitude" else H
+
+
+def _per_observable_backward(model, Z, X, cotangents, need_z=True, need_theta=True, tangents=None):
+    """(None, dtheta) with the sweep's bra summed one observable at a time: sum_k m_k * (R_k^T V)."""
+    ops, V, _ = model._compiled()
+    psi, _, encode_jvp = enc.encode(model.encoding, enc.inject(Z, X))
+    chat = np.atleast_2d(cotangents) @ model.upsample.matrix
+    bra, rows = np.zeros_like(V), psi.conj().T
+    for k, m in enumerate(model.ensemble.diagonals(model.num_qubits)):
+        Rt = rows @ (chat[:, k, None] * psi)
+        if tangents is not None:
+            Y = rows @ encode_jvp(tangents[:, k])
+            Rt = Rt + Y + Y.conj().T
+        bra += m * (Rt @ V)
+    return None, adjoint_sweep(ops, V, bra, num_params=model.num_params)[0]
+
+
+def _projector_model():
+    circuit, theta = build_block4(4, random_ops=10)
+    return QuantumModel(
+        encoding=EncodingSpec("amplitude", 4, 16),
+        circuit=circuit,
+        theta=theta,
+        ensemble=ObservableEnsemble(BASIS_PROJECTOR, (0, 3, 5, 9)),
+        upsample=UpsampleMap(4, 16),
+    )
+
+
+class TestClassBuiltForms:
+    """The readout forms and the sweep's bra, built per class of equal diagonal columns, against
+    one product per observable."""
+
+    MODELS = {
+        "amplitude-10": lambda: build_default_model("amplitude", 10, 100, seed=3),
+        "angle-4": lambda: build_default_model("angle", 4, 16, seed=3),
+        "projector-4": _projector_model,
+    }
+
+    @pytest.fixture(params=sorted(MODELS))
+    def case(self, request):
+        model = self.MODELS[request.param]()
+        rng = np.random.default_rng(8)
+        X = rng.uniform(0.1, 1.0, size=(32, model.input_dim))
+        return model, 0.1 * rng.normal(size=X.shape), X, rng.normal(size=X.shape)
+
+    def test_forms(self, case):
+        model = case[0]
+        d, K = model.encoding.width, model.ensemble.size
+        H = model._compiled()[2].reshape(d, K, d).transpose(1, 0, 2)
+        assert _rel(H, _per_observable_forms(model)) <= 1e-14
+
+    @pytest.mark.parametrize("with_tangents", [False, True])
+    def test_dtheta(self, case, with_tangents):
+        model, Z, X, C = case
+        T = None
+        if with_tangents:
+            T = np.random.default_rng(9).normal(size=(len(X), model.ensemble.size, model.input_dim))
+        got = model.backward_batch(Z, X, C, need_z=False, tangents=T)[1]
+        assert _rel(got, _per_observable_backward(model, Z, X, C, tangents=T)[1]) <= 1e-14
+
+    def test_penalized_implicit_backward(self, case, monkeypatch):
+        model, Z, X, C = case
+        dtheta, penalty = deqsolve.implicit_backward_batch(model, X, Z, C, jac_weight=0.7)
+        ops, V, _ = model._compiled()
+        H = _per_observable_forms(model).transpose(1, 0, 2).reshape(len(V), -1)
+        monkeypatch.setattr(model, "_compiled", lambda: (ops, V, H))  # jacobian_factors reads H
+        monkeypatch.setattr(model, "backward_batch", lambda *a, **kw: _per_observable_backward(model, *a, **kw))
+        ref_dtheta, ref_penalty = deqsolve.implicit_backward_batch(model, X, Z, C, jac_weight=0.7)
+        assert _rel(dtheta, ref_dtheta) <= 1e-14
+        assert abs(penalty - ref_penalty) <= 1e-14 * abs(ref_penalty)
 
 
 class TestAngleEncoderAgainstGates:
