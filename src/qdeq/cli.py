@@ -206,7 +206,7 @@ def main(argv=None) -> int:
         if args.command == "verify-bounds":
             return _cmd_verify(args)
         return _cmd_export(args)
-    except (QdeqError, OSError, json.JSONDecodeError) as exc:
+    except (QdeqError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

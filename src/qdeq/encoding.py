@@ -16,7 +16,7 @@ from functools import partial
 import numpy as np
 
 from .errors import DegenerateInputError, DimensionError
-from .simcore import _GENERATOR, RX, RY, RZ, GateOp, StateVector, _rotation
+from .simcore import GENERATORS, RX, RY, RZ, GateOp, StateVector
 
 AMPLITUDE = "amplitude"
 ANGLE = "angle"
@@ -24,6 +24,9 @@ ANGLE = "angle"
 _ANGLE_ORDER = (RY, RZ, RX, RY)
 
 _DEGENERATE_NORM = 1e-12
+
+# -i P for each rotation's generator P, as Python scalars: R(a) = cos(a/2) I + sin(a/2) (-i P)
+_MINUS_I_GENERATOR = {kind: np.real_if_close(-1j * p).ravel().tolist() for kind, p in GENERATORS.items()}
 
 
 @dataclass(frozen=True)
@@ -87,7 +90,7 @@ def encode(spec: EncodingSpec, X: np.ndarray):
 
 
 def states(spec: EncodingSpec, X: np.ndarray) -> np.ndarray:
-    """The encoded rows of X as the complex (B, 2**Q) states the gate kernels take."""
+    """The encoded rows of X as the complex (B, 2**Q) states that ``simcore.apply_ops`` takes."""
     psi = encode(spec, X)[0]
     out = np.zeros((len(psi), 1 << spec.num_qubits), dtype=np.complex128)
     out[:, : psi.shape[1]] = psi
@@ -112,9 +115,18 @@ def angle_encode(x: np.ndarray, num_qubits: int) -> list[GateOp]:
     return gates
 
 
+def _rotation(kind, angle):
+    """R(angle) = cos(angle/2) I - i sin(angle/2) P as the entries (u00, u01, u10, u11), per angle."""
+    c, s = np.cos(0.5 * angle), np.sin(0.5 * angle)
+    k00, k01, k10, k11 = _MINUS_I_GENERATOR[kind]
+    if k00:  # a Pauli is diagonal or off-diagonal: skip the zero products
+        return c + k00 * s, 0.0, 0.0, c + k11 * s
+    return c, k01 * s, k10 * s, c
+
+
 def _rotate(u, ket):
-    """Apply the 2x2 gate (u00, u01, u10, u11) to the 2-vectors ket[..., :2]."""
-    u00, u01, u10, u11 = (0.0 if c is None else c for c in u)
+    """Apply the 2x2 matrix with entries (u00, u01, u10, u11) to the 2-vectors ket[..., :2]."""
+    u00, u01, u10, u11 = u
     a, b = ket[..., 0], ket[..., 1]
     return np.stack([u00 * a + u01 * b, u10 * a + u11 * b], axis=-1)
 
@@ -151,7 +163,7 @@ def _angle_vjp(angles: np.ndarray, kets: list, bra: np.ndarray) -> np.ndarray:
     grad = np.empty(angles.shape)
     for j, kind in reversed(list(enumerate(_ANGLE_ORDER))):
         # 2 Re<env, -i/2 P ket> = Im<env, P ket> for R(a) = exp(-i a P / 2)
-        grad[..., j] = np.einsum("bqs,bqs->bq", env.conj(), _rotate(_GENERATOR[kind], kets[j])).imag
+        grad[..., j] = np.einsum("bqs,bqs->bq", env.conj(), _rotate(GENERATORS[kind].ravel(), kets[j])).imag
         env = _rotate(_rotation(kind, -angles[..., j]), env)
     return grad.reshape(rows, -1)
 
@@ -162,7 +174,7 @@ def _angle_jvp(angles: np.ndarray, kets: list, tangent: np.ndarray) -> np.ndarra
     steps = tangent.reshape(angles.shape)
     dket = np.zeros_like(kets[0])
     for j, kind in enumerate(_ANGLE_ORDER):
-        generated = _rotate(_GENERATOR[kind], kets[j])  # P R(a)|.>, R(a) = exp(-i a P / 2)
+        generated = _rotate(GENERATORS[kind].ravel(), kets[j])  # P R(a)|.>, R(a) = exp(-i a P / 2)
         dket = _rotate(_rotation(kind, angles[..., j]), dket) - 0.5j * steps[..., j, None] * generated
     phi, qubits = kets[-1], np.arange(angles.shape[1])[:, None]
     return sum(_product(np.where(qubits == q, dket, phi)) for q in qubits[:, 0])

@@ -3,17 +3,17 @@
 A model maps an iterate z and input x to S <M_k>, the K readouts of the state
 U(theta)|encode(z + x)> taken back to the input width by the upsample matrix S
 (n, K). Forward and reverse passes work on (B, n) batches of samples only; a
-single sample is a one-row batch. Every pass reads the K readout forms that
-``_compiled`` builds once per theta by running the circuit on the d =
-``EncodingSpec.width`` basis rows of the encoded states, never on the B rows;
-the theta-gradient is one adjoint sweep over the same d rows. On those rows
-``simcore`` applies the circuit as fused runs, one 16 x 16 matmul per run of
-gates on 4 adjacent qubits (4 runs for the 10-qubit staircase, 1 at Q=4), and
-the sweep takes each run's dtheta from its 16 x 16 environment. The observables
-are diagonal, so the readout forms and the sweep's bra depend on a basis column
-only through its diagonal entries: both are built once per class of equal
-columns (``ObservableEnsemble.classes``, groups of up to 5 observables), one
-batched matmul per group, not one product per observable.
+single sample is a one-row batch. Every pass reads what ``_compiled`` builds
+once per theta: the circuit's program (``simcore.resolve_circuit``: one 16 x 16
+matrix per run of gates on 4 adjacent qubits, 4 runs for the 10-qubit staircase
+and 1 at Q=4, with the products the sweep needs), and the K readout forms from
+that program run on the d = ``EncodingSpec.width`` basis rows of the encoded
+states, never on the B rows. The theta-gradient is one adjoint sweep of the
+same program over the same d rows, which builds no run matrix of its own. The
+observables are diagonal, so the readout forms and the sweep's bra depend on a
+basis column only through its diagonal entries: both are built once per class
+of equal columns (``ObservableEnsemble.classes``, groups of up to 5
+observables), one batched matmul per group, not one product per observable.
 
 Circuit builders follow the 4-qubit block (seeded random layer, then a
 trainable RY wall, RZ wall, CNOT ring, RY wall) and its 10-qubit staircase
@@ -63,7 +63,7 @@ class QuantumModel:
         if self.upsample.target_dim != self.encoding.input_dim:
             raise DimensionError("upsample target dim must equal encoding input dim")
         self.ensemble.diagonals(self.circuit.num_qubits)  # validates sites
-        self._compiled_at = None  # (theta copy, ops, V, H) from ``_compiled``
+        self._compiled_at = None  # (theta copy, program, V, H) from ``_compiled``
 
     # -- shape helpers -----------------------------------------------------
 
@@ -102,7 +102,8 @@ class QuantumModel:
     # -- reverse -----------------------------------------------------------
 
     def _compiled(self):
-        """(ops, V, H) at theta, rebuilt when theta's values change; ops are (gate, angle) pairs.
+        """(ops, V, H) at theta, rebuilt when theta's values change; ops is the program of
+        ``simcore.resolve_circuit``, which the sweep reuses.
 
         V (d, 2**Q) is U(theta) on the d basis rows that encoded states occupy (the encoding's
         ``width``: n for amplitude, 2**Q for angle encoding), so a row psi ends as psi @ V. H (d, K*d) stacks

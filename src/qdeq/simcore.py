@@ -2,40 +2,39 @@
 
 States live in arrays of shape (batch, 2**Q), complex128, qubit 0 = least
 significant bit of the basis index. The gate set is RX, RY and RZ (trainable
-or fixed-angle) and CNOT, all that the circuit builders emit. Two kernels
-apply one gate in place on reshaped views of a batch, at any state size:
-``_apply_1q`` does slice arithmetic on the halves where the qubit is 0 and 1
-(``u01 = None`` marks a diagonal gate, which only scales them), and
-``_apply_cnot`` swaps the target halves inside the control=1 half.
+or fixed-angle) and CNOT, all that the circuit builders emit. Gate angles are
+scalars: per-sample data never reach this module, since the encodings
+(``encoding.py``) build the input states and chain their cotangents back.
 
-The circuit meets the batch in fused runs (as in qsim and Qulacs).
-``_fusion_plan`` groups the gates into maximal runs of consecutive gates
-whose qubits fit in one window of w = min(4, Q) adjacent qubits: the 10-qubit
-staircase is 4 runs of 66 gates at offsets 0, 2, 4 and 6, a 4-qubit circuit
-one run. The kernels build each run's 2**w x 2**w unitary on the identity
-rows, and the passes apply it as one matmul on a (rows, 2**(Q-off-w), 2**w,
-2**off) view; only a CNOT wider than the window runs its kernel on the
-batch. No 2**Q x 2**Q matrix is built outside the test oracles.
+A gate has one representation: a 2**w x 2**w matrix on a window of
+w = min(4, Q) adjacent qubits, A = cos(a/2) B - i sin(a/2) P at angle a. A
+rotation has B = I and P its Pauli generator, a CNOT its basis permutation B
+and P = 0; ``_gate_library`` holds the (B, P) pairs by gate code. As in qsim
+and Qulacs, ``_fusion_plan`` groups the gates into maximal runs of
+consecutive gates that fit in one window: the 10-qubit staircase is 4 runs of
+66 gates at offsets 0, 2, 4 and 6, a 4-qubit circuit one run.
+``resolve_circuit`` compiles the circuit once per theta: each run's gate
+matrices as one gathered stack, then one loop of matmuls for its unitary U.
+``apply_ops`` runs that program, one matmul per run on a (rows, 2**(Q-off-w),
+2**w, 2**off) view; only a CNOT wider than the window stays a lone step, a
+gather of its permutation. No 2**Q x 2**Q matrix is built outside the test
+oracles.
 
-Gate coefficients are scalars: per-sample data never reach this module, since
-the encodings (``encoding.py``) build the input states and chain their
-cotangents back.
-
-``resolve_circuit`` pairs each ``GateOp`` with its angle, and ``_apply_op`` is
-the one dispatch over these (gate, angle) pairs. The reverse (adjoint) sweep
-walks the runs backwards once, collecting each run's 2**w x 2**w environment
-from the rows; one gate-by-gate sweep per run on 2**w rows then gives the
-derivative of every trainable angle, and the input-state cotangent is the
-bra swept back. The model runs both passes on the d basis rows of its encoded
-states (16 at Q=4, 100 at Q=10, in 16-row blocks of ``_BLOCK_BYTES`` that
-stay in a core's L2 cache with their temporaries), the references on one
-row. The parameter-shift rule (f(theta + pi/2) - f(theta - pi/2)) / 2 is the
+``adjoint_sweep`` walks the runs backwards once, collecting each run's
+2**w x 2**w environment from the rows and undoing the run with U^dagger. Each
+trainable angle's derivative is then one contraction of that environment
+with the gate's generator carried to the run's output; the input-state
+cotangent is the bra swept back. The model runs both passes on the d basis
+rows of its encoded states (16 at Q=4, 100 at Q=10, in 16-row blocks of
+``_BLOCK_BYTES`` that stay in a core's L2 cache), the references on one row.
+The parameter-shift rule (f(theta + pi/2) - f(theta - pi/2)) / 2 is the
 second, exact route.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -141,84 +140,113 @@ class ParamCircuit:
 
 
 # ---------------------------------------------------------------------------
-# kernels: in place on states of shape (B, 2**Q); a reshaped view splits the
-# basis index at the gate's qubit(s), so one slice expression serves any size
+# gate matrices and their fusion into runs on windows of w adjacent qubits
+
+_WINDOW = 4  # qubits per run: 16 x 16 matrices
+
+# Pauli generator of each rotation: R(angle) = exp(-i angle P / 2) = cos(angle/2) I - i sin(angle/2) P
+GENERATORS = {RX: np.array([[0.0, 1.0], [1.0, 0.0]]), RY: np.array([[0, -1j], [1j, 0]]), RZ: np.diag([1.0, -1.0])}
+
+_KIND_INDEX = {kind: k for k, kind in enumerate(GATE_KINDS)}
 
 
-def _bit_view(states: np.ndarray, q: int) -> np.ndarray:
-    b, n = states.shape
-    return states.reshape(b, n >> (q + 1), 2, 1 << q)
+def _cnot_permutation(index, control, target):
+    """The basis index that each index trades places with under a CNOT (the map is its own inverse)."""
+    return index ^ (((index >> control) & 1) << target)
 
 
-def _apply_1q(states, q, u00, u01, u10, u11):
-    """Apply the scalars [[u00, u01], [u10, u11]] to qubit q; ``u01 is None`` marks a diagonal gate."""
-    v = _bit_view(states, q)
-    if u01 is None:
-        v[:, :, 0, :] *= u00
-        v[:, :, 1, :] *= u11
-        return
-    a = v[:, :, 0, :].copy()
-    b = v[:, :, 1, :].copy()
-    np.add(u00 * a, u01 * b, out=v[:, :, 0, :])
-    a *= u10
-    b *= u11
-    np.add(a, b, out=v[:, :, 1, :])
+@functools.lru_cache(maxsize=None)
+def _gate_library(w):
+    """Read-only (B, P) stacks of shape (3 w + w**2, 2**w, 2**w), indexed by gate code: a rotation of
+    kind k (0, 1, 2 for RX, RY, RZ) on window qubit t has code k w + t, a CNOT 3 w + control w + target."""
+    d = 1 << w
+    eye = np.eye(d)
+    basis = np.zeros((3 * w + w * w, d, d), dtype=np.complex128)
+    generator = np.zeros_like(basis)
+    for k, kind in enumerate(ROTATION_KINDS):
+        for t in range(w):
+            basis[k * w + t] = eye
+            generator[k * w + t] = np.kron(np.kron(np.eye(d >> (t + 1)), GENERATORS[kind]), np.eye(1 << t))
+    for c in range(w):
+        for t in range(w):
+            if c != t:
+                basis[3 * w + c * w + t] = eye[_cnot_permutation(np.arange(d), c, t)]
+    basis.flags.writeable = generator.flags.writeable = False
+    return basis, generator
 
 
-def _apply_cnot(states, control, target):
-    """Swap the target halves of the control=1 half, through a 6-axis view."""
-    high, low = max(control, target), min(control, target)
-    b, n = states.shape
-    v = states.reshape(b, n >> (high + 1), 2, 1 << (high - low - 1), 2, 1 << low)
-    if control < target:
-        v = v.swapaxes(2, 4)  # axis 2 is now the control bit, axis 4 the target
-    a = v[:, :, 1, :, 0, :].copy()
-    v[:, :, 1, :, 0, :] = v[:, :, 1, :, 1, :]
-    v[:, :, 1, :, 1, :] = a
+def _fusion_plan(gates, num_qubits):
+    """[(offset, start, stop)]: maximal runs gates[start:stop] whose qubits fit in the w = min(4, Q)
+    qubits from ``offset``; a CNOT wider than w is a lone gate, with offset None."""
+    w = min(_WINDOW, num_qubits)
+    plan, lo, hi = [], -w, 0  # lo..hi: the qubits of the open run; wider than w when none is open
+    for i, g in enumerate(gates):
+        a = b = g.target
+        c = g.control
+        if c is not None:
+            a, b = (a, c) if a < c else (c, a)
+        joined_lo, joined_hi = (a if a < lo else lo), (b if b > hi else hi)
+        if joined_hi - joined_lo < w:
+            lo, hi = joined_lo, joined_hi
+            plan[-1][0], plan[-1][2] = lo, i + 1
+        elif b - a < w:
+            lo, hi = a, b
+            plan.append([lo, i, i + 1])
+        else:
+            lo, hi = -w, 0
+            plan.append([None, i, i + 1])
+    return [(None if lo is None else min(lo, num_qubits - w), start, stop) for lo, start, stop in plan]
 
 
-# Pauli generator of each rotation: R(angle) = exp(-i angle P / 2)
-_GENERATOR = {RX: (0.0, 1.0, 1.0, 0.0), RY: (0.0, -1j, 1j, 0.0), RZ: (1.0, None, None, -1.0)}
+class _Run(NamedTuple):
+    """One step of a compiled circuit.
 
-
-def _rotation(kind, angle):
-    c = np.cos(0.5 * angle)
-    s = np.sin(0.5 * angle)
-    if kind == RX:
-        return c, -1j * s, -1j * s, c
-    if kind == RY:
-        return c, -s, s, c
-    return c - 1j * s, None, None, c + 1j * s
-
-
-def _coefficients(ops, sign=1.0):
-    """Each pair's kernel scalars (its inverse's when ``sign`` is -1); None for the self-inverse CNOT."""
-    return [None if g.kind == CNOT else _rotation(g.kind, sign * angle) for g, angle in ops]
-
-
-def _apply_op(gate, u, states, offset=0):
-    """Apply ``gate`` with its scalars ``u`` from ``_coefficients`` in place to ``states``.
-
-    ``offset`` shifts the gate's qubits down, for states of the window of qubits from ``offset``.
+    A run of gates A_1 ... A_G on the w qubits from ``offset`` holds its unitary U = A_G ... A_1
+    and, for each trainable gate j, the product S_j = A_G ... A_(j+1) of the gates after it, the
+    generator P_j and the theta slot. A CNOT wider than the window has offset None, and
+    ``unitary`` holds its basis permutation (``_cnot_permutation``).
     """
-    if u is None:
-        _apply_cnot(states, gate.control - offset, gate.target - offset)
-    else:
-        _apply_1q(states, gate.target - offset, *u)
+
+    offset: Optional[int]
+    unitary: np.ndarray
+    suffixes: Optional[np.ndarray] = None
+    generators: Optional[np.ndarray] = None
+    slots: Optional[np.ndarray] = None
 
 
-def _sweep_gates(pairs, ket, bra, dtheta, offset):
-    """Undo ``pairs`` on ket and bra in place, last first, adding 2 Re<bra, d ket / d theta_j> to dtheta."""
-    for (g, _), u in zip(reversed(pairs), reversed(_coefficients(pairs, sign=-1.0))):
-        if g.param_slot is not None:
-            pk = ket.copy()  # P|ket> for the rotation's generator P
-            _apply_1q(pk, g.target - offset, *_GENERATOR[g.kind])
-            dtheta[g.param_slot] += np.vdot(bra, pk).imag
-        _apply_op(g, u, ket, offset)
-        _apply_op(g, u, bra, offset)
+def _compile(gates, angles, num_qubits):
+    """[_Run] for ``gates`` at ``angles``, one per run of ``_fusion_plan``.
+
+    A run's gate matrices come from ``_gate_library`` as one stack, gathered by gate code; one loop
+    of 2**w x 2**w matmuls, S_(j-1) = S_j A_j from S_G = I, then gives its suffixes and U = S_0.
+    """
+    w = min(_WINDOW, num_qubits)
+    basis, generator = _gate_library(w)
+    fields = np.array(
+        [(_KIND_INDEX[g.kind], g.target, g.control or 0, -1 if g.param_slot is None else g.param_slot)
+         for g in gates], dtype=np.intp).reshape(-1, 4)
+    half = 0.5 * np.asarray(angles, dtype=np.float64)[:, None, None]
+    cos, sin = np.cos(half), np.sin(half)
+    program = []
+    for off, start, stop in _fusion_plan(gates, num_qubits):
+        kind, target, control, slot = fields[start:stop].T
+        if off is None:
+            program.append(_Run(None, _cnot_permutation(np.arange(1 << num_qubits), control[0], target[0])))
+            continue
+        code = np.where(kind < 3, kind * w + target - off, 3 * w + (control - off) * w + target - off)
+        matrices = basis[code]
+        matrices *= cos[start:stop]
+        matrices -= 1j * sin[start:stop] * generator[code]
+        suffix = np.empty((stop - start + 1, 1 << w, 1 << w), dtype=np.complex128)
+        suffix[-1] = np.eye(1 << w)
+        for j in range(stop - start - 1, -1, -1):
+            np.matmul(suffix[j + 1], matrices[j], out=suffix[j])
+        trainable = np.flatnonzero(slot >= 0)
+        program.append(_Run(off, suffix[0].copy(), suffix[trainable + 1], generator[code[trainable]], slot[trainable]))
+    return program
 
 
-# bytes of states per row block: a block and its kernels' temporaries stay in L2
+# bytes of states per row block: a block and its matmuls' temporaries stay in L2
 _BLOCK_BYTES = 256 << 10
 
 
@@ -227,135 +255,81 @@ def _row_blocks(states):
     return [slice(start, start + rows) for start in range(0, states.shape[0], rows)]
 
 
-# ---------------------------------------------------------------------------
-# gate fusion: a run of consecutive gates on one window of w adjacent qubits is
-# one 2**w x 2**w matrix, applied to a (rows, 2**(Q-off-w), 2**w, 2**off) view
-
-_WINDOW = 4  # qubits per run: 16 x 16 matrices
-
-
-def _fusion_plan(ops, num_qubits):
-    """[(offset, pairs)]: maximal runs of consecutive (gate, angle) pairs whose qubits fit in the
-    w = min(4, Q) qubits from ``offset``; a CNOT wider than w is a lone gate, with offset None."""
-    w = min(_WINDOW, num_qubits)
-    plan, lo, hi = [], -w, 0  # lo..hi: the qubits of the open run; wider than w when none is open
-    for pair in ops:
-        a = b = pair[0].target
-        c = pair[0].control
-        if c is not None:
-            a, b = (a, c) if a < c else (c, a)
-        joined_lo, joined_hi = (a if a < lo else lo), (b if b > hi else hi)
-        if joined_hi - joined_lo < w:
-            lo, hi = joined_lo, joined_hi
-            plan[-1][0] = lo
-            plan[-1][1].append(pair)
-        elif b - a < w:
-            lo, hi = a, b
-            plan.append([lo, [pair]])
-        else:
-            lo, hi = -w, 0
-            plan.append([None, [pair]])
-    return [(None if lo is None else min(lo, num_qubits - w), pairs) for lo, pairs in plan]
-
-
-def _run_rows(pairs, offset, w):
-    """U^T for the run's unitary U: its gates applied to the 2**w identity rows."""
-    rows = np.eye(1 << w, dtype=np.complex128)
-    for (g, _), u in zip(pairs, _coefficients(pairs)):
-        _apply_op(g, u, rows, offset)
-    return rows
-
-
-def _window(states, offset, w):
+def _window(states, offset, d):
+    """(rows, 2**(Q-off-w), d, 2**off) view of states, d = 2**w: axis 2 is the window of qubits from ``offset``."""
     b, n = states.shape
-    return states.reshape(b, n >> (offset + w), 1 << w, 1 << offset)
+    return states.reshape(b, n // (d << offset), d, 1 << offset)
 
 
-def _apply_matrix(states, matrix, offset, w):
-    """states <- matrix acting on the window of w qubits from ``offset``, in place."""
-    v = _window(states, offset, w)
-    np.matmul(matrix, v, out=v)
+def _apply_step(states, offset, step):
+    """states <- the matrix ``step`` acting on the window of qubits from ``offset``, in place; with
+    offset None, ``step`` is a basis permutation, applied as a gather."""
+    if offset is None:
+        states[:] = states[:, step]
+    else:
+        v = _window(states, offset, len(step))
+        np.matmul(step, v, out=v)
 
 
 # ---------------------------------------------------------------------------
 # compiled program execution
 
 
-def resolve_circuit(circuit: ParamCircuit, theta: np.ndarray) -> list[tuple[GateOp, float]]:
-    """The circuit's gates, each paired with theta[param_slot], its fixed angle, or 0.0 for a CNOT."""
+def _gate_angles(circuit, theta):
+    """Each gate's angle: theta[param_slot], its fixed angle, or 0 for a CNOT."""
     theta = np.asarray(theta, dtype=np.float64).reshape(-1)
     if theta.shape[0] != circuit.num_params:
         raise DimensionError(
             f"theta has {theta.shape[0]} entries, circuit expects {circuit.num_params}"
         )
-    ops = []
-    for g in circuit.gates:
-        angle = g.fixed_angle if g.param_slot is None else theta[g.param_slot]
-        ops.append((g, 0.0 if angle is None else float(angle)))
-    return ops
+    return np.array([theta[g.param_slot] if g.param_slot is not None else g.fixed_angle or 0.0
+                     for g in circuit.gates])
+
+
+def resolve_circuit(circuit: ParamCircuit, theta: np.ndarray) -> list[_Run]:
+    """The circuit compiled at theta (``_compile``), once: ``apply_ops`` runs the program and
+    ``adjoint_sweep`` reverses it."""
+    return _compile(circuit.gates, _gate_angles(circuit, theta), circuit.num_qubits)
 
 
 def apply_ops(ops, states):
-    """Apply resolved (gate, angle) pairs in place to states of shape (B, 2**Q), one row block at a time.
-
-    Each run of ``_fusion_plan`` is one matmul; a lone wide CNOT runs its kernel.
-    """
-    q = states.shape[1].bit_length() - 1
-    w = min(_WINDOW, q)
-    plan = _fusion_plan(ops, q)
-    steps = [(off, pairs[0][0] if off is None else _run_rows(pairs, off, w).T) for off, pairs in plan]
+    """Apply the program ``ops`` of ``resolve_circuit`` in place to states of shape (B, 2**Q), one row
+    block at a time: one matmul per run, one gather per lone wide CNOT."""
     for rows in _row_blocks(states):
-        block = states[rows]  # a contiguous view: the matmuls and kernels write through it
-        for off, step in steps:
-            if off is None:
-                _apply_op(step, None, block)
-            else:
-                _apply_matrix(block, step, off, w)
+        block = states[rows]  # a contiguous view: the steps write through it
+        for run in ops:
+            _apply_step(block, run.offset, run.unitary)
     return states
 
 
 def adjoint_sweep(ops, final_states, bra, num_params=0):
     """Reverse sweep: dtheta_j = sum over rows of 2 Re<bra, d ket / d theta_j>, bra held fixed.
 
-    ``final_states`` holds the kets after all ops; ``bra`` is swept in place:
-    it is overwritten and returned. Returns (dtheta, U^dagger bra). With
-    bra = M_total |ket> that is the expectation's gradient and
-    dE/d(conj(amplitude)) at the input state (``adjoint_gradients``). The
-    model passes the d basis rows U|e_i> and a bra built from its batch.
+    ``final_states`` holds the kets after the program ``ops``; ``bra`` is swept in place: it is
+    overwritten and returned. Returns (dtheta, U^dagger bra). With bra = M_total |ket> that is the
+    expectation's gradient and dE/d(conj(amplitude)) at the input state (``adjoint_gradients``).
+    The model passes the d basis rows U|e_i> and a bra built from its batch.
 
-    Walking the runs of ``_fusion_plan`` backwards, each row block adds the
-    run's 2**w x 2**w environment E[a, c] = sum conj(bra_a) ket_c and undoes
-    the run on ket and bra. A run's dtheta then comes from one gate-by-gate
-    sweep on the 2**w identity rows with bra E^H; the first run's undo, needed
-    only for the returned bra, is that sweep's output kets.
+    Walking the runs backwards, each row block adds the run's 2**w x 2**w environment
+    E[a, c] = sum conj(bra_a) ket_c and undoes the run on ket and bra with U^dagger. As
+    d ket / d theta_j = -i/2 S_j P_j S_j^dagger ket at the run's output, the run's dtheta is then
+    Im sum_(a, c) E[a, c] (S_j P_j S_j^dagger)[a, c], one batched product for all its gates.
     """
     dtheta = np.zeros(num_params)
-    q = final_states.shape[1].bit_length() - 1
-    w = min(_WINDOW, q)
-    plan = _fusion_plan(ops, q)
-    # U^dagger = conj(U^T) of each run but the first, whose undo comes from its local sweep below
-    undo = [None if off is None or i == 0 else _run_rows(pairs, off, w).conj()
-            for i, (off, pairs) in enumerate(plan)]
-    envs = [np.zeros((1 << w, 1 << w), dtype=np.complex128) for _ in plan]
+    undo = [run.unitary if run.offset is None else run.unitary.conj().T for run in ops]  # a CNOT undoes itself
+    envs = [None if run.offset is None else np.zeros_like(run.unitary) for run in ops]
     for rows in _row_blocks(bra):
         b, ket = bra[rows], final_states[rows].copy()
-        for i in reversed(range(len(plan))):
-            off, pairs = plan[i]
-            if off is None:  # a lone wide CNOT, which has no angle
-                _sweep_gates(pairs, ket, b, dtheta, 0)
-                continue
-            bv, kv = (_window(x, off, w).swapaxes(0, 2).reshape(1 << w, -1) for x in (b, ket))
-            envs[i] += bv.conj() @ kv.T
-            if undo[i] is not None:
-                _apply_matrix(ket, undo[i], off, w)
-                _apply_matrix(b, undo[i], off, w)
-    for i, (off, pairs) in enumerate(plan):
-        if off is not None:
-            local = np.eye(1 << w, dtype=np.complex128)
-            _sweep_gates(pairs, local, envs[i].conj().T.copy(), dtheta, off)
-            if i == 0:
-                for rows in _row_blocks(bra):
-                    _apply_matrix(bra[rows], local.T, off, w)
+        for run, back, env in zip(ops[::-1], undo[::-1], envs[::-1]):
+            if env is not None:
+                bv, kv = (_window(x, run.offset, len(env)).swapaxes(0, 2).reshape(len(env), -1) for x in (b, ket))
+                env += bv.conj() @ kv.T
+            _apply_step(ket, run.offset, back)
+            _apply_step(b, run.offset, back)
+    for run, env in zip(ops, envs):
+        if env is not None:
+            forms = run.suffixes @ run.generators @ run.suffixes.conj().transpose(0, 2, 1)
+            np.add.at(dtheta, run.slots, (forms.reshape(len(forms), env.size) @ env.reshape(-1)).imag)
     return dtheta, bra
 
 
@@ -408,18 +382,19 @@ def parameter_shift_grad(circuit, theta, input_state: StateVector, ensemble, slo
     Uses (f(theta + pi/2 e_slot) - f(theta - pi/2 e_slot)) / 2 per occurrence
     of the slot, which is exact for Pauli-generated rotations.
     """
-    ops = resolve_circuit(circuit, theta)
-    where = [i for i, (g, _) in enumerate(ops) if g.param_slot == slot]
+    angles = _gate_angles(circuit, theta)
+    where = [i for i, g in enumerate(circuit.gates) if g.param_slot == slot]
     if not where:
         raise UnsupportedGateError(f"slot {slot} is not bound to any rotation gate")
     diags = np.asarray(ensemble.diagonals(circuit.num_qubits))
     amps = np.asarray(input_state.amplitudes, dtype=np.complex128)
     total = np.zeros(diags.shape[0])
     for i in where:
-        g, angle = ops[i]
-        plus, minus = ops.copy(), ops.copy()
-        plus[i], minus[i] = (g, angle + np.pi / 2), (g, angle - np.pi / 2)
-        total += 0.5 * (_expectations(plus, amps, diags) - _expectations(minus, amps, diags))
+        plus, minus = angles.copy(), angles.copy()
+        plus[i] += np.pi / 2
+        minus[i] -= np.pi / 2
+        total += 0.5 * (_expectations(_compile(circuit.gates, plus, circuit.num_qubits), amps, diags)
+                        - _expectations(_compile(circuit.gates, minus, circuit.num_qubits), amps, diags))
     return total
 
 

@@ -420,7 +420,7 @@ def load_checkpoint(path):
     """(cfg, model, head, adam, step) rebuilt from a checkpoint file."""
     try:
         payload = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DataFormatError(f"checkpoint {path} is not valid JSON: {exc}") from exc
     if _checkpoint_field(payload, "format") != _CHECKPOINT_FORMAT:
         raise DataFormatError(f"unexpected checkpoint format {payload['format']!r}")

@@ -297,14 +297,18 @@ class TestTrainEval:
         assert code == 1
         assert "typo_key" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("literal", ["5", "null", "[1, 2]", '"implicit"'])
+    @pytest.mark.parametrize("literal", ["5", "null", "[1, 2]", '"implicit"', b"\xff\xfe\x00bad"])
     @pytest.mark.parametrize("seed_flag", [[], ["--seed", "3"]], ids=["config-seed", "flag-seed"])
     def test_config_that_is_no_json_object_exits_one(self, tmp_path, digits_data_dir, capsys, literal, seed_flag):
         path = tmp_path / "bad.json"
-        path.write_text(literal)
+        path.write_bytes(literal if isinstance(literal, bytes) else literal.encode())
         args = ["--config", str(path), "--data-dir", str(digits_data_dir), "--output-dir", str(tmp_path / "o")]
         assert main(["train", *args, *seed_flag]) == 1
-        assert "error: a config must be a JSON object" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        if isinstance(literal, bytes):  # not UTF-8 text: the decode error, no traceback
+            assert err.startswith("error: 'utf-8' codec can't decode byte 0xff")
+        else:
+            assert "error: a config must be a JSON object" in err
 
     def test_checkpoint_config_that_is_no_json_object_exits_one(self, tmp_path, digits_data_dir, capsys):
         cfg = TrainConfig(dataset="mnist4", solver_mode="implicit", learning_rate=0.05)
@@ -317,6 +321,13 @@ class TestTrainEval:
         code = main(["eval", "--checkpoint", str(path), "--data-dir", str(digits_data_dir)])
         assert code == 1
         assert "error: a config must be a JSON object" in capsys.readouterr().err
+
+    def test_eval_on_checkpoint_that_is_no_utf8_text_exits_one(self, tmp_path, digits_data_dir, capsys):
+        path = tmp_path / "ckpt.txt"
+        path.write_bytes(b"\xff\xfe\x00bad")
+        code = main(["eval", "--checkpoint", str(path), "--data-dir", str(digits_data_dir)])
+        assert code == 1
+        assert f"error: checkpoint {path} is not valid JSON" in capsys.readouterr().err
 
     def test_eval_on_checkpoint_with_nan_exits_one(self, tmp_path, digits_data_dir, capsys):
         cfg = TrainConfig(dataset="mnist4", solver_mode="implicit", learning_rate=0.05)

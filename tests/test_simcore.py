@@ -13,6 +13,7 @@ from qdeq.simcore import (
     GATE_KINDS,
     RX,
     RY,
+    RZ,
     GateOp,
     ParamCircuit,
     StateVector,
@@ -25,7 +26,7 @@ from qdeq.simcore import (
     resolve_circuit,
 )
 
-from conftest import dense_circuit
+from conftest import dense_circuit, dense_gate
 
 
 def _random_circuit(seed, num_qubits, num_ops):
@@ -133,7 +134,7 @@ class TestGateValidation:
 
 
 class TestResolveCircuit:
-    def test_pairs_the_circuit_gates_with_their_angles(self):
+    def test_compiles_each_gate_at_its_angle(self):
         gates = (
             GateOp(RY, 0, param_slot=1),
             GateOp(RX, 1, fixed_angle=-0.0),
@@ -142,12 +143,17 @@ class TestResolveCircuit:
             GateOp(RY, 1, param_slot=0),
         )
         circuit = ParamCircuit(2, gates, 2)
-        ops = resolve_circuit(circuit, np.array([0.25, -1.5]))
-        assert [g for g, _ in ops] == list(gates)
-        assert all(g is gate for (g, _), gate in zip(ops, circuit.gates))
-        assert [angle for _, angle in ops] == [-1.5, 0.0, 0.0, 0.7, 0.25]
-        assert all(type(angle) is float for _, angle in ops)
-        assert np.copysign(1.0, ops[1][1]) == -1.0  # a fixed -0.0 keeps its sign
+        theta = np.array([0.25, -1.5])
+        (run,) = resolve_circuit(circuit, theta)  # two qubits: one run on the whole state
+        assert run.offset == 0
+        assert np.abs(run.unitary - dense_circuit(circuit, theta)).max() <= 1e-15
+        # the trainable gates in circuit order: their slots, the product of the gates after each,
+        # and their generators Y on qubit 0 and on qubit 1
+        assert run.slots.tolist() == [1, 0]
+        after_first = np.linalg.multi_dot([dense_gate(g, theta, 2) for g in reversed(gates[1:])])
+        assert np.abs(run.suffixes - [after_first, np.eye(4)]).max() <= 1e-15
+        pauli_y = np.array([[0, -1j], [1j, 0]])
+        assert np.array_equal(run.generators, [np.kron(np.eye(2), pauli_y), np.kron(pauli_y, np.eye(2))])
         with pytest.raises(DimensionError, match="theta has 3 entries"):
             resolve_circuit(circuit, [0.1, 0.2, 0.3])
 
@@ -286,7 +292,7 @@ class TestLargeBatchedStates:
 
 
 class TestRowBlocks:
-    """The kernels walk the batch in row blocks; a block holds 16 rows at Q=10."""
+    """Both passes walk the batch in row blocks; a block holds 16 rows at Q=10."""
 
     Q = 10
 
@@ -402,61 +408,111 @@ def test_gradient_triple_agreement_small():
                 assert abs(shift - fd) < 1e-6
 
 
+# ---------------------------------------------------------------------------
+# gate-by-gate reference: the scalar kernels that applied one gate at a time to a batch of states
+# (qubit 0 = least significant bit), before the circuit was compiled to fused 16 x 16 runs
+
+# Pauli generator of each rotation, as the scalars (u00, u01, u10, u11); None marks a diagonal gate
+_GENERATOR = {RX: (0.0, 1.0, 1.0, 0.0), RY: (0.0, -1j, 1j, 0.0), RZ: (1.0, None, None, -1.0)}
+
+
+def _bit_view(states, q):
+    b, n = states.shape
+    return states.reshape(b, n >> (q + 1), 2, 1 << q)
+
+
+def _apply_1q(states, q, u00, u01, u10, u11):
+    """Apply the scalars [[u00, u01], [u10, u11]] to qubit q; ``u01 is None`` marks a diagonal gate."""
+    v = _bit_view(states, q)
+    if u01 is None:
+        v[:, :, 0, :] *= u00
+        v[:, :, 1, :] *= u11
+        return
+    a = v[:, :, 0, :].copy()
+    b = v[:, :, 1, :].copy()
+    np.add(u00 * a, u01 * b, out=v[:, :, 0, :])
+    a *= u10
+    b *= u11
+    np.add(a, b, out=v[:, :, 1, :])
+
+
+def _apply_cnot(states, control, target):
+    """Swap the target halves of the control=1 half, through a 6-axis view."""
+    high, low = max(control, target), min(control, target)
+    b, n = states.shape
+    v = states.reshape(b, n >> (high + 1), 2, 1 << (high - low - 1), 2, 1 << low)
+    if control < target:
+        v = v.swapaxes(2, 4)  # axis 2 is now the control bit, axis 4 the target
+    a = v[:, :, 1, :, 0, :].copy()
+    v[:, :, 1, :, 0, :] = v[:, :, 1, :, 1, :]
+    v[:, :, 1, :, 1, :] = a
+
+
+def _apply_gate(gate, angle, states):
+    if gate.kind == CNOT:
+        _apply_cnot(states, gate.control, gate.target)
+        return
+    c, s = np.cos(0.5 * angle), np.sin(0.5 * angle)
+    if gate.kind == RX:
+        _apply_1q(states, gate.target, c, -1j * s, -1j * s, c)
+    elif gate.kind == RY:
+        _apply_1q(states, gate.target, c, -s, s, c)
+    else:
+        _apply_1q(states, gate.target, c - 1j * s, None, None, c + 1j * s)
+
+
+def _gate_by_gate(circuit, theta, states, bra):
+    """(final states, dtheta, U^dagger bra) from one kernel call per gate, forward then backward."""
+    angles = [theta[g.param_slot] if g.param_slot is not None else g.fixed_angle or 0.0 for g in circuit.gates]
+    ket = states.copy()
+    for g, angle in zip(circuit.gates, angles):
+        _apply_gate(g, angle, ket)
+    final, bra = ket.copy(), bra.copy()
+    dtheta = np.zeros(circuit.num_params)
+    for g, angle in reversed(list(zip(circuit.gates, angles))):
+        if g.param_slot is not None:
+            pk = ket.copy()
+            _apply_1q(pk, g.target, *_GENERATOR[g.kind])
+            dtheta[g.param_slot] += np.vdot(bra, pk).imag
+        _apply_gate(g, -angle, ket)
+        _apply_gate(g, -angle, bra)
+    return final, dtheta, bra
+
+
 class TestFusedRuns:
-    """``apply_ops`` and ``adjoint_sweep`` fuse runs of gates on 4 adjacent qubits into 16 x 16 matmuls;
-    they must agree with every gate's kernel applied to every row."""
-
-    # Pauli generator of each rotation, in ``_apply_1q``'s scalar form
-    GENERATOR = {"rx": (0.0, 1.0, 1.0, 0.0), "ry": (0.0, -1j, 1j, 0.0), "rz": (1.0, None, None, -1.0)}
-
-    def _gate_by_gate(self, ops, states, bra, num_params):
-        """(final states, dtheta, U^dagger bra) from one kernel call per gate, forward then backward."""
-        ket = states.copy()
-        for pair in ops:
-            simcore._apply_op(pair[0], simcore._coefficients([pair])[0], ket)
-        final, bra = ket.copy(), bra.copy()
-        dtheta = np.zeros(num_params)
-        for g, angle in reversed(ops):
-            if g.param_slot is not None:
-                pk = ket.copy()
-                simcore._apply_1q(pk, g.target, *self.GENERATOR[g.kind])
-                dtheta[g.param_slot] += np.vdot(bra, pk).imag
-            undo = simcore._coefficients([(g, angle)], sign=-1.0)[0]
-            simcore._apply_op(g, undo, ket)
-            simcore._apply_op(g, undo, bra)
-        return final, dtheta, bra
+    """``apply_ops`` and ``adjoint_sweep`` run each fused run of gates on 4 adjacent qubits as 16 x 16
+    matmuls; they must agree with the gate-by-gate reference applied to every row."""
 
     def _check(self, circuit, theta, rows, seed):
         rng = np.random.default_rng(seed)
         shape = (rows, 1 << circuit.num_qubits)
         states = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         bra = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        final, dtheta, back = _gate_by_gate(circuit, theta, states, bra)
         ops = resolve_circuit(circuit, theta)
-        final, dtheta, back = self._gate_by_gate(ops, states, bra, circuit.num_params)
         fused = apply_ops(ops, states.copy())
         fused_dtheta, fused_back = adjoint_sweep(ops, final, bra.copy(), num_params=circuit.num_params)
         for got, want in ((fused, final), (fused_dtheta, dtheta), (fused_back, back)):
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
-    def _plan(self, circuit, theta):
-        plan = simcore._fusion_plan(resolve_circuit(circuit, theta), circuit.num_qubits)
-        return [(off, len(pairs)) for off, pairs in plan]
+    def _plan(self, circuit):
+        return [(off, stop - start) for off, start, stop in simcore._fusion_plan(circuit.gates, circuit.num_qubits)]
 
     def test_staircase_is_four_runs_of_one_block_each(self):
         model = build_default_model("amplitude", 10, 100, seed=3)
-        assert self._plan(model.circuit, model.theta) == [(0, 66), (2, 66), (4, 66), (6, 66)]
+        assert self._plan(model.circuit) == [(0, 66), (2, 66), (4, 66), (6, 66)]
         self._check(model.circuit, model.theta, rows=20, seed=31)  # two row blocks: 16 and 4 rows
 
     def test_four_qubit_circuit_is_one_run(self):
         model = build_default_model("angle", 4, 16, seed=3)
-        assert self._plan(model.circuit, model.theta) == [(0, 66)]
+        assert self._plan(model.circuit) == [(0, 66)]
         self._check(model.circuit, model.theta, rows=16, seed=32)
 
     def test_wide_cnots_stay_lone_gates(self):
         gates, theta = random_layer(5, 8, 120)
         gates = [GateOp(CNOT, 7, control=0)] + gates + [GateOp(RY, 6, fixed_angle=0.4), GateOp(CNOT, 1, control=6)]
         circuit = ParamCircuit.from_gates(8, gates)
-        plan = self._plan(circuit, theta)
+        plan = self._plan(circuit)
         assert plan[0] == (None, 1) and plan[-1] == (None, 1)  # a lone gate first and last
         assert sum(off is None for off, _ in plan) > 2 and {off for off, _ in plan} >= {0, 4}
         assert sum(count for _, count in plan) == len(gates)
@@ -465,5 +521,5 @@ class TestFusedRuns:
     @pytest.mark.parametrize("num_qubits", [1, 2, 3])
     def test_narrow_circuits_are_one_run(self, num_qubits):
         circuit, theta = _random_circuit(num_qubits, num_qubits, 40)
-        assert self._plan(circuit, theta) == [(0, 40)]
+        assert self._plan(circuit) == [(0, 40)]
         self._check(circuit, theta, rows=5, seed=34 + num_qubits)

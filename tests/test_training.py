@@ -343,15 +343,21 @@ class TestTrainLoop:
         self, small_bundle, monkeypatch, encoding, solver_mode, jac_loss_weight
     ):
         # the forward, the reverse passes and evaluate all read one compile per theta, built on the
-        # d = 16 basis rows, never on the 32- or 8-row batches
-        calls = []
-        original = qmodel.apply_ops
+        # d = 16 basis rows, never on the 32- or 8-row batches; the sweep reuses the compile's run
+        # matrices instead of building its own
+        calls, builds = [], []
+        original, original_compile = qmodel.apply_ops, simcore._compile
 
         def recording(ops, states):
             calls.append((states.shape[0], model.theta.tobytes()))
             return original(ops, states)
 
+        def recording_compile(gates, angles, num_qubits):
+            builds.append(model.theta.tobytes())
+            return original_compile(gates, angles, num_qubits)
+
         monkeypatch.setattr(qmodel, "apply_ops", recording)
+        monkeypatch.setattr(simcore, "_compile", recording_compile)
         cfg = _quick_config(
             encoding=encoding, epochs=1, batch_size=32, solver_mode=solver_mode, warmup_steps=0,
             jac_loss_weight=jac_loss_weight, jac_loss_freq=1.0,
@@ -362,17 +368,27 @@ class TestTrainLoop:
         assert adam.t == 13
         assert [rows for rows, _ in calls] == [16] * (adam.t + 1)
         assert len({theta for _, theta in calls}) == adam.t + 1
+        assert len(builds) == len(set(builds)) == adam.t + 1
 
-    def test_ten_qubit_kernels_see_only_sixteen_amplitudes(self, monkeypatch):
-        # the staircase meets the d = 100 basis rows as fused 16 x 16 matmuls, so the gate kernels
-        # only build the runs and sweep them locally, on states of 2**4 amplitudes
-        widths = []
-        for name in ("_apply_1q", "_apply_cnot"):
-            def recording(states, *args, _kernel=getattr(simcore, name)):
-                widths.append(states.shape[1])
-                return _kernel(states, *args)
+    def test_ten_qubit_model_builds_and_applies_only_sixteen_by_sixteen_matrices(self, monkeypatch):
+        # the staircase meets the d = 100 basis rows as fused runs on 4 adjacent qubits: every
+        # matrix the compile builds and every step that either pass applies is 16 x 16, and no
+        # lone-gate path (a gather over all 2**10 amplitudes) runs
+        built, applied = [], []
+        original_compile, original_step = simcore._compile, simcore._apply_step
 
-            monkeypatch.setattr(simcore, name, recording)
+        def recording_compile(gates, angles, num_qubits):
+            program = original_compile(gates, angles, num_qubits)
+            built.extend((run.offset is not None, run.unitary.shape, np.shape(run.suffixes)[1:],
+                          np.shape(run.generators)[1:]) for run in program)
+            return program
+
+        def recording_step(states, offset, step):
+            applied.append((offset is not None, step.shape))
+            return original_step(states, offset, step)
+
+        monkeypatch.setattr(simcore, "_compile", recording_compile)
+        monkeypatch.setattr(simcore, "_apply_step", recording_step)
         X = np.random.default_rng(5).uniform(0.1, 1.0, size=(40, 100))
         y = np.arange(40) % 10
         bundle = DataBundle("mnist10", X[:32], y[:32], X[32:36], y[32:36], X[36:], y[36:])
@@ -381,7 +397,9 @@ class TestTrainLoop:
         _, adam = train(bundle, model, head, cfg)
         evaluate(model, head, bundle.x_test, bundle.y_test, SolverMode.parse("implicit"), batch_size=4)
         assert adam.t == 1
-        assert widths and max(widths) == 16
+        assert len(built) == 4 * 2  # four runs, at the initial and the updated theta
+        assert set(built) == {(True, (16, 16), (16, 16), (16, 16))}
+        assert applied and set(applied) == {(True, (16, 16))}
 
     def test_jacobian_penalty_changes_gradient_path(self, small_bundle):
         cfg = _quick_config(
@@ -697,8 +715,9 @@ class TestCheckpoint:
 
     def test_rejects_foreign_files(self, tmp_path):
         path = tmp_path / "bad.txt"
-        for text in ("{\"format\": \"something-else\"}", "not json at all", "[1, 2]", "\"qdeq-checkpoint-v1\""):
-            path.write_text(text)
+        for text in ("{\"format\": \"something-else\"}", "not json at all", "[1, 2]", "\"qdeq-checkpoint-v1\"",
+                     b"\xff\xfe\x00bad"):
+            path.write_bytes(text if isinstance(text, bytes) else text.encode())
             with pytest.raises(DataFormatError):
                 load_checkpoint(path)
         cfg = _quick_config(epochs=1)
