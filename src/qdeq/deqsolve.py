@@ -1,34 +1,42 @@
 """Fixed-point forward pass, implicit backward pass with its Jacobian penalty, explicit unrolling.
 
-The forward pass solves g(z) = f(z; x) - z = 0 with a "good Broyden" solver:
-rank-one updates of an inverse-Jacobian estimate initialized to -I (the exact
-Jacobian of g for a locally constant f, so step one is a plain fixed-point
-step). The backward pass solves the adjoint linear system of the implicit
-function theorem exactly: f reads out K values, so J_b = S D_b has rank K and
-Woodbury's identity reduces the n x n system to one K x K solve per row. The
-same factors give the Jacobian penalty mean_b ||J_b||_F^2 exactly, and its
-theta-gradient joins the backward pass's one theta-sweep. ``solve_batch`` runs
-one training or evaluation batch through either solve or a weight-tied unroll.
+The layer is f(z; x) = S E(z + x): K readouts E taken back to the input width
+n = rK by the upsample matrix S (n, K), an isometry (S^T S = I). So every fixed
+point is z* = S e* with e* = E(S e* + x), and the implicit solver works on the
+K readouts. The forward pass solves g(e) = E(S e + x) - e = 0 with a "good
+Broyden" solver: each row keeps a dense K x K inverse-Jacobian estimate, from
+-I (exact for a locally constant E, so step one is a plain fixed-point step).
+The backward pass solves the implicit function theorem's adjoint system
+exactly, one batched K x K solve whose solution is the readout cotangent of
+the one theta-sweep. The same Jacobian factors give the penalty
+mean_b ||J_b||_F^2 exactly, and its theta-gradient joins that sweep.
+``solve_batch`` runs one training or evaluation batch through either solve or
+a weight-tied unroll, which stays n wide.
 
 The solvers and unrolls work on batches only: z, x and cotangents are (B, n)
 arrays, and a single sample is a one-row batch. The theta-gradient is linear
 in the rows, so each backward computation makes one stacked theta-call.
-Residuals are reported in relative form ||f(z) - z|| / (||f(z)|| + 1e-9).
+Residuals are reported in relative form ||f(z) - z|| / (||f(z)|| + 1e-9), the
+same on e as on z = S e.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Protocol
 
 import numpy as np
 
 from .errors import DegenerateInputError, DimensionError, SolverDivergedError
+from .measurement import UpsampleMap
 
 
 class FixedPointLayer(Protocol):
-    """What the solvers need from a model: batched forward and reverse passes, Jacobian factors."""
+    """What the solvers call on a model."""
 
     num_params: int
+    upsample: UpsampleMap
+
+    def expectations(self, Z, X): ...
 
     def forward_batch(self, Z, X): ...
 
@@ -69,20 +77,12 @@ def _relative(diff, out):
     return dnorm / (np.linalg.norm(out, axis=1) + _EPS), dnorm
 
 
-def _h_mat(W, left, right):
-    """(-I + sum_i l_i r_i^T) w per row; swap ``left`` and ``right`` for the transpose."""
-    out = -W
-    for l, r in zip(left, right):
-        out = out + l * np.einsum("bn,bn->b", r, W)[:, None]
-    return out
-
-
 def broyden_root_batch(
     g: Callable[[np.ndarray], np.ndarray],
     Z0: np.ndarray,
     cfg: BroydenConfig = BroydenConfig(),
 ) -> BatchFixedPoint:
-    """Solve g(Z) = 0 row-wise; every sample runs its own inverse-Jacobian estimate.
+    """Solve g(Z) = 0 row-wise; every sample runs its own dense (m, m) inverse-Jacobian estimate H.
 
     Returns the per-sample iterate with the smallest relative residual among
     those visited. Non-finite g output raises SolverDivergedError with the step
@@ -105,13 +105,11 @@ def broyden_root_batch(
     rel, gnorm = _relative(G, G + Z)
     best_rel, best_gnorm, best_Z = rel.copy(), gnorm.copy(), Z.copy()
     trace = [rel]
-
-    us: list[np.ndarray] = []
-    vs: list[np.ndarray] = []
+    H = np.tile(-np.eye(Z.shape[1]), (len(Z), 1, 1))
 
     steps = 0
     for step in range(1, cfg.max_steps + 1):
-        Znew = Z - _h_mat(G, us, vs)  # H = -I + sum_i u_i v_i^T estimates the inverse Jacobian
+        Znew = Z - np.einsum("bij,bj->bi", H, G)
         Znew, Gnew = evaluate(Znew, step)
         rel, gnorm = _relative(Gnew, Gnew + Znew)
         better = rel < best_rel
@@ -124,13 +122,11 @@ def broyden_root_batch(
             break
         dZ = Znew - Z
         dG = Gnew - G
-        HdG = _h_mat(dG, us, vs)
+        HdG = np.einsum("bij,bj->bi", H, dG)
         denom = np.einsum("bn,bn->b", dZ, HdG)
         safe = np.abs(denom) > 1e-30
         u = np.where(safe[:, None], (dZ - HdG) / np.where(safe, denom, 1.0)[:, None], 0.0)
-        v = _h_mat(dZ, vs, us)
-        us.append(u)
-        vs.append(np.where(safe[:, None], v, 0.0))
+        H += u[:, :, None] * np.einsum("bi,bij->bj", dZ, H)[:, None]  # good Broyden: H += u (dZ^T H)
         Z, G = Znew, Gnew
 
     return BatchFixedPoint(
@@ -145,38 +141,39 @@ def broyden_root_batch(
 def forward_fixed_point_batch(
     model: FixedPointLayer, X: np.ndarray, cfg: BroydenConfig = BroydenConfig()
 ) -> BatchFixedPoint:
-    """Solve f(z; x) = z from z0 = 0 for every row of X (same x injected throughout)."""
+    """Solve f(z; x) = z for every row of X: Broyden on the readouts e = E(S e + x) from e0 = 0; z* = S e*."""
     X = np.asarray(X, dtype=np.float64)
+    S = model.upsample.matrix
 
-    def g(Z):
-        return model.forward_batch(Z, X) - Z
+    def g(E):
+        return model.expectations(E @ S.T, X) - E
 
-    return broyden_root_batch(g, np.zeros_like(X), cfg)
+    fp = broyden_root_batch(g, np.zeros((len(X), S.shape[1])), cfg)
+    return replace(fp, z_star=fp.z_star @ S.T)
 
 
 def implicit_backward_batch(model: FixedPointLayer, X: np.ndarray, Z_star, loss_grads, jac_weight=0.0):
     """Exact adjoint solve of the implicit function theorem; returns (sum_b dtheta_b, penalty).
 
-    With J_b = S D_b from ``jacobian_factors``, (I - J_b^T) q_b = g_b has the
-    Woodbury solution q_b = g_b + D_b^T (I_K - S^T D_b^T)^-1 S^T g_b: one
-    batched K x K solve, then one theta-sweep at q. The penalty is the exact
-    mean_b ||J_b||_F^2 = mean_b <D_b, S^T S D_b>; ``jac_weight`` w > 0 adds w
-    times its theta-gradient to dtheta through the tangents (2w/B) S^T S D_b of
-    the same sweep. A singular system or a non-finite q raises SolverDivergedError.
+    With J_b = S D_b (D_b from ``jacobian_factors``, S^T S = I), (I - J_b^T) q_b = g_b has the
+    solution q_b = g_b + D_b^T y_b, where (I_K - (D_b S)^T) y_b = S^T g_b: one batched K x K
+    solve. The theta-sweep reads q_b only through its readout cotangent q_b S = y_b, so it gets
+    y_b S^T. The penalty is the exact mean_b ||J_b||_F^2 = mean_b ||D_b||_F^2; ``jac_weight``
+    w > 0 adds w times its theta-gradient to dtheta through the tangents (2w/B) D_b of the same
+    sweep. A singular system or a non-finite y raises SolverDivergedError.
     """
     G = np.asarray(loss_grads, dtype=np.float64)
-    S, D = model.jacobian_factors(Z_star, X)
+    S = model.upsample.matrix
+    D = model.jacobian_factors(Z_star, X)
     try:
-        Y = np.linalg.solve(np.eye(S.shape[1]) - np.einsum("nk,bjn->bkj", S, D), (G @ S)[..., None])
+        Y = np.linalg.solve(np.eye(S.shape[1]) - np.einsum("nk,bjn->bkj", S, D), (G @ S)[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise SolverDivergedError(f"singular adjoint system: {exc}", step=0) from exc
-    Q = G + np.einsum("bkn,bk->bn", D, Y[..., 0])
-    if not np.isfinite(Q).all():
+    if not np.isfinite(Y).all():
         raise SolverDivergedError("non-finite adjoint values", step=0)
-    SD = np.einsum("kj,bjn->bkn", S.T @ S, D)
-    tangents = (2.0 * jac_weight / len(D)) * SD if jac_weight else None
-    dtheta = model.backward_batch(Z_star, X, Q, need_z=False, tangents=tangents)[1]
-    return dtheta, float(np.einsum("bkn,bkn->", D, SD)) / len(D)
+    tangents = (2.0 * jac_weight / len(D)) * D if jac_weight else None
+    dtheta = model.backward_batch(Z_star, X, Y @ S.T, need_z=False, tangents=tangents)[1]
+    return dtheta, float(np.einsum("bkn,bkn->", D, D)) / len(D)
 
 
 def unroll_backward_batch(model: FixedPointLayer, X: np.ndarray, iterates, loss_grads) -> np.ndarray:

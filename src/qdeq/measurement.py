@@ -7,7 +7,7 @@ product against |amplitudes|^2. Basis columns with equal diagonal entries are
 read alike, so ``ObservableEnsemble.classes`` sorts them into classes, per group
 of up to 5 observables, and the model builds its readout forms once per class.
 The upsampling map is the fixed (n, K) matrix S that takes the K readouts back
-to the input width.
+to the input width n = rK.
 """
 from __future__ import annotations
 
@@ -110,10 +110,8 @@ def expect_ensemble(state: StateVector, ensemble: ObservableEnsemble) -> np.ndar
 
 @dataclass(frozen=True)
 class UpsampleMap:
-    """Entry repetition from K readouts to n latent entries, scaled 1/sqrt(r).
-
-    r = ceil(n / K) is the repeat count; with n = r*K the map is an exact isometry.
-    """
+    """Entry repetition from K readouts to n = r*K latent entries, scaled 1/sqrt(r): an exact
+    isometry (S^T S = I), so the solvers can work on the K readouts. K must divide n."""
 
     num_outputs: int  # K
     target_dim: int  # n
@@ -123,21 +121,23 @@ class UpsampleMap:
     def __post_init__(self):
         if self.num_outputs < 1 or self.target_dim < 1:
             raise DimensionError("upsample dims must be positive")
-        r = math.ceil(self.target_dim / self.num_outputs)
+        r, rest = divmod(self.target_dim, self.num_outputs)
+        if rest:
+            raise DimensionError(f"upsample target dim {self.target_dim} is not a multiple of {self.num_outputs}")
         object.__setattr__(self, "repeat", r)
         object.__setattr__(self, "scale", 1.0 / math.sqrt(r))
 
     @cached_property
     def matrix(self) -> np.ndarray:
         """S (n, K), read-only: a batch of readouts E (B, K) upsamples to E @ S.T."""
-        S = self.scale * np.repeat(np.eye(self.num_outputs), self.repeat, axis=0)[: self.target_dim]
+        S = self.scale * np.repeat(np.eye(self.num_outputs), self.repeat, axis=0)
         S.setflags(write=False)
         return S
 
 
 def upsample(v: np.ndarray, umap: UpsampleMap) -> np.ndarray:
-    """Repeat each entry ``repeat`` times, truncate to n, scale."""
+    """Repeat each entry ``repeat`` times, scale."""
     v = np.asarray(v, dtype=np.float64).reshape(-1)
     if v.shape[0] != umap.num_outputs:
         raise DimensionError(f"expected {umap.num_outputs} entries, got {v.shape[0]}")
-    return umap.scale * np.repeat(v, umap.repeat)[: umap.target_dim]
+    return umap.scale * np.repeat(v, umap.repeat)

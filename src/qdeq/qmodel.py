@@ -163,16 +163,16 @@ class QuantumModel:
             dtheta = adjoint_sweep(ops, V, bra, num_params=self.num_params)[0]
         return dZ, dtheta
 
-    def jacobian_factors(self, Z: np.ndarray, X: np.ndarray):
-        """(S, D) with d forward(z_b, x_b) / d z_b = S @ D[b], of rank K.
+    def jacobian_factors(self, Z: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """D (B, K, n) with d forward(z_b, x_b) / d z_b = S @ D[b], of rank K.
 
-        S is the (n, K) upsample matrix ``UpsampleMap.matrix``. Row k of D[b] (shape (B, K, n)) is
-        readout k's input cotangent psi_b H_k chained through the encoder vjp.
+        S is the (n, K) upsample matrix ``UpsampleMap.matrix``, so D[b] @ S is the K x K Jacobian
+        of the readouts e -> E(S e + x_b). Row k of D[b] is readout k's input cotangent
+        psi_b H_k chained through the encoder vjp.
         """
         psi, encode_vjp, _ = enc.encode(self.encoding, enc.inject(Z, X))
         PH = (psi @ self._compiled()[2]).reshape(len(psi), self.ensemble.size, -1)
-        D = np.stack([encode_vjp(PH[:, k]) for k in range(self.ensemble.size)], axis=1)
-        return self.upsample.matrix, D
+        return np.stack([encode_vjp(PH[:, k]) for k in range(self.ensemble.size)], axis=1)
 
 
 def _combine(weights, X):

@@ -324,7 +324,8 @@ def adjoint_sweep(ops, final_states, bra, num_params=0):
             if env is not None:
                 bv, kv = (_window(x, run.offset, len(env)).swapaxes(0, 2).reshape(len(env), -1) for x in (b, ket))
                 env += bv.conj() @ kv.T
-            _apply_step(ket, run.offset, back)
+            if run is not ops[0]:  # the ket is not read after the first run
+                _apply_step(ket, run.offset, back)
             _apply_step(b, run.offset, back)
     for run, env in zip(ops, envs):
         if env is not None:

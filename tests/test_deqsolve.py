@@ -14,11 +14,12 @@ from qdeq.deqsolve import (
     universality_stack,
 )
 from qdeq.errors import DimensionError, SolverDivergedError
+from qdeq.measurement import UpsampleMap
 from qdeq.qmodel import build_default_model
 
 
 class LinearLayer:
-    """f(z; x) = A z + B theta + x, with exact closed-form fixed point."""
+    """f(z; x) = A z + B theta + x, with exact closed-form fixed point; its readouts are f itself (S = I)."""
 
     def __init__(self, A, B, theta):
         self.A = np.asarray(A, float)
@@ -26,9 +27,12 @@ class LinearLayer:
         self.theta = np.asarray(theta, float)
         self.num_params = self.theta.shape[0]
         self.input_dim = self.A.shape[0]
+        self.upsample = UpsampleMap(self.input_dim, self.input_dim)
 
-    def forward_batch(self, Z, X):
+    def expectations(self, Z, X):
         return np.atleast_2d(Z) @ self.A.T + self.theta @ self.B.T + np.atleast_2d(X)
+
+    forward_batch = expectations
 
     def backward_batch(self, Z, X, C, need_z=True, need_theta=True, tangents=None):
         # tangents add nothing: the Jacobian factor D = A does not depend on theta
@@ -38,8 +42,7 @@ class LinearLayer:
         return dz, dth
 
     def jacobian_factors(self, Z, X):
-        n = self.A.shape[0]
-        return np.eye(n), np.broadcast_to(self.A, (np.atleast_2d(Z).shape[0], n, n))
+        return np.broadcast_to(self.A, (np.atleast_2d(Z).shape[0],) + self.A.shape)
 
 
 def _spectral_scale(rng, n, radius):
@@ -130,8 +133,9 @@ class TestForwardFixedPoint:
         class Spiky:
             input_dim = 2
             num_params = 0
+            upsample = UpsampleMap(2, 2)
 
-            def forward_batch(self, Z, X):
+            def expectations(self, Z, X):
                 if np.linalg.norm(Z + X) < 1e-9:
                     raise DegenerateInputError("zero after injection", rows=np.array([0]))
                 calls.append(Z.copy())
@@ -196,7 +200,7 @@ class TestImplicitBackward:
         [("amplitude", 4, 16), ("angle", 4, 16), ("amplitude", 10, 100)],
     )
     def test_adjoint_solves_its_linear_system(self, encoding, num_qubits, input_dim, monkeypatch):
-        # the cotangent q handed to the final theta-sweep satisfies q - J^T q = g
+        # the sweep gets the readout cotangent y of q as S y, and q = g + J^T S y satisfies q - J^T q = g
         rng = np.random.default_rng(15)
         model = build_default_model(encoding, num_qubits, input_dim, seed=3)
         X = rng.uniform(0.1, 1.0, size=(3, input_dim))
@@ -211,8 +215,9 @@ class TestImplicitBackward:
 
         monkeypatch.setattr(model, "backward_batch", recording)
         dtheta, _ = implicit_backward_batch(model, X, Z, G)
-        (q,) = sweeps
-        assert np.array_equal(dtheta, original(Z, X, q, need_z=False)[1])
+        (C,) = sweeps
+        assert np.array_equal(dtheta, original(Z, X, C, need_z=False)[1])
+        q = G + original(Z, X, C, need_theta=False)[0]
         residual = q - original(Z, X, q, need_theta=False)[0] - G
         assert np.abs(residual).max() <= 1e-12 * np.abs(G).max()
 
@@ -231,6 +236,86 @@ class TestImplicitBackward:
             unrolled = unroll_backward_batch(layer, x[None], direct_unroll_batch(layer, x[None], 60), lg[None])
             rel = np.linalg.norm(dtheta - unrolled) / max(np.linalg.norm(unrolled), 1e-12)
             assert rel < 1e-3
+
+
+def _h_mat(W, left, right):
+    """(-I + sum_i l_i r_i^T) w per row; swap ``left`` and ``right`` for the transpose."""
+    out = -W
+    for l, r in zip(left, right):
+        out = out + l * np.einsum("bn,bn->b", r, W)[:, None]
+    return out
+
+
+def _n_wide_solve(model, X, cfg=BroydenConfig()):
+    """(z*, residual, converged, steps, trace): good Broyden on z, n wide, with the inverse-Jacobian
+    estimate kept as the lists of its rank-one terms."""
+
+    def g(Z):
+        return model.forward_batch(Z, X) - Z
+
+    def relative(G, F):
+        norm = np.linalg.norm(G, axis=1)
+        return norm / (np.linalg.norm(F, axis=1) + 1e-9), norm
+
+    Z = np.zeros_like(X)
+    G = g(Z)
+    best_rel, best_norm = relative(G, G + Z)
+    best_Z, trace, us, vs, steps = Z.copy(), [best_rel], [], [], 0
+    for steps in range(1, cfg.max_steps + 1):
+        Znew = Z - _h_mat(G, us, vs)
+        Gnew = g(Znew)
+        rel, norm = relative(Gnew, Gnew + Znew)
+        better = rel < best_rel
+        best_rel, best_norm = np.where(better, rel, best_rel), np.where(better, norm, best_norm)
+        best_Z[better] = Znew[better]
+        trace.append(rel)
+        if np.all(best_norm <= cfg.abs_tol):
+            break
+        dZ, dG = Znew - Z, Gnew - G
+        HdG = _h_mat(dG, us, vs)
+        denom = np.einsum("bn,bn->b", dZ, HdG)
+        safe = np.abs(denom) > 1e-30
+        u = np.where(safe[:, None], (dZ - HdG) / np.where(safe, denom, 1.0)[:, None], 0.0)
+        v = _h_mat(dZ, vs, us)
+        us.append(u)
+        vs.append(np.where(safe[:, None], v, 0.0))
+        Z, G = Znew, Gnew
+    return best_Z, best_rel, best_norm <= cfg.abs_tol, steps, np.stack(trace)
+
+
+def _woodbury_backward(model, X, Z, G, jac_weight):
+    """(dtheta, penalty) from the n-wide adjoint q = G + D^T (I - S^T D^T)^-1 S^T G and S^T S D."""
+    S, D = model.upsample.matrix, model.jacobian_factors(Z, X)
+    Y = np.linalg.solve(np.eye(S.shape[1]) - np.einsum("nk,bjn->bkj", S, D), (G @ S)[..., None])
+    Q = G + np.einsum("bkn,bk->bn", D, Y[..., 0])
+    SD = np.einsum("kj,bjn->bkn", S.T @ S, D)
+    tangents = (2.0 * jac_weight / len(D)) * SD
+    dtheta = model.backward_batch(Z, X, Q, need_z=False, tangents=tangents)[1]
+    return dtheta, float(np.einsum("bkn,bkn->", D, SD)) / len(D)
+
+
+class TestAgainstNWideSolver:
+    """The K-wide solve and adjoint against Broyden and the Woodbury adjoint on the n-wide iterates."""
+
+    @pytest.mark.parametrize(
+        "encoding, num_qubits, input_dim",
+        [("amplitude", 4, 16), ("angle", 4, 16), ("amplitude", 10, 100)],
+    )
+    def test_same_solve_gradient_and_penalty(self, encoding, num_qubits, input_dim):
+        model = build_default_model(encoding, num_qubits, input_dim, seed=3)
+        rng = np.random.default_rng(16)
+        X = rng.uniform(0.0, 1.0, size=(256, input_dim))
+        G = rng.normal(size=X.shape) / len(X)
+        fp = forward_fixed_point_batch(model, X)
+        z_star, residual, converged, steps, trace = _n_wide_solve(model, X)
+        assert fp.steps_taken == steps and np.array_equal(fp.converged, converged)
+        assert np.abs(fp.z_star - z_star).max() <= 1e-14 * np.abs(z_star).max()
+        assert np.abs(fp.residual - residual).max() <= 1e-14
+        assert np.abs(fp.trace - trace).max() <= 1e-14
+        dtheta, penalty = implicit_backward_batch(model, X, fp.z_star, G, jac_weight=0.8)
+        ref_dtheta, ref_penalty = _woodbury_backward(model, X, z_star, G, 0.8)
+        assert np.abs(dtheta - ref_dtheta).max() <= 1e-14 * np.abs(ref_dtheta).max()
+        assert abs(penalty - ref_penalty) <= 1e-14 * ref_penalty
 
 
 class TestDirectUnroll:

@@ -149,17 +149,15 @@ class TestUpsample:
         umap = UpsampleMap(1, 1)
         assert np.allclose(upsample(np.array([0.7]), umap), [0.7])
 
-    def test_truncation_when_not_divisible(self):
-        umap = UpsampleMap(4, 10)
-        assert umap.repeat == 3
-        out = upsample(np.arange(1.0, 5.0), umap)
-        expected = np.repeat(np.arange(1.0, 5.0), 3)[:10] / np.sqrt(3)
-        assert np.allclose(out, expected)
+    def test_target_must_be_a_multiple(self):
+        for num_out, target in ((4, 10), (3, 8)):
+            with pytest.raises(DimensionError):
+                UpsampleMap(num_out, target)
 
     def test_transpose_is_adjoint(self):
         # c @ S, the backward pass's readout cotangent, is the adjoint of the reference upsample
         rng = np.random.default_rng(3)
-        for num_out, target in ((4, 16), (10, 100), (4, 10), (3, 7)):
+        for num_out, target in ((4, 16), (10, 100), (3, 6)):
             umap = UpsampleMap(num_out, target)
             v = rng.normal(size=(5, num_out))
             c = rng.normal(size=(5, target))
@@ -167,7 +165,7 @@ class TestUpsample:
             rhs = np.einsum("bk,bk->b", v, c @ umap.matrix)
             assert np.abs(lhs - rhs).max() < 1e-12
 
-    @pytest.mark.parametrize("num_out, target", [(4, 16), (10, 100), (3, 8)])
+    @pytest.mark.parametrize("num_out, target", [(4, 16), (10, 100), (3, 12)])
     def test_matrix_columns_are_upsampled_basis_vectors(self, num_out, target):
         umap = UpsampleMap(num_out, target)
         S = umap.matrix
