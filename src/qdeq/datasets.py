@@ -1,8 +1,10 @@
 """IDX / CIFAR-10 binary ingestion and the preprocessing pipeline.
 
-IDX files are read bit-exactly (big-endian, image magic 0x00000803, label
-magic 0x00000801) with transparent gzip handling; CIFAR-10 binary batches are
-3073-byte records (label byte + 3x1024 pixel planes). The loaders, the class
+IDX files are read bit-exactly by one parser (big-endian, image magic
+0x00000803, label magic 0x00000801, the rank in the magic's low byte) with
+transparent gzip handling; CIFAR-10 binary batches are 3073-byte records
+(label byte + 3x1024 pixel planes). ``_FILES`` lists each dataset's files once,
+for the availability probe and the loaders alike. The loaders, the class
 filter, the subset draw and the split all pass raw uint8 pixels along; only
 ``_features`` scales them to [0, 1], converts CIFAR planes to grayscale luma
 and pools or resizes, a chunk of rows at a time, so no float64 copy of a
@@ -11,6 +13,7 @@ whole image set is ever held.
 from __future__ import annotations
 
 import gzip
+import math
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
@@ -61,32 +64,25 @@ def _read_bytes(path) -> bytes:
     return raw
 
 
-def _parse_idx_images(raw: bytes, path) -> np.ndarray:
-    if len(raw) < 16:
-        raise DataFormatError(f"{path}: truncated IDX image header")
-    magic, count, height, width = struct.unpack(">IIII", raw[:16])
-    if magic != IMAGE_MAGIC:
-        raise DataFormatError(f"{path}: bad image magic 0x{magic:08x}, expected 0x{IMAGE_MAGIC:08x}")
-    expected = 16 + count * height * width
+def _parse_idx(raw: bytes, path, magic: int) -> np.ndarray:
+    """An IDX array of bytes: the big-endian magic, whose low byte is the rank, one uint32 per
+    dimension, then the entries."""
+    rank = magic & 0xFF
+    header = 4 * (rank + 1)
+    if len(raw) < header:
+        raise DataFormatError(f"{path}: truncated IDX header")
+    found, *shape = struct.unpack(f">{rank + 1}I", raw[:header])
+    if found != magic:
+        raise DataFormatError(f"{path}: bad IDX magic 0x{found:08x}, expected 0x{magic:08x}")
+    expected = header + math.prod(shape)
     if len(raw) != expected:
         raise DataFormatError(f"{path}: expected {expected} bytes, found {len(raw)}")
-    return np.frombuffer(raw, dtype=np.uint8, offset=16).reshape(count, height, width)
-
-
-def _parse_idx_labels(raw: bytes, path) -> np.ndarray:
-    if len(raw) < 8:
-        raise DataFormatError(f"{path}: truncated IDX label header")
-    magic, count = struct.unpack(">II", raw[:8])
-    if magic != LABEL_MAGIC:
-        raise DataFormatError(f"{path}: bad label magic 0x{magic:08x}, expected 0x{LABEL_MAGIC:08x}")
-    if len(raw) != 8 + count:
-        raise DataFormatError(f"{path}: expected {8 + count} bytes, found {len(raw)}")
-    return np.frombuffer(raw, dtype=np.uint8, offset=8).astype(np.int64)
+    return np.frombuffer(raw, dtype=np.uint8, offset=header).reshape(shape)
 
 
 def load_idx(images_path, labels_path) -> ImageDataset:
-    images = _parse_idx_images(_read_bytes(images_path), images_path)
-    labels = _parse_idx_labels(_read_bytes(labels_path), labels_path)
+    images = _parse_idx(_read_bytes(images_path), images_path, IMAGE_MAGIC)
+    labels = _parse_idx(_read_bytes(labels_path), labels_path, LABEL_MAGIC).astype(np.int64)
     if images.shape[0] != labels.shape[0]:
         raise DataFormatError(
             f"{images_path} holds {images.shape[0]} images but {labels_path} holds {labels.shape[0]} labels"
@@ -175,18 +171,20 @@ def split(dataset: ImageDataset, train_frac: float = 0.8, seed: int = 0):
 # ---------------------------------------------------------------------------
 # file discovery + per-dataset preprocessing into flat feature bundles
 
-_MNIST_FILES = {
-    "train_images": "train-images-idx3-ubyte",
-    "train_labels": "train-labels-idx1-ubyte",
-    "test_images": "t10k-images-idx3-ubyte",
-    "test_labels": "t10k-labels-idx1-ubyte",
-}
-
 _SUBDIRS = {
     "mnist4": ("mnist", "MNIST/raw", "."),
     "mnist10": ("mnist", "MNIST/raw", "."),
     "fashionmnist10": ("fashion-mnist", "fashionmnist", "FashionMNIST/raw", "."),
     "cifar10": ("cifar-10-batches-bin", "cifar10", "."),
+}
+_IDX_FILES = (
+    "train-images-idx3-ubyte", "train-labels-idx1-ubyte", "t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte",
+)
+_FILES = {  # every file a dataset needs, in the order its loader reads them
+    "mnist4": _IDX_FILES,
+    "mnist10": _IDX_FILES,
+    "fashionmnist10": _IDX_FILES,
+    "cifar10": tuple(f"data_batch_{i}.bin" for i in range(1, 6)) + ("test_batch.bin",),
 }
 
 
@@ -200,37 +198,30 @@ def _find(data_dir: Path, dataset: str, filename: str):
 
 
 def dataset_available(dataset: str, data_dir) -> bool:
-    if data_dir is None:
-        return False
-    data_dir = Path(data_dir)
-    if dataset == "cifar10":
-        return _find(data_dir, dataset, "data_batch_1.bin") is not None
-    return all(_find(data_dir, dataset, f) is not None for f in _MNIST_FILES.values())
+    return data_dir is not None and all(_find(Path(data_dir), dataset, f) for f in _FILES[dataset])
+
+
+def _paths(data_dir: Path, dataset: str) -> list:
+    """The paths of ``_FILES[dataset]``; DataFormatError names the first file that is missing."""
+    paths = []
+    for filename in _FILES[dataset]:
+        paths.append(_find(data_dir, dataset, filename))
+        if paths[-1] is None:
+            raise DataFormatError(f"{dataset}: {filename} not found under {data_dir}")
+    return paths
 
 
 def _load_pair(data_dir: Path, dataset: str):
-    paths = {}
-    for key, filename in _MNIST_FILES.items():
-        found = _find(data_dir, dataset, filename)
-        if found is None:
-            raise DataFormatError(f"{dataset}: {filename} not found under {data_dir}")
-        paths[key] = found
-    train = load_idx(paths["train_images"], paths["train_labels"])
-    test = load_idx(paths["test_images"], paths["test_labels"])
-    return train, test
+    train_images, train_labels, test_images, test_labels = _paths(data_dir, dataset)
+    return load_idx(train_images, train_labels), load_idx(test_images, test_labels)
 
 
 def _load_cifar(data_dir: Path):
+    *batches, test_path = _paths(data_dir, "cifar10")
     # one growing buffer takes each training batch's bytes, so no batch outlives its append
     raw = bytearray()
-    for i in range(1, 6):
-        found = _find(data_dir, "cifar10", f"data_batch_{i}.bin")
-        if found is None:
-            raise DataFormatError(f"cifar10: data_batch_{i}.bin not found under {data_dir}")
-        raw += _read_cifar_bytes(found)
-    test_path = _find(data_dir, "cifar10", "test_batch.bin")
-    if test_path is None:
-        raise DataFormatError(f"cifar10: test_batch.bin not found under {data_dir}")
+    for path in batches:
+        raw += _read_cifar_bytes(path)
     return _parse_cifar_records(raw), load_cifar_binary(test_path)
 
 

@@ -1,9 +1,10 @@
 """Fixed-point forward pass, implicit backward pass with its Jacobian penalty, explicit unrolling.
 
 The layer is f(z; x) = S E(z + x): K readouts E taken back to the input width
-n = rK by the upsample matrix S (n, K), an isometry (S^T S = I). So every fixed
-point is z* = S e* with e* = E(S e* + x), and the implicit solver works on the
-K readouts. The forward pass solves g(e) = E(S e + x) - e = 0 with a "good
+n = rK by the upsample matrix S (n, K), which the model derives from K and n
+(``model.upsample``). S is an isometry (S^T S = I), so every fixed point is
+z* = S e* with e* = E(S e* + x), and the implicit solver works on the K
+readouts. The forward pass solves g(e) = E(S e + x) - e = 0 with a "good
 Broyden" solver: each row keeps a dense K x K inverse-Jacobian estimate, from
 -I (exact for a locally constant E, so step one is a plain fixed-point step).
 The backward pass solves the implicit function theorem's adjoint system
@@ -31,9 +32,8 @@ from .measurement import UpsampleMap
 
 
 class FixedPointLayer(Protocol):
-    """What the solvers call on a model."""
+    """What the solvers call on a model; ``upsample`` is S (n, K)."""
 
-    num_params: int
     upsample: UpsampleMap
 
     def expectations(self, Z, X): ...
@@ -51,10 +51,10 @@ class BroydenConfig:
     abs_tol: float = 1e-6
 
     def __post_init__(self):
-        if self.max_steps < 1:
-            raise DimensionError("max_steps must be >= 1")
-        if self.abs_tol <= 0:
-            raise DimensionError("abs_tol must be positive")
+        if type(self.max_steps) is not int or self.max_steps < 1:  # not a bool, which range() would take
+            raise DimensionError(f"max_steps must be an integer >= 1, got {self.max_steps!r}")
+        if not (np.isfinite(self.abs_tol) and self.abs_tol > 0):
+            raise DimensionError(f"abs_tol must be finite and positive, got {self.abs_tol!r}")
 
 
 @dataclass
@@ -87,14 +87,15 @@ def broyden_root_batch(
     Returns the per-sample iterate with the smallest relative residual among
     those visited. Non-finite g output raises SolverDivergedError with the step
     index; a DegenerateInputError from g (an iterate the encoder rejects) halves
-    that iterate once before failing hard.
+    the rows it names (all rows if it names none) once before failing hard.
     """
 
     def evaluate(Zc, step):
         try:
             G = np.asarray(g(Zc), dtype=np.float64)
-        except DegenerateInputError:
-            Zc = 0.5 * Zc
+        except DegenerateInputError as exc:
+            Zc = Zc.copy()
+            Zc[slice(None) if exc.rows is None else exc.rows] *= 0.5
             G = np.asarray(g(Zc), dtype=np.float64)
         if not np.isfinite(G).all():
             raise SolverDivergedError(f"non-finite solver values at step {step}", step=step)

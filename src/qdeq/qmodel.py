@@ -2,7 +2,8 @@
 
 A model maps an iterate z and input x to S <M_k>, the K readouts of the state
 U(theta)|encode(z + x)> taken back to the input width by the upsample matrix S
-(n, K). Forward and reverse passes work on (B, n) batches of samples only; a
+(n, K). The model derives S (``upsample``) from K and n alone, so K must
+divide n. Forward and reverse passes work on (B, n) batches of samples only; a
 single sample is a one-row batch. Every pass reads what ``_compiled`` builds
 once per theta: the circuit's program (``simcore.resolve_circuit``: one 16 x 16
 matrix per run of gates on 4 adjacent qubits, 4 runs for the 10-qubit staircase
@@ -48,7 +49,6 @@ class QuantumModel:
     circuit: ParamCircuit
     theta: np.ndarray
     ensemble: ObservableEnsemble
-    upsample: UpsampleMap
 
     def __post_init__(self):
         self.theta = np.asarray(self.theta, dtype=np.float64).reshape(-1)
@@ -58,10 +58,7 @@ class QuantumModel:
             raise DimensionError(
                 f"theta has {self.theta.shape[0]} entries, circuit expects {self.circuit.num_params}"
             )
-        if self.upsample.num_outputs != self.ensemble.size:
-            raise DimensionError("upsample source dim must equal ensemble size")
-        if self.upsample.target_dim != self.encoding.input_dim:
-            raise DimensionError("upsample target dim must equal encoding input dim")
+        self.upsample = UpsampleMap(self.ensemble.size, self.encoding.input_dim)  # K must divide n
         self.ensemble.diagonals(self.circuit.num_qubits)  # validates sites
         self._compiled_at = None  # (theta copy, program, V, H) from ``_compiled``
 
@@ -83,7 +80,6 @@ class QuantumModel:
         return (
             self.encoding == other.encoding
             and self.ensemble == other.ensemble
-            and self.upsample == other.upsample
             and self.circuit.num_qubits == other.circuit.num_qubits
             and self.circuit.num_params == other.circuit.num_params
         )
@@ -258,5 +254,4 @@ def build_default_model(
         circuit=circuit,
         theta=theta,
         ensemble=ObservableEnsemble.pauli_z_all(num_qubits),
-        upsample=UpsampleMap(num_qubits, input_dim),
     )

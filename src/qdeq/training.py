@@ -381,7 +381,8 @@ _PARAM_KEYS = ("theta", "head_weight", "head_bias")  # the parameters, and each 
 
 def save_checkpoint(path, cfg: TrainConfig, model: QuantumModel, head: ClassifierHead,
                     adam: Optional[AdamState] = None, step: int = 0) -> None:
-    """Write a checkpoint; a non-finite parameter or Adam moment raises DataFormatError and writes nothing."""
+    """Write a checkpoint; a value that ``load_checkpoint`` would refuse (a non-finite parameter or Adam
+    moment, a step or Adam count that is not a non-negative int) raises DataFormatError and writes nothing."""
     params = [model.theta, head.weight, head.bias]
     _checkpoint_arrays(params, params, "parameter")
     if adam is not None:
@@ -402,6 +403,9 @@ def save_checkpoint(path, cfg: TrainConfig, model: QuantumModel, head: Classifie
             "m": [m.tolist() for m in adam.m],
             "v": [v.tolist() for v in adam.v],
         }
+        for key in ("t", "skipped"):
+            _checkpoint_count(payload["adam"], key, "checkpoint adam")
+    _checkpoint_count(payload, "step")
     # write and flush a temp file beside the target, then rename it over the target:
     # a failed or interrupted save leaves the previous checkpoint intact
     path = Path(path)

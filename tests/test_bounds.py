@@ -14,7 +14,7 @@ from qdeq.bounds import (
     write_csv,
 )
 from qdeq.encoding import EncodingSpec, amplitude_encode
-from qdeq.measurement import BASIS_PROJECTOR, ObservableEnsemble, UpsampleMap, expect_ensemble
+from qdeq.measurement import BASIS_PROJECTOR, ObservableEnsemble, expect_ensemble
 from qdeq.qmodel import QuantumModel, build_default_model
 from qdeq.simcore import StateVector
 
@@ -181,7 +181,6 @@ class TestContractionBound:
             circuit=circuit,
             theta=theta,
             ensemble=ObservableEnsemble(BASIS_PROJECTOR, (0, 3, 5, 9)),
-            upsample=UpsampleMap(4, 16),
         )
         report = verify_contraction_bound(model, 800, seed=7)
         assert report.violations == 0

@@ -1,5 +1,6 @@
 """IDX/CIFAR parsing, pooling, resizing, filtering, splitting."""
 import gzip
+import re
 import struct
 import tracemalloc
 
@@ -27,6 +28,12 @@ from qdeq.errors import DataFormatError, DimensionError
 from qdeq.seeding import child_seed
 
 from conftest import _idx_image_bytes, _idx_label_bytes, synthdata
+
+_LAYOUT = {  # a directory each dataset's files may sit in, and every file it needs
+    "mnist4": ("mnist", ("train-images-idx3-ubyte", "train-labels-idx1-ubyte",
+                         "t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte")),
+    "cifar10": ("cifar-10-batches-bin", tuple(f"data_batch_{i}.bin" for i in range(1, 6)) + ("test_batch.bin",)),
+}
 
 
 @pytest.fixture
@@ -226,6 +233,22 @@ class TestPrepareBundle:
             assert dataset_available(name, digits_data_dir)
             assert not dataset_available(name, tmp_path)
         assert not dataset_available("mnist4", None)
+
+    @pytest.mark.parametrize(
+        "dataset, missing", [(d, name) for d, (_, names) in _LAYOUT.items() for name in names],
+        ids=lambda v: v.replace(".bin", ""),
+    )
+    def test_availability_needs_every_file(self, tmp_path, dataset, missing):
+        sub, names = _LAYOUT[dataset]
+        root = tmp_path / sub
+        root.mkdir()
+        for name in names:
+            (root / name).write_bytes(b"")
+        assert dataset_available(dataset, tmp_path)
+        (root / missing).unlink()
+        assert not dataset_available(dataset, tmp_path)
+        with pytest.raises(DataFormatError, match=re.escape(f"{dataset}: {missing} not found")):
+            prepare_bundle(dataset, tmp_path, seed=0)
 
 
 _REFERENCE_LUMA = np.array([0.299, 0.587, 0.114])

@@ -100,6 +100,17 @@ class TestBroydenRoot:
         with pytest.raises(DimensionError):
             BroydenConfig(abs_tol=0.0)
 
+    @pytest.mark.parametrize("abs_tol", [float("nan"), float("inf")])
+    def test_rejects_non_finite_tolerance(self, abs_tol):
+        # nan converges no row and inf converges every row after one step
+        with pytest.raises(DimensionError, match="abs_tol"):
+            BroydenConfig(abs_tol=abs_tol)
+
+    @pytest.mark.parametrize("max_steps", [2.5, True])
+    def test_rejects_non_integer_step_count(self, max_steps):
+        with pytest.raises(DimensionError, match="max_steps"):
+            BroydenConfig(max_steps=max_steps)
+
 
 class TestForwardFixedPoint:
     def test_synthetic_contraction_geometric_series(self):
@@ -144,6 +155,31 @@ class TestForwardFixedPoint:
         x = np.array([1.0, 1.0])
         res = forward_fixed_point_batch(Spiky(), x[None], BroydenConfig(max_steps=3))
         assert np.isfinite(res.z_star).all()
+
+    def test_degenerate_rescue_halves_only_the_named_rows(self):
+        # row 0 follows f(z; x) = -2x - z onto -x; row 1 contracts and never lands on -x, so the
+        # retry must evaluate it at the iterate of the failed attempt
+        from qdeq.errors import DegenerateInputError
+
+        calls = []
+
+        class TwoRows:
+            upsample = UpsampleMap(2, 2)
+
+            def expectations(self, Z, X):
+                calls.append(Z.copy())
+                bad = np.flatnonzero(np.linalg.norm(Z + X, axis=1) < 1e-9)
+                if bad.size:
+                    raise DegenerateInputError("zero after injection", rows=bad)
+                return np.stack([-Z[0] - 2.0 * X[0], 0.5 * Z[1] + X[1]])
+
+        X = np.array([[1.0, 1.0], [0.3, -0.2]])
+        forward_fixed_point_batch(TwoRows(), X, BroydenConfig(max_steps=3))
+        failed = next(i for i, Z in enumerate(calls) if np.linalg.norm(Z[0] + X[0]) < 1e-9)
+        retry = calls[failed + 1]
+        assert np.array_equal(retry[0], 0.5 * calls[failed][0])
+        assert np.array_equal(retry[1], calls[failed][1])
+        assert np.abs(calls[failed][1]).max() > 0.1
 
 
 class TestImplicitBackward:

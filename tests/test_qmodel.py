@@ -31,7 +31,6 @@ def _identity_model():
         circuit=ParamCircuit(2, (), 0),
         theta=np.zeros(0),
         ensemble=ObservableEnsemble.pauli_z_all(2),
-        upsample=UpsampleMap(2, 4),
     )
 
 
@@ -332,7 +331,6 @@ def _projector_model():
         circuit=circuit,
         theta=theta,
         ensemble=ObservableEnsemble(BASIS_PROJECTOR, (0, 3, 5, 9)),
-        upsample=UpsampleMap(4, 16),
     )
 
 
@@ -460,14 +458,19 @@ class TestBuilders:
 
 
 class TestModelValidation:
-    def test_mismatched_upsample(self):
-        with pytest.raises(DimensionError):
+    @pytest.mark.parametrize("encoding, num_qubits, input_dim",
+                             [("amplitude", 4, 16), ("angle", 4, 16), ("amplitude", 10, 100)])
+    def test_model_derives_upsample(self, encoding, num_qubits, input_dim):
+        model = build_default_model(encoding, num_qubits, input_dim, seed=3, random_ops=5)
+        assert model.upsample == UpsampleMap(num_qubits, input_dim)
+
+    def test_readout_count_must_divide_input_dim(self):
+        with pytest.raises(DimensionError, match="multiple"):
             QuantumModel(
-                encoding=EncodingSpec("amplitude", 2, 4),
-                circuit=ParamCircuit(2, (), 0),
+                encoding=EncodingSpec("amplitude", 3, 4),
+                circuit=ParamCircuit(3, (), 0),
                 theta=np.zeros(0),
-                ensemble=ObservableEnsemble.pauli_z_all(2),
-                upsample=UpsampleMap(4, 4),
+                ensemble=ObservableEnsemble.pauli_z_all(3),
             )
 
     def test_mismatched_theta(self):
@@ -477,5 +480,4 @@ class TestModelValidation:
                 circuit=ParamCircuit(2, (), 0),
                 theta=np.zeros(3),
                 ensemble=ObservableEnsemble.pauli_z_all(2),
-                upsample=UpsampleMap(2, 4),
             )

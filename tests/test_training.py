@@ -846,6 +846,25 @@ class TestCheckpoint:
         assert path.read_bytes() == saved
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.txt"]
 
+    @pytest.mark.parametrize("key, value", [("step", -1), ("step", True), ("step", 2.5), ("t", -1), ("skipped", 1.0)])
+    def test_refused_count_keeps_previous_checkpoint(self, tmp_path, key, value):
+        # a step or Adam count that load_checkpoint would refuse is refused before anything is written
+        cfg = _quick_config(epochs=1)
+        model, head = build_from_config(cfg)
+        adam = AdamState.init([model.theta, head.weight, head.bias])
+        path = tmp_path / "ckpt.txt"
+        save_checkpoint(path, cfg, model, head, adam, step=3)
+        saved = path.read_bytes()
+        step = 4
+        if key == "step":
+            step = value
+        else:
+            setattr(adam, key, value)
+        with pytest.raises(DataFormatError, match=f"'{key}'"):
+            save_checkpoint(path, cfg, model, head, adam, step=step)
+        assert path.read_bytes() == saved
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.txt"]
+
     @pytest.mark.parametrize(
         "keys, value, field",
         [
