@@ -9,7 +9,6 @@ from .bounds import (
     BoundReport,
     estimate_lipschitz,
     renormalization_shift,
-    trace_distance,
     verify_amplitude_overlap,
     verify_angle_overlap,
     verify_contraction_bound,
@@ -17,13 +16,12 @@ from .bounds import (
 )
 from .deqsolve import BroydenConfig, universality_stack
 from .encoding import EncodingSpec, amplitude_encode, angle_encode, inject
-from .measurement import ObservableEnsemble, UpsampleMap, expect_ensemble, upsample
+from .measurement import ObservableEnsemble, UpsampleMap, upsample
 from .qmodel import QuantumModel, build_block4, build_default_model, build_staircase10
 from .simcore import (
     GateOp,
     ParamCircuit,
     StateVector,
-    adjoint_gradients,
     apply_circuit,
     parameter_shift_grad,
     random_layer,
@@ -43,7 +41,6 @@ __all__ = [
     "StateVector",
     "TrainConfig",
     "UpsampleMap",
-    "adjoint_gradients",
     "amplitude_encode",
     "angle_encode",
     "apply_circuit",
@@ -52,12 +49,10 @@ __all__ = [
     "build_staircase10",
     "estimate_lipschitz",
     "evaluate",
-    "expect_ensemble",
     "inject",
     "parameter_shift_grad",
     "random_layer",
     "renormalization_shift",
-    "trace_distance",
     "train",
     "universality_stack",
     "upsample",

@@ -16,7 +16,6 @@ import numpy as np
 from .encoding import AMPLITUDE, ANGLE, EncodingSpec, encode
 from .errors import DimensionError
 from .measurement import PAULI_Z
-from .simcore import StateVector
 
 _SLACK = 1e-12
 
@@ -40,18 +39,6 @@ def write_csv(report: BoundReport, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(["dist_sq", "overlap", "bound"])
         writer.writerows(report.samples_csv)
-
-
-def trace_distance(state_a: StateVector, state_b: StateVector) -> float:
-    """Pure-state trace distance sqrt(1 - |<a|b>|^2).
-
-    Bit-identical amplitudes short-circuit to exactly zero: the square root
-    amplifies the ~1e-16 rounding of a self-overlap into ~1e-8 otherwise.
-    """
-    if np.array_equal(state_a.amplitudes, state_b.amplitudes):
-        return 0.0
-    overlap = abs(np.vdot(state_a.amplitudes, state_b.amplitudes))
-    return float(np.sqrt(max(0.0, 1.0 - overlap**2)))
 
 
 def _overlaps(spec: EncodingSpec, z: np.ndarray, w: np.ndarray) -> np.ndarray:

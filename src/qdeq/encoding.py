@@ -2,8 +2,7 @@
 
 ``encode`` is the one batch encoder: it encodes each row once and returns the
 amplitudes it occupies with their vjp and jvp, so the simulator runs only the
-trainable circuit; ``states`` pads them into full states for the single-state
-references. Amplitude encoding normalizes the (zero-padded) vector straight
+trainable circuit. Amplitude encoding normalizes the (zero-padded) vector straight
 into the amplitudes. Angle encoding rotates each qubit's |0> by Y, Z, X, Y
 angles and builds the product state from the per-qubit 2-vectors. Injection
 adds the original input to the current iterate; the encoder normalizes it.
@@ -89,18 +88,12 @@ def encode(spec: EncodingSpec, X: np.ndarray):
     return unit, lambda bra: jvp(2.0 * bra.real[:, : spec.input_dim]), jvp
 
 
-def states(spec: EncodingSpec, X: np.ndarray) -> np.ndarray:
-    """The encoded rows of X as the complex (B, 2**Q) states that ``simcore.apply_ops`` takes."""
-    psi = encode(spec, X)[0]
-    out = np.zeros((len(psi), 1 << spec.num_qubits), dtype=np.complex128)
-    out[:, : psi.shape[1]] = psi
-    return out
-
-
 def amplitude_encode(x: np.ndarray, num_qubits: int) -> StateVector:
     """Normalized zero-padded x as real amplitudes; rejects the zero vector."""
     x = np.asarray(x, dtype=np.float64)
-    return StateVector(num_qubits, states(EncodingSpec(AMPLITUDE, num_qubits, len(x)), x[None])[0])
+    amps = np.zeros(1 << num_qubits)
+    amps[: len(x)] = encode(EncodingSpec(AMPLITUDE, num_qubits, len(x)), x[None])[0][0]
+    return StateVector(num_qubits, amps)
 
 
 def angle_encode(x: np.ndarray, num_qubits: int) -> list[GateOp]:

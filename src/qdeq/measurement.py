@@ -18,7 +18,6 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import DimensionError
-from .simcore import StateVector
 
 PAULI_Z = "pauli_z"
 BASIS_PROJECTOR = "basis_projector"
@@ -100,12 +99,6 @@ class ObservableEnsemble:
     @classmethod
     def pauli_z_all(cls, num_qubits: int) -> "ObservableEnsemble":
         return cls(PAULI_Z, tuple(range(num_qubits)))
-
-
-def expect_ensemble(state: StateVector, ensemble: ObservableEnsemble) -> np.ndarray:
-    """<psi|M_k|psi> for each ensemble member; purely real."""
-    diags = ensemble.diagonals(state.num_qubits)
-    return diags @ (np.abs(state.amplitudes) ** 2)
 
 
 @dataclass(frozen=True)

@@ -101,9 +101,6 @@ class StateVector:
         amps[0] = 1.0
         return cls(num_qubits, amps)
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
 
 @dataclass(frozen=True)
 class ParamCircuit:
@@ -307,8 +304,8 @@ def adjoint_sweep(ops, final_states, bra, num_params=0):
 
     ``final_states`` holds the kets after the program ``ops``; ``bra`` is swept in place: it is
     overwritten and returned. Returns (dtheta, U^dagger bra). With bra = M_total |ket> that is the
-    expectation's gradient and dE/d(conj(amplitude)) at the input state (``adjoint_gradients``).
-    The model passes the d basis rows U|e_i> and a bra built from its batch.
+    expectation's gradient and dE/d(conj(amplitude)) at the input state. The model passes the d
+    basis rows U|e_i> and a bra built from its batch.
 
     Walking the runs backwards, each row block adds the run's 2**w x 2**w environment
     E[a, c] = sum conj(bra_a) ket_c and undoes the run on ket and bra with U^dagger. As
@@ -353,28 +350,6 @@ def apply_circuit(circuit: ParamCircuit, theta, state: StateVector) -> StateVect
 def _expectations(ops, input_amps, diags):
     states = apply_ops(ops, input_amps[None, :].copy())
     return diags @ np.abs(states[0]) ** 2
-
-
-def adjoint_gradients(circuit, theta, input_state: StateVector, cost_cotangent, ensemble):
-    """One reverse pass: (dtheta, complex input-amplitude cotangent).
-
-    dtheta[j] = d(sum_k cotangent_k <M_k>)/d theta_j. The second return is
-    dE/d(conj(amplitudes)) of the input state.
-    """
-    if input_state.num_qubits != circuit.num_qubits:
-        raise DimensionError("input state qubit count does not match circuit")
-    cot = np.asarray(cost_cotangent, dtype=np.float64).reshape(-1)
-    diags = np.asarray(ensemble.diagonals(circuit.num_qubits))
-    if cot.shape[0] != diags.shape[0]:
-        raise DimensionError(
-            f"cotangent has {cot.shape[0]} entries, ensemble has {diags.shape[0]}"
-        )
-    ops = resolve_circuit(circuit, theta)
-    states = input_state.amplitudes[None, :].copy()
-    apply_ops(ops, states)
-    bra = (cot @ diags)[None, :] * states
-    dtheta, back = adjoint_sweep(ops, states, bra, num_params=circuit.num_params)
-    return dtheta, back[0]
 
 
 def parameter_shift_grad(circuit, theta, input_state: StateVector, ensemble, slot: int):

@@ -235,11 +235,15 @@ def build_from_config(cfg: TrainConfig):
 
 
 def _check_split(X: np.ndarray, y, input_dim: int, num_classes: int, name: str = "the split") -> None:
-    """DimensionError unless X is (N > 0, input_dim) and y is N whole-number labels in [0, num_classes)."""
+    """DimensionError unless X is (N > 0, input_dim) of finite features and y is N whole-number labels
+    in [0, num_classes)."""
     if X.ndim != 2 or X.shape[1] != input_dim:
         raise DimensionError(f"{name} needs rows of {input_dim} features, got an X of shape {X.shape}")
     if X.shape[0] == 0:
         raise DimensionError(f"{name} has no rows")
+    if not np.isfinite(X).all():
+        row = np.flatnonzero(~np.isfinite(X).all(axis=1))[0]
+        raise DimensionError(f"{name} has a non-finite feature in row {row}")
     y = np.asarray(y)
     if y.shape != X.shape[:1] or not np.all((y >= 0) & (y < num_classes) & (y == np.round(y))):
         raise DimensionError(
@@ -259,8 +263,8 @@ def evaluate(
     """(accuracy %, mean relative residual) over a dataset split.
 
     The rows of a batch whose solve diverges, or that holds an input the
-    encoder rejects, count as misclassified with residual inf. An X not (N > 0, input_dim), a y
-    not N whole-number labels in [0, C), or a batch_size below 1 raises DimensionError.
+    encoder rejects, count as misclassified with residual inf. An X not (N > 0, input_dim) of finite
+    features, a y not N whole-number labels in [0, C), or a batch_size below 1 raises DimensionError.
     """
     _check_split(X, y, model.input_dim, head.bias.size)
     if batch_size < 1:
@@ -290,8 +294,8 @@ def train(bundle: DataBundle, model: QuantumModel, head: ClassifierHead, cfg: Tr
     with TrainingAborted when more than 10% of an epoch's batches are skipped.
     An implicit step that the ``jac-gate`` draw picks (probability jac_loss_freq)
     adds jac_loss_weight times the exact penalty mean_b ||J_b||_F^2 to its loss.
-    A split with no rows, rows not of input_dim features or y not one whole-number label in [0, C) per row
-    raises DimensionError before any step.
+    A split with no rows, rows not of input_dim finite features or y not one whole-number label in [0, C)
+    per row raises DimensionError before any step.
     """
     for split in ("train", "val", "test"):
         X, y = getattr(bundle, f"x_{split}"), getattr(bundle, f"y_{split}")

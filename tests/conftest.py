@@ -1,4 +1,4 @@
-"""Shared fixtures: dataset gating, dense-matrix oracles, synthetic data."""
+"""Shared fixtures: dataset gating, the library's one-state adjoint route, synthetic data."""
 from __future__ import annotations
 
 import os
@@ -10,7 +10,11 @@ import numpy as np
 import pytest
 
 from qdeq.datasets import dataset_available
+from qdeq.measurement import ObservableEnsemble
+from qdeq.simcore import ParamCircuit, adjoint_sweep, apply_ops, random_layer, resolve_circuit
 from qdeq.training import DataBundle
+
+import oracle
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
 import synthdata  # noqa: E402  (the benchmark's dataset writer, shared with the tests)
@@ -33,56 +37,52 @@ def require_slow():
 
 
 # ---------------------------------------------------------------------------
-# dense-matrix oracle: builds full 2^Q x 2^Q unitaries the slow, obvious way
-
-_I2 = np.eye(2, dtype=complex)
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_P0 = np.array([[1, 0], [0, 0]], dtype=complex)
-_P1 = np.array([[0, 0], [0, 1]], dtype=complex)
+# the library's reverse route on one state, and criterion 1's gradient comparison
 
 
-def _rot_matrix(kind: str, angle: float) -> np.ndarray:
-    c, s = np.cos(angle / 2), np.sin(angle / 2)
-    if kind == "rx":
-        return np.array([[c, -1j * s], [-1j * s, c]])
-    if kind == "ry":
-        return np.array([[c, -s], [s, c]])
-    return np.array([[c - 1j * s, 0], [0, c + 1j * s]])
+def adjoint_gradient(circuit, theta, amps, cotangent, diags):
+    """(dtheta, dE/d(conj(input amplitudes))) of E = sum_k cotangent_k <M_k> for the diagonal
+    observables ``diags``: the library's ``resolve_circuit``, ``apply_ops`` and ``adjoint_sweep`` on
+    the one state ``amps``, with the bra (cotangent @ diags) * U|amps>."""
+    ops = resolve_circuit(circuit, theta)
+    final = apply_ops(ops, np.array(amps, dtype=np.complex128)[None])
+    bra = (np.asarray(cotangent, dtype=np.float64) @ diags)[None] * final
+    dtheta, back = adjoint_sweep(ops, final, bra, num_params=circuit.num_params)
+    return dtheta, back[0]
 
 
-def _kron_chain(factors):
-    # qubit 0 is the least significant bit, so it sits rightmost in the chain:
-    # full = kron(f_{Q-1}, ..., f_1, f_0)
-    out = factors[-1]
-    for f in reversed(factors[:-1]):
-        out = np.kron(out, f)
-    return out
-
-
-def dense_gate(gate, theta, num_qubits: int) -> np.ndarray:
-    if gate.kind == "cnot":
-        on = [_I2] * num_qubits
-        off = [_I2] * num_qubits
-        off[gate.control] = _P0
-        on[gate.control] = _P1
-        on[gate.target] = _X
-        return _kron_chain(off) + _kron_chain(on)
-    factors = [_I2] * num_qubits
-    angle = theta[gate.param_slot] if gate.param_slot is not None else gate.fixed_angle
-    factors[gate.target] = _rot_matrix(gate.kind, angle)
-    return _kron_chain(factors)
-
-
-def dense_circuit(circuit, theta) -> np.ndarray:
-    u = np.eye(1 << circuit.num_qubits, dtype=complex)
-    for gate in circuit.gates:
-        u = dense_gate(gate, theta, circuit.num_qubits) @ u
-    return u
-
-
-@pytest.fixture
-def dense_oracle():
-    return dense_circuit
+def worst_gradient_gap(seed=2024, count=50, max_qubits=6, num_ops=(3, 21)):
+    """The worst pairwise gap between three gradients of each Pauli-Z readout, over ``count`` seeded
+    random circuits of 1 to 16 parameters, each on a random complex state: the library's adjoint
+    (``adjoint_gradient``) and the dense oracle's parameter shift and central difference."""
+    rng = np.random.default_rng(seed)
+    checked = circuit_seed = 0
+    worst = 0.0
+    while checked < count:
+        circuit_seed += 1
+        num_qubits = int(rng.integers(1, max_qubits + 1))
+        gates, theta = random_layer(circuit_seed, num_qubits, int(rng.integers(*num_ops)))
+        circuit = ParamCircuit.from_gates(num_qubits, gates)
+        if not 1 <= circuit.num_params <= 16:
+            continue
+        checked += 1
+        amps = rng.normal(size=1 << num_qubits) + 1j * rng.normal(size=1 << num_qubits)
+        amps /= np.linalg.norm(amps)
+        diags = ObservableEnsemble.pauli_z_all(num_qubits).diagonals(num_qubits)
+        adjoint = np.stack(
+            [adjoint_gradient(circuit, theta, amps, onehot, diags)[0] for onehot in np.eye(num_qubits)]
+        )  # (K, p)
+        oracle_diags = oracle.pauli_z_diagonals(num_qubits)
+        for slot in range(circuit.num_params):
+            shift = oracle.parameter_shift(circuit, theta, amps, oracle_diags, slot)
+            fd = oracle.central_difference(circuit, theta, amps, oracle_diags, slot)
+            worst = max(
+                worst,
+                np.abs(adjoint[:, slot] - shift).max(),
+                np.abs(adjoint[:, slot] - fd).max(),
+                np.abs(shift - fd).max(),
+            )
+    return worst
 
 
 # ---------------------------------------------------------------------------

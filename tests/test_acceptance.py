@@ -1,4 +1,5 @@
-"""Acceptance gate: one test per criterion, one PASS/FAIL line each.
+"""Acceptance gate: one test per criterion, one PASS/FAIL line each, and a check that criterion 1
+can fail.
 
 Run with ``pytest tests/test_acceptance.py -v -s``. Criteria that need the
 official datasets skip unless QDEQ_DATA_DIR points at them; full-budget
@@ -12,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qdeq import simcore
 from qdeq.bounds import (
     verify_amplitude_overlap,
     verify_angle_overlap,
@@ -27,19 +29,10 @@ from qdeq.deqsolve import (
     unroll_backward_batch,
     universality_stack,
 )
-from qdeq.measurement import ObservableEnsemble
 from qdeq.qmodel import build_default_model
-from qdeq.simcore import (
-    ParamCircuit,
-    StateVector,
-    adjoint_gradients,
-    apply_circuit,
-    parameter_shift_grad,
-    random_layer,
-)
 from qdeq.training import TrainConfig, build_from_config, train
 
-from conftest import require_dataset, require_slow
+from conftest import require_dataset, require_slow, worst_gradient_gap
 from test_deqsolve import LinearLayer
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -64,50 +57,29 @@ def _run_config(cfg: TrainConfig, data_dir, subset=None):
 
 
 def test_criterion_1_gradient_oracle_suite():
-    """Adjoint / parameter-shift / central differences agree to 1e-6 pairwise."""
+    """The library's adjoint and the dense oracle's parameter shift and central differences agree to 1e-6
+    pairwise."""
     start = time.monotonic()
-    rng = np.random.default_rng(2024)
-    checked = 0
-    seed = 0
-    worst = 0.0
-    while checked < 50:
-        seed += 1
-        num_qubits = int(rng.integers(1, 7))
-        gates, theta = random_layer(seed, num_qubits, int(rng.integers(3, 21)))
-        circuit = ParamCircuit.from_gates(num_qubits, gates)
-        if not 1 <= circuit.num_params <= 16:
-            continue
-        checked += 1
-        amps = rng.normal(size=1 << num_qubits) + 1j * rng.normal(size=1 << num_qubits)
-        state = StateVector(num_qubits, amps / np.linalg.norm(amps))
-        ensemble = ObservableEnsemble.pauli_z_all(num_qubits)
-        diags = ensemble.diagonals(num_qubits)
-        adjoint = np.stack(
-            [
-                adjoint_gradients(circuit, theta, state, onehot, ensemble)[0]
-                for onehot in np.eye(num_qubits)
-            ]
-        )  # (K, p)
-        for slot in range(circuit.num_params):
-            shift = parameter_shift_grad(circuit, theta, state, ensemble, slot)
-            plus, minus = theta.copy(), theta.copy()
-            plus[slot] += 1e-5
-            minus[slot] -= 1e-5
-            e_p = diags @ np.abs(apply_circuit(circuit, plus, state).amplitudes) ** 2
-            e_m = diags @ np.abs(apply_circuit(circuit, minus, state).amplitudes) ** 2
-            fd = (e_p - e_m) / 2e-5
-            worst = max(
-                worst,
-                np.abs(adjoint[:, slot] - shift).max(),
-                np.abs(adjoint[:, slot] - fd).max(),
-                np.abs(shift - fd).max(),
-            )
+    worst = worst_gradient_gap()
     elapsed = time.monotonic() - start
     _report(
         1,
         worst < 1e-6 and elapsed < 60.0,
         f"50 circuits, worst pairwise gradient gap {worst:.2e} (tol 1e-6), {elapsed:.1f}s (< 60s)",
     )
+
+
+def test_criterion_1_fails_on_a_seeded_compile_fault(monkeypatch):
+    # RX and RY trade generators in the gate library: the compiled program, and so the adjoint,
+    # runs RY where the circuit says RX, while the oracle runs the circuit as written
+    library = simcore._gate_library
+
+    def swapped(w):
+        basis, generator = library(w)  # rotation codes: RX on qubit t is t, RY is w + t
+        return basis, generator[np.r_[w : 2 * w, :w, 2 * w : len(generator)]]
+
+    monkeypatch.setattr(simcore, "_gate_library", swapped)
+    assert worst_gradient_gap() > 1e-6
 
 
 def test_criterion_2_appendix_verification_suite():

@@ -6,37 +6,44 @@ from qdeq import bounds
 from qdeq.bounds import (
     estimate_lipschitz,
     renormalization_shift,
-    trace_distance,
     verify_amplitude_overlap,
     verify_angle_overlap,
     verify_contraction_bound,
     verify_trig_inequality,
     write_csv,
 )
-from qdeq.encoding import EncodingSpec, amplitude_encode
-from qdeq.measurement import BASIS_PROJECTOR, ObservableEnsemble, expect_ensemble
+from qdeq.encoding import EncodingSpec, encode
+from qdeq.measurement import BASIS_PROJECTOR, ObservableEnsemble
 from qdeq.qmodel import QuantumModel, build_default_model
-from qdeq.simcore import StateVector
+
+from oracle import amplitude_state, pauli_z_diagonals, trace_distance
 
 
 def _random_state(rng, num_qubits):
     amps = rng.normal(size=1 << num_qubits) + 1j * rng.normal(size=1 << num_qubits)
-    return StateVector(num_qubits, amps / np.linalg.norm(amps))
+    return amps / np.linalg.norm(amps)
+
+
+def _unit(z):
+    """The amplitude encoder's unit row for one input vector."""
+    return encode(EncodingSpec("amplitude", 1, len(z)), z[None])[0][0]
 
 
 class TestTraceDistance:
+    """The oracle's pure-state trace distance, which ``test_saturating_orthogonal_pair`` reads."""
+
     def test_identical_states(self):
         s = _random_state(np.random.default_rng(0), 2)
         assert trace_distance(s, s) == 0.0
 
     def test_near_duplicate_states_small(self):
         s = _random_state(np.random.default_rng(5), 2)
-        t = StateVector(2, s.amplitudes * np.exp(1j * 1e-9))
+        t = s * np.exp(1j * 1e-9)
         assert trace_distance(s, t) < 1e-7
 
     def test_orthogonal_states(self):
-        a = StateVector(1, np.array([1.0, 0.0]))
-        b = StateVector(1, np.array([0.0, 1.0]))
+        a = np.array([1.0, 0.0])
+        b = np.array([0.0, 1.0])
         assert trace_distance(a, b) == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_dense_eigenvalue_oracle(self):
@@ -44,8 +51,8 @@ class TestTraceDistance:
         rng = np.random.default_rng(1)
         for num_qubits in (1, 2, 3):
             a, b = _random_state(rng, num_qubits), _random_state(rng, num_qubits)
-            rho_a = np.outer(a.amplitudes, a.amplitudes.conj())
-            rho_b = np.outer(b.amplitudes, b.amplitudes.conj())
+            rho_a = np.outer(a, a.conj())
+            rho_b = np.outer(b, b.conj())
             eigs = np.linalg.eigvalsh(rho_a - rho_b)
             assert abs(trace_distance(a, b) - 0.5 * np.abs(eigs).sum()) < 1e-10
 
@@ -66,14 +73,14 @@ class TestAmplitudeOverlap:
 
     def test_identical_vectors_saturate_identity(self):
         z = np.array([0.6, 0.8])
-        overlap = abs(np.vdot(amplitude_encode(z, 1).amplitudes, amplitude_encode(z, 1).amplitudes))
+        overlap = abs(np.vdot(_unit(z), _unit(z)))
         assert overlap == pytest.approx(1.0, abs=1e-12)
 
     def test_unit_distance_gives_half_overlap(self):
         # ||z - z'|| = 1 plugs into the identity as overlap = 1 - 1/2
         z = np.array([1.0, 0.0])
         w = np.array([0.5, np.sqrt(3) / 2])
-        overlap = abs(np.vdot(amplitude_encode(z, 1).amplitudes, amplitude_encode(w, 1).amplitudes))
+        overlap = abs(np.vdot(_unit(z), _unit(w)))
         assert overlap == pytest.approx(0.5, abs=1e-12)
 
     def test_worst_margin_is_the_overlap_bound_margin(self):
@@ -154,10 +161,10 @@ class TestContractionBound:
 
     def test_saturating_orthogonal_pair(self):
         # |0> vs |1> under Z: delta = 2, trace distance = 1, bound tight
-        a = amplitude_encode(np.array([1.0, 0.0]), 1)
-        b = amplitude_encode(np.array([0.0, 1.0]), 1)
-        ensemble = ObservableEnsemble.pauli_z_all(1)
-        delta = abs(expect_ensemble(a, ensemble)[0] - expect_ensemble(b, ensemble)[0])
+        a = amplitude_state(np.array([1.0, 0.0]), 1)
+        b = amplitude_state(np.array([0.0, 1.0]), 1)
+        z = pauli_z_diagonals(1)[0]
+        delta = abs(z @ np.abs(a) ** 2 - z @ np.abs(b) ** 2)
         assert delta == pytest.approx(2.0, abs=1e-12)
         assert trace_distance(a, b) == pytest.approx(1.0, abs=1e-12)
         assert delta <= 2.0 * trace_distance(a, b) + 1e-12

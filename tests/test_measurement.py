@@ -8,36 +8,47 @@ from qdeq.measurement import (
     PAULI_Z,
     ObservableEnsemble,
     UpsampleMap,
-    expect_ensemble,
     upsample,
 )
-from qdeq.simcore import StateVector
+
+import oracle
 
 
 def _basis_state(num_qubits, index):
     amps = np.zeros(1 << num_qubits)
     amps[index] = 1.0
-    return StateVector(num_qubits, amps)
+    return amps
 
 
 def _random_state(rng, num_qubits):
     amps = rng.normal(size=1 << num_qubits) + 1j * rng.normal(size=1 << num_qubits)
-    return StateVector(num_qubits, amps / np.linalg.norm(amps))
+    return amps / np.linalg.norm(amps)
+
+
+def _expect(amps, ensemble):
+    """<psi|M_k|psi> for each ensemble member, read from the ensemble's diagonals."""
+    return ensemble.diagonals(len(amps).bit_length() - 1) @ np.abs(amps) ** 2
 
 
 class TestExpectEnsemble:
+    @pytest.mark.parametrize("num_qubits", [1, 3, 10])
+    def test_pauli_z_diagonals_match_the_oracle(self, num_qubits):
+        for sites in (tuple(range(num_qubits)), (num_qubits - 1, 0, num_qubits - 1)):
+            got = ObservableEnsemble(PAULI_Z, sites).diagonals(num_qubits)
+            assert np.array_equal(got, oracle.pauli_z_diagonals(num_qubits, sites))
+
     def test_all_zeros_state(self):
         ensemble = ObservableEnsemble.pauli_z_all(4)
-        assert np.allclose(expect_ensemble(_basis_state(4, 0), ensemble), np.ones(4))
+        assert np.allclose(_expect(_basis_state(4, 0), ensemble), np.ones(4))
 
     def test_all_ones_state(self):
         ensemble = ObservableEnsemble.pauli_z_all(4)
-        assert np.allclose(expect_ensemble(_basis_state(4, 0b1111), ensemble), -np.ones(4))
+        assert np.allclose(_expect(_basis_state(4, 0b1111), ensemble), -np.ones(4))
 
     def test_uniform_superposition(self):
-        state = StateVector(1, np.array([1.0, 1.0]) / np.sqrt(2))
-        z = expect_ensemble(state, ObservableEnsemble(PAULI_Z, (0,)))
-        proj = expect_ensemble(state, ObservableEnsemble(BASIS_PROJECTOR, (0,)))
+        state = np.array([1.0, 1.0]) / np.sqrt(2)
+        z = _expect(state, ObservableEnsemble(PAULI_Z, (0,)))
+        proj = _expect(state, ObservableEnsemble(BASIS_PROJECTOR, (0,)))
         assert abs(z[0]) < 1e-12
         assert abs(proj[0] - 0.5) < 1e-12
 
@@ -45,14 +56,14 @@ class TestExpectEnsemble:
         rng = np.random.default_rng(0)
         ensemble = ObservableEnsemble.pauli_z_all(3)
         for _ in range(50):
-            e = expect_ensemble(_random_state(rng, 3), ensemble)
+            e = _expect(_random_state(rng, 3), ensemble)
             assert np.all(e >= -1.0 - 1e-12) and np.all(e <= 1.0 + 1e-12)
 
     def test_projector_range(self):
         rng = np.random.default_rng(1)
         ensemble = ObservableEnsemble(BASIS_PROJECTOR, (0, 3, 7))
         for _ in range(20):
-            e = expect_ensemble(_random_state(rng, 3), ensemble)
+            e = _expect(_random_state(rng, 3), ensemble)
             assert np.all(e >= -1e-12) and np.all(e <= 1.0 + 1e-12)
 
     def test_linearity_in_density_operator(self):
@@ -63,9 +74,9 @@ class TestExpectEnsemble:
         for _ in range(10):
             a, b = _random_state(rng, 2), _random_state(rng, 2)
             alpha = rng.random()
-            mixed_probs = alpha * np.abs(a.amplitudes) ** 2 + (1 - alpha) * np.abs(b.amplitudes) ** 2
+            mixed_probs = alpha * np.abs(a) ** 2 + (1 - alpha) * np.abs(b) ** 2
             direct = diags @ mixed_probs
-            convex = alpha * expect_ensemble(a, ensemble) + (1 - alpha) * expect_ensemble(b, ensemble)
+            convex = alpha * _expect(a, ensemble) + (1 - alpha) * _expect(b, ensemble)
             assert np.abs(direct - convex).max() < 1e-12
 
     def test_site_out_of_range(self):

@@ -8,7 +8,7 @@ from qdeq import deqsolve
 from qdeq import encoding as enc
 from qdeq.encoding import EncodingSpec, amplitude_encode, angle_encode
 from qdeq.errors import DimensionError
-from qdeq.measurement import BASIS_PROJECTOR, ObservableEnsemble, UpsampleMap, expect_ensemble
+from qdeq.measurement import BASIS_PROJECTOR, ObservableEnsemble, UpsampleMap
 from qdeq.qmodel import (
     QuantumModel,
     build_block4,
@@ -16,13 +16,10 @@ from qdeq.qmodel import (
     build_staircase10,
 )
 from qdeq.seeding import child_seed
-from qdeq.simcore import (
-    GateOp, ParamCircuit, StateVector, adjoint_gradients, adjoint_sweep, apply_circuit, apply_ops,
-    parameter_shift_grad, resolve_circuit,
-)
+from qdeq.simcore import GateOp, ParamCircuit, adjoint_sweep, apply_circuit, apply_ops, resolve_circuit
 from qdeq.training import TrainConfig, build_from_config, load_checkpoint, save_checkpoint
 
-from conftest import dense_circuit
+import oracle
 
 
 def _identity_model():
@@ -53,31 +50,8 @@ class TestForward:
             x = rng.uniform(0.1, 1.0, size=n)
             fast = model.forward_batch(z[None], x[None])[0]
             # dense oracle: encoded state, full unitary, diagonal expectations
-            # rebuild the encoded (pre-circuit) state independently
-            v = z + x
-            if encoding == "amplitude":
-                enc = np.zeros(1 << num_qubits, dtype=complex)
-                enc[:n] = v / np.linalg.norm(v)
-            else:
-                from conftest import _rot_matrix
-
-                enc = np.array([1.0, 0.0], dtype=complex)
-                per_qubit = []
-                for q in range(num_qubits):
-                    u = (
-                        _rot_matrix("ry", v[4 * q + 3])
-                        @ _rot_matrix("rx", v[4 * q + 2])
-                        @ _rot_matrix("rz", v[4 * q + 1])
-                        @ _rot_matrix("ry", v[4 * q])
-                    )
-                    per_qubit.append(u @ np.array([1.0, 0.0]))
-                enc = per_qubit[-1]
-                for vec in reversed(per_qubit[:-1]):
-                    enc = np.kron(enc, vec)
-            u_full = dense_circuit(model.circuit, model.theta)
-            psi = u_full @ enc
-            diags = model.ensemble.diagonals(num_qubits)
-            expectations = diags @ np.abs(psi) ** 2
+            psi = oracle.dense_circuit(model.circuit, model.theta) @ _oracle_state(model, z + x)
+            expectations = oracle.pauli_z_diagonals(num_qubits) @ np.abs(psi) ** 2
             r = model.upsample.repeat
             expected = model.upsample.scale * np.repeat(expectations, r)
             assert np.abs(fast - expected).max() < 1e-10
@@ -87,20 +61,22 @@ class TestForward:
         [("amplitude", 4, 16), ("angle", 4, 16), ("amplitude", 10, 100)],
     )
     def test_expectations_match_single_state_reference(self, encoding, num_qubits, input_dim):
-        # row by row: encode one state, run the circuit on it, read the ensemble
+        # row by row: encode one state, run the circuit on it, read the ensemble; the dense oracle
+        # at Q=4, the library's single-state route at Q=10, where the oracle's 264 gates of
+        # 1024 x 1024 would take seconds
         rng = np.random.default_rng(11)
         model = build_default_model(encoding, num_qubits, input_dim, seed=3)
         X = rng.uniform(0.1, 1.0, size=(32, input_dim))
         Z = 0.1 * rng.normal(size=X.shape)
         got = model.expectations(Z, X)
         assert got.shape == (32, num_qubits)
+        diags = oracle.pauli_z_diagonals(num_qubits)
         for row, v in zip(got, Z + X):
-            if encoding == "amplitude":
-                state = amplitude_encode(v, num_qubits)
+            if num_qubits == 10:
+                psi = apply_circuit(model.circuit, model.theta, amplitude_encode(v, num_qubits)).amplitudes
+                reference = diags @ np.abs(psi) ** 2
             else:
-                encoder = ParamCircuit.from_gates(num_qubits, angle_encode(v, num_qubits))
-                state = apply_circuit(encoder, [], StateVector.zero(num_qubits))
-            reference = expect_ensemble(apply_circuit(model.circuit, model.theta, state), model.ensemble)
+                reference = oracle.expectations(model.circuit, model.theta, _oracle_state(model, v), diags)
             assert np.abs(row - reference).max() <= 1e-13 * np.abs(reference).max()
 
     def test_output_norm_bound(self):
@@ -173,10 +149,11 @@ class TestReversePasses:
         cot = rng.normal(size=16)
         _, grad = model.backward_batch(z[None], x[None], cot[None], need_z=False)
         # shift rule applies to the circuit expectations; chain upsample by hand
-        input_state = StateVector(model.num_qubits, _pre_circuit_state(model, z, x))
+        input_state = _oracle_state(model, z + x)
+        diags = oracle.pauli_z_diagonals(model.num_qubits)
         chat = cot @ model.upsample.matrix
         for slot in range(model.num_params):
-            shift = parameter_shift_grad(model.circuit, model.theta, input_state, model.ensemble, slot)
+            shift = oracle.parameter_shift(model.circuit, model.theta, input_state, diags, slot)
             assert abs(grad[slot] - chat @ shift) < 1e-6
 
     def test_grad_theta_matches_finite_differences(self):
@@ -233,7 +210,10 @@ def _gate_by_gate_backward(model, Z, X, C):
     """(dZ, dtheta) from the circuit run on the B batch rows and one adjoint sweep over them."""
     combined = Z + X
     ops = resolve_circuit(model.circuit, model.theta)
-    states = apply_ops(ops, enc.states(model.encoding, combined))
+    psi = enc.encode(model.encoding, combined)[0]
+    states = np.zeros((len(psi), 1 << model.num_qubits), dtype=np.complex128)
+    states[:, : psi.shape[1]] = psi
+    apply_ops(ops, states)
     chat = C @ model.upsample.matrix
     bra = (chat @ model.ensemble.diagonals(model.num_qubits)) * states
     dtheta, back = adjoint_sweep(ops, states, bra, num_params=model.num_params)
@@ -379,12 +359,12 @@ class TestClassBuiltForms:
 
 
 class TestAngleEncoderAgainstGates:
-    """The product-state encoder and its vjp against the gate-by-gate adjoint."""
+    """The product-state encoder and its vjp against the dense oracle's parameter shift."""
 
     @pytest.mark.parametrize("num_qubits", [2, 4])
     def test_matches_trainable_encoding_circuit(self, num_qubits):
-        # the 4Q encoding rotations become trainable slots 0..4Q-1 holding z + x,
-        # so adjoint_gradients' dtheta over them is dE/dz and the rest is dE/dtheta
+        # the 4Q encoding rotations become trainable slots 0..4Q-1 holding z + x, so the
+        # shift rule's derivative over them is dE/dz and over the rest dE/dtheta
         rng = np.random.default_rng(9)
         n = 4 * num_qubits
         model = build_default_model("angle", num_qubits, n, seed=10, random_ops=12)
@@ -401,17 +381,20 @@ class TestAngleEncoderAgainstGates:
         ]
         circuit = ParamCircuit(num_qubits, tuple(encoder + shifted), n + model.num_params)
         chat = cot @ model.upsample.matrix
-        dtheta, _ = adjoint_gradients(
-            circuit, np.concatenate([z + x, model.theta]), StateVector.zero(num_qubits),
-            chat, model.ensemble,
-        )
+        theta, vacuum = np.concatenate([z + x, model.theta]), np.eye(1 << num_qubits)[0]
+        diags = oracle.pauli_z_diagonals(num_qubits)
+        dtheta = np.array([chat @ oracle.parameter_shift(circuit, theta, vacuum, diags, slot)
+                           for slot in range(circuit.num_params)])
         dz, dtheta_model = model.backward_batch(z[None], x[None], cot[None])
         assert np.abs(dtheta[:n] - dz[0]).max() < 1e-12
         assert np.abs(dtheta[n:] - dtheta_model).max() < 1e-12
 
 
-def _pre_circuit_state(model, z, x):
-    return enc.states(model.encoding, (z + x)[None])[0]
+def _oracle_state(model, v):
+    """The dense oracle's encoding of one input row: the state the trainable circuit acts on."""
+    if model.encoding.kind == "amplitude":
+        return oracle.amplitude_state(v, model.num_qubits)
+    return oracle.angle_state(v, model.num_qubits)
 
 
 class TestBuilders:

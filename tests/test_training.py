@@ -583,6 +583,20 @@ class TestTrainLoop:
         assert model.theta.tobytes() == before.tobytes()
         assert rows == []
 
+    @pytest.mark.parametrize("split, value", [("x_train", np.nan), ("x_val", np.inf), ("x_test", -np.inf)])
+    def test_non_finite_feature_rejected_before_first_step(self, small_bundle, split, value):
+        # a NaN in x_train reached the encoder and aborted the epoch as "1 diverged or unencodable
+        # batches": a data fault reported as solver divergence
+        X = getattr(small_bundle, split).copy()
+        X[37, 5] = value
+        bundle = dataclasses.replace(small_bundle, **{split: X})
+        cfg = _quick_config(epochs=1, batch_size=64)
+        model, head = build_from_config(cfg)
+        before = model.theta.copy()
+        with pytest.raises(DimensionError, match=f"{split}.*non-finite feature in row 37"):
+            train(bundle, model, head, cfg)
+        assert model.theta.tobytes() == before.tobytes()
+
     def test_short_label_array_rejected_before_first_step(self, small_bundle):
         bundle = dataclasses.replace(small_bundle, y_val=small_bundle.y_val[:-1])
         cfg = _quick_config(epochs=1)
@@ -621,6 +635,14 @@ class TestTrainLoop:
         model, head = build_from_config(_quick_config())
         with pytest.raises(DimensionError):
             evaluate(model, head, small_bundle.x_val[:8], np.array(labels), SolverMode.parse("implicit"))
+
+    def test_evaluate_rejects_non_finite_features(self, small_bundle):
+        # one inf scored its whole batch wrong (accuracy 0.0, residual inf), with a RuntimeWarning
+        X = small_bundle.x_val[:8].copy()
+        X[5, 0] = np.inf
+        model, head = build_from_config(_quick_config())
+        with pytest.raises(DimensionError, match="non-finite feature in row 5"):
+            evaluate(model, head, X, small_bundle.y_val[:8], SolverMode.parse("implicit"))
 
     def test_one_step_broyden_leaves_rows_unconverged(self, small_bundle):
         cfg = _quick_config(epochs=1, warmup_steps=0, solver_mode="implicit")
