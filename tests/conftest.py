@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qdeq.datasets import dataset_available
+from qdeq.datasets import _FILES, _find
 from qdeq.measurement import ObservableEnsemble
 from qdeq.simcore import ParamCircuit, adjoint_sweep, apply_ops, random_layer, resolve_circuit
 from qdeq.training import DataBundle
@@ -23,6 +23,11 @@ import synthdata  # noqa: E402  (the benchmark's dataset writer, shared with the
 def data_dir():
     value = os.environ.get("QDEQ_DATA_DIR")
     return Path(value) if value else None
+
+
+def dataset_available(dataset: str, root) -> bool:
+    """Whether every file ``datasets._FILES`` lists for ``dataset`` is found under ``root``."""
+    return root is not None and all(_find(Path(root), dataset, f) for f in _FILES[dataset])
 
 
 def require_dataset(name: str):

@@ -16,7 +16,6 @@ from qdeq.datasets import (
     _load_cifar,
     _load_pair,
     avg_pool,
-    dataset_available,
     filter_classes,
     load_cifar_binary,
     load_idx,
@@ -27,7 +26,7 @@ from qdeq.datasets import (
 from qdeq.errors import DataFormatError, DimensionError
 from qdeq.seeding import child_seed
 
-from conftest import _idx_image_bytes, _idx_label_bytes, synthdata
+from conftest import _idx_image_bytes, _idx_label_bytes, dataset_available, synthdata
 
 _LAYOUT = {  # a directory each dataset's files may sit in, and every file it needs
     "mnist4": ("mnist", ("train-images-idx3-ubyte", "train-labels-idx1-ubyte",
@@ -140,6 +139,36 @@ class TestAvgPool:
     def test_indivisible(self):
         with pytest.raises(DimensionError):
             avg_pool(np.zeros((28, 28)), 5)
+
+
+def _pixel_images(seed, shape):
+    """Seeded images of 8-bit intensities k/255, as the feature pass scales them."""
+    return np.random.default_rng(seed).integers(0, 256, size=shape) / 255.0
+
+
+def _mean_pool(image, side):
+    h, w = image.shape[-2:]
+    return image.reshape(*image.shape[:-2], side, h // side, side, w // side).mean(axis=(-3, -1))
+
+
+class TestAvgPoolMatchesNumpyMean:
+    # the strided adds take numpy's own order for windows narrower than 8 pixels
+    @pytest.mark.parametrize("shape", [(28, 28), (300, 28, 28)], ids=["single", "stack"])
+    def test_mnist_side(self, shape):
+        image = _pixel_images(11, shape)
+        assert np.array_equal(avg_pool(image, 4), _mean_pool(image, 4))
+
+    @pytest.mark.parametrize("width", range(2, 8))
+    def test_window_widths(self, width):
+        image = _pixel_images(width, (50, 4 * width, 4 * width))
+        assert np.array_equal(avg_pool(image, 4), _mean_pool(image, 4))
+
+
+@pytest.mark.parametrize("out_side", [0, -4])
+@pytest.mark.parametrize("transform", [avg_pool, resize_bilinear])
+def test_output_side_below_one_rejected(transform, out_side):
+    with pytest.raises(DimensionError, match="at least 1"):
+        transform(np.zeros((28, 28)), out_side)
 
 
 class TestResizeBilinear:
@@ -319,7 +348,7 @@ class TestIngestion:
             assert np.array_equal(y, y_ref)
             assert np.abs(x - x_ref).max() <= atol
 
-    @pytest.mark.parametrize("dataset", ["mnist4", "cifar10"])
+    @pytest.mark.parametrize("dataset", ["mnist4", "mnist10", "cifar10"])
     def test_chunk_boundaries_do_not_change_features(self, digits_data_dir, monkeypatch, dataset):
         whole = prepare_bundle(dataset, digits_data_dir, seed=0)
         monkeypatch.setattr(datasets, "_FEATURE_CHUNK_ROWS", 7)
