@@ -12,7 +12,9 @@ exactly, one batched K x K solve whose solution is the readout cotangent of
 the one theta-sweep. The same Jacobian factors give the penalty
 mean_b ||J_b||_F^2 exactly, and its theta-gradient joins that sweep.
 ``solve_batch`` runs one training or evaluation batch through either solve or
-a weight-tied unroll, which stays n wide.
+a weight-tied unroll, which stays n wide. The unroll keeps each layer's encoded
+input and its backward pulls back through those, so a depth-L step encodes L
+times.
 
 The solvers and unrolls work on batches only: z, x and cotangents are (B, n)
 arrays, and a single sample is a one-row batch. The theta-gradient is linear
@@ -32,13 +34,25 @@ from .measurement import UpsampleMap
 
 
 class FixedPointLayer(Protocol):
-    """What the solvers call on a model; ``upsample`` is S (n, K)."""
+    """What the solvers call on a model; ``upsample`` is S (n, K).
+
+    ``encode`` returns (psi, vjp, jvp) of the layer inputs z + x; ``readouts`` and the two
+    pullbacks read them, so the unroll encodes each layer's input once.
+    """
 
     upsample: UpsampleMap
+
+    def encode(self, Z, X): ...
+
+    def readouts(self, psi): ...
 
     def expectations(self, Z, X): ...
 
     def forward_batch(self, Z, X): ...
+
+    def pullback_z(self, psi, encode_vjp, cotangents): ...
+
+    def pullback_theta(self, psi, cotangents, encode_jvp=None, tangents=None): ...
 
     def backward_batch(self, Z, X, cotangents, need_z=True, need_theta=True, tangents=None): ...
 
@@ -177,28 +191,42 @@ def implicit_backward_batch(model: FixedPointLayer, X: np.ndarray, Z_star, loss_
     return dtheta, float(np.einsum("bkn,bkn->", D, D)) / len(D)
 
 
-def unroll_backward_batch(model: FixedPointLayer, X: np.ndarray, iterates, loss_grads) -> np.ndarray:
-    """Reverse accumulation through stored unroll iterates (weight-tied theta).
+@dataclass
+class Unroll:
+    """An L-layer unroll: the iterates z(0) = 0, ..., z(L) of z(i+1) = f(z(i); x), and per
+    layer the encoded input (psi, vjp) that its forward pass read."""
 
-    The cotangents chain back with dZ-only passes; then one theta-call over
-    the L layers' stacked inputs and cotangents gives the sum over layers.
+    iterates: list
+    encodings: list
+
+
+def unroll_backward_batch(model: FixedPointLayer, unroll: Unroll, loss_grads) -> np.ndarray:
+    """Reverse accumulation through an unroll's stored encodings (weight-tied theta).
+
+    The cotangents chain back through layers L, ..., 2 with ``pullback_z`` on each layer's
+    own encoding; then one ``pullback_theta`` over the L layers' stacked encoded rows and
+    cotangents gives the sum over layers. Nothing is encoded again.
     """
     cots = [np.asarray(loss_grads, dtype=np.float64)]
-    for Z in iterates[-2:0:-1]:
-        cots.append(model.backward_batch(Z, X, cots[-1], need_theta=False)[0])
-    stacked = np.concatenate(iterates[-2::-1])
-    return model.backward_batch(stacked, np.tile(X, (len(cots), 1)), np.concatenate(cots), need_z=False)[1]
+    for psi, encode_vjp in unroll.encodings[:0:-1]:
+        cots.append(model.pullback_z(psi, encode_vjp, cots[-1]))
+    stacked = np.concatenate([psi for psi, _ in unroll.encodings[::-1]])
+    return model.pullback_theta(stacked, np.concatenate(cots))
 
 
-def direct_unroll_batch(model: FixedPointLayer, X: np.ndarray, depth: int) -> list:
-    """The iterates z(0) = 0, ..., z(depth) of z(i+1) = f(z(i); x), for ``unroll_backward_batch``."""
+def direct_unroll_batch(model: FixedPointLayer, X: np.ndarray, depth: int) -> Unroll:
+    """The ``Unroll`` of z(i+1) = f(z(i); x) from z(0) = 0 over ``depth`` layers, for
+    ``unroll_backward_batch``."""
     if depth < 1:
         raise DimensionError("unroll depth must be >= 1")
     X = np.asarray(X, dtype=np.float64)
-    iterates = [np.zeros_like(X)]
+    S = model.upsample.matrix
+    unroll = Unroll([np.zeros_like(X)], [])
     for _ in range(depth):
-        iterates.append(model.forward_batch(iterates[-1], X))
-    return iterates
+        psi, encode_vjp, _ = model.encode(unroll.iterates[-1], X)
+        unroll.encodings.append((psi, encode_vjp))
+        unroll.iterates.append(model.readouts(psi) @ S.T)
+    return unroll
 
 
 def solve_batch(model: FixedPointLayer, X: np.ndarray, depth: int, cfg: BroydenConfig = BroydenConfig()):
@@ -214,12 +242,12 @@ def solve_batch(model: FixedPointLayer, X: np.ndarray, depth: int, cfg: BroydenC
         fp = forward_fixed_point_batch(model, X, cfg)
         z, unconverged = fp.z_star, int(np.count_nonzero(~fp.converged))
         return z, fp.residual, lambda dz, w: implicit_backward_batch(model, X, z, dz, w), unconverged
-    iterates = direct_unroll_batch(model, X, depth)
-    last, prev = iterates[-1], iterates[-2]
+    unroll = direct_unroll_batch(model, X, depth)
+    last, prev = unroll.iterates[-1], unroll.iterates[-2]
     if depth == 1:
         last, prev = model.forward_batch(last, X), last
     residual = _relative(last - prev, last)[0]
-    return iterates[-1], residual, lambda dz, w: (unroll_backward_batch(model, X, iterates, dz), 0.0), 0
+    return unroll.iterates[-1], residual, lambda dz, w: (unroll_backward_batch(model, unroll, dz), 0.0), 0
 
 
 def universality_stack(models: list, x: np.ndarray) -> np.ndarray:

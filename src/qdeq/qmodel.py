@@ -10,7 +10,9 @@ matrix per run of gates on 4 adjacent qubits, 4 runs for the 10-qubit staircase
 and 1 at Q=4, with the products the sweep needs), and the K readout forms from
 that program run on the d = ``EncodingSpec.width`` basis rows of the encoded
 states, never on the B rows. The theta-gradient is one adjoint sweep of the
-same program over the same d rows, which builds no run matrix of its own. The
+same program over the same d rows, which builds no run matrix of its own. A
+pass that holds the encoded rows (``encode``) reads them through ``readouts``,
+``pullback_z`` and ``pullback_theta`` without encoding again. The
 observables are diagonal, so the readout forms and the sweep's bra depend on a
 basis column only through its diagonal entries: both are built once per class
 of equal columns (``ObservableEnsemble.classes``, groups of up to 5
@@ -86,11 +88,19 @@ class QuantumModel:
 
     # -- forward -----------------------------------------------------------
 
-    def expectations(self, Z: np.ndarray, X: np.ndarray) -> np.ndarray:
-        """(B, K) readouts <M_k> = psi_b H_k psi_b^dagger of U(theta)|encode(z + x)>, from ``_compiled``."""
-        psi = enc.encode(self.encoding, enc.inject(Z, X))[0]
+    def encode(self, Z: np.ndarray, X: np.ndarray):
+        """(psi, vjp, jvp) of the layer inputs z + x (``encoding.encode``), which ``readouts``
+        and the pullbacks read, so a caller that keeps them encodes each input once."""
+        return enc.encode(self.encoding, enc.inject(Z, X))
+
+    def readouts(self, psi: np.ndarray) -> np.ndarray:
+        """(B, K) readouts <M_k> = psi_b H_k psi_b^dagger of the encoded rows psi, from ``_compiled``."""
         PH = (psi @ self._compiled()[2]).reshape(len(psi), self.ensemble.size, -1)
         return np.einsum("bkd,bd->bk", PH, psi.conj()).real
+
+    def expectations(self, Z: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """(B, K) readouts of U(theta)|encode(z + x)>."""
+        return self.readouts(self.encode(Z, X)[0])
 
     def forward_batch(self, Z: np.ndarray, X: np.ndarray) -> np.ndarray:
         return self.expectations(Z, X) @ self.upsample.matrix.T
@@ -122,42 +132,50 @@ class QuantumModel:
         return self._compiled_at[1:]
 
     def backward_batch(self, Z, X, cotangents, need_z: bool = True, need_theta: bool = True, tangents=None):
-        """(dZ, dtheta) for sum_b cotangent_b . forward(z_b, x_b), from the forms of ``_compiled``.
-
-        With chat = c S, dZ is the encoder vjp of sum_k chat_bk psi_b H_k. dtheta
-        is summed over the batch (scale cotangents by 1/B upstream for a batch
-        mean). The objective is sum_k tr(H_k^T R_k) with R_k = sum_b chat_bk
-        psi_b^T conj(psi_b), so one adjoint sweep over the d rows of V, with bra
-        sum_k (R_k^T V) * m_k, gives it whatever B is. Column j of that bra is
-        M_c V[:, j], M_c = sum_k m_k[c] R_k^T, for the class c of j in each group
-        of ``ObservableEnsemble.classes``: one batched M_c @ V_c per group.
-        ``tangents`` T (B, K, n) add the theta-gradient of sum_bk <D_bk, T_bk> (D of
-        ``jacobian_factors``, T fixed): as <vjp(bra), t> = 2 Re<bra, jvp(t)>, that
-        adds psi_b^H Phi_bk + Phi_bk^H psi_b, Phi_bk = jvp(T_bk), to R_k^T first.
-        """
-        ops, V, H = self._compiled()
-        psi, encode_vjp, encode_jvp = enc.encode(self.encoding, enc.inject(Z, X))
-        chat = np.atleast_2d(cotangents) @ self.upsample.matrix
-        dZ = dtheta = None
-        if need_z:
-            dZ = encode_vjp(np.einsum("bk,bkd->bd", chat, (psi @ H).reshape(chat.shape + (-1,))))
-        if need_theta:
-            rows, d = psi.conj().T, len(V)
-            R = np.empty((len(chat.T), d, d), dtype=psi.dtype)  # R_k^T; real for amplitude rows
-            for k, c in enumerate(chat.T):
-                np.matmul(rows, c[:, None] * psi, out=R[k])
-                if tangents is not None:
-                    Y = rows @ encode_jvp(tangents[:, k])
-                    R[k] += Y + Y.conj().T
-            dtype, bra = R.dtype, np.zeros_like(V)  # a real R_k^T multiplies V's real view
-            for obs, signs, cols, slots in self.ensemble.classes(self.num_qubits):
-                out = np.zeros((d, cols.size + 1), dtype=np.complex128)  # bra columns in class order, then a 0
-                np.matmul(_combine(signs.T, R[obs]),  # M_c (C, d, d)
-                          np.take(V, cols, axis=1).view(dtype).transpose(1, 0, 2),  # V_c (C, d, s)
-                          out=out[:, :-1].reshape(d, *cols.shape).view(dtype).transpose(1, 0, 2))
-                bra += np.take(out, slots, axis=1)  # to basis order; columns of no class read the 0
-            dtheta = adjoint_sweep(ops, V, bra, num_params=self.num_params)[0]
+        """(dZ, dtheta) for sum_b cotangent_b . forward(z_b, x_b): ``encode``, then ``pullback_z``
+        and ``pullback_theta`` on the encoded rows; ``tangents`` as in ``pullback_theta``."""
+        psi, encode_vjp, encode_jvp = self.encode(Z, X)
+        dZ = self.pullback_z(psi, encode_vjp, cotangents) if need_z else None
+        dtheta = self.pullback_theta(psi, cotangents, encode_jvp, tangents) if need_theta else None
         return dZ, dtheta
+
+    def pullback_z(self, psi, encode_vjp, cotangents) -> np.ndarray:
+        """dZ (B, n) for sum_b cotangent_b . forward at the encoded rows psi: with chat = c S,
+        the encoder vjp of sum_k chat_bk psi_b H_k, with H from ``_compiled``."""
+        chat = np.atleast_2d(cotangents) @ self.upsample.matrix
+        PH = (psi @ self._compiled()[2]).reshape(chat.shape + (-1,))
+        parts = PH.view(np.float64)  # real chat times PH's parts, with no cast of chat; real PH as it is
+        return encode_vjp(np.einsum("bk,bkr->br", chat, parts).view(PH.dtype))
+
+    def pullback_theta(self, psi, cotangents, encode_jvp=None, tangents=None) -> np.ndarray:
+        """dtheta for sum_b cotangent_b . forward at the encoded rows psi, summed over the rows.
+
+        Scale cotangents by 1/B upstream for a batch mean. The objective is sum_k tr(H_k^T R_k)
+        with R_k = sum_b chat_bk psi_b^T conj(psi_b), chat = c S, so one adjoint sweep over the
+        d rows of V (``_compiled``), with bra sum_k (R_k^T V) * m_k, gives it whatever B is.
+        Column j of that bra is M_c V[:, j], M_c = sum_k m_k[c] R_k^T, for the class c of j in
+        each group of ``ObservableEnsemble.classes``: one batched M_c @ V_c per group.
+        ``tangents`` T (B, K, n) add the theta-gradient of sum_bk <D_bk, T_bk> (D of
+        ``jacobian_factors``, T fixed): as <vjp(bra), t> = 2 Re<bra, jvp(t)>, that adds
+        psi_b^H Phi_bk + Phi_bk^H psi_b, Phi_bk = encode_jvp(T_bk), to R_k^T first.
+        """
+        ops, V, _ = self._compiled()
+        chat = np.atleast_2d(cotangents) @ self.upsample.matrix
+        rows, d = psi.conj().T, len(V)
+        R = np.empty((len(chat.T), d, d), dtype=psi.dtype)  # R_k^T; real for amplitude rows
+        for k, c in enumerate(chat.T):
+            np.matmul(rows, c[:, None] * psi, out=R[k])
+            if tangents is not None:
+                Y = rows @ encode_jvp(tangents[:, k])
+                R[k] += Y + Y.conj().T
+        dtype, bra = R.dtype, np.zeros_like(V)  # a real R_k^T multiplies V's real view
+        for obs, signs, cols, slots in self.ensemble.classes(self.num_qubits):
+            out = np.zeros((d, cols.size + 1), dtype=np.complex128)  # bra columns in class order, then a 0
+            np.matmul(_combine(signs.T, R[obs]),  # M_c (C, d, d)
+                      np.take(V, cols, axis=1).view(dtype).transpose(1, 0, 2),  # V_c (C, d, s)
+                      out=out[:, :-1].reshape(d, *cols.shape).view(dtype).transpose(1, 0, 2))
+            bra += np.take(out, slots, axis=1)  # to basis order; columns of no class read the 0
+        return adjoint_sweep(ops, V, bra, num_params=self.num_params)[0]
 
     def jacobian_factors(self, Z: np.ndarray, X: np.ndarray) -> np.ndarray:
         """D (B, K, n) with d forward(z_b, x_b) / d z_b = S @ D[b], of rank K.
@@ -166,7 +184,7 @@ class QuantumModel:
         of the readouts e -> E(S e + x_b). Row k of D[b] is readout k's input cotangent
         psi_b H_k chained through the encoder vjp.
         """
-        psi, encode_vjp, _ = enc.encode(self.encoding, enc.inject(Z, X))
+        psi, encode_vjp, _ = self.encode(Z, X)
         PH = (psi @ self._compiled()[2]).reshape(len(psi), self.ensemble.size, -1)
         return np.stack([encode_vjp(PH[:, k]) for k in range(self.ensemble.size)], axis=1)
 

@@ -143,7 +143,7 @@ def test_criterion_4_implicit_gradient_fidelity():
     fp = forward_fixed_point_batch(model, xq)
     lgq = np.random.default_rng(41).normal(size=(1, 4))
     dth, _ = implicit_backward_batch(model, xq, fp.z_star, lgq)
-    unrolled = unroll_backward_batch(model, xq, direct_unroll_batch(model, xq, 60), lgq)
+    unrolled = unroll_backward_batch(model, direct_unroll_batch(model, xq, 60), lgq)
     rel = np.linalg.norm(dth - unrolled) / np.linalg.norm(unrolled)
     _report(
         4,

@@ -4,12 +4,14 @@ import dataclasses
 import numpy as np
 import pytest
 
+from qdeq import encoding
 from qdeq.deqsolve import (
     BroydenConfig,
     broyden_root_batch,
     direct_unroll_batch,
     forward_fixed_point_batch,
     implicit_backward_batch,
+    solve_batch,
     unroll_backward_batch,
     universality_stack,
 )
@@ -19,7 +21,10 @@ from qdeq.qmodel import build_default_model
 
 
 class LinearLayer:
-    """f(z; x) = A z + B theta + x, with exact closed-form fixed point; its readouts are f itself (S = I)."""
+    """f(z; x) = A z + B theta + x, with exact closed-form fixed point; its readouts are f itself (S = I).
+
+    Its encoded rows are A z + x, so the readouts add B theta.
+    """
 
     def __init__(self, A, B, theta):
         self.A = np.asarray(A, float)
@@ -29,16 +34,27 @@ class LinearLayer:
         self.input_dim = self.A.shape[0]
         self.upsample = UpsampleMap(self.input_dim, self.input_dim)
 
+    def encode(self, Z, X):
+        return np.atleast_2d(Z) @ self.A.T + np.atleast_2d(X), None, None
+
+    def readouts(self, psi):
+        return psi + self.theta @ self.B.T
+
     def expectations(self, Z, X):
-        return np.atleast_2d(Z) @ self.A.T + self.theta @ self.B.T + np.atleast_2d(X)
+        return self.readouts(self.encode(Z, X)[0])
 
     forward_batch = expectations
 
-    def backward_batch(self, Z, X, C, need_z=True, need_theta=True, tangents=None):
+    def pullback_z(self, psi, encode_vjp, C):
+        return np.atleast_2d(C) @ self.A
+
+    def pullback_theta(self, psi, C, encode_jvp=None, tangents=None):
         # tangents add nothing: the Jacobian factor D = A does not depend on theta
-        C = np.atleast_2d(C)
-        dz = C @ self.A if need_z else None
-        dth = (C @ self.B).sum(axis=0) if need_theta else None
+        return (np.atleast_2d(C) @ self.B).sum(axis=0)
+
+    def backward_batch(self, Z, X, C, need_z=True, need_theta=True, tangents=None):
+        dz = self.pullback_z(None, None, C) if need_z else None
+        dth = self.pullback_theta(None, C) if need_theta else None
         return dz, dth
 
     def jacobian_factors(self, Z, X):
@@ -210,7 +226,7 @@ class TestImplicitBackward:
         res = forward_fixed_point_batch(model, x[None])
         lg = np.random.default_rng(6).normal(size=(1, 4))
         dtheta, _ = implicit_backward_batch(model, x[None], res.z_star, lg)
-        unrolled = unroll_backward_batch(model, x[None], direct_unroll_batch(model, x[None], 60), lg)
+        unrolled = unroll_backward_batch(model, direct_unroll_batch(model, x[None], 60), lg)
         rel = np.linalg.norm(dtheta - unrolled) / np.linalg.norm(unrolled)
         assert rel < 1e-3
 
@@ -269,7 +285,7 @@ class TestImplicitBackward:
             cfg = BroydenConfig(max_steps=50, abs_tol=1e-12)
             res = forward_fixed_point_batch(layer, x[None], cfg)
             dtheta, _ = implicit_backward_batch(layer, x[None], res.z_star, lg[None])
-            unrolled = unroll_backward_batch(layer, x[None], direct_unroll_batch(layer, x[None], 60), lg[None])
+            unrolled = unroll_backward_batch(layer, direct_unroll_batch(layer, x[None], 60), lg[None])
             rel = np.linalg.norm(dtheta - unrolled) / max(np.linalg.norm(unrolled), 1e-12)
             assert rel < 1e-3
 
@@ -358,13 +374,13 @@ class TestDirectUnroll:
     def test_depth_one_is_single_forward(self):
         model = build_default_model("amplitude", 2, 4, seed=1, random_ops=6)
         x = np.array([0.5, 0.2, 0.8, 0.1])
-        z1 = direct_unroll_batch(model, x[None], 1)[-1]
+        z1 = direct_unroll_batch(model, x[None], 1).iterates[-1]
         assert np.array_equal(z1, model.forward_batch(np.zeros((1, 4)), x[None]))
 
     def test_depth_fifty_reaches_broyden_fixed_point(self):
         layer = LinearLayer(0.5 * np.eye(3), np.zeros((3, 1)), np.zeros(1))
         x = np.array([1.0, -0.5, 0.25])
-        z50 = direct_unroll_batch(layer, x[None], 50)[-1]
+        z50 = direct_unroll_batch(layer, x[None], 50).iterates[-1]
         res = forward_fixed_point_batch(layer, x[None], BroydenConfig(max_steps=30))
         assert np.abs(z50 - res.z_star).max() < 1e-5
 
@@ -373,16 +389,28 @@ class TestDirectUnroll:
         rng = np.random.default_rng(9)
         X = rng.uniform(0.1, 1.0, size=(1, 4))
         lg = rng.normal(size=(1, 4))
-        dtheta = unroll_backward_batch(model, X, direct_unroll_batch(model, X, 2), lg)
+        dtheta = unroll_backward_batch(model, direct_unroll_batch(model, X, 2), lg)
         eps = 1e-5
         for j in range(model.num_params):
             model.theta[j] += eps
-            up = direct_unroll_batch(model, X, 2)[-1]
+            up = direct_unroll_batch(model, X, 2).iterates[-1]
             model.theta[j] -= 2 * eps
-            down = direct_unroll_batch(model, X, 2)[-1]
+            down = direct_unroll_batch(model, X, 2).iterates[-1]
             model.theta[j] += eps
             fd = np.sum(lg * (up - down)) / (2 * eps)
             assert abs(dtheta[j] - fd) < 1e-5
+
+    @pytest.mark.parametrize("kind", ["angle", "amplitude"])
+    def test_depth_five_step_encodes_each_layer_once(self, kind, monkeypatch):
+        # the backward pulls back through the forward's own encodings: 5 encodes, not 10
+        rows = []
+        original = encoding.encode
+        monkeypatch.setattr(encoding, "encode", lambda spec, X: rows.append(len(X)) or original(spec, X))
+        model = build_default_model(kind, 4, 16, seed=3, random_ops=8)
+        X = np.random.default_rng(12).uniform(0.1, 1.0, size=(6, 16))
+        z, _, backward, _ = solve_batch(model, X, 5)
+        dtheta, _ = backward(np.ones_like(z), 0.0)
+        assert rows == [6] * 5 and np.isfinite(dtheta).all()
 
     def test_depth_must_be_positive(self):
         model = build_default_model("amplitude", 2, 4, seed=1)
@@ -422,7 +450,7 @@ class TestUniversalityStack:
         (model,) = self._models(1, seed=9)
         x = np.array([0.2, 0.7, 0.5, 0.4])
         stack = universality_stack([model, model, model], x)
-        z3 = direct_unroll_batch(model, x[None], 3)[-1][0]
+        z3 = direct_unroll_batch(model, x[None], 3).iterates[-1][0]
         assert np.abs(stack[-1] - z3).max() < 1e-12
 
     def test_shape_mismatch_rejected(self):

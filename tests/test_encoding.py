@@ -179,6 +179,31 @@ class TestEncoderJvp:
         fd = (self._encoder(kind, num_qubits, X + h * T)[0] - self._encoder(kind, num_qubits, X - h * T)[0]) / (2 * h)
         assert np.abs(fd - tangent).max() <= 1e-8 * np.abs(tangent).max()
 
+    @pytest.mark.parametrize("inputs", ["edge", "large"])
+    @pytest.mark.parametrize("num_qubits", [1, 2, 4])
+    def test_angle_edge_and_large_inputs(self, inputs, num_qubits):
+        # inputs at 0, +-pi/2, pi and 2 pi give kets with zero entries, and |x| up to 20
+        # half-angles past 2 pi: where a closed form or a shifted derivative ket could lose a sign
+        rng, n = np.random.default_rng(20), 4 * num_qubits
+        if inputs == "edge":
+            edges = np.array([0.0, 0.5 * np.pi, -0.5 * np.pi, np.pi, 2.0 * np.pi])
+            X = np.concatenate([np.repeat(edges[:, None], n, axis=1), rng.choice(edges, size=(11, n))])
+        else:
+            X = rng.uniform(-20.0, 20.0, size=(16, n))
+            X[0, :2] = -20.0, 20.0
+        T = rng.normal(size=X.shape)
+        _, vjp, jvp = self._encoder("angle", num_qubits, X)
+        tangent = jvp(T)
+        bra = rng.normal(size=tangent.shape) + 1j * rng.normal(size=tangent.shape)
+        lhs = np.einsum("bn,bn->b", vjp(bra), T)
+        rhs = 2.0 * np.einsum("bd,bd->b", bra.conj(), tangent).real
+        assert np.abs(lhs - rhs).max() <= 1e-12 * max(1.0, np.abs(lhs).max())
+        # the oracle's state at x +- h t, so the derivative is checked against rotations it builds itself
+        h = 1e-6
+        fd = np.stack([oracle.angle_state(x + h * t, num_qubits) - oracle.angle_state(x - h * t, num_qubits)
+                       for x, t in zip(X, T)]) / (2 * h)
+        assert np.abs(fd - tangent).max() <= 1e-8 * np.abs(tangent).max()
+
 
 class TestEncode:
     CASES = [("angle", 4, 16), ("amplitude", 4, 16), ("amplitude", 10, 100)]

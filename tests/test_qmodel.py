@@ -248,12 +248,12 @@ class TestCompiledReverseAgainstGateByGate:
     def test_stacked_unroll_equals_per_layer_sum(self, encoding, num_qubits, input_dim):
         model = build_default_model(encoding, num_qubits, input_dim, seed=3)
         _, X, G = self._batch(input_dim)
-        iterates = deqsolve.direct_unroll_batch(model, X, 5)
+        unroll = deqsolve.direct_unroll_batch(model, X, 5)
         per_layer, C = np.zeros(model.num_params), G
         for i in range(5, 0, -1):
-            C, dtheta = model.backward_batch(iterates[i - 1], X, C)
+            C, dtheta = model.backward_batch(unroll.iterates[i - 1], X, C)
             per_layer += dtheta
-        assert _rel(deqsolve.unroll_backward_batch(model, X, iterates, G), per_layer) <= 1e-12
+        assert _rel(deqsolve.unroll_backward_batch(model, unroll, G), per_layer) <= 1e-12
 
     def test_theta_written_in_place_recompiles(self, tmp_path):
         cfg = TrainConfig(dataset="mnist4", solver_mode="implicit", learning_rate=0.05, seed=42)
@@ -358,19 +358,50 @@ class TestClassBuiltForms:
         assert abs(penalty - ref_penalty) <= 1e-14 * abs(ref_penalty)
 
 
+EDGE_ANGLES = np.array([0.0, 0.5 * np.pi, -0.5 * np.pi, np.pi, 2.0 * np.pi])
+
+
+def _edge_angle_rows(rng, rows, n):
+    """Rows of n angles: first each of EDGE_ANGLES throughout, then random picks among them."""
+    picks = rng.choice(EDGE_ANGLES, size=(max(rows - len(EDGE_ANGLES), 0), n))
+    return np.concatenate([np.repeat(EDGE_ANGLES[:, None], n, axis=1), picks])[:rows]
+
+
+def _large_angle_rows(rng, rows, n):
+    """Rows of n angles with |x| up to 20, the first row holding -20 and 20."""
+    X = rng.uniform(-20.0, 20.0, size=(rows, n))
+    X[0, :2] = -20.0, 20.0
+    return X
+
+
 class TestAngleEncoderAgainstGates:
     """The product-state encoder and its vjp against the dense oracle's parameter shift."""
 
     @pytest.mark.parametrize("num_qubits", [2, 4])
     def test_matches_trainable_encoding_circuit(self, num_qubits):
-        # the 4Q encoding rotations become trainable slots 0..4Q-1 holding z + x, so the
-        # shift rule's derivative over them is dE/dz and over the rest dE/dtheta
         rng = np.random.default_rng(9)
         n = 4 * num_qubits
         model = build_default_model("angle", num_qubits, n, seed=10, random_ops=12)
         z = rng.normal(size=n) * 0.3
         x = rng.uniform(0.0, 2.0 * np.pi, size=n)
-        cot = rng.normal(size=n)
+        self._check(model, z, x, rng.normal(size=n))
+
+    @pytest.mark.parametrize("rows", [_edge_angle_rows, _large_angle_rows], ids=["edge", "large"])
+    @pytest.mark.parametrize("num_qubits", [2, 3])
+    def test_edge_and_large_angles(self, rows, num_qubits):
+        # kets with zero entries (0, pi, 2 pi), and half-angles past 2 pi: where a closed
+        # form or a shifted derivative ket could lose a sign
+        rng = np.random.default_rng(13)
+        n = 4 * num_qubits
+        model = build_default_model("angle", num_qubits, n, seed=10, random_ops=12)
+        for x in rows(rng, 8, n):
+            self._check(model, np.zeros(n), x, rng.normal(size=n))
+
+    @staticmethod
+    def _check(model, z, x, cot):
+        # the 4Q encoding rotations become trainable slots 0..4Q-1 holding z + x, so the
+        # shift rule's derivative over them is dE/dz and over the rest dE/dtheta
+        num_qubits, n = model.num_qubits, model.input_dim
         encoder = [
             GateOp(g.kind, g.target, param_slot=k)
             for k, g in enumerate(angle_encode(z + x, num_qubits))

@@ -283,16 +283,16 @@ class TestTrainLoop:
         yb = rng.integers(0, 4, size=8)
 
         def batch_loss():
-            iterates = direct_unroll_batch(model, xb, 2)
+            iterates = direct_unroll_batch(model, xb, 2).iterates
             logits, _ = head_forward_batch(head, iterates[-1], train_mode=False)
             loss, _ = cross_entropy_batch(logits, yb)
             return loss
 
-        iterates = direct_unroll_batch(model, xb, 2)
-        logits, mask = head_forward_batch(head, iterates[-1], train_mode=False)
+        unroll = direct_unroll_batch(model, xb, 2)
+        logits, mask = head_forward_batch(head, unroll.iterates[-1], train_mode=False)
         _, dlogits = cross_entropy_batch(logits, yb)
         dz = (dlogits @ head.weight) * mask
-        dtheta = unroll_backward_batch(model, xb, iterates, dz)
+        dtheta = unroll_backward_batch(model, unroll, dz)
         eps = 1e-5
         for j in range(0, model.num_params, 5):
             model.theta[j] += eps
