@@ -7,17 +7,15 @@ implicit differentiation instead of unrolled backpropagation.
 
 from .bounds import (
     BoundReport,
-    estimate_lipschitz,
-    renormalization_shift,
     verify_amplitude_overlap,
     verify_angle_overlap,
     verify_contraction_bound,
     verify_trig_inequality,
 )
-from .deqsolve import BroydenConfig, universality_stack
+from .deqsolve import BroydenConfig
 from .encoding import EncodingSpec, amplitude_encode, angle_encode, inject
 from .measurement import ObservableEnsemble, UpsampleMap, upsample
-from .qmodel import QuantumModel, build_block4, build_default_model, build_staircase10
+from .qmodel import QuantumModel, build_default_model, build_staircase10
 from .simcore import (
     GateOp,
     ParamCircuit,
@@ -44,17 +42,13 @@ __all__ = [
     "amplitude_encode",
     "angle_encode",
     "apply_circuit",
-    "build_block4",
     "build_default_model",
     "build_staircase10",
-    "estimate_lipschitz",
     "evaluate",
     "inject",
     "parameter_shift_grad",
     "random_layer",
-    "renormalization_shift",
     "train",
-    "universality_stack",
     "upsample",
     "verify_amplitude_overlap",
     "verify_angle_overlap",

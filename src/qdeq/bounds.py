@@ -5,7 +5,8 @@ Each verifier samples its stated domain, checks the exact inequality with a
 (minimum of bound - observed). The overlap verifiers take their overlaps from
 the amplitudes ``encoding.encode`` returns; the angle one also emits the
 plot-ready (dist_sq, overlap, bound) table. The contraction verifier reads the
-model's readouts from ``QuantumModel.expectations``.
+model's readouts of its own encoded rows (``QuantumModel.encode``, then
+``QuantumModel.readouts``).
 """
 from __future__ import annotations
 
@@ -123,29 +124,21 @@ def verify_angle_overlap(num_pairs: int = 3000, seed: int = 0) -> BoundReport:
     return BoundReport(total, violations, worst, samples_csv=rows)
 
 
-COMPOSITION = "composition"
-UNIT_SQUARE = "unit_square"
-
-
-def verify_trig_inequality(num_samples: int, seed: int = 0, domain: str = COMPOSITION) -> BoundReport:
+def verify_trig_inequality(num_samples: int, seed: int = 0) -> BoundReport:
     """(1 - sin a)(1 - sin b) >= 1 - sin(a + b) on the product-composition domain.
 
     The multi-qubit overlap bound chains this pairwise inequality over partial
     sums of per-qubit squared distances, which never exceed the total
-    ||z - z'||^2 <= 1 -- so the domain that matters is {a, b > 0, a + b <= 1}
-    (the default). The inequality is FALSE on the full unit square: for
-    a = b > 2*atan(1/2) ~ 0.927 the sign flips (e.g. a = b = 0.99), so
-    ``domain='unit_square'`` exists to demonstrate exactly that.
+    ||z - z'||^2 <= 1 -- so the domain sampled is {a, b > 0, a + b <= 1}. The
+    inequality is FALSE on the full unit square: for a = b > 2*atan(1/2) ~ 0.927
+    the sign flips (e.g. a = b = 0.99).
     """
-    if domain not in (COMPOSITION, UNIT_SQUARE):
-        raise DimensionError(f"unknown domain {domain!r}")
     rng = np.random.default_rng(seed)
     a = rng.random(num_samples)
     b = rng.random(num_samples)
-    if domain == COMPOSITION:
-        # uniform on the triangle a, b > 0, a + b <= 1 (fold the square)
-        over = a + b > 1.0
-        a[over], b[over] = 1.0 - a[over], 1.0 - b[over]
+    # uniform on the triangle a, b > 0, a + b <= 1 (fold the square)
+    over = a + b > 1.0
+    a[over], b[over] = 1.0 - a[over], 1.0 - b[over]
     margin = (1.0 - np.sin(a)) * (1.0 - np.sin(b)) - (1.0 - np.sin(a + b))
     return BoundReport(num_samples, int((margin < -_SLACK).sum()), float(margin.min()))
 
@@ -166,81 +159,10 @@ def verify_contraction_bound(model, num_pairs: int, seed: int = 0) -> BoundRepor
     else:
         z, w = _angle_pairs(rng, num_pairs, model.num_qubits)
     zeros = np.zeros_like(z)
-    delta = np.abs(model.expectations(z, zeros) - model.expectations(w, zeros))
+    readouts_z, readouts_w = (model.readouts(model.encode(v, zeros)[0]) for v in (z, w))
+    delta = np.abs(readouts_z - readouts_w)
     overlap = _overlaps(model.encoding, z, w)
     tdist = np.sqrt(np.clip(1.0 - overlap**2, 0.0, None))
     factor = 2.0 if model.ensemble.kind == PAULI_Z else 1.0
     margin = factor * tdist[:, None] - delta
     return BoundReport(num_pairs, int((margin < -_SLACK).sum()), float(margin.min()))
-
-
-def renormalization_shift(num_pairs: int, seed: int = 0, dim: int = 16) -> dict:
-    """Diagnostic for the re-encode step: ||u - v|| vs ||u/|u| - v/|v|||.
-
-    Amplitude encoding normalizes each iterate before it re-enters the layer,
-    and that normalization can shrink or grow pair distances. This is reported,
-    not asserted: contraction through the normalization is a conjecture, so the
-    numbers are for inspection only.
-    """
-    rng = np.random.default_rng(seed)
-    # scales straddle 1 because layer outputs do: normalization then shrinks
-    # some pair distances and expands others
-    du = _unit_rows(rng, num_pairs, dim)
-    dv = du + 0.3 * _ball_rows(rng, num_pairs, dim)
-    dv /= np.linalg.norm(dv, axis=1, keepdims=True)
-    scale_u = np.exp(rng.uniform(np.log(0.2), np.log(2.0), num_pairs))[:, None]
-    scale_v = np.exp(rng.uniform(np.log(0.2), np.log(2.0), num_pairs))[:, None]
-    u = du * scale_u
-    v = dv * scale_v
-    raw = np.linalg.norm(u - v, axis=1)
-    u_hat = u / np.linalg.norm(u, axis=1, keepdims=True)
-    v_hat = v / np.linalg.norm(v, axis=1, keepdims=True)
-    normalized = np.linalg.norm(u_hat - v_hat, axis=1)
-    ratio = normalized / np.where(raw > 0, raw, 1.0)
-    return {
-        "num_pairs": num_pairs,
-        "mean_ratio": float(ratio.mean()),
-        "max_ratio": float(ratio.max()),
-        "min_ratio": float(ratio.min()),
-        "expanded_fraction": float((ratio > 1.0).mean()),
-    }
-
-
-L2 = "l2"
-MAX = "max"
-ANY = "any"
-UNIT_FAR = "unit_far"
-
-
-def estimate_lipschitz(
-    model,
-    num_pairs: int,
-    norm: str = L2,
-    constraint: str = ANY,
-    seed: int = 0,
-) -> float:
-    """Sampled max of ||f(z, x) - f(z', x)|| / ||z - z'|| with x fixed per pair.
-
-    ``unit_far`` rescales pairs so ||z - z'|| >= 1 in the chosen norm, the
-    regime of the sub-contraction claim.
-    """
-    if norm not in (L2, MAX):
-        raise DimensionError(f"unknown norm {norm!r}")
-    if constraint not in (ANY, UNIT_FAR):
-        raise DimensionError(f"unknown constraint {constraint!r}")
-    ord_ = 2 if norm == L2 else np.inf
-    rng = np.random.default_rng(seed)
-    n = model.input_dim
-    z = rng.normal(size=(num_pairs, n))
-    w = rng.normal(size=(num_pairs, n))
-    x = rng.uniform(0.1, 1.0, size=(num_pairs, n))
-    diff = w - z
-    dist = np.linalg.norm(diff, ord=ord_, axis=1)
-    if constraint == UNIT_FAR:
-        target = 1.0 + rng.random(num_pairs)
-        w = z + diff * (target / dist)[:, None]
-        dist = target
-    fz = model.forward_batch(z, x)
-    fw = model.forward_batch(w, x)
-    ratios = np.linalg.norm(fz - fw, ord=ord_, axis=1) / dist
-    return float(ratios.max())

@@ -1,4 +1,4 @@
-"""Command-line surface: train, eval, verify-bounds, export-plot-data.
+"""Command-line surface: train, eval, verify-bounds.
 
 Exit codes: 0 success, 1 validation/usage error (or bound violations),
 2 solver-divergence abort during training.
@@ -75,12 +75,7 @@ def _build_parser() -> _Parser:
     )
     verify_p.add_argument("--pairs", type=_positive_int, default=None, help="sample count override")
     verify_p.add_argument("--seed", type=_non_negative_int, default=0)
-    verify_p.add_argument("--output-dir", default=None, help="where the scatter CSV lands")
-
-    export_p = sub.add_parser("export-plot-data", help="emit the overlap scatter CSV")
-    export_p.add_argument("--pairs", type=_positive_int, default=3000)
-    export_p.add_argument("--seed", type=_non_negative_int, default=0)
-    export_p.add_argument("--output-dir", required=True)
+    verify_p.add_argument("--output-dir", default=None, help="where the angle-overlap scatter CSV lands")
     return parser
 
 
@@ -183,15 +178,6 @@ def _cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
-def _cmd_export(args) -> int:
-    report = bnd.verify_angle_overlap(args.pairs, args.seed)
-    out = Path(args.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    bnd.write_csv(report, out / "angle_overlap.csv")
-    print(f"wrote {out / 'angle_overlap.csv'} ({args.pairs} pairs, {report.violations} violations)")
-    return 0
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -203,9 +189,7 @@ def main(argv=None) -> int:
             return _cmd_train(args)
         if args.command == "eval":
             return _cmd_eval(args)
-        if args.command == "verify-bounds":
-            return _cmd_verify(args)
-        return _cmd_export(args)
+        return _cmd_verify(args)
     except (QdeqError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

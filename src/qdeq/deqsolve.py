@@ -10,7 +10,8 @@ Broyden" solver: each row keeps a dense K x K inverse-Jacobian estimate, from
 The backward pass solves the implicit function theorem's adjoint system
 exactly, one batched K x K solve whose solution is the readout cotangent of
 the one theta-sweep. The same Jacobian factors give the penalty
-mean_b ||J_b||_F^2 exactly, and its theta-gradient joins that sweep.
+mean_b ||J_b||_F^2 exactly, and its theta-gradient joins that sweep; the
+factors and the sweep read one encoding of z* + x.
 ``solve_batch`` runs one training or evaluation batch through either solve or
 a weight-tied unroll, which stays n wide. The unroll keeps each layer's encoded
 input and its backward pulls back through those, so a depth-L step encodes L
@@ -36,8 +37,8 @@ from .measurement import UpsampleMap
 class FixedPointLayer(Protocol):
     """What the solvers call on a model; ``upsample`` is S (n, K).
 
-    ``encode`` returns (psi, vjp, jvp) of the layer inputs z + x; ``readouts`` and the two
-    pullbacks read them, so the unroll encodes each layer's input once.
+    ``encode`` returns (psi, vjp, jvp) of the layer inputs z + x; ``readouts``, the two
+    pullbacks and ``jacobian_factors`` read them, so each solver encodes a layer input once.
     """
 
     upsample: UpsampleMap
@@ -46,17 +47,11 @@ class FixedPointLayer(Protocol):
 
     def readouts(self, psi): ...
 
-    def expectations(self, Z, X): ...
-
-    def forward_batch(self, Z, X): ...
-
     def pullback_z(self, psi, encode_vjp, cotangents): ...
 
     def pullback_theta(self, psi, cotangents, encode_jvp=None, tangents=None): ...
 
-    def backward_batch(self, Z, X, cotangents, need_z=True, need_theta=True, tangents=None): ...
-
-    def jacobian_factors(self, Z, X): ...
+    def jacobian_factors(self, psi, encode_vjp): ...
 
 
 @dataclass(frozen=True)
@@ -161,7 +156,7 @@ def forward_fixed_point_batch(
     S = model.upsample.matrix
 
     def g(E):
-        return model.expectations(E @ S.T, X) - E
+        return model.readouts(model.encode(E @ S.T, X)[0]) - E
 
     fp = broyden_root_batch(g, np.zeros((len(X), S.shape[1])), cfg)
     return replace(fp, z_star=fp.z_star @ S.T)
@@ -170,6 +165,7 @@ def forward_fixed_point_batch(
 def implicit_backward_batch(model: FixedPointLayer, X: np.ndarray, Z_star, loss_grads, jac_weight=0.0):
     """Exact adjoint solve of the implicit function theorem; returns (sum_b dtheta_b, penalty).
 
+    z* + x is encoded once; the Jacobian factors and the theta-sweep both read those rows.
     With J_b = S D_b (D_b from ``jacobian_factors``, S^T S = I), (I - J_b^T) q_b = g_b has the
     solution q_b = g_b + D_b^T y_b, where (I_K - (D_b S)^T) y_b = S^T g_b: one batched K x K
     solve. The theta-sweep reads q_b only through its readout cotangent q_b S = y_b, so it gets
@@ -179,7 +175,8 @@ def implicit_backward_batch(model: FixedPointLayer, X: np.ndarray, Z_star, loss_
     """
     G = np.asarray(loss_grads, dtype=np.float64)
     S = model.upsample.matrix
-    D = model.jacobian_factors(Z_star, X)
+    psi, encode_vjp, encode_jvp = model.encode(Z_star, X)
+    D = model.jacobian_factors(psi, encode_vjp)
     try:
         Y = np.linalg.solve(np.eye(S.shape[1]) - np.einsum("nk,bjn->bkj", S, D), (G @ S)[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
@@ -187,7 +184,7 @@ def implicit_backward_batch(model: FixedPointLayer, X: np.ndarray, Z_star, loss_
     if not np.isfinite(Y).all():
         raise SolverDivergedError("non-finite adjoint values", step=0)
     tangents = (2.0 * jac_weight / len(D)) * D if jac_weight else None
-    dtheta = model.backward_batch(Z_star, X, Y @ S.T, need_z=False, tangents=tangents)[1]
+    dtheta = model.pullback_theta(psi, Y @ S.T, encode_jvp, tangents)
     return dtheta, float(np.einsum("bkn,bkn->", D, D)) / len(D)
 
 
@@ -245,33 +242,6 @@ def solve_batch(model: FixedPointLayer, X: np.ndarray, depth: int, cfg: BroydenC
     unroll = direct_unroll_batch(model, X, depth)
     last, prev = unroll.iterates[-1], unroll.iterates[-2]
     if depth == 1:
-        last, prev = model.forward_batch(last, X), last
+        last, prev = model.readouts(model.encode(last, X)[0]) @ model.upsample.matrix.T, last
     residual = _relative(last - prev, last)[0]
     return unroll.iterates[-1], residual, lambda dz, w: (unroll_backward_batch(model, unroll, dz), 0.0), 0
-
-
-def universality_stack(models: list, x: np.ndarray) -> np.ndarray:
-    """Replicate depth-varying layers with one weight-tied, input-injected map.
-
-    Blocks (b_0, ..., b_L) iterate jointly: b_0 is pinned to x, block j applies
-    layer j-1 to block j-1 (with the standard input injection for j >= 2; block
-    1 reads the pinned input block directly). After L sweeps of this one map,
-    block j equals the sequential iterate z(j), so the return is the stacked
-    trace (x, z(1), ..., z(L)).
-    """
-    if not models:
-        raise DimensionError("need at least one model")
-    first = models[0]
-    for m in models[1:]:
-        if not first.same_shape_as(m):
-            raise DimensionError("stacked models must share their shape")
-    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    depth = len(models)
-    zeros = np.zeros_like(x)
-    blocks = [x] + [zeros] * depth
-    for _ in range(depth):
-        new = [x, models[0].forward_batch(blocks[0], zeros)]
-        for j in range(2, depth + 1):
-            new.append(models[j - 1].forward_batch(blocks[j - 1], x))
-        blocks = new
-    return np.concatenate(blocks)

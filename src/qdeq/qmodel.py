@@ -10,13 +10,15 @@ matrix per run of gates on 4 adjacent qubits, 4 runs for the 10-qubit staircase
 and 1 at Q=4, with the products the sweep needs), and the K readout forms from
 that program run on the d = ``EncodingSpec.width`` basis rows of the encoded
 states, never on the B rows. The theta-gradient is one adjoint sweep of the
-same program over the same d rows, which builds no run matrix of its own. A
-pass that holds the encoded rows (``encode``) reads them through ``readouts``,
-``pullback_z`` and ``pullback_theta`` without encoding again. The
-observables are diagonal, so the readout forms and the sweep's bra depend on a
-basis column only through its diagonal entries: both are built once per class
-of equal columns (``ObservableEnsemble.classes``, groups of up to 5
-observables), one batched matmul per group, not one product per observable.
+same program over the same d rows, which builds no run matrix of its own. The
+solvers call ``encode`` once per layer input and read its rows through
+``readouts``, ``pullback_z``, ``pullback_theta`` and ``jacobian_factors``
+without encoding again; ``forward_batch`` and ``backward_batch`` compose these
+for the benchmark's gradient gate. The observables are diagonal, so the readout
+forms and the sweep's bra depend on a basis column only through its diagonal
+entries: both are built once per class of equal columns
+(``ObservableEnsemble.classes``, groups of up to 5 observables), one batched
+matmul per group, not one product per observable.
 
 Circuit builders follow the 4-qubit block (seeded random layer, then a
 trainable RY wall, RZ wall, CNOT ring, RY wall) and its 10-qubit staircase
@@ -78,14 +80,6 @@ class QuantumModel:
     def num_params(self) -> int:
         return self.circuit.num_params
 
-    def same_shape_as(self, other: "QuantumModel") -> bool:
-        return (
-            self.encoding == other.encoding
-            and self.ensemble == other.ensemble
-            and self.circuit.num_qubits == other.circuit.num_qubits
-            and self.circuit.num_params == other.circuit.num_params
-        )
-
     # -- forward -----------------------------------------------------------
 
     def encode(self, Z: np.ndarray, X: np.ndarray):
@@ -98,12 +92,10 @@ class QuantumModel:
         PH = (psi @ self._compiled()[2]).reshape(len(psi), self.ensemble.size, -1)
         return np.einsum("bkd,bd->bk", PH, psi.conj()).real
 
-    def expectations(self, Z: np.ndarray, X: np.ndarray) -> np.ndarray:
-        """(B, K) readouts of U(theta)|encode(z + x)>."""
-        return self.readouts(self.encode(Z, X)[0])
-
     def forward_batch(self, Z: np.ndarray, X: np.ndarray) -> np.ndarray:
-        return self.expectations(Z, X) @ self.upsample.matrix.T
+        """(B, n) layer outputs S <M_k> at z + x. No solver calls it: it is the forward pass that
+        the benchmark's gradient gate (``benchmarks/gate.py``) differences."""
+        return self.readouts(self.encode(Z, X)[0]) @ self.upsample.matrix.T
 
     # -- reverse -----------------------------------------------------------
 
@@ -133,7 +125,8 @@ class QuantumModel:
 
     def backward_batch(self, Z, X, cotangents, need_z: bool = True, need_theta: bool = True, tangents=None):
         """(dZ, dtheta) for sum_b cotangent_b . forward(z_b, x_b): ``encode``, then ``pullback_z``
-        and ``pullback_theta`` on the encoded rows; ``tangents`` as in ``pullback_theta``."""
+        and ``pullback_theta`` on the encoded rows; ``tangents`` as in ``pullback_theta``. No
+        solver calls it: it is what the benchmark's gradient gate (``benchmarks/gate.py``) checks."""
         psi, encode_vjp, encode_jvp = self.encode(Z, X)
         dZ = self.pullback_z(psi, encode_vjp, cotangents) if need_z else None
         dtheta = self.pullback_theta(psi, cotangents, encode_jvp, tangents) if need_theta else None
@@ -177,14 +170,13 @@ class QuantumModel:
             bra += np.take(out, slots, axis=1)  # to basis order; columns of no class read the 0
         return adjoint_sweep(ops, V, bra, num_params=self.num_params)[0]
 
-    def jacobian_factors(self, Z: np.ndarray, X: np.ndarray) -> np.ndarray:
-        """D (B, K, n) with d forward(z_b, x_b) / d z_b = S @ D[b], of rank K.
+    def jacobian_factors(self, psi: np.ndarray, encode_vjp) -> np.ndarray:
+        """D (B, K, n) with d forward(z_b, x_b) / d z_b = S @ D[b], of rank K, at the encoded rows psi.
 
         S is the (n, K) upsample matrix ``UpsampleMap.matrix``, so D[b] @ S is the K x K Jacobian
         of the readouts e -> E(S e + x_b). Row k of D[b] is readout k's input cotangent
         psi_b H_k chained through the encoder vjp.
         """
-        psi, encode_vjp, _ = self.encode(Z, X)
         PH = (psi @ self._compiled()[2]).reshape(len(psi), self.ensemble.size, -1)
         return np.stack([encode_vjp(PH[:, k]) for k in range(self.ensemble.size)], axis=1)
 
@@ -220,11 +212,6 @@ def build_block(seed: int, num_qubits: int, random_ops: int = 50):
     return circuit, np.concatenate([layer_init, wall_init])
 
 
-def build_block4(seed: int, random_ops: int = 50):
-    """The 4-qubit block of the classifier circuit (12 trainable wall slots)."""
-    return build_block(seed, 4, random_ops)
-
-
 def _remap_gate(g: GateOp, qubit_offset: int, slot_offset: int) -> GateOp:
     return GateOp(
         g.kind,
@@ -247,7 +234,7 @@ def build_staircase10(seed: int, random_ops_per_block: int = 50, num_qubits: int
     inits = []
     slot_base = 0
     for b, offset in enumerate(range(0, num_qubits - 3, 2)):
-        block, init = build_block4(child_seed(seed, "block", b), random_ops_per_block)
+        block, init = build_block(child_seed(seed, "block", b), 4, random_ops_per_block)
         gates.extend(_remap_gate(g, offset, slot_base) for g in block.gates)
         inits.append(init)
         slot_base += block.num_params

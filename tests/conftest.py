@@ -1,4 +1,5 @@
-"""Shared fixtures: dataset gating, the library's one-state adjoint route, synthetic data."""
+"""Shared fixtures: dataset gating, the library's one-state adjoint route, universality stacking,
+synthetic data."""
 from __future__ import annotations
 
 import os
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from qdeq.datasets import _FILES, _find
+from qdeq.errors import DimensionError
 from qdeq.measurement import ObservableEnsemble
 from qdeq.simcore import ParamCircuit, adjoint_sweep, apply_ops, random_layer, resolve_circuit
 from qdeq.training import DataBundle
@@ -88,6 +90,43 @@ def worst_gradient_gap(seed=2024, count=50, max_qubits=6, num_ops=(3, 21)):
                 np.abs(shift - fd).max(),
             )
     return worst
+
+
+# ---------------------------------------------------------------------------
+# universality stacking (acceptance criterion 3)
+
+
+def universality_stack(models: list, x: np.ndarray) -> np.ndarray:
+    """Replicate depth-varying layers with one weight-tied, input-injected map.
+
+    Blocks (b_0, ..., b_L) iterate jointly: b_0 is pinned to x, block j applies
+    layer j-1 to block j-1 (with the standard input injection for j >= 2; block
+    1 reads the pinned input block directly). After L sweeps of this one map,
+    block j equals the sequential iterate z(j), so the return is the stacked
+    trace (x, z(1), ..., z(L)).
+    """
+    if not models:
+        raise DimensionError("need at least one model")
+    first = models[0]
+    for m in models[1:]:
+        same_shape = (
+            first.encoding == m.encoding
+            and first.ensemble == m.ensemble
+            and first.circuit.num_qubits == m.circuit.num_qubits
+            and first.circuit.num_params == m.circuit.num_params
+        )
+        if not same_shape:
+            raise DimensionError("stacked models must share their shape")
+    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
+    depth = len(models)
+    zeros = np.zeros_like(x)
+    blocks = [x] + [zeros] * depth
+    for _ in range(depth):
+        new = [x, models[0].forward_batch(blocks[0], zeros)]
+        for j in range(2, depth + 1):
+            new.append(models[j - 1].forward_batch(blocks[j - 1], x))
+        blocks = new
+    return np.concatenate(blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -27,12 +27,11 @@ from qdeq.deqsolve import (
     forward_fixed_point_batch,
     implicit_backward_batch,
     unroll_backward_batch,
-    universality_stack,
 )
 from qdeq.qmodel import build_default_model
 from qdeq.training import TrainConfig, build_from_config, train
 
-from conftest import require_dataset, require_slow, worst_gradient_gap
+from conftest import require_dataset, require_slow, universality_stack, worst_gradient_gap
 from test_deqsolve import LinearLayer
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"

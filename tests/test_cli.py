@@ -120,6 +120,10 @@ class TestUsage:
         assert main(["train"]) == 1
 
 
+# the one suite that writes angle_overlap.csv into --output-dir
+ANGLE_CSV = ["verify-bounds", "--suite", "angle-overlap"]
+
+
 class TestVerifyBounds:
     def test_angle_suite_ok_and_csv(self, tmp_path, capsys):
         code = main(
@@ -142,7 +146,7 @@ class TestVerifyBounds:
     def test_amplitude_suite(self, capsys):
         assert main(["verify-bounds", "--suite", "amplitude-overlap", "--pairs", "500"]) == 0
 
-    @pytest.mark.parametrize("command", [["verify-bounds", "--suite", "amplitude-overlap"], ["export-plot-data"]])
+    @pytest.mark.parametrize("command", [["verify-bounds", "--suite", "amplitude-overlap"], ANGLE_CSV])
     @pytest.mark.parametrize("pairs", ["-5", "0", "many"])
     def test_pairs_must_be_a_positive_integer(self, command, pairs, tmp_path, capsys):
         assert main([*command, "--pairs", pairs, "--output-dir", str(tmp_path)]) == 1
@@ -158,20 +162,13 @@ class TestVerifyBounds:
         err = capsys.readouterr().err
         assert "usage" in err.lower() and option in err
 
-    @pytest.mark.parametrize("command", [["verify-bounds", "--suite", "amplitude-overlap"], ["export-plot-data"]])
+    @pytest.mark.parametrize("command", [["verify-bounds", "--suite", "amplitude-overlap"], ANGLE_CSV])
     @pytest.mark.parametrize("seed", ["-1", "1.5", "x"])
     def test_seed_must_be_a_non_negative_integer(self, command, seed, tmp_path, capsys):
         assert main([*command, "--pairs", "10", "--seed", seed, "--output-dir", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert "usage" in err.lower() and "--seed" in err
         assert not (tmp_path / "angle_overlap.csv").exists()
-
-
-class TestExportPlotData:
-    def test_writes_csv(self, tmp_path, capsys):
-        code = main(["export-plot-data", "--pairs", "100", "--output-dir", str(tmp_path)])
-        assert code == 0
-        assert (tmp_path / "angle_overlap.csv").exists()
 
 
 class TestTrainEval:

@@ -1,4 +1,4 @@
-"""Broyden solver, implicit backward pass, unrolling, universality stacking."""
+"""Broyden solver, implicit backward pass, unrolling, universality stacking (``conftest``)."""
 import dataclasses
 
 import numpy as np
@@ -13,11 +13,12 @@ from qdeq.deqsolve import (
     implicit_backward_batch,
     solve_batch,
     unroll_backward_batch,
-    universality_stack,
 )
 from qdeq.errors import DimensionError, SolverDivergedError
 from qdeq.measurement import UpsampleMap
-from qdeq.qmodel import build_default_model
+from qdeq.qmodel import QuantumModel, build_default_model
+
+from conftest import universality_stack
 
 
 class LinearLayer:
@@ -30,20 +31,13 @@ class LinearLayer:
         self.A = np.asarray(A, float)
         self.B = np.asarray(B, float)
         self.theta = np.asarray(theta, float)
-        self.num_params = self.theta.shape[0]
-        self.input_dim = self.A.shape[0]
-        self.upsample = UpsampleMap(self.input_dim, self.input_dim)
+        self.upsample = UpsampleMap(len(self.A), len(self.A))
 
     def encode(self, Z, X):
         return np.atleast_2d(Z) @ self.A.T + np.atleast_2d(X), None, None
 
     def readouts(self, psi):
         return psi + self.theta @ self.B.T
-
-    def expectations(self, Z, X):
-        return self.readouts(self.encode(Z, X)[0])
-
-    forward_batch = expectations
 
     def pullback_z(self, psi, encode_vjp, C):
         return np.atleast_2d(C) @ self.A
@@ -52,13 +46,8 @@ class LinearLayer:
         # tangents add nothing: the Jacobian factor D = A does not depend on theta
         return (np.atleast_2d(C) @ self.B).sum(axis=0)
 
-    def backward_batch(self, Z, X, C, need_z=True, need_theta=True, tangents=None):
-        dz = self.pullback_z(None, None, C) if need_z else None
-        dth = self.pullback_theta(None, C) if need_theta else None
-        return dz, dth
-
-    def jacobian_factors(self, Z, X):
-        return np.broadcast_to(self.A, (np.atleast_2d(Z).shape[0],) + self.A.shape)
+    def jacobian_factors(self, psi, encode_vjp):
+        return np.broadcast_to(self.A, (len(psi),) + self.A.shape)
 
 
 def _spectral_scale(rng, n, radius):
@@ -140,7 +129,8 @@ class TestForwardFixedPoint:
         x = np.array([1.0, 3.0])
         res = forward_fixed_point_batch(layer, x[None], BroydenConfig(max_steps=1, abs_tol=1e-30))
         # one Broyden step from z0 = 0 with H = -I lands exactly on f(0; x)
-        assert np.abs(res.z_star - layer.forward_batch(np.zeros((1, 2)), x[None])).max() < 1e-12
+        f0 = layer.readouts(layer.encode(np.zeros((1, 2)), x[None])[0])  # S = I: the readouts are f
+        assert np.abs(res.z_star - f0).max() < 1e-12
 
     def test_quantum_model_converges(self):
         model = build_default_model("amplitude", 4, 16, seed=0)
@@ -158,15 +148,16 @@ class TestForwardFixedPoint:
         calls = []
 
         class Spiky:
-            input_dim = 2
-            num_params = 0
             upsample = UpsampleMap(2, 2)
 
-            def expectations(self, Z, X):
+            def encode(self, Z, X):
                 if np.linalg.norm(Z + X) < 1e-9:
                     raise DegenerateInputError("zero after injection", rows=np.array([0]))
                 calls.append(Z.copy())
-                return -Z - 2.0 * X
+                return -Z - 2.0 * X, None, None
+
+            def readouts(self, psi):
+                return psi
 
         x = np.array([1.0, 1.0])
         res = forward_fixed_point_batch(Spiky(), x[None], BroydenConfig(max_steps=3))
@@ -182,12 +173,15 @@ class TestForwardFixedPoint:
         class TwoRows:
             upsample = UpsampleMap(2, 2)
 
-            def expectations(self, Z, X):
+            def encode(self, Z, X):
                 calls.append(Z.copy())
                 bad = np.flatnonzero(np.linalg.norm(Z + X, axis=1) < 1e-9)
                 if bad.size:
                     raise DegenerateInputError("zero after injection", rows=bad)
-                return np.stack([-Z[0] - 2.0 * X[0], 0.5 * Z[1] + X[1]])
+                return np.stack([-Z[0] - 2.0 * X[0], 0.5 * Z[1] + X[1]]), None, None
+
+            def readouts(self, psi):
+                return psi
 
         X = np.array([[1.0, 1.0], [0.3, -0.2]])
         forward_fixed_point_batch(TwoRows(), X, BroydenConfig(max_steps=3))
@@ -259,19 +253,47 @@ class TestImplicitBackward:
         Z = 0.1 * rng.normal(size=X.shape)
         G = rng.normal(size=X.shape)
         sweeps = []
-        original = model.backward_batch
+        original = model.pullback_theta
 
-        def recording(Z, X, C, **kwargs):
+        def recording(psi, C, *args):
             sweeps.append(C)
-            return original(Z, X, C, **kwargs)
+            return original(psi, C, *args)
 
-        monkeypatch.setattr(model, "backward_batch", recording)
+        monkeypatch.setattr(model, "pullback_theta", recording)
         dtheta, _ = implicit_backward_batch(model, X, Z, G)
         (C,) = sweeps
-        assert np.array_equal(dtheta, original(Z, X, C, need_z=False)[1])
-        q = G + original(Z, X, C, need_theta=False)[0]
-        residual = q - original(Z, X, q, need_theta=False)[0] - G
+        assert np.array_equal(dtheta, model.backward_batch(Z, X, C, need_z=False)[1])
+        q = G + model.backward_batch(Z, X, C, need_theta=False)[0]
+        residual = q - model.backward_batch(Z, X, q, need_theta=False)[0] - G
         assert np.abs(residual).max() <= 1e-12 * np.abs(G).max()
+
+    @pytest.mark.parametrize("kind", ["amplitude", "angle"])
+    def test_encodes_the_fixed_point_once(self, kind, monkeypatch):
+        # the Jacobian factors and the penalized theta-sweep read one encoding of z* + x
+        model = build_default_model(kind, 4, 16, seed=3)
+        X = np.random.default_rng(17).uniform(0.1, 1.0, size=(4, 16))
+        z_star = forward_fixed_point_batch(model, X).z_star
+        rows = []
+        original = QuantumModel.encode
+        monkeypatch.setattr(QuantumModel, "encode", lambda self, Z, X: rows.append(len(Z)) or original(self, Z, X))
+        implicit_backward_batch(model, X, z_star, np.ones_like(X), jac_weight=0.8)
+        assert rows == [4]
+
+    @pytest.mark.parametrize("jac_weight", [0.0, 0.8])
+    @pytest.mark.parametrize("kind", ["amplitude", "angle"])
+    def test_dtheta_is_backward_batch_at_the_adjoint(self, kind, jac_weight):
+        # the benchmark's gradient gate checks backward_batch: training's dtheta is its arithmetic
+        model = build_default_model(kind, 4, 16, seed=3)
+        rng = np.random.default_rng(18)
+        X = rng.uniform(0.1, 1.0, size=(8, 16))
+        G = rng.normal(size=X.shape)
+        z_star = forward_fixed_point_batch(model, X).z_star
+        dtheta, _ = implicit_backward_batch(model, X, z_star, G, jac_weight)
+        S, D = model.upsample.matrix, model.jacobian_factors(*model.encode(z_star, X)[:2])
+        Y = np.linalg.solve(np.eye(S.shape[1]) - np.einsum("nk,bjn->bkj", S, D), (G @ S)[..., None])[..., 0]
+        tangents = (2.0 * jac_weight / len(D)) * D if jac_weight else None
+        expected = model.backward_batch(z_star, X, Y @ S.T, need_z=False, tangents=tangents)[1]
+        assert np.array_equal(dtheta, expected)
 
     def test_implicit_explicit_agreement_on_contractions(self):
         # random Lipschitz <= 0.9 linear layers: implicit matches 60-layer unroll
@@ -337,7 +359,7 @@ def _n_wide_solve(model, X, cfg=BroydenConfig()):
 
 def _woodbury_backward(model, X, Z, G, jac_weight):
     """(dtheta, penalty) from the n-wide adjoint q = G + D^T (I - S^T D^T)^-1 S^T G and S^T S D."""
-    S, D = model.upsample.matrix, model.jacobian_factors(Z, X)
+    S, D = model.upsample.matrix, model.jacobian_factors(*model.encode(Z, X)[:2])
     Y = np.linalg.solve(np.eye(S.shape[1]) - np.einsum("nk,bjn->bkj", S, D), (G @ S)[..., None])
     Q = G + np.einsum("bkn,bk->bn", D, Y[..., 0])
     SD = np.einsum("kj,bjn->bkn", S.T @ S, D)

@@ -11,7 +11,7 @@ from qdeq.errors import DimensionError
 from qdeq.measurement import BASIS_PROJECTOR, ObservableEnsemble, UpsampleMap
 from qdeq.qmodel import (
     QuantumModel,
-    build_block4,
+    build_block,
     build_default_model,
     build_staircase10,
 )
@@ -68,7 +68,7 @@ class TestForward:
         model = build_default_model(encoding, num_qubits, input_dim, seed=3)
         X = rng.uniform(0.1, 1.0, size=(32, input_dim))
         Z = 0.1 * rng.normal(size=X.shape)
-        got = model.expectations(Z, X)
+        got = model.readouts(model.encode(Z, X)[0])
         assert got.shape == (32, num_qubits)
         diags = oracle.pauli_z_diagonals(num_qubits)
         for row, v in zip(got, Z + X):
@@ -131,7 +131,7 @@ class TestReversePasses:
         def backward(Z, X):
             return model.backward_batch(Z, X, np.ones((3, 16)))
 
-        for call in (model.forward_batch, model.jacobian_factors, backward):
+        for call in (model.forward_batch, model.encode, backward):
             with pytest.raises(DimensionError):
                 call(Z, X)
 
@@ -200,7 +200,7 @@ class TestJacobianFactors:
         X = rng.uniform(0.1, 1.0, size=(3, input_dim))
         Z = 0.1 * rng.normal(size=X.shape)
         C = rng.normal(size=X.shape)
-        S, D = model.upsample.matrix, model.jacobian_factors(Z, X)
+        S, D = model.upsample.matrix, model.jacobian_factors(*model.encode(Z, X)[:2])
         assert D.shape == (3, num_qubits, input_dim)
         vjp = model.backward_batch(Z, X, C, need_theta=False)[0]
         assert np.abs(np.einsum("bkn,bk->bn", D, C @ S) - vjp).max() <= 1e-12 * np.abs(vjp).max()
@@ -289,10 +289,9 @@ def _per_observable_forms(model):
     return H.real if model.encoding.kind == "amplitude" else H
 
 
-def _per_observable_backward(model, Z, X, cotangents, need_z=True, need_theta=True, tangents=None):
-    """(None, dtheta) with the sweep's bra summed one observable at a time: sum_k m_k * (R_k^T V)."""
+def _per_observable_pullback_theta(model, psi, cotangents, encode_jvp=None, tangents=None):
+    """dtheta with the sweep's bra summed one observable at a time: sum_k m_k * (R_k^T V)."""
     ops, V, _ = model._compiled()
-    psi, _, encode_jvp = enc.encode(model.encoding, enc.inject(Z, X))
     chat = np.atleast_2d(cotangents) @ model.upsample.matrix
     bra, rows = np.zeros_like(V), psi.conj().T
     for k, m in enumerate(model.ensemble.diagonals(model.num_qubits)):
@@ -301,11 +300,11 @@ def _per_observable_backward(model, Z, X, cotangents, need_z=True, need_theta=Tr
             Y = rows @ encode_jvp(tangents[:, k])
             Rt = Rt + Y + Y.conj().T
         bra += m * (Rt @ V)
-    return None, adjoint_sweep(ops, V, bra, num_params=model.num_params)[0]
+    return adjoint_sweep(ops, V, bra, num_params=model.num_params)[0]
 
 
 def _projector_model():
-    circuit, theta = build_block4(4, random_ops=10)
+    circuit, theta = build_block(4, 4, random_ops=10)
     return QuantumModel(
         encoding=EncodingSpec("amplitude", 4, 16),
         circuit=circuit,
@@ -344,7 +343,8 @@ class TestClassBuiltForms:
         if with_tangents:
             T = np.random.default_rng(9).normal(size=(len(X), model.ensemble.size, model.input_dim))
         got = model.backward_batch(Z, X, C, need_z=False, tangents=T)[1]
-        assert _rel(got, _per_observable_backward(model, Z, X, C, tangents=T)[1]) <= 1e-14
+        psi, _, encode_jvp = enc.encode(model.encoding, enc.inject(Z, X))
+        assert _rel(got, _per_observable_pullback_theta(model, psi, C, encode_jvp, T)) <= 1e-14
 
     def test_penalized_implicit_backward(self, case, monkeypatch):
         model, Z, X, C = case
@@ -352,7 +352,7 @@ class TestClassBuiltForms:
         ops, V, _ = model._compiled()
         H = _per_observable_forms(model).transpose(1, 0, 2).reshape(len(V), -1)
         monkeypatch.setattr(model, "_compiled", lambda: (ops, V, H))  # jacobian_factors reads H
-        monkeypatch.setattr(model, "backward_batch", lambda *a, **kw: _per_observable_backward(model, *a, **kw))
+        monkeypatch.setattr(model, "pullback_theta", lambda *a: _per_observable_pullback_theta(model, *a))
         ref_dtheta, ref_penalty = deqsolve.implicit_backward_batch(model, X, Z, C, jac_weight=0.7)
         assert _rel(dtheta, ref_dtheta) <= 1e-14
         assert abs(penalty - ref_penalty) <= 1e-14 * abs(ref_penalty)
@@ -430,17 +430,17 @@ def _oracle_state(model, v):
 
 class TestBuilders:
     def test_block4_no_random_ops_has_twelve_slots(self):
-        circuit, theta = build_block4(0, random_ops=0)
+        circuit, theta = build_block(0, 4, random_ops=0)
         assert circuit.num_params == 12
         assert theta.shape == (12,)
 
     def test_block4_deterministic(self):
-        a, ta = build_block4(42)
-        b, tb = build_block4(42)
+        a, ta = build_block(42, 4)
+        b, tb = build_block(42, 4)
         assert a == b and np.array_equal(ta, tb)
 
     def test_block4_expected_parameter_count(self):
-        counts = [build_block4(seed)[0].num_params for seed in range(3000)]
+        counts = [build_block(seed, 4)[0].num_params for seed in range(3000)]
         assert abs(np.mean(counts) - (12 + 37.5)) < 0.3
 
     def test_staircase_windows(self):
@@ -448,7 +448,7 @@ class TestBuilders:
         assert circuit.num_qubits == 10
         assert theta.shape == (circuit.num_params,)
         # four blocks at offsets 0, 2, 4, 6; every gate stays in its window
-        blocks = [build_block4(child_seed(1, "block", b))[0] for b in range(4)]
+        blocks = [build_block(child_seed(1, "block", b), 4)[0] for b in range(4)]
         assert circuit.num_params == sum(b.num_params for b in blocks)
         i = 0
         for b, offset in enumerate(range(0, 7, 2)):
@@ -462,7 +462,7 @@ class TestBuilders:
 
     def test_staircase_degenerate_is_single_block(self):
         circuit, theta = build_staircase10(3, num_qubits=4)
-        block, block_theta = build_block4(child_seed(3, "block", 0))
+        block, block_theta = build_block(child_seed(3, "block", 0), 4)
         assert circuit == block
         assert np.array_equal(theta, block_theta)
 

@@ -420,11 +420,11 @@ class TestTrainLoop:
         before = model.theta.copy()
         calls = []
 
-        def failing_backward(self, *args, **kwargs):
-            calls.append(kwargs.get("tangents"))
+        def failing_sweep(self, psi, cotangents, encode_jvp=None, tangents=None):
+            calls.append(tangents)
             raise DegenerateInputError("sweep failed", rows=np.array([0]))
 
-        monkeypatch.setattr(QuantumModel, "backward_batch", failing_backward)
+        monkeypatch.setattr(QuantumModel, "pullback_theta", failing_sweep)
         xb = small_bundle.x_train[:8]
         with pytest.raises(DegenerateInputError):
             implicit_backward_batch(model, xb, np.zeros_like(xb), np.ones(xb.shape), jac_weight=0.5)
