@@ -7,11 +7,11 @@ z* = S e* with e* = E(S e* + x), and the implicit solver works on the K
 readouts. The forward pass solves g(e) = E(S e + x) - e = 0 with a "good
 Broyden" solver: each row keeps a dense K x K inverse-Jacobian estimate, from
 -I (exact for a locally constant E, so step one is a plain fixed-point step).
-The backward pass solves the implicit function theorem's adjoint system
-exactly, one batched K x K solve whose solution is the readout cotangent of
-the one theta-sweep. The same Jacobian factors give the penalty
-mean_b ||J_b||_F^2 exactly, and its theta-gradient joins that sweep; the
-factors and the sweep read one encoding of z* + x.
+It reads E, and the backward its K x K Jacobian, through the model's per-batch
+``readout_map``. The backward solves the implicit function theorem's adjoint
+system exactly, one batched K x K solve whose solution is the readout cotangent
+of the one theta-sweep. With the penalty on, the Jacobian factors give
+mean_b ||J_b||_F^2 exactly and its theta-gradient joins that sweep.
 ``solve_batch`` runs one training or evaluation batch through either solve or
 a weight-tied unroll, which stays n wide. The unroll keeps each layer's encoded
 input and its backward pulls back through those, so a depth-L step encodes L
@@ -37,11 +37,14 @@ from .measurement import UpsampleMap
 class FixedPointLayer(Protocol):
     """What the solvers call on a model; ``upsample`` is S (n, K).
 
-    ``encode`` returns (psi, vjp, jvp) of the layer inputs z + x; ``readouts``, the two
-    pullbacks and ``jacobian_factors`` read them, so each solver encodes a layer input once.
+    ``readout_map(X)`` gives the K-space layer e -> E(S e + x) and its Jacobian. ``encode`` returns
+    (psi, vjp, jvp) of the layer inputs z + x; ``readouts``, the two pullbacks and
+    ``jacobian_factors`` read them, so each solver encodes a layer input once.
     """
 
     upsample: UpsampleMap
+
+    def readout_map(self, X): ...
 
     def encode(self, Z, X): ...
 
@@ -151,41 +154,39 @@ def broyden_root_batch(
 def forward_fixed_point_batch(
     model: FixedPointLayer, X: np.ndarray, cfg: BroydenConfig = BroydenConfig()
 ) -> BatchFixedPoint:
-    """Solve f(z; x) = z for every row of X: Broyden on the readouts e = E(S e + x) from e0 = 0; z* = S e*."""
-    X = np.asarray(X, dtype=np.float64)
-    S = model.upsample.matrix
-
-    def g(E):
-        return model.readouts(model.encode(E @ S.T, X)[0]) - E
-
-    fp = broyden_root_batch(g, np.zeros((len(X), S.shape[1])), cfg)
+    """Solve f(z; x) = z for every row of X: Broyden on e = E(S e + x) (``readout_map``) from e0 = 0; z* = S e*."""
+    S, readouts = model.upsample.matrix, model.readout_map(X)[0]
+    fp = broyden_root_batch(lambda E: readouts(E) - E, np.zeros((len(X), S.shape[1])), cfg)
     return replace(fp, z_star=fp.z_star @ S.T)
 
 
 def implicit_backward_batch(model: FixedPointLayer, X: np.ndarray, Z_star, loss_grads, jac_weight=0.0):
     """Exact adjoint solve of the implicit function theorem; returns (sum_b dtheta_b, penalty).
 
-    z* + x is encoded once; the Jacobian factors and the theta-sweep both read those rows.
     With J_b = S D_b (D_b from ``jacobian_factors``, S^T S = I), (I - J_b^T) q_b = g_b has the
     solution q_b = g_b + D_b^T y_b, where (I_K - (D_b S)^T) y_b = S^T g_b: one batched K x K
     solve. The theta-sweep reads q_b only through its readout cotangent q_b S = y_b, so it gets
-    y_b S^T. The penalty is the exact mean_b ||J_b||_F^2 = mean_b ||D_b||_F^2; ``jac_weight``
-    w > 0 adds w times its theta-gradient to dtheta through the tangents (2w/B) D_b of the same
-    sweep. A singular system or a non-finite y raises SolverDivergedError.
+    y_b S^T. z* + x is encoded once. At ``jac_weight`` w = 0, D_b S and that encoding come from
+    the ``readout_map`` of z* + x at e = 0, and the penalty is 0. w > 0 builds D_b for the exact
+    penalty mean_b ||J_b||_F^2 = mean_b ||D_b||_F^2, whose theta-gradient times w joins the sweep
+    through the tangents (2w/B) D_b. A singular system or non-finite y raises SolverDivergedError.
     """
-    G = np.asarray(loss_grads, dtype=np.float64)
-    S = model.upsample.matrix
-    psi, encode_vjp, encode_jvp = model.encode(Z_star, X)
-    D = model.jacobian_factors(psi, encode_vjp)
+    G, S = np.asarray(loss_grads, dtype=np.float64), model.upsample.matrix
+    if jac_weight:
+        psi, encode_vjp, encode_jvp = model.encode(Z_star, X)
+        D = model.jacobian_factors(psi, encode_vjp)
+        J, tangents = D @ S, (2.0 * jac_weight / len(D)) * D
+        penalty = float(np.einsum("bkn,bkn->", D, D)) / len(D)
+    else:
+        J, (psi, _, encode_jvp) = model.readout_map(Z_star + X)[1](np.zeros((len(G), S.shape[1])))
+        tangents, penalty = None, 0.0
     try:
-        Y = np.linalg.solve(np.eye(S.shape[1]) - np.einsum("nk,bjn->bkj", S, D), (G @ S)[..., None])[..., 0]
+        Y = np.linalg.solve(np.eye(S.shape[1]) - J.transpose(0, 2, 1), (G @ S)[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise SolverDivergedError(f"singular adjoint system: {exc}", step=0) from exc
     if not np.isfinite(Y).all():
         raise SolverDivergedError("non-finite adjoint values", step=0)
-    tangents = (2.0 * jac_weight / len(D)) * D if jac_weight else None
-    dtheta = model.pullback_theta(psi, Y @ S.T, encode_jvp, tangents)
-    return dtheta, float(np.einsum("bkn,bkn->", D, D)) / len(D)
+    return model.pullback_theta(psi, Y @ S.T, encode_jvp, tangents), penalty
 
 
 @dataclass

@@ -2,23 +2,24 @@
 
 A model maps an iterate z and input x to S <M_k>, the K readouts of the state
 U(theta)|encode(z + x)> taken back to the input width by the upsample matrix S
-(n, K). The model derives S (``upsample``) from K and n alone, so K must
-divide n. Forward and reverse passes work on (B, n) batches of samples only; a
-single sample is a one-row batch. Every pass reads what ``_compiled`` builds
-once per theta: the circuit's program (``simcore.resolve_circuit``: one 16 x 16
-matrix per run of gates on 4 adjacent qubits, 4 runs for the 10-qubit staircase
-and 1 at Q=4, with the products the sweep needs), and the K readout forms from
-that program run on the d = ``EncodingSpec.width`` basis rows of the encoded
-states, never on the B rows. The theta-gradient is one adjoint sweep of the
-same program over the same d rows, which builds no run matrix of its own. The
+(n, K). The model derives S (``upsample``) from K and n alone, so K must divide
+n. Forward and reverse passes work on (B, n) batches of samples only; a single
+sample is a one-row batch. Every pass reads what ``_compiled`` builds once per
+theta: the circuit's program (``simcore.resolve_circuit``: one 16 x 16 matrix
+per run of gates on 4 adjacent qubits, 4 runs for the 10-qubit staircase and 1
+at Q=4, with the products the sweep needs), and the K readout forms from that
+program run on the d = ``EncodingSpec.width`` basis rows of the encoded states,
+never on the B rows. The theta-gradient is one adjoint sweep of the same
+program over the same d rows, which builds no run matrix of its own. The
+Broyden solve reads ``readout_map``, which encodes no amplitude row. The other
 solvers call ``encode`` once per layer input and read its rows through
-``readouts``, ``pullback_z``, ``pullback_theta`` and ``jacobian_factors``
-without encoding again; ``forward_batch`` and ``backward_batch`` compose these
-for the benchmark's gradient gate. The observables are diagonal, so the readout
-forms and the sweep's bra depend on a basis column only through its diagonal
-entries: both are built once per class of equal columns
-(``ObservableEnsemble.classes``, groups of up to 5 observables), one batched
-matmul per group, not one product per observable.
+``readouts``, ``pullback_z``, ``pullback_theta`` and ``jacobian_factors``;
+``forward_batch`` and ``backward_batch`` compose these for the benchmark's
+gradient gate. The observables are diagonal, so the readout forms and the
+sweep's bra depend on a basis column only through its diagonal entries: both
+are built once per class of equal columns (``ObservableEnsemble.classes``,
+groups of up to 5 observables), one batched matmul per group, not one product
+per observable.
 
 Circuit builders follow the 4-qubit block (seeded random layer, then a
 trainable RY wall, RZ wall, CNOT ring, RY wall) and its 10-qubit staircase
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import encoding as enc
-from .errors import DimensionError
+from .errors import DegenerateInputError, DimensionError
 from .measurement import ObservableEnsemble, UpsampleMap
 from .seeding import child_seed, substream
 from .simcore import (
@@ -64,7 +65,7 @@ class QuantumModel:
             )
         self.upsample = UpsampleMap(self.ensemble.size, self.encoding.input_dim)  # K must divide n
         self.ensemble.diagonals(self.circuit.num_qubits)  # validates sites
-        self._compiled_at = None  # (theta copy, program, V, H) from ``_compiled``
+        self._compiled_at = None  # (theta copy, program, V, H, A) from ``_compiled``
 
     # -- shape helpers -----------------------------------------------------
 
@@ -97,6 +98,40 @@ class QuantumModel:
         the benchmark's gradient gate (``benchmarks/gate.py``) differences."""
         return self.readouts(self.encode(Z, X)[0]) @ self.upsample.matrix.T
 
+    def readout_map(self, X: np.ndarray):
+        """(values, jacobian) at the rows of X: e -> E(S e + x) on (B, K) iterates e, and e -> (dE/de
+        (B, K, K), the ``encode`` of S e + x). Angle rows run ``encode``, ``readouts`` and
+        ``jacobian_factors`` @ S. Amplitude rows encode nothing: with x = S c + p, S^T p = 0, w = e + c
+        and u = S w + p, E_k = (w^T A_k w + 2 w.b_k + a_k) / (|w|^2 + |p|^2) and dE_k/de =
+        2 (S^T H_k u - E_k w) / |u|^2; A_k = S^T H_k S comes from ``_compiled``, b_k = S^T H_k p and
+        a_k = p^T H_k p from one product per batch. Rows with |u| <= the encoder's threshold raise
+        DegenerateInputError naming them."""
+        X, S = np.asarray(X, dtype=np.float64), self.upsample.matrix
+        encoded = lambda E: self.encode(E @ S.T, X)
+        if self.encoding.kind != enc.AMPLITUDE:
+            factors = lambda rows: (self.jacobian_factors(*rows[:2]) @ S, rows)
+            return lambda E: self.readouts(encoded(E)[0]), lambda E: factors(encoded(E))
+        H, SHS = self._compiled()[2], self._compiled_at[4]
+        c = X @ S
+        p = X - c @ S.T
+        pH = (p @ H).reshape(len(X), len(S.T), -1)  # rows p H_k
+        b, a, pp = pH @ S, np.einsum("bkd,bd->bk", pH, p), np.einsum("bd,bd->b", p, p)
+
+        def forms(E):  # (w, |u|^2, S^T H_k u, E)
+            w = E + c
+            uu = np.einsum("bk,bk->b", w, w) + pp
+            bad = np.flatnonzero(np.sqrt(uu) <= enc._DEGENERATE_NORM)
+            if bad.size:
+                raise DegenerateInputError(f"cannot amplitude-encode (near-)zero rows {bad.tolist()}", rows=bad)
+            Hu = (w @ SHS).reshape(b.shape) + b
+            return w, uu, Hu, (np.einsum("bkj,bj->bk", Hu + b, w) + a) / uu[:, None]
+
+        def jacobian(E):
+            w, uu, Hu, values = forms(E)
+            return 2.0 * (Hu - values[:, :, None] * w[:, None, :]) / uu[:, None, None], encoded(E)
+
+        return lambda E: forms(E)[3], jacobian
+
     # -- reverse -----------------------------------------------------------
 
     def _compiled(self):
@@ -108,8 +143,9 @@ class QuantumModel:
         H_k = V diag(m_k) V^dagger: <M_k> = psi H_k psi^dagger (only Re H_k for real amplitude
         rows). H_k = sum_c m_k[c] G_c over the classes of ``ObservableEnsemble.classes``, so each
         group of observables costs one batched Gram G_c = V_c V_c^dagger on its classes' columns
-        V_c (on V's real view for amplitude rows), not one product per observable. Values key
-        the cache, because the optimizer and checkpoint loads write theta in place.
+        V_c (on V's real view for amplitude rows), not one product per observable; amplitude rows
+        also cache [A_1 ... A_K] (K, K*K), A_k = S^T H_k S, for ``readout_map``. Values key the
+        cache, because the optimizer and checkpoint loads write theta in place.
         """
         if self._compiled_at is None or not np.array_equal(self._compiled_at[0], self.theta):
             ops = resolve_circuit(self.circuit, self.theta)
@@ -120,8 +156,11 @@ class QuantumModel:
             for obs, signs, cols, _ in self.ensemble.classes(self.num_qubits):
                 Vc = np.take(V, cols, axis=1).view(dtype).transpose(1, 0, 2)  # (C, d, s) or its real view
                 H[obs] = _combine(signs, Vc @ Vc.conj().transpose(0, 2, 1))
-            self._compiled_at = (self.theta.copy(), ops, V, H.transpose(1, 0, 2).reshape(d, -1))
-        return self._compiled_at[1:]
+            H = H.transpose(1, 0, 2).reshape(d, -1)
+            S, K = self.upsample.matrix, self.ensemble.size
+            SHS = ((S.T @ H).reshape(K, K, d) @ S).reshape(K, -1) if dtype == np.float64 else None
+            self._compiled_at = (self.theta.copy(), ops, V, H, SHS)
+        return self._compiled_at[1:4]
 
     def backward_batch(self, Z, X, cotangents, need_z: bool = True, need_theta: bool = True, tangents=None):
         """(dZ, dtheta) for sum_b cotangent_b . forward(z_b, x_b): ``encode``, then ``pullback_z``

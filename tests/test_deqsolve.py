@@ -24,7 +24,7 @@ from conftest import universality_stack
 class LinearLayer:
     """f(z; x) = A z + B theta + x, with exact closed-form fixed point; its readouts are f itself (S = I).
 
-    Its encoded rows are A z + x, so the readouts add B theta.
+    Its encoded rows are A z + x, so the readouts add B theta, and its readout map has the Jacobian A.
     """
 
     def __init__(self, A, B, theta):
@@ -38,6 +38,10 @@ class LinearLayer:
 
     def readouts(self, psi):
         return psi + self.theta @ self.B.T
+
+    def readout_map(self, X):
+        return (lambda E: self.readouts(self.encode(E, X)[0]),
+                lambda E: (np.broadcast_to(self.A, (len(E),) + self.A.shape), self.encode(E, X)))
 
     def pullback_z(self, psi, encode_vjp, C):
         return np.atleast_2d(C) @ self.A
@@ -150,14 +154,14 @@ class TestForwardFixedPoint:
         class Spiky:
             upsample = UpsampleMap(2, 2)
 
-            def encode(self, Z, X):
-                if np.linalg.norm(Z + X) < 1e-9:
-                    raise DegenerateInputError("zero after injection", rows=np.array([0]))
-                calls.append(Z.copy())
-                return -Z - 2.0 * X, None, None
+            def readout_map(self, X):
+                def values(E):
+                    if np.linalg.norm(E + X) < 1e-9:
+                        raise DegenerateInputError("zero after injection", rows=np.array([0]))
+                    calls.append(E.copy())
+                    return -E - 2.0 * X
 
-            def readouts(self, psi):
-                return psi
+                return values, None
 
         x = np.array([1.0, 1.0])
         res = forward_fixed_point_batch(Spiky(), x[None], BroydenConfig(max_steps=3))
@@ -173,15 +177,15 @@ class TestForwardFixedPoint:
         class TwoRows:
             upsample = UpsampleMap(2, 2)
 
-            def encode(self, Z, X):
-                calls.append(Z.copy())
-                bad = np.flatnonzero(np.linalg.norm(Z + X, axis=1) < 1e-9)
-                if bad.size:
-                    raise DegenerateInputError("zero after injection", rows=bad)
-                return np.stack([-Z[0] - 2.0 * X[0], 0.5 * Z[1] + X[1]]), None, None
+            def readout_map(self, X):
+                def values(E):
+                    calls.append(E.copy())
+                    bad = np.flatnonzero(np.linalg.norm(E + X, axis=1) < 1e-9)
+                    if bad.size:
+                        raise DegenerateInputError("zero after injection", rows=bad)
+                    return np.stack([-E[0] - 2.0 * X[0], 0.5 * E[1] + X[1]])
 
-            def readouts(self, psi):
-                return psi
+                return values, None
 
         X = np.array([[1.0, 1.0], [0.3, -0.2]])
         forward_fixed_point_batch(TwoRows(), X, BroydenConfig(max_steps=3))
@@ -190,6 +194,35 @@ class TestForwardFixedPoint:
         assert np.array_equal(retry[0], 0.5 * calls[failed][0])
         assert np.array_equal(retry[1], calls[failed][1])
         assert np.abs(calls[failed][1]).max() > 0.1
+
+    def test_amplitude_map_names_and_rescue_halves_only_the_degenerate_row(self, monkeypatch):
+        # x = -lam S e* for the fixed point e* = E(S e*) at x = 0: E is even in u, so step one lands
+        # on e* and |u| = (lam - 1) |e*|, 0.5e-12 for row 0 and 2e-12 for row 1 (threshold 1e-12)
+        from qdeq.errors import DegenerateInputError
+
+        model = build_default_model("amplitude", 4, 16, seed=3)
+        S, at_zero = model.upsample.matrix, model.readout_map(np.zeros((1, 16)))[0]
+        fp = broyden_root_batch(lambda E: at_zero(E) - E, np.full((1, 4), 0.5), BroydenConfig(100, 1e-15))
+        e_star = fp.z_star[0]
+        assert fp.converged[0]
+        gaps = np.array([0.5e-12, 2e-12])[:, None]
+        X = -(1.0 + gaps / np.linalg.norm(e_star)) * (e_star @ S.T)
+        calls = []
+        original = model.readout_map
+
+        def recording(X):
+            values, jacobian = original(X)
+            return lambda E: calls.append(E.copy()) or values(E), jacobian
+
+        monkeypatch.setattr(model, "readout_map", recording)
+        forward_fixed_point_batch(model, X, BroydenConfig(max_steps=3))
+        failed, retry = calls[1], calls[2]
+        with pytest.raises(DegenerateInputError) as err:
+            original(X)[0](failed)
+        assert err.value.rows.tolist() == [0]
+        assert np.array_equal(retry[0], 0.5 * failed[0])
+        assert np.array_equal(retry[1], failed[1])
+        assert np.linalg.norm(failed[1] @ S.T + X[1]) < 1e-11
 
 
 class TestImplicitBackward:
@@ -232,13 +265,14 @@ class TestImplicitBackward:
             implicit_backward_batch(layer, np.zeros((2, 3)), np.zeros((2, 3)), lg)
 
     def test_linear_layer_penalty_is_its_frobenius_norm(self):
-        # J = A for every row: the penalty is ||A||_F^2, and D = A carries no theta-gradient
+        # J = A for every row: the penalty is ||A||_F^2, and D = A carries no theta-gradient; with
+        # no weight the backward builds no D and returns 0 for the penalty
         rng = np.random.default_rng(10)
         layer = LinearLayer(0.3 * rng.normal(size=(6, 6)), rng.normal(size=(6, 2)), rng.normal(size=2))
         X, Z, G = rng.normal(size=(3, 6)), rng.normal(size=(3, 6)), rng.normal(size=(3, 6))
-        plain, penalty = implicit_backward_batch(layer, X, Z, G)
-        weighted, same = implicit_backward_batch(layer, X, Z, G, jac_weight=0.7)
-        assert penalty == same == pytest.approx(np.sum(layer.A**2), rel=1e-12)
+        plain, unweighted = implicit_backward_batch(layer, X, Z, G)
+        weighted, penalty = implicit_backward_batch(layer, X, Z, G, jac_weight=0.7)
+        assert unweighted == 0.0 and penalty == pytest.approx(np.sum(layer.A**2), rel=1e-12)
         assert np.array_equal(plain, weighted)
 
     @pytest.mark.parametrize(
@@ -279,6 +313,19 @@ class TestImplicitBackward:
         implicit_backward_batch(model, X, z_star, np.ones_like(X), jac_weight=0.8)
         assert rows == [4]
 
+    @pytest.mark.parametrize("jac_weight, calls", [(0.0, 0), (0.8, 1)])
+    def test_factors_only_for_the_penalty(self, jac_weight, calls, monkeypatch):
+        # amplitude rows read the adjoint's K x K Jacobian from the readout map: the n-wide factors
+        # are built only when the penalty needs them
+        model = build_default_model("amplitude", 10, 100, seed=3)
+        X = np.random.default_rng(19).uniform(0.1, 1.0, size=(4, 100))
+        z_star = forward_fixed_point_batch(model, X).z_star
+        made = []
+        original = QuantumModel.jacobian_factors
+        monkeypatch.setattr(QuantumModel, "jacobian_factors", lambda self, *a: made.append(1) or original(self, *a))
+        implicit_backward_batch(model, X, z_star, np.ones_like(X), jac_weight)
+        assert len(made) == calls
+
     @pytest.mark.parametrize("jac_weight", [0.0, 0.8])
     @pytest.mark.parametrize("kind", ["amplitude", "angle"])
     def test_dtheta_is_backward_batch_at_the_adjoint(self, kind, jac_weight):
@@ -289,8 +336,11 @@ class TestImplicitBackward:
         G = rng.normal(size=X.shape)
         z_star = forward_fixed_point_batch(model, X).z_star
         dtheta, _ = implicit_backward_batch(model, X, z_star, G, jac_weight)
-        S, D = model.upsample.matrix, model.jacobian_factors(*model.encode(z_star, X)[:2])
-        Y = np.linalg.solve(np.eye(S.shape[1]) - np.einsum("nk,bjn->bkj", S, D), (G @ S)[..., None])[..., 0]
+        # the K x K Jacobian is D S with the penalty's factors D, else the readout map's at z* + x
+        S = model.upsample.matrix
+        D = model.jacobian_factors(*model.encode(z_star, X)[:2]) if jac_weight else None
+        J = D @ S if jac_weight else model.readout_map(z_star + X)[1](np.zeros((len(X), S.shape[1])))[0]
+        Y = np.linalg.solve(np.eye(S.shape[1]) - J.transpose(0, 2, 1), (G @ S)[..., None])[..., 0]
         tangents = (2.0 * jac_weight / len(D)) * D if jac_weight else None
         expected = model.backward_batch(z_star, X, Y @ S.T, need_z=False, tangents=tangents)[1]
         assert np.array_equal(dtheta, expected)

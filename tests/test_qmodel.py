@@ -206,6 +206,61 @@ class TestJacobianFactors:
         assert np.abs(np.einsum("bkn,bk->bn", D, C @ S) - vjp).max() <= 1e-12 * np.abs(vjp).max()
 
 
+def _map_inputs(num_qubits, input_dim, seed):
+    """(E, X): 8 iterates and inputs; rows 1 and 4 scaled by 1e-6, rows 2 and 5 by 1e3 (both E and x)."""
+    rng = np.random.default_rng(seed)
+    scale = np.array([1.0, 1e-6, 1e3, 1.0, 1e-6, 1e3, 1.0, 1.0])[:, None]
+    return scale * 0.3 * rng.normal(size=(8, num_qubits)), scale * rng.uniform(0.0, 1.0, size=(8, input_dim))
+
+
+def _row_rel(got, expected):
+    """The largest per-row relative gap, each row against its own largest entry."""
+    axes = tuple(range(1, got.ndim))
+    return (np.abs(got - expected).max(axis=axes) / np.abs(expected).max(axis=axes)).max()
+
+
+class TestReadoutMap:
+    """e -> E(S e + x) and its K x K Jacobian, which the Broyden solve and the adjoint read."""
+
+    def test_amplitude_map_against_the_oracle(self):
+        # values from the dense oracle's encoded state and circuit, the Jacobian from its central differences
+        model = build_default_model("amplitude", 4, 16, seed=3)
+        E, X = _map_inputs(4, 16, seed=20)
+        S, diags = model.upsample.matrix, oracle.pauli_z_diagonals(4)
+        values, jacobian = model.readout_map(X)
+
+        def reference(E):
+            states = np.stack([oracle.amplitude_state(u, 4) for u in E @ S.T + X])
+            return oracle.expectations(model.circuit, model.theta, states, diags)
+
+        assert _row_rel(values(E), reference(E)) <= 1e-13
+        step = 1e-5 * np.abs(E).max(axis=1, keepdims=True)  # relative to each row's scale
+        fd = np.stack([(reference(E + step * e) - reference(E - step * e)) / (2 * step) for e in np.eye(4)], axis=2)
+        assert _row_rel(jacobian(E)[0], fd) <= 1e-8
+
+    @pytest.mark.parametrize(
+        "encoding, num_qubits, input_dim",
+        [("amplitude", 4, 16), ("angle", 4, 16), ("amplitude", 10, 100)],
+    )
+    def test_map_against_encode_and_factors(self, encoding, num_qubits, input_dim):
+        model = build_default_model(encoding, num_qubits, input_dim, seed=3)
+        E, X = _map_inputs(num_qubits, input_dim, seed=21)
+        S = model.upsample.matrix
+        values, jacobian = model.readout_map(X)
+        psi, encode_vjp, _ = model.encode(E @ S.T, X)
+        J, (rows, _, _) = jacobian(E)
+        assert _row_rel(values(E), model.readouts(psi)) <= 1e-13
+        assert _row_rel(J, model.jacobian_factors(psi, encode_vjp) @ S) <= 1e-13
+        assert np.array_equal(rows, psi)
+
+    def test_amplitude_map_encodes_nothing(self, monkeypatch):
+        model = build_default_model("amplitude", 10, 100, seed=3)
+        E, X = _map_inputs(10, 100, seed=22)
+        values = model.readout_map(X)[0]
+        monkeypatch.setattr(enc, "encode", lambda *a: pytest.fail("the amplitude map encoded"))
+        assert values(E).shape == (8, 10)
+
+
 def _gate_by_gate_backward(model, Z, X, C):
     """(dZ, dtheta) from the circuit run on the B batch rows and one adjoint sweep over them."""
     combined = Z + X
