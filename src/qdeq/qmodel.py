@@ -9,8 +9,9 @@ theta: the circuit's program (``simcore.resolve_circuit``: one 16 x 16 matrix
 per run of gates on 4 adjacent qubits, 4 runs for the 10-qubit staircase and 1
 at Q=4, with the products the sweep needs), and the K readout forms from that
 program run on the d = ``EncodingSpec.width`` basis rows of the encoded states,
-never on the B rows. The theta-gradient is one adjoint sweep of the same
-program over the same d rows, which builds no run matrix of its own. The
+never on the B rows, and only in their light cone (``simcore.apply_cone``). The
+theta-gradient is one adjoint sweep of the same program over the kets of the
+same d rows, which builds no run matrix and runs no forward pass of its own. The
 Broyden solve reads ``readout_map``, which encodes no amplitude row. The other
 solvers call ``encode`` once per layer input and read its rows through
 ``readouts``, ``pullback_z``, ``pullback_theta`` and ``jacobian_factors``;
@@ -42,7 +43,7 @@ from .simcore import (
     GateOp,
     ParamCircuit,
     adjoint_sweep,
-    apply_ops,
+    apply_cone,
     random_layer,
     resolve_circuit,
 )
@@ -65,7 +66,7 @@ class QuantumModel:
             )
         self.upsample = UpsampleMap(self.ensemble.size, self.encoding.input_dim)  # K must divide n
         self.ensemble.diagonals(self.circuit.num_qubits)  # validates sites
-        self._compiled_at = None  # (theta copy, program, V, H, A) from ``_compiled``
+        self._compiled_at = None  # (theta copy, program, V, H, A, kets) from ``_compiled``
 
     # -- shape helpers -----------------------------------------------------
 
@@ -139,7 +140,10 @@ class QuantumModel:
         ``simcore.resolve_circuit``, which the sweep reuses.
 
         V (d, 2**Q) is U(theta) on the d basis rows that encoded states occupy (the encoding's
-        ``width``: n for amplitude, 2**Q for angle encoding), so a row psi ends as psi @ V. H (d, K*d) stacks
+        ``width``: n for amplitude, 2**Q for angle encoding), so a row psi ends as psi @ V. It is the
+        last of the kets that ``simcore.apply_cone`` keeps, cached for the sweep: the program runs
+        only in the rows' light cone, at 128, 128, 256 and 1024 columns for 100 rows at Q=10, and at
+        full width from the start at Q=4 or for angle rows. H (d, K*d) stacks
         H_k = V diag(m_k) V^dagger: <M_k> = psi H_k psi^dagger (only Re H_k for real amplitude
         rows). H_k = sum_c m_k[c] G_c over the classes of ``ObservableEnsemble.classes``, so each
         group of observables costs one batched Gram G_c = V_c V_c^dagger on its classes' columns
@@ -149,8 +153,11 @@ class QuantumModel:
         """
         if self._compiled_at is None or not np.array_equal(self._compiled_at[0], self.theta):
             ops = resolve_circuit(self.circuit, self.theta)
-            d = self.encoding.width
-            V = apply_ops(ops, np.eye(d, 1 << self.num_qubits, dtype=np.complex128))
+            d, N = self.encoding.width, 1 << self.num_qubits
+            kets = apply_cone(ops, np.eye(d, dtype=np.complex128))
+            V = kets[-1]
+            if V.shape[1] < N:  # no run reaches the top qubit
+                V = np.pad(V, ((0, 0), (0, N - V.shape[1])))
             dtype = np.float64 if self.encoding.kind == enc.AMPLITUDE else np.complex128
             H = np.empty((self.ensemble.size, d, d), dtype=dtype)
             for obs, signs, cols, _ in self.ensemble.classes(self.num_qubits):
@@ -159,7 +166,7 @@ class QuantumModel:
             H = H.transpose(1, 0, 2).reshape(d, -1)
             S, K = self.upsample.matrix, self.ensemble.size
             SHS = ((S.T @ H).reshape(K, K, d) @ S).reshape(K, -1) if dtype == np.float64 else None
-            self._compiled_at = (self.theta.copy(), ops, V, H, SHS)
+            self._compiled_at = (self.theta.copy(), ops, V, H, SHS, kets)
         return self._compiled_at[1:4]
 
     def backward_batch(self, Z, X, cotangents, need_z: bool = True, need_theta: bool = True, tangents=None):
@@ -207,7 +214,7 @@ class QuantumModel:
                       np.take(V, cols, axis=1).view(dtype).transpose(1, 0, 2),  # V_c (C, d, s)
                       out=out[:, :-1].reshape(d, *cols.shape).view(dtype).transpose(1, 0, 2))
             bra += np.take(out, slots, axis=1)  # to basis order; columns of no class read the 0
-        return adjoint_sweep(ops, V, bra, num_params=self.num_params)[0]
+        return adjoint_sweep(ops, self._compiled_at[5], bra, num_params=self.num_params)[0]
 
     def jacobian_factors(self, psi: np.ndarray, encode_vjp) -> np.ndarray:
         """D (B, K, n) with d forward(z_b, x_b) / d z_b = S @ D[b], of rank K, at the encoded rows psi.

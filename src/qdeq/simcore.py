@@ -20,12 +20,21 @@ matrices as one gathered stack, then one loop of matmuls for its unitary U.
 gather of its permutation. No 2**Q x 2**Q matrix is built outside the test
 oracles.
 
-``adjoint_sweep`` walks the runs backwards once, collecting each run's
-2**w x 2**w environment from the rows and undoing the run with U^dagger. Each
-trainable angle's derivative is then one contraction of that environment
+Rows that occupy only the m lowest basis states leave the top qubits at |0>,
+and ``apply_cone`` runs the program only where they reach: each run acts on
+the lowest 2**q columns that cover the rows and every run before it, zero-padded
+when a run first reaches a new qubit (``_stretches``). The 10-qubit staircase
+on 100 rows runs at 128, 128, 256 and 1024 columns. The kets at the end of each
+stretch of runs at one width are kept; the last of them is U|rows>.
+
+``adjoint_sweep`` walks the runs backwards once over those kets, collecting
+each run's 2**w x 2**w environment from the rows and undoing the run on the
+bra with U^dagger. Past a stretch's first run, the bra is cut to the width of
+the stretch before: its other entries meet only zero ket entries from there
+on. Each trainable angle's derivative is one contraction of the environment
 with the gate's generator carried to the run's output; the input-state
 cotangent is the bra swept back. The model runs both passes on the d basis
-rows of its encoded states (16 at Q=4, 100 at Q=10, in 16-row blocks of
+rows of its encoded states (16 at Q=4, 100 at Q=10, in row blocks of
 ``_BLOCK_BYTES`` that stay in a core's L2 cache), the references on one row.
 The parameter-shift rule (f(theta + pi/2) - f(theta - pi/2)) / 2 is the
 second, exact route.
@@ -174,7 +183,8 @@ def _gate_library(w):
 
 def _fusion_plan(gates, num_qubits):
     """[(offset, start, stop)]: maximal runs gates[start:stop] whose qubits fit in the w = min(4, Q)
-    qubits from ``offset``; a CNOT wider than w is a lone gate, with offset None."""
+    qubits from ``offset``, the lowest such window, so that a run reaches no basis state above its
+    top qubit's; a CNOT wider than w is a lone gate, with offset None."""
     w = min(_WINDOW, num_qubits)
     plan, lo, hi = [], -w, 0  # lo..hi: the qubits of the open run; wider than w when none is open
     for i, g in enumerate(gates):
@@ -185,14 +195,14 @@ def _fusion_plan(gates, num_qubits):
         joined_lo, joined_hi = (a if a < lo else lo), (b if b > hi else hi)
         if joined_hi - joined_lo < w:
             lo, hi = joined_lo, joined_hi
-            plan[-1][0], plan[-1][2] = lo, i + 1
+            plan[-1][0], plan[-1][2] = hi, i + 1
         elif b - a < w:
             lo, hi = a, b
-            plan.append([lo, i, i + 1])
+            plan.append([hi, i, i + 1])
         else:
             lo, hi = -w, 0
             plan.append([None, i, i + 1])
-    return [(None if lo is None else min(lo, num_qubits - w), start, stop) for lo, start, stop in plan]
+    return [(None if hi is None else max(0, hi - w + 1), start, stop) for hi, start, stop in plan]
 
 
 class _Run(NamedTuple):
@@ -201,7 +211,9 @@ class _Run(NamedTuple):
     A run of gates A_1 ... A_G on the w qubits from ``offset`` holds its unitary U = A_G ... A_1
     and, for each trainable gate j, the product S_j = A_G ... A_(j+1) of the gates after it, the
     generator P_j and the theta slot. A CNOT wider than the window has offset None, and
-    ``unitary`` holds its basis permutation (``_cnot_permutation``).
+    ``unitary`` holds its basis permutation (``_cnot_permutation``) of the lowest basis states up to
+    its higher qubit, which repeats along the qubits above. Either way, the run acts within the
+    ``_reach`` lowest basis states.
     """
 
     offset: Optional[int]
@@ -228,7 +240,8 @@ def _compile(gates, angles, num_qubits):
     for off, start, stop in _fusion_plan(gates, num_qubits):
         kind, target, control, slot = fields[start:stop].T
         if off is None:
-            program.append(_Run(None, _cnot_permutation(np.arange(1 << num_qubits), control[0], target[0])))
+            c, t = control[0], target[0]
+            program.append(_Run(None, _cnot_permutation(np.arange(2 << max(c, t)), c, t)))
             continue
         code = np.where(kind < 3, kind * w + target - off, 3 * w + (control - off) * w + target - off)
         matrices = basis[code]
@@ -260,12 +273,36 @@ def _window(states, offset, d):
 
 def _apply_step(states, offset, step):
     """states <- the matrix ``step`` acting on the window of qubits from ``offset``, in place; with
-    offset None, ``step`` is a basis permutation, applied as a gather."""
+    offset None, ``step`` is a basis permutation of the len(step) lowest basis states, applied as a
+    gather on each block of len(step) columns."""
     if offset is None:
-        states[:] = states[:, step]
+        v = _window(states, 0, len(step))
+        v[:] = v[:, :, step]
     else:
         v = _window(states, offset, len(step))
         np.matmul(step, v, out=v)
+
+
+def _reach(run):
+    """The number of lowest basis states that a run acts within: 2**(its highest qubit + 1)."""
+    return len(run.unitary) << (run.offset or 0)
+
+
+def _stretches(ops, width):
+    """The light cone of rows on the ``width`` lowest basis states, as [(start, stop, cone width)].
+
+    Run i acts on the lowest 2**q columns that cover the rows and every run up to it; the runs
+    ops[start:stop] share one such width, and a stretch starts where a run first reaches a new
+    qubit. Rows on every basis state are one stretch at full width.
+    """
+    stretches, width = [], 1 << (width - 1).bit_length()
+    for i, run in enumerate(ops):
+        if _reach(run) > width or not stretches:
+            width = max(width, _reach(run))
+            stretches.append([i, i + 1, width])
+        else:
+            stretches[-1][1] = i + 1
+    return stretches
 
 
 # ---------------------------------------------------------------------------
@@ -290,8 +327,9 @@ def resolve_circuit(circuit: ParamCircuit, theta: np.ndarray) -> list[_Run]:
 
 
 def apply_ops(ops, states):
-    """Apply the program ``ops`` of ``resolve_circuit`` in place to states of shape (B, 2**Q), one row
-    block at a time: one matmul per run, one gather per lone wide CNOT."""
+    """Apply the program ``ops`` of ``resolve_circuit`` in place to states of shape (B, N), one row
+    block at a time: one matmul per run, one gather per lone wide CNOT. N is a power of two that
+    covers every run's qubits: 2**Q, or the width of a stretch of ``apply_cone``."""
     for rows in _row_blocks(states):
         block = states[rows]  # a contiguous view: the steps write through it
         for run in ops:
@@ -299,31 +337,63 @@ def apply_ops(ops, states):
     return states
 
 
+def apply_cone(ops, states):
+    """The kets of the program ``ops`` on rows ``states`` (B, m) that occupy the m lowest basis
+    states, in its light cone: a list with the kets at the end of each of ``_stretches``.
+
+    Each stretch is one ``apply_ops`` call on the kets of the stretch before, zero-padded to its
+    width into a new array (the first works in place when the rows need no padding). The last
+    kets are U|rows>, at the width that the rows and the program reach: 2**Q when a run acts on
+    the top qubit. At Q=10 the staircase on 100 rows keeps (100, 128) and (100, 256) kets
+    before them, 0.6 MiB; rows on every basis state keep only U|rows>.
+    """
+    kets = []
+    for start, stop, width in _stretches(ops, states.shape[1]):
+        if width > states.shape[1]:
+            padded = np.zeros((len(states), width), dtype=np.complex128)
+            padded[:, : states.shape[1]] = states
+            states = padded
+        kets.append(apply_ops(ops[start:stop], states))
+    return kets or [states]
+
+
 def adjoint_sweep(ops, final_states, bra, num_params=0):
     """Reverse sweep: dtheta_j = sum over rows of 2 Re<bra, d ket / d theta_j>, bra held fixed.
 
-    ``final_states`` holds the kets after the program ``ops``; ``bra`` is swept in place: it is
-    overwritten and returned. Returns (dtheta, U^dagger bra). With bra = M_total |ket> that is the
-    expectation's gradient and dE/d(conj(amplitude)) at the input state. The model passes the d
-    basis rows U|e_i> and a bra built from its batch.
+    ``final_states`` holds the kets of the program ``ops``: the list of ``apply_cone``, or the kets
+    after the last run alone (one stretch at their width, as for rows on every basis state).
+    ``bra`` is swept in place and returned, cut to the width of the first stretch: (dtheta,
+    U^dagger bra), 128 columns for the 10-qubit staircase on 100 rows and the whole bra for rows
+    on every basis state. With bra = M_total |ket> that is the expectation's gradient and
+    dE/d(conj(amplitude)) at the input state. The model passes the kets of its d basis rows and a
+    bra built from its batch.
 
     Walking the runs backwards, each row block adds the run's 2**w x 2**w environment
-    E[a, c] = sum conj(bra_a) ket_c and undoes the run on ket and bra with U^dagger. As
-    d ket / d theta_j = -i/2 S_j P_j S_j^dagger ket at the run's output, the run's dtheta is then
-    Im sum_(a, c) E[a, c] (S_j P_j S_j^dagger)[a, c], one batched product for all its gates.
+    E[a, c] = sum conj(bra_a) ket_c and undoes the run on the bra with U^dagger. Each stretch reads
+    its kept kets, and undoes a copy of them only back through the runs after its first. A
+    stretch's bra is cut to its width first: its entries past that width meet only zero ket
+    entries from there on. As d ket / d theta_j = -i/2 S_j P_j S_j^dagger ket at the run's
+    output, the run's dtheta is then Im sum_(a, c) E[a, c] (S_j P_j S_j^dagger)[a, c], one
+    batched product for all its gates.
     """
+    kets = [final_states] if isinstance(final_states, np.ndarray) else final_states
     dtheta = np.zeros(num_params)
     undo = [run.unitary if run.offset is None else run.unitary.conj().T for run in ops]  # a CNOT undoes itself
     envs = [None if run.offset is None else np.zeros_like(run.unitary) for run in ops]
-    for rows in _row_blocks(bra):
-        b, ket = bra[rows], final_states[rows].copy()
-        for run, back, env in zip(ops[::-1], undo[::-1], envs[::-1]):
-            if env is not None:
-                bv, kv = (_window(x, run.offset, len(env)).swapaxes(0, 2).reshape(len(env), -1) for x in (b, ket))
-                env += bv.conj() @ kv.T
-            if run is not ops[0]:  # the ket is not read after the first run
-                _apply_step(ket, run.offset, back)
-            _apply_step(b, run.offset, back)
+    for (start, stop, width), kept in reversed(list(zip(_stretches(ops, kets[0].shape[1]), kets))):
+        bra = bra[:, :width]
+        for rows in _row_blocks(bra):
+            b, ket = bra[rows], kept[rows]
+            if stop - start > 1:
+                ket = ket.copy()  # undone below, back to the stretch's first run
+            for i in range(stop - 1, start - 1, -1):
+                run, env = ops[i], envs[i]
+                if env is not None:
+                    bv, kv = (_window(x, run.offset, len(env)).swapaxes(0, 2).reshape(len(env), -1) for x in (b, ket))
+                    env += bv.conj() @ kv.T
+                if i > start:
+                    _apply_step(ket, run.offset, undo[i])
+                _apply_step(b, run.offset, undo[i])
     for run, env in zip(ops, envs):
         if env is not None:
             forms = run.suffixes @ run.generators @ run.suffixes.conj().transpose(0, 2, 1)

@@ -299,6 +299,20 @@ class TestCompiledReverseAgainstGateByGate:
         assert _rel(dZ, ref_dZ) <= 1e-12
         assert _rel(dtheta, ref_dtheta) <= 1e-12
 
+    def test_circuit_below_the_top_qubit(self):
+        # 10 amplitude rows and a circuit on qubits 0-3 of 5: the light cone ends at 16 columns, and
+        # V is its last kets zero-padded to 2**Q
+        block, theta = build_block(5, 4, random_ops=10)
+        circuit = ParamCircuit(5, block.gates, block.num_params)
+        model = QuantumModel(EncodingSpec("amplitude", 5, 10), circuit, theta, ObservableEnsemble.pauli_z_all(5))
+        V = model._compiled()[1]
+        assert V.shape == (10, 32) and model._compiled_at[5][-1].shape == (10, 16)
+        Z, X, C = self._batch(10)
+        dZ, dtheta = model.backward_batch(Z, X, C)
+        ref_dZ, ref_dtheta = _gate_by_gate_backward(model, Z, X, C)
+        assert _rel(dZ, ref_dZ) <= 1e-12
+        assert _rel(dtheta, ref_dtheta) <= 1e-12
+
     @pytest.mark.parametrize("encoding, num_qubits, input_dim", SHAPES[:2])
     def test_stacked_unroll_equals_per_layer_sum(self, encoding, num_qubits, input_dim):
         model = build_default_model(encoding, num_qubits, input_dim, seed=3)

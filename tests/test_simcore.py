@@ -19,6 +19,7 @@ from qdeq.simcore import (
     StateVector,
     adjoint_sweep,
     apply_circuit,
+    apply_cone,
     apply_ops,
     parameter_shift_grad,
     random_layer,
@@ -491,3 +492,75 @@ class TestFusedRuns:
         circuit, theta = _random_circuit(num_qubits, num_qubits, 40)
         assert self._plan(circuit) == [(0, 40)]
         self._check(circuit, theta, rows=5, seed=34 + num_qubits)
+
+
+def _full_width_sweep(ops, final, bra, num_params):
+    """(dtheta, U^dagger bra) with every run at full width and the kets undone from ``final``: the
+    sweep as it ran before the light cone, for rows that fit in one row block."""
+    dtheta, ket, bra = np.zeros(num_params), final.copy(), bra.copy()
+    for run in reversed(ops):
+        back = run.unitary if run.offset is None else run.unitary.conj().T
+        if run.offset is not None:
+            d = len(run.unitary)
+            bv, kv = (simcore._window(x, run.offset, d).swapaxes(0, 2).reshape(d, -1) for x in (bra, ket))
+            env = np.zeros_like(run.unitary)
+            env += bv.conj() @ kv.T
+            forms = run.suffixes @ run.generators @ run.suffixes.conj().transpose(0, 2, 1)
+            np.add.at(dtheta, run.slots, (forms.reshape(len(forms), env.size) @ env.reshape(-1)).imag)
+        simcore._apply_step(ket, run.offset, back)
+        simcore._apply_step(bra, run.offset, back)
+    return dtheta, bra
+
+
+class TestLightCone:
+    """``apply_cone`` runs each run only on the columns that the basis rows and the runs before it
+    reach, and ``adjoint_sweep`` reads its kets, cutting the bra to each stretch's width: against the
+    gate-by-gate reference (1e-13) and the full-width path, which gives the same final kets bit for
+    bit."""
+
+    def _check(self, circuit, theta, rows, widths, seed):
+        ops = resolve_circuit(circuit, theta)
+        assert [width for _, _, width in simcore._stretches(ops, rows)] == widths
+        kets = apply_cone(ops, np.eye(rows, dtype=np.complex128))
+        assert [ket.shape for ket in kets] == [(rows, width) for width in widths]
+        states = np.eye(rows, 1 << circuit.num_qubits, dtype=np.complex128)
+        assert np.array_equal(kets[-1], apply_ops(ops, states.copy()))
+        rng = np.random.default_rng(seed)
+        bra = rng.normal(size=states.shape) + 1j * rng.normal(size=states.shape)
+        final, dtheta, back = _gate_by_gate(circuit, theta, states, bra)
+        cone_dtheta, cone_back = adjoint_sweep(ops, kets, bra.copy(), num_params=circuit.num_params)
+        assert cone_back.shape == (rows, widths[0])  # the inputs' entries past the rows' width are not read
+        for got, want in ((kets[-1], final), (cone_dtheta, dtheta), (cone_back, back[:, : widths[0]])):
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        full_dtheta, _ = _full_width_sweep(ops, final, bra, circuit.num_params)
+        assert np.abs(cone_dtheta - full_dtheta).max() <= 1e-13 * np.abs(full_dtheta).max()
+        return ops, kets
+
+    def test_staircase_on_a_hundred_basis_rows(self):
+        model = build_default_model("amplitude", 10, 100, seed=3)
+        # runs at 128, 128, 256 and 1024 columns; 1024-column row blocks hold 16 rows
+        ops, kets = self._check(model.circuit, model.theta, rows=100, widths=[128, 256, 1024], seed=41)
+        assert [stop - start for start, stop, _ in simcore._stretches(ops, 100)] == [2, 1, 1]
+        assert np.array_equal(model._compiled()[1], kets[-1])
+
+    def test_lone_wide_cnot_widens_the_cone(self):
+        gates, theta = random_layer(6, 6, 60)  # qubits 0-5: the 40 rows' own 64 columns
+        gates += [GateOp(CNOT, 7, control=1), GateOp(RY, 7, param_slot=len(theta)), GateOp(CNOT, 4, control=7),
+                  GateOp(RX, 6, param_slot=len(theta) + 1)]
+        circuit = ParamCircuit.from_gates(8, gates)
+        ops, _ = self._check(circuit, np.append(theta, [0.3, -1.1]), rows=40, widths=[64, 256], seed=42)
+        (_, first), (wide, _) = [(start, stop) for start, stop, _ in simcore._stretches(ops, 40)]
+        assert ops[wide].offset is None and len(ops[wide].unitary) == 256  # the lone CNOT opens the wide stretch
+        assert any(run.offset is None for run in ops[:first])  # lone CNOTs inside the rows' qubits too
+
+    @pytest.mark.parametrize("encoding", ["amplitude", "angle"])
+    def test_four_qubit_model_is_one_stretch_at_full_width(self, encoding):
+        model = build_default_model(encoding, 4, 16, seed=3)
+        ops, V, _ = model._compiled()
+        kets = model._compiled_at[5]
+        assert len(kets) == 1 and kets[0] is V
+        assert np.array_equal(V, apply_ops(ops, np.eye(16, dtype=np.complex128)))
+        bra = np.random.default_rng(43).normal(size=(16, 16)) + 0j
+        dtheta, back = adjoint_sweep(ops, kets, bra.copy(), num_params=model.num_params)
+        full_dtheta, full_back = _full_width_sweep(ops, V, bra, model.num_params)
+        assert np.array_equal(dtheta, full_dtheta) and np.array_equal(back, full_back)

@@ -344,9 +344,9 @@ class TestTrainLoop:
     ):
         # the forward, the reverse passes and evaluate all read one compile per theta, built on the
         # d = 16 basis rows, never on the 32- or 8-row batches; the sweep reuses the compile's run
-        # matrices instead of building its own
+        # matrices and kets instead of building its own
         calls, builds = [], []
-        original, original_compile = qmodel.apply_ops, simcore._compile
+        original, original_compile = qmodel.apply_cone, simcore._compile
 
         def recording(ops, states):
             calls.append((states.shape[0], model.theta.tobytes()))
@@ -356,7 +356,7 @@ class TestTrainLoop:
             builds.append(model.theta.tobytes())
             return original_compile(gates, angles, num_qubits)
 
-        monkeypatch.setattr(qmodel, "apply_ops", recording)
+        monkeypatch.setattr(qmodel, "apply_cone", recording)
         monkeypatch.setattr(simcore, "_compile", recording_compile)
         cfg = _quick_config(
             encoding=encoding, epochs=1, batch_size=32, solver_mode=solver_mode, warmup_steps=0,
