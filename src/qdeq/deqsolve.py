@@ -7,11 +7,11 @@ z* = S e* with e* = E(S e* + x), and the implicit solver works on the K
 readouts. The forward pass solves g(e) = E(S e + x) - e = 0 with a "good
 Broyden" solver: each row keeps a dense K x K inverse-Jacobian estimate, from
 -I (exact for a locally constant E, so step one is a plain fixed-point step).
-It reads E, and the backward its K x K Jacobian, through the model's per-batch
-``readout_map``. The backward solves the implicit function theorem's adjoint
-system exactly, one batched K x K solve whose solution is the readout cotangent
-of the one theta-sweep. With the penalty on, the Jacobian factors give
-mean_b ||J_b||_F^2 exactly and its theta-gradient joins that sweep.
+It reads E, and the backward its K x K Jacobian at e*, through one per-batch
+``readout_map`` of the model. The backward solves the implicit function
+theorem's adjoint system exactly, one batched K x K solve whose solution is the
+readout cotangent of the one theta-sweep. With the penalty on, the Jacobian
+factors give mean_b ||J_b||_F^2 exactly and its theta-gradient joins that sweep.
 ``solve_batch`` runs one training or evaluation batch through either solve or
 a weight-tied unroll, which stays n wide. The unroll keeps each layer's encoded
 input and its backward pulls back through those, so a depth-L step encodes L
@@ -152,24 +152,27 @@ def broyden_root_batch(
 
 
 def forward_fixed_point_batch(
-    model: FixedPointLayer, X: np.ndarray, cfg: BroydenConfig = BroydenConfig()
+    model: FixedPointLayer, X: np.ndarray, cfg: BroydenConfig = BroydenConfig(), readout_map=None
 ) -> BatchFixedPoint:
-    """Solve f(z; x) = z for every row of X: Broyden on e = E(S e + x) (``readout_map``) from e0 = 0; z* = S e*."""
-    S, readouts = model.upsample.matrix, model.readout_map(X)[0]
+    """Solve f(z; x) = z for every row of X: Broyden on e = E(S e + x) from e0 = 0; z* = S e*.
+    ``readout_map`` is the model's ``readout_map(X)``, built here when None."""
+    S, readouts = model.upsample.matrix, (readout_map or model.readout_map(X))[0]
     fp = broyden_root_batch(lambda E: readouts(E) - E, np.zeros((len(X), S.shape[1])), cfg)
     return replace(fp, z_star=fp.z_star @ S.T)
 
 
-def implicit_backward_batch(model: FixedPointLayer, X: np.ndarray, Z_star, loss_grads, jac_weight=0.0):
+def implicit_backward_batch(model: FixedPointLayer, X: np.ndarray, Z_star, loss_grads, jac_weight=0.0,
+                            readout_map=None):
     """Exact adjoint solve of the implicit function theorem; returns (sum_b dtheta_b, penalty).
 
     With J_b = S D_b (D_b from ``jacobian_factors``, S^T S = I), (I - J_b^T) q_b = g_b has the
     solution q_b = g_b + D_b^T y_b, where (I_K - (D_b S)^T) y_b = S^T g_b: one batched K x K
     solve. The theta-sweep reads q_b only through its readout cotangent q_b S = y_b, so it gets
     y_b S^T. z* + x is encoded once. At ``jac_weight`` w = 0, D_b S and that encoding come from
-    the ``readout_map`` of z* + x at e = 0, and the penalty is 0. w > 0 builds D_b for the exact
-    penalty mean_b ||J_b||_F^2 = mean_b ||D_b||_F^2, whose theta-gradient times w joins the sweep
-    through the tangents (2w/B) D_b. A singular system or non-finite y raises SolverDivergedError.
+    ``readout_map`` (the forward's map of X) at e* = z* S, exact at a fixed point z* = S e*, or with
+    none from the map of z* + x at e = 0; the penalty is 0. w > 0 builds D_b for the exact penalty
+    mean_b ||J_b||_F^2 = mean_b ||D_b||_F^2, whose theta-gradient times w joins the sweep through
+    the tangents (2w/B) D_b. A singular system or non-finite y raises SolverDivergedError.
     """
     G, S = np.asarray(loss_grads, dtype=np.float64), model.upsample.matrix
     if jac_weight:
@@ -178,7 +181,9 @@ def implicit_backward_batch(model: FixedPointLayer, X: np.ndarray, Z_star, loss_
         J, tangents = D @ S, (2.0 * jac_weight / len(D)) * D
         penalty = float(np.einsum("bkn,bkn->", D, D)) / len(D)
     else:
-        J, (psi, _, encode_jvp) = model.readout_map(Z_star + X)[1](np.zeros((len(G), S.shape[1])))
+        if readout_map is None:
+            readout_map, Z_star = model.readout_map(Z_star + X), np.zeros_like(Z_star)
+        J, (psi, _, encode_jvp) = readout_map[1](Z_star @ S)
         tangents, penalty = None, 0.0
     try:
         Y = np.linalg.solve(np.eye(S.shape[1]) - J.transpose(0, 2, 1), (G @ S)[..., None])[..., 0]
@@ -231,15 +236,17 @@ def solve_batch(model: FixedPointLayer, X: np.ndarray, depth: int, cfg: BroydenC
     """(z, per-sample residual, backward: (dz, jac_weight) -> (dtheta, penalty), unconverged rows).
 
     Depth 0 is the fixed-point solve and its implicit backward with the
-    Jacobian penalty at z*; unconverged rows are those the Broyden solver left
-    above ``abs_tol``. Depth L >= 1 unrolls L layers (one extra forward pass
-    for the residual when L is 1) and reports 0 unconverged rows; with no fixed
-    point to penalize, its backward ignores ``jac_weight`` and returns 0 for it.
+    Jacobian penalty at z*, which share one ``readout_map(X)``; unconverged
+    rows are those the Broyden solver left above ``abs_tol``. Depth L >= 1
+    unrolls L layers (one extra forward pass for the residual when L is 1) and
+    reports 0 unconverged rows; with no fixed point to penalize, its backward
+    ignores ``jac_weight`` and returns 0 for it.
     """
     if depth == 0:
-        fp = forward_fixed_point_batch(model, X, cfg)
+        readout_map = model.readout_map(X)
+        fp = forward_fixed_point_batch(model, X, cfg, readout_map)
         z, unconverged = fp.z_star, int(np.count_nonzero(~fp.converged))
-        return z, fp.residual, lambda dz, w: implicit_backward_batch(model, X, z, dz, w), unconverged
+        return z, fp.residual, lambda dz, w: implicit_backward_batch(model, X, z, dz, w, readout_map), unconverged
     unroll = direct_unroll_batch(model, X, depth)
     last, prev = unroll.iterates[-1], unroll.iterates[-2]
     if depth == 1:

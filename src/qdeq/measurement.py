@@ -5,7 +5,7 @@ computational basis states) are diagonal in the computational basis, so an
 ensemble reduces to K real diagonal vectors and expectations to one matrix
 product against |amplitudes|^2. Basis columns with equal diagonal entries are
 read alike, so ``ObservableEnsemble.classes`` sorts them into classes, per group
-of up to 5 observables, and the model builds its readout forms once per class.
+of up to 5 observables read at one width, and the model builds its forms per class.
 The upsampling map is the fixed (n, K) matrix S that takes the K readouts back
 to the input width n = rK.
 """
@@ -45,20 +45,26 @@ def _diagonals(kind: str, sites: tuple, num_qubits: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _classes(kind: str, sites: tuple, num_qubits: int) -> tuple:
+def _classes(kind: str, sites: tuple, num_qubits: int, widths: tuple) -> tuple:
     diags = _diagonals(kind, sites, num_qubits)
+    reads = [widths[s] if kind == PAULI_Z else max(widths) for s in sites]
     table = []
-    for lo in range(0, len(sites), _GROUP):
-        block = diags[lo : lo + _GROUP]
-        live = np.flatnonzero(block.any(axis=0))
-        signs, inverse = np.unique(block[:, live], axis=1, return_inverse=True)
-        # both kinds give equal classes: 2**(Q - distinct sites) columns for Pauli-Z, one for a projector
-        cols = live[np.argsort(inverse.reshape(-1), kind="stable")].reshape(signs.shape[1], -1)
-        slots = np.full(diags.shape[1], cols.size)
-        slots[cols.reshape(-1)] = np.arange(cols.size)
-        for a in (signs, cols, slots):
-            a.setflags(write=False)
-        table.append((slice(lo, lo + len(block)), signs, cols, slots))
+    for width in sorted(set(reads)):
+        members = [k for k, w in enumerate(reads) if w == width]
+        for lo in range(0, len(members), _GROUP):
+            obs = np.array(members[lo : lo + _GROUP])
+            block = diags[obs, :width]
+            live = np.flatnonzero(block.any(axis=0))
+            if not live.size:  # projectors past the columns that the kets reach read 0
+                continue
+            signs, inverse = np.unique(block[:, live], axis=1, return_inverse=True)
+            # both kinds give equal classes: 2**(q - distinct sites) columns for Pauli-Z, one for a projector
+            cols = live[np.argsort(inverse.reshape(-1), kind="stable")].reshape(signs.shape[1], -1)
+            slots = np.full(width, cols.size)
+            slots[cols.reshape(-1)] = np.arange(cols.size)
+            for a in (obs, signs, cols, slots):
+                a.setflags(write=False)
+            table.append((obs, signs, cols, slots))
     return tuple(table)
 
 
@@ -84,17 +90,19 @@ class ObservableEnsemble:
         """(K, 2**Q) diagonal entries; rows have unit spectral norm."""
         return _diagonals(self.kind, self.sites, num_qubits)
 
-    def classes(self, num_qubits: int) -> tuple:
-        """Per group of up to 5 observables, (obs, signs, cols, slots), read-only.
+    def classes(self, num_qubits: int, widths: tuple) -> tuple:
+        """Per group of up to 5 observables read at one width, (obs, signs, cols, slots), read-only.
 
-        ``obs`` slices the group's observables out of the K. Columns of the 2**Q
-        basis with equal non-zero diagonal entries over the group form a class:
-        class c holds the columns cols[c] (cols is (C, s), every class one size),
-        and signs[:, c] (shape (K_g, C)) are their entries. Columns whose entries
-        are all zero belong to no class. slots (2**Q,) gives each column's place
-        in cols.ravel(), and cols.size for a column of no class.
+        ``widths`` (Q,) gives, per qubit, the lowest basis columns at which a Pauli-Z on it
+        is read (``simcore.cone_widths``; projectors read at the widest). ``obs`` indexes the
+        group's observables out of the K. Columns below the group's width with equal
+        non-zero diagonal entries over the group form a class: class c holds the columns
+        cols[c] (cols is (C, s), every class one size), and signs[:, c] (shape (K_g, C)) are
+        their entries. Columns whose entries are all zero belong to no class, and a group
+        with none is left out. slots (width,) gives each column's place in cols.ravel(), and
+        cols.size for a column of no class.
         """
-        return _classes(self.kind, self.sites, num_qubits)
+        return _classes(self.kind, self.sites, num_qubits, tuple(widths))
 
     @classmethod
     def pauli_z_all(cls, num_qubits: int) -> "ObservableEnsemble":

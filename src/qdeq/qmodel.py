@@ -11,7 +11,9 @@ at Q=4, with the products the sweep needs), and the K readout forms from that
 program run on the d = ``EncodingSpec.width`` basis rows of the encoded states,
 never on the B rows, and only in their light cone (``simcore.apply_cone``). The
 theta-gradient is one adjoint sweep of the same program over the kets of the
-same d rows, which builds no run matrix and runs no forward pass of its own. The
+same d rows, which builds no run matrix and runs no forward pass of its own.
+Each readout form and bra term reads the narrowest kets that its observable
+commutes past (``simcore.cone_widths``). The
 Broyden solve reads ``readout_map``, which encodes no amplitude row. The other
 solvers call ``encode`` once per layer input and read its rows through
 ``readouts``, ``pullback_z``, ``pullback_theta`` and ``jacobian_factors``;
@@ -44,6 +46,7 @@ from .simcore import (
     ParamCircuit,
     adjoint_sweep,
     apply_cone,
+    cone_widths,
     random_layer,
     resolve_circuit,
 )
@@ -139,34 +142,32 @@ class QuantumModel:
         """(ops, V, H) at theta, rebuilt when theta's values change; ops is the program of
         ``simcore.resolve_circuit``, which the sweep reuses.
 
-        V (d, 2**Q) is U(theta) on the d basis rows that encoded states occupy (the encoding's
-        ``width``: n for amplitude, 2**Q for angle encoding), so a row psi ends as psi @ V. It is the
-        last of the kets that ``simcore.apply_cone`` keeps, cached for the sweep: the program runs
-        only in the rows' light cone, at 128, 128, 256 and 1024 columns for 100 rows at Q=10, and at
-        full width from the start at Q=4 or for angle rows. H (d, K*d) stacks
-        H_k = V diag(m_k) V^dagger: <M_k> = psi H_k psi^dagger (only Re H_k for real amplitude
-        rows). H_k = sum_c m_k[c] G_c over the classes of ``ObservableEnsemble.classes``, so each
-        group of observables costs one batched Gram G_c = V_c V_c^dagger on its classes' columns
-        V_c (on V's real view for amplitude rows), not one product per observable; amplitude rows
-        also cache [A_1 ... A_K] (K, K*K), A_k = S^T H_k S, for ``readout_map``. Values key the
-        cache, because the optimizer and checkpoint loads write theta in place.
+        V is U(theta) on the d basis rows that encoded states occupy (the encoding's ``width``: n
+        for amplitude, 2**Q for angle encoding) at the columns they reach, so a row psi ends as
+        psi @ V: the last of the kets that ``simcore.apply_cone`` keeps per stretch of the rows'
+        light cone, (100, 128), (100, 256) and V (100, 1024) at Q=10, V alone at Q=4 or for angle
+        rows. H (d, K*d) stacks H_k = K_s diag(m_k) K_s^dagger: <M_k> = psi H_k psi^dagger (Re H_k
+        for real amplitude rows), K_s the narrowest kets that M_k commutes past (128 columns for
+        Z0-Z3 at Q=10, 256 for Z4-Z5). H_k = sum_c m_k[c] G_c over ``ObservableEnsemble.classes``
+        at those widths, one batched Gram G_c = K_c K_c^dagger per group of observables on its
+        classes' columns K_c (their real view for amplitude rows); amplitude rows also cache
+        [A_1 ... A_K] (K, K*K), A_k = S^T H_k S, for ``readout_map``. Values key the cache, because
+        the optimizer and checkpoint loads write theta in place.
         """
         if self._compiled_at is None or not np.array_equal(self._compiled_at[0], self.theta):
             ops = resolve_circuit(self.circuit, self.theta)
-            d, N = self.encoding.width, 1 << self.num_qubits
+            d, K, S = self.encoding.width, self.ensemble.size, self.upsample.matrix
             kets = apply_cone(ops, np.eye(d, dtype=np.complex128))
-            V = kets[-1]
-            if V.shape[1] < N:  # no run reaches the top qubit
-                V = np.pad(V, ((0, 0), (0, N - V.shape[1])))
+            widths = cone_widths(ops, kets, self.num_qubits)
+            at = {ket.shape[1]: ket for ket in kets}
             dtype = np.float64 if self.encoding.kind == enc.AMPLITUDE else np.complex128
-            H = np.empty((self.ensemble.size, d, d), dtype=dtype)
-            for obs, signs, cols, _ in self.ensemble.classes(self.num_qubits):
-                Vc = np.take(V, cols, axis=1).view(dtype).transpose(1, 0, 2)  # (C, d, s) or its real view
-                H[obs] = _combine(signs, Vc @ Vc.conj().transpose(0, 2, 1))
+            H = np.zeros((K, d, d), dtype=dtype)  # readouts with no column in the cone read 0
+            for obs, signs, cols, slots in self.ensemble.classes(self.num_qubits, widths):
+                Kc = np.take(at[len(slots)], cols, axis=1).view(dtype).transpose(1, 0, 2)  # (C, d, s) or its real view
+                H[obs] = _combine(signs, Kc @ Kc.conj().transpose(0, 2, 1))
             H = H.transpose(1, 0, 2).reshape(d, -1)
-            S, K = self.upsample.matrix, self.ensemble.size
             SHS = ((S.T @ H).reshape(K, K, d) @ S).reshape(K, -1) if dtype == np.float64 else None
-            self._compiled_at = (self.theta.copy(), ops, V, H, SHS, kets)
+            self._compiled_at = (self.theta.copy(), ops, kets[-1], H, SHS, kets, widths)
         return self._compiled_at[1:4]
 
     def backward_batch(self, Z, X, cotangents, need_z: bool = True, need_theta: bool = True, tangents=None):
@@ -191,14 +192,16 @@ class QuantumModel:
 
         Scale cotangents by 1/B upstream for a batch mean. The objective is sum_k tr(H_k^T R_k)
         with R_k = sum_b chat_bk psi_b^T conj(psi_b), chat = c S, so one adjoint sweep over the
-        d rows of V (``_compiled``), with bra sum_k (R_k^T V) * m_k, gives it whatever B is.
-        Column j of that bra is M_c V[:, j], M_c = sum_k m_k[c] R_k^T, for the class c of j in
-        each group of ``ObservableEnsemble.classes``: one batched M_c @ V_c per group.
+        kets of the d rows (``_compiled``) gives it whatever B is. Its bra term at the kets K_s
+        of a stretch is sum_k (R_k^T K_s) * m_k over the observables that read them; column j is
+        M_c K_s[:, j], M_c = sum_k m_k[c] R_k^T, for the class c of j in each group of
+        ``ObservableEnsemble.classes``: one batched M_c @ K_c per group.
         ``tangents`` T (B, K, n) add the theta-gradient of sum_bk <D_bk, T_bk> (D of
         ``jacobian_factors``, T fixed): as <vjp(bra), t> = 2 Re<bra, jvp(t)>, that adds
         psi_b^H Phi_bk + Phi_bk^H psi_b, Phi_bk = encode_jvp(T_bk), to R_k^T first.
         """
         ops, V, _ = self._compiled()
+        kets, widths = self._compiled_at[5:]
         chat = np.atleast_2d(cotangents) @ self.upsample.matrix
         rows, d = psi.conj().T, len(V)
         R = np.empty((len(chat.T), d, d), dtype=psi.dtype)  # R_k^T; real for amplitude rows
@@ -207,14 +210,17 @@ class QuantumModel:
             if tangents is not None:
                 Y = rows @ encode_jvp(tangents[:, k])
                 R[k] += Y + Y.conj().T
-        dtype, bra = R.dtype, np.zeros_like(V)  # a real R_k^T multiplies V's real view
-        for obs, signs, cols, slots in self.ensemble.classes(self.num_qubits):
-            out = np.zeros((d, cols.size + 1), dtype=np.complex128)  # bra columns in class order, then a 0
+        dtype, terms = R.dtype, [None] * len(kets)  # a real R_k^T multiplies the kets' real view
+        stretch = {ket.shape[1]: s for s, ket in enumerate(kets)}
+        for obs, signs, cols, slots in self.ensemble.classes(self.num_qubits, widths):
+            s = stretch[len(slots)]
+            out = np.zeros((d, cols.size + 1), dtype=np.complex128)  # term columns in class order, then a 0
             np.matmul(_combine(signs.T, R[obs]),  # M_c (C, d, d)
-                      np.take(V, cols, axis=1).view(dtype).transpose(1, 0, 2),  # V_c (C, d, s)
+                      np.take(kets[s], cols, axis=1).view(dtype).transpose(1, 0, 2),  # K_c (C, d, s)
                       out=out[:, :-1].reshape(d, *cols.shape).view(dtype).transpose(1, 0, 2))
-            bra += np.take(out, slots, axis=1)  # to basis order; columns of no class read the 0
-        return adjoint_sweep(ops, self._compiled_at[5], bra, num_params=self.num_params)[0]
+            term = np.take(out, slots, axis=1)  # to basis order; columns of no class read the 0
+            terms[s] = term if terms[s] is None else terms[s] + term
+        return adjoint_sweep(ops, kets, terms, num_params=self.num_params)[0]
 
     def jacobian_factors(self, psi: np.ndarray, encode_vjp) -> np.ndarray:
         """D (B, K, n) with d forward(z_b, x_b) / d z_b = S @ D[b], of rank K, at the encoded rows psi.

@@ -22,22 +22,23 @@ oracles.
 
 Rows that occupy only the m lowest basis states leave the top qubits at |0>,
 and ``apply_cone`` runs the program only where they reach: each run acts on
-the lowest 2**q columns that cover the rows and every run before it, zero-padded
-when a run first reaches a new qubit (``_stretches``). The 10-qubit staircase
-on 100 rows runs at 128, 128, 256 and 1024 columns. The kets at the end of each
-stretch of runs at one width are kept; the last of them is U|rows>.
+the lowest 2**q columns that cover the rows and every run before it
+(``_stretches``): the 10-qubit staircase on 100 rows runs at 128, 128, 256 and
+1024 columns. The kets at the end of each stretch of runs at one width are
+kept; the last of them is U|rows>. A readout Z_q commutes with every run after
+the last on q, so it reads that run's kets (``cone_widths``).
 
 ``adjoint_sweep`` walks the runs backwards once over those kets, collecting
 each run's 2**w x 2**w environment from the rows and undoing the run on the
-bra with U^dagger. Past a stretch's first run, the bra is cut to the width of
-the stretch before: its other entries meet only zero ket entries from there
-on. Each trainable angle's derivative is one contraction of the environment
-with the gate's generator carried to the run's output; the input-state
-cotangent is the bra swept back. The model runs both passes on the d basis
-rows of its encoded states (16 at Q=4, 100 at Q=10, in row blocks of
-``_BLOCK_BYTES`` that stay in a core's L2 cache), the references on one row.
-The parameter-shift rule (f(theta + pi/2) - f(theta - pi/2)) / 2 is the
-second, exact route.
+bra with U^dagger; each stretch's bra term joins as the sweep enters it. Past
+a stretch's first run, the bra is cut to the width of the stretch before: its
+other entries meet only zero ket entries from there on. Each trainable angle's
+derivative is one contraction of the environment with the gate's generator
+carried to the run's output; the input-state cotangent is the bra swept back.
+The model runs both passes on the d basis rows of its encoded states (16 at
+Q=4, 100 at Q=10, in row blocks of ``_BLOCK_BYTES`` that stay in a core's L2
+cache), the references on one row. The parameter-shift rule
+(f(theta + pi/2) - f(theta - pi/2)) / 2 is the second, exact route.
 """
 from __future__ import annotations
 
@@ -337,24 +338,48 @@ def apply_ops(ops, states):
     return states
 
 
+def _entry(run, inner, width):
+    """The columns that the first run of a stretch on ``width`` columns reads of kets on ``inner``:
+    all for a lone wide CNOT's gather or a run below the stretch's top qubit, else whole slices of
+    2**offset columns, which meet only the first ``entry >> offset`` columns of U."""
+    if run.offset is None or _reach(run) < width:
+        return width
+    return max(1 << (inner - 1).bit_length(), 1 << run.offset)
+
+
 def apply_cone(ops, states):
     """The kets of the program ``ops`` on rows ``states`` (B, m) that occupy the m lowest basis
     states, in its light cone: a list with the kets at the end of each of ``_stretches``.
 
-    Each stretch is one ``apply_ops`` call on the kets of the stretch before, zero-padded to its
-    width into a new array (the first works in place when the rows need no padding). The last
-    kets are U|rows>, at the width that the rows and the program reach: 2**Q when a run acts on
-    the top qubit. At Q=10 the staircase on 100 rows keeps (100, 128) and (100, 256) kets
-    before them, 0.6 MiB; rows on every basis state keep only U|rows>.
+    Each stretch is one ``apply_ops`` call on the kets of the stretch before (the first works in
+    place on rows of a power-of-two width). The run that widens the cone computes U[:, :c] @ x on
+    the c window states that its input reaches (``_entry``): 4 of 16 for the staircase's last run.
+    The last kets are U|rows>, at the width that the rows and the program reach. At Q=10 the
+    staircase on 100 rows keeps (100, 128) and (100, 256) kets before them, 0.6 MiB; rows on every
+    basis state keep only U|rows>.
     """
     kets = []
     for start, stop, width in _stretches(ops, states.shape[1]):
-        if width > states.shape[1]:
-            padded = np.zeros((len(states), width), dtype=np.complex128)
-            padded[:, : states.shape[1]] = states
-            states = padded
+        run, entry = ops[start], _entry(ops[start], states.shape[1], width)
+        if entry > states.shape[1]:
+            states = np.pad(states, ((0, 0), (0, entry - states.shape[1])))
+        if entry < width:
+            c = entry >> run.offset
+            states = (run.unitary[:, :c] @ _window(states, run.offset, c)).reshape(len(states), width)
+            start += 1
         kets.append(apply_ops(ops[start:stop], states))
     return kets or [states]
+
+
+def cone_widths(ops, kets, num_qubits):
+    """Per qubit q, the width of the kets of ``apply_cone`` at the end of the last stretch with a
+    run on q, a lone wide CNOT counting as on every qubit (the first kets' width if no run acts on
+    q): Z_q commutes with every later run, so its readout reads those kets."""
+    w, widths = min(_WINDOW, num_qubits), np.full(num_qubits, kets[0].shape[1])
+    for start, stop, width in _stretches(ops, kets[0].shape[1]):
+        for run in ops[start:stop]:
+            widths[slice(0, None) if run.offset is None else slice(run.offset, run.offset + w)] = width
+    return tuple(widths.tolist())
 
 
 def adjoint_sweep(ops, final_states, bra, num_params=0):
@@ -362,26 +387,35 @@ def adjoint_sweep(ops, final_states, bra, num_params=0):
 
     ``final_states`` holds the kets of the program ``ops``: the list of ``apply_cone``, or the kets
     after the last run alone (one stretch at their width, as for rows on every basis state).
-    ``bra`` is swept in place and returned, cut to the width of the first stretch: (dtheta,
-    U^dagger bra), 128 columns for the 10-qubit staircase on 100 rows and the whole bra for rows
-    on every basis state. With bra = M_total |ket> that is the expectation's gradient and
-    dE/d(conj(amplitude)) at the input state. The model passes the kets of its d basis rows and a
-    bra built from its batch.
+    ``bra`` is the bra of the last kets, or a list of bra terms (or None), one per kets: the sweep
+    adds each, the cotangent of its kets, into the bra as it enters their stretch, in place in the
+    term; a widening run's undo writes a new, narrower bra. Returns (dtheta, U^dagger bra), swept
+    back to the width of the first stretch (128 columns for the staircase on 100 rows): with
+    bra = M_total |ket>, the expectation's gradient and dE/d(conj(amplitude)) at the input state.
 
     Walking the runs backwards, each row block adds the run's 2**w x 2**w environment
     E[a, c] = sum conj(bra_a) ket_c and undoes the run on the bra with U^dagger. Each stretch reads
     its kept kets, and undoes a copy of them only back through the runs after its first. A
     stretch's bra is cut to its width first: its entries past that width meet only zero ket
-    entries from there on. As d ket / d theta_j = -i/2 S_j P_j S_j^dagger ket at the run's
-    output, the run's dtheta is then Im sum_(a, c) E[a, c] (S_j P_j S_j^dagger)[a, c], one
+    entries from there on; the run that widened the cone computes only the entries U[:, :c]^dagger
+    that survive the cut (``_entry``). As d ket / d theta_j = -i/2 S_j P_j S_j^dagger ket at the
+    run's output, the run's dtheta is then Im sum_(a, c) E[a, c] (S_j P_j S_j^dagger)[a, c], one
     batched product for all its gates.
     """
     kets = [final_states] if isinstance(final_states, np.ndarray) else final_states
-    dtheta = np.zeros(num_params)
+    terms = bra if isinstance(bra, list) else [None] * (len(kets) - 1) + [bra]
+    stretches, dtheta, bra = _stretches(ops, kets[0].shape[1]), np.zeros(num_params), None
     undo = [run.unitary if run.offset is None else run.unitary.conj().T for run in ops]  # a CNOT undoes itself
     envs = [None if run.offset is None else np.zeros_like(run.unitary) for run in ops]
-    for (start, stop, width), kept in reversed(list(zip(_stretches(ops, kets[0].shape[1]), kets))):
+    for s in range(len(stretches) - 1, -1, -1):
+        (start, stop, width), kept, term = stretches[s], kets[s], terms[s]
+        if term is not None:
+            bra = term[:, :width] if bra is None else np.add(term[:, :width], bra[:, :width], out=term[:, :width])
+        if bra is None:
+            continue  # no readout reads the kets from here on
         bra = bra[:, :width]
+        entry = _entry(ops[start], stretches[s - 1][2], width) if s else width
+        out = bra if entry == width else np.empty((len(bra), entry), dtype=np.complex128)
         for rows in _row_blocks(bra):
             b, ket = bra[rows], kept[rows]
             if stop - start > 1:
@@ -393,12 +427,17 @@ def adjoint_sweep(ops, final_states, bra, num_params=0):
                     env += bv.conj() @ kv.T
                 if i > start:
                     _apply_step(ket, run.offset, undo[i])
-                _apply_step(b, run.offset, undo[i])
+                if i > start or out is bra:
+                    _apply_step(b, run.offset, undo[i])
+                else:
+                    c = entry >> run.offset
+                    np.matmul(undo[i][:c], _window(b, run.offset, len(env)), out=_window(out[rows], run.offset, c))
+        bra = out
     for run, env in zip(ops, envs):
         if env is not None:
             forms = run.suffixes @ run.generators @ run.suffixes.conj().transpose(0, 2, 1)
             np.add.at(dtheta, run.slots, (forms.reshape(len(forms), env.size) @ env.reshape(-1)).imag)
-    return dtheta, bra
+    return dtheta, terms[0] if bra is None else bra
 
 
 # ---------------------------------------------------------------------------

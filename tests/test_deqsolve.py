@@ -326,6 +326,32 @@ class TestImplicitBackward:
         implicit_backward_batch(model, X, z_star, np.ones_like(X), jac_weight)
         assert len(made) == calls
 
+    @pytest.mark.parametrize(
+        "encoding, num_qubits, input_dim",
+        [("amplitude", 4, 16), ("angle", 4, 16), ("amplitude", 10, 100)],
+    )
+    def test_reuses_the_forward_readout_map_at_the_fixed_point(self, encoding, num_qubits, input_dim, monkeypatch):
+        # solve_batch hands its one readout_map(X) to the backward, which reads it at e* = z* S: at a
+        # solver fixed point z* = S e* that is the map of z* + x at e = 0, which a backward given no
+        # map reads
+        model = build_default_model(encoding, num_qubits, input_dim, seed=3)
+        rng = np.random.default_rng(20)
+        X = rng.uniform(0.1, 1.0, size=(6, input_dim))
+        G = rng.normal(size=X.shape)
+        S = model.upsample.matrix
+        maps = []
+        original = model.readout_map
+        monkeypatch.setattr(model, "readout_map", lambda X: maps.append(len(X)) or original(X))
+        z_star, _, backward, _ = solve_batch(model, X, 0)
+        dtheta, _ = backward(G, 0.0)
+        assert maps == [len(X)]
+        J, (psi, _, _) = original(X)[1](z_star @ S)
+        ref_J, (ref_psi, _, _) = original(z_star + X)[1](np.zeros((len(X), S.shape[1])))
+        assert np.abs(J - ref_J).max() <= 1e-13 * np.abs(ref_J).max()
+        assert np.abs(psi - ref_psi).max() <= 1e-13 * np.abs(ref_psi).max()
+        ref_dtheta, _ = implicit_backward_batch(model, X, z_star, G)
+        assert np.abs(dtheta - ref_dtheta).max() <= 1e-13 * np.abs(ref_dtheta).max()
+
     @pytest.mark.parametrize("jac_weight", [0.0, 0.8])
     @pytest.mark.parametrize("kind", ["amplitude", "angle"])
     def test_dtheta_is_backward_batch_at_the_adjoint(self, kind, jac_weight):

@@ -91,30 +91,43 @@ class TestExpectEnsemble:
             assert np.allclose(np.abs(diags).max(axis=1), 1.0)
 
 
+STAIRCASE = (128,) * 4 + (256,) * 2 + (1024,) * 4  # the Q=10 staircase's cone widths on 100 rows
+
+
 class TestClasses:
-    """The class table: columns with equal diagonal entries over a group of observables."""
+    """The class table: columns with equal diagonal entries over a group of observables read at one
+    width, below that width."""
 
     CASES = [
-        (ObservableEnsemble.pauli_z_all(3), 3),
-        (ObservableEnsemble.pauli_z_all(4), 4),
-        (ObservableEnsemble.pauli_z_all(10), 10),
-        (ObservableEnsemble(PAULI_Z, (2, 0, 2)), 3),
-        (ObservableEnsemble(PAULI_Z, (1, 3)), 4),
-        (ObservableEnsemble(PAULI_Z, (9, 0, 4, 5, 7, 2, 8)), 10),
-        (ObservableEnsemble(BASIS_PROJECTOR, (6, 1, 6)), 3),
-        (ObservableEnsemble(BASIS_PROJECTOR, (0, 3, 5, 9)), 4),
-        (ObservableEnsemble(BASIS_PROJECTOR, (1023, 0, 17, 512, 64, 5, 900)), 10),
+        (ObservableEnsemble.pauli_z_all(3), (8,) * 3),
+        (ObservableEnsemble.pauli_z_all(4), (16,) * 4),
+        (ObservableEnsemble.pauli_z_all(10), (1024,) * 10),
+        (ObservableEnsemble.pauli_z_all(10), STAIRCASE),
+        (ObservableEnsemble(PAULI_Z, (2, 0, 2)), (8, 4, 8)),
+        (ObservableEnsemble(PAULI_Z, (1, 3)), (16,) * 4),
+        (ObservableEnsemble(PAULI_Z, (9, 0, 4, 5, 7, 2, 8)), (1024,) * 10),
+        (ObservableEnsemble(PAULI_Z, (9, 0, 4, 5, 7, 2, 8)), STAIRCASE),
+        (ObservableEnsemble(BASIS_PROJECTOR, (6, 1, 6)), (8,) * 3),
+        (ObservableEnsemble(BASIS_PROJECTOR, (0, 3, 5, 9)), (16,) * 4),
+        (ObservableEnsemble(BASIS_PROJECTOR, (1023, 0, 17, 512, 64, 5, 900)), (1024,) * 10),
+        (ObservableEnsemble(BASIS_PROJECTOR, (1023, 0, 17, 512, 64, 5, 900)), (128,) * 5 + (512,) * 5),
     ]
 
-    @pytest.mark.parametrize("ensemble, num_qubits", CASES)
-    def test_classes_partition_the_live_columns_and_rebuild_the_diagonals(self, ensemble, num_qubits):
+    @pytest.mark.parametrize("ensemble, widths", CASES)
+    def test_classes_partition_the_live_columns_and_rebuild_the_diagonals(self, ensemble, widths):
+        num_qubits = len(widths)
         diags = ensemble.diagonals(num_qubits)
-        table = ensemble.classes(num_qubits)
-        assert [obs.indices(ensemble.size)[:2] for obs, *_ in table] == [
-            (lo, min(lo + 5, ensemble.size)) for lo in range(0, ensemble.size, 5)
-        ]
+        table = ensemble.classes(num_qubits, widths)
+        # groups of up to 5 observables read at one width, by width and then in order; projectors
+        # read at the widest, and a group with no non-zero entry below its width is left out
+        reads = [widths[s] if ensemble.kind == PAULI_Z else max(widths) for s in ensemble.sites]
+        groups = []
+        for width in sorted(set(reads)):
+            members = [k for k in range(ensemble.size) if reads[k] == width]
+            groups += [members[lo : lo + 5] for lo in range(0, len(members), 5)]
+        assert [obs.tolist() for obs, *_ in table] == [g for g in groups if diags[g, : reads[g[0]]].any()]
         for obs, signs, cols, slots in table:
-            block = diags[obs]
+            block = diags[obs, : len(slots)]
             live = np.flatnonzero(block.any(axis=0))
             assert cols.ndim == 2 and signs.shape == (len(block), len(cols))
             # every live column in exactly one class, and every class the same size
@@ -128,14 +141,18 @@ class TestClasses:
             assert (np.delete(slots, live) == cols.size).all()
 
     def test_class_sizes(self):
-        assert [c.shape for _, _, c, _ in ObservableEnsemble.pauli_z_all(10).classes(10)] == [(32, 32)] * 2
-        assert [c.shape for _, _, c, _ in ObservableEnsemble(PAULI_Z, (1, 3, 1)).classes(4)] == [(4, 4)]
-        assert [c.shape for _, _, c, _ in ObservableEnsemble(BASIS_PROJECTOR, (0, 3, 5, 9)).classes(4)] == [(4, 1)]
+        full = ObservableEnsemble.pauli_z_all(10).classes(10, (1024,) * 10)
+        assert [c.shape for _, _, c, _ in full] == [(32, 32)] * 2
+        cone = ObservableEnsemble.pauli_z_all(10).classes(10, STAIRCASE)
+        assert [c.shape for _, _, c, _ in cone] == [(16, 8), (4, 64), (16, 64)]
+        assert [c.shape for _, _, c, _ in ObservableEnsemble(PAULI_Z, (1, 3, 1)).classes(4, (16,) * 4)] == [(4, 4)]
+        projectors = ObservableEnsemble(BASIS_PROJECTOR, (0, 3, 5, 9)).classes(4, (16,) * 4)
+        assert [c.shape for _, _, c, _ in projectors] == [(4, 1)]
 
     def test_table_is_cached_and_read_only(self):
         ensemble = ObservableEnsemble.pauli_z_all(4)
-        assert ensemble.classes(4) is ObservableEnsemble.pauli_z_all(4).classes(4)
-        for array in ensemble.classes(4)[0][1:]:
+        assert ensemble.classes(4, (16,) * 4) is ObservableEnsemble.pauli_z_all(4).classes(4, [16] * 4)
+        for array in ensemble.classes(4, (16,) * 4)[0]:
             with pytest.raises(ValueError):
                 array[0] = 0
 

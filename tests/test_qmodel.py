@@ -4,11 +4,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from qdeq import deqsolve
+from qdeq import deqsolve, qmodel
 from qdeq import encoding as enc
 from qdeq.encoding import EncodingSpec, amplitude_encode, angle_encode
 from qdeq.errors import DimensionError
-from qdeq.measurement import BASIS_PROJECTOR, ObservableEnsemble, UpsampleMap
+from qdeq.measurement import BASIS_PROJECTOR, PAULI_Z, ObservableEnsemble, UpsampleMap
 from qdeq.qmodel import (
     QuantumModel,
     build_block,
@@ -16,10 +16,22 @@ from qdeq.qmodel import (
     build_staircase10,
 )
 from qdeq.seeding import child_seed
-from qdeq.simcore import GateOp, ParamCircuit, adjoint_sweep, apply_circuit, apply_ops, resolve_circuit
+from qdeq.simcore import (
+    CNOT,
+    RX,
+    RY,
+    GateOp,
+    ParamCircuit,
+    adjoint_sweep,
+    apply_circuit,
+    apply_ops,
+    random_layer,
+    resolve_circuit,
+)
 from qdeq.training import TrainConfig, build_from_config, load_checkpoint, save_checkpoint
 
 import oracle
+from test_simcore import _full_width_sweep
 
 
 def _identity_model():
@@ -301,12 +313,12 @@ class TestCompiledReverseAgainstGateByGate:
 
     def test_circuit_below_the_top_qubit(self):
         # 10 amplitude rows and a circuit on qubits 0-3 of 5: the light cone ends at 16 columns, and
-        # V is its last kets zero-padded to 2**Q
+        # V is its last kets, unpadded; Z_4 reads them as all-|0> on qubit 4
         block, theta = build_block(5, 4, random_ops=10)
         circuit = ParamCircuit(5, block.gates, block.num_params)
         model = QuantumModel(EncodingSpec("amplitude", 5, 10), circuit, theta, ObservableEnsemble.pauli_z_all(5))
         V = model._compiled()[1]
-        assert V.shape == (10, 32) and model._compiled_at[5][-1].shape == (10, 16)
+        assert V.shape == (10, 16) and model._compiled_at[5][-1] is V
         Z, X, C = self._batch(10)
         dZ, dtheta = model.backward_batch(Z, X, C)
         ref_dZ, ref_dtheta = _gate_by_gate_backward(model, Z, X, C)
@@ -425,6 +437,149 @@ class TestClassBuiltForms:
         ref_dtheta, ref_penalty = deqsolve.implicit_backward_batch(model, X, Z, C, jac_weight=0.7)
         assert _rel(dtheta, ref_dtheta) <= 1e-14
         assert abs(penalty - ref_penalty) <= 1e-14 * abs(ref_penalty)
+
+
+def _full_width_build(model, psi, cotangents, encode_jvp=None, tangents=None):
+    """(V, H, A, dtheta) as built before the observable cones: the circuit on eye(d, 2**Q), one
+    class table at full width for the forms and the bra, and the sweep at full width
+    (``_full_width_sweep``)."""
+    ops = resolve_circuit(model.circuit, model.theta)
+    d, N, K = model.encoding.width, 1 << model.num_qubits, model.ensemble.size
+    V = apply_ops(ops, np.eye(d, N, dtype=np.complex128))
+    table = model.ensemble.classes(model.num_qubits, (N,) * model.num_qubits)
+    dtype = np.float64 if model.encoding.kind == "amplitude" else np.complex128
+    H = np.zeros((K, d, d), dtype=dtype)
+    for obs, signs, cols, _ in table:
+        Vc = np.take(V, cols, axis=1).view(dtype).transpose(1, 0, 2)
+        H[obs] = qmodel._combine(signs, Vc @ Vc.conj().transpose(0, 2, 1))
+    H = H.transpose(1, 0, 2).reshape(d, -1)
+    S = model.upsample.matrix
+    A = ((S.T @ H).reshape(K, K, d) @ S).reshape(K, -1) if dtype == np.float64 else None
+    chat, rows = np.atleast_2d(cotangents) @ S, psi.conj().T
+    R = np.stack([rows @ (c[:, None] * psi) for c in chat.T])
+    if tangents is not None:
+        Y = np.stack([rows @ encode_jvp(tangents[:, k]) for k in range(K)])
+        R = R + (Y + Y.conj().transpose(0, 2, 1))
+    bra = np.zeros_like(V)
+    for obs, signs, cols, slots in table:
+        out = np.zeros((d, cols.size + 1), dtype=np.complex128)
+        np.matmul(qmodel._combine(signs.T, R[obs]), np.take(V, cols, axis=1).view(R.dtype).transpose(1, 0, 2),
+                  out=out[:, :-1].reshape(d, *cols.shape).view(R.dtype).transpose(1, 0, 2))
+        bra += np.take(out, slots, axis=1)
+    return V, H, A, _full_width_sweep(ops, V, bra, model.num_params)[0]
+
+
+def _lone_cnot_model(opens_the_wide_stretch):
+    """Q=8 on 40 amplitude rows (64 columns): a ``random_layer`` on qubits 0-5 with lone wide CNOTs,
+    then a trainable block on qubits 4-7 (a run at offset 4 that widens the cone to 256 columns) or
+    a lone CNOT 1 -> 7 that opens the 256-column stretch, as in ``TestLightCone``."""
+    gates, theta = random_layer(6, 6, 60)
+    if opens_the_wide_stretch:
+        gates += [GateOp(CNOT, 7, control=1), GateOp(RY, 7, param_slot=len(theta)), GateOp(CNOT, 4, control=7),
+                  GateOp(RX, 6, param_slot=len(theta) + 1)]
+        theta = np.append(theta, [0.3, -1.1])
+    else:
+        block, wall = qmodel._trainable_block(4, len(theta))
+        gates += [qmodel._remap_gate(g, 4, 0) for g in block]
+        theta = np.append(theta, np.random.default_rng(6).uniform(0, 2 * np.pi, wall))
+    circuit = ParamCircuit.from_gates(8, gates)
+    return QuantumModel(EncodingSpec("amplitude", 8, 40), circuit, theta, ObservableEnsemble.pauli_z_all(8))
+
+
+def _below_the_top_model():
+    block, theta = build_block(5, 4, random_ops=10)
+    circuit = ParamCircuit(5, block.gates, block.num_params)
+    return QuantumModel(EncodingSpec("amplitude", 5, 10), circuit, theta, ObservableEnsemble.pauli_z_all(5))
+
+
+def _high_run_first_model(rows):
+    """Q=10 on ``rows`` amplitude rows: a trainable block on qubits 6-9 opens the cone at 1024
+    columns from the rows' own (a power of two, at least the 64 columns below qubit 6), then a
+    block on qubits 0-3."""
+    gates, slots = [], 0
+    for offset in (6, 0):
+        block, count = qmodel._trainable_block(4, slots)
+        gates += [qmodel._remap_gate(g, offset, 0) for g in block]
+        slots += count
+    theta = np.random.default_rng(7).uniform(0, 2 * np.pi, slots)
+    return QuantumModel(EncodingSpec("amplitude", 10, rows), ParamCircuit.from_gates(10, gates), theta,
+                        ObservableEnsemble.pauli_z_all(10))
+
+
+def _with_ensemble(build, ensemble):
+    return lambda: dataclasses.replace(build(), ensemble=ensemble)
+
+
+def _projector_model_10():
+    model = build_default_model("amplitude", 10, 100, seed=3)
+    ensemble = ObservableEnsemble(BASIS_PROJECTOR, (1023, 0, 17, 512, 64, 5, 900, 99, 127, 128))
+    return dataclasses.replace(model, ensemble=ensemble)
+
+
+class TestObservableCones:
+    """Each readout form and bra term comes from the narrowest kets that its observable commutes
+    past, and the run that widens the cone reads only the window states its input reaches: against
+    the full-width class build and sweep, within 1e-13, and bit for bit where the rows fill the
+    basis (one stretch at full width)."""
+
+    MODELS = {
+        "staircase-10": (lambda: build_default_model("amplitude", 10, 100, seed=3),
+                         (128,) * 4 + (256,) * 2 + (1024,) * 4),
+        "lone-cnot-then-block-8": (lambda: _lone_cnot_model(False), (64,) * 4 + (256,) * 4),
+        "lone-cnot-opens-8": (lambda: _lone_cnot_model(True), (256,) * 8),
+        "below-the-top-5": (_below_the_top_model, (16,) * 5),
+        "projectors-10": (_projector_model_10, (128,) * 4 + (256,) * 2 + (1024,) * 4),
+        # Z0 and Z1 read the first stretch only: the sweep skips the two after it
+        "low-sites-10": (_with_ensemble(lambda: build_default_model("amplitude", 10, 100, seed=3),
+                                        ObservableEnsemble(PAULI_Z, (1, 0))), (128,) * 4 + (256,) * 2 + (1024,) * 4),
+        # projectors 16-31 lie past the cone's 16 columns: their group reads 0
+        "projectors-below-the-top-5": (_with_ensemble(_below_the_top_model, ObservableEnsemble(
+            BASIS_PROJECTOR, (20, 31, 16, 17, 25, 3, 0, 7, 12, 9))), (16,) * 5),
+        "high-run-first-100": (lambda: _high_run_first_model(100), (1024,) * 10),
+        "high-run-first-10": (lambda: _high_run_first_model(10), (1024,) * 10),
+        "amplitude-4": (lambda: build_default_model("amplitude", 4, 16, seed=3), (16,) * 4),
+        "angle-4": (lambda: build_default_model("angle", 4, 16, seed=3), (16,) * 4),
+    }
+
+    @pytest.fixture(params=sorted(MODELS))
+    def case(self, request):
+        build, widths = self.MODELS[request.param]
+        model = build()
+        rng = np.random.default_rng(12)
+        X = rng.uniform(0.1, 1.0, size=(24, model.input_dim))
+        psi, _, encode_jvp = model.encode(0.1 * rng.normal(size=X.shape), X)
+        T = rng.normal(size=(len(X), model.ensemble.size, model.input_dim))
+        return model, widths, psi, rng.normal(size=X.shape), encode_jvp, T
+
+    @pytest.mark.parametrize("with_tangents", [False, True])
+    def test_forms_and_dtheta_match_the_full_width_build(self, case, with_tangents):
+        model, widths, psi, C, encode_jvp, T = case
+        T = T if with_tangents else None
+        V, H, A, dtheta = _full_width_build(model, psi, C, encode_jvp, T)
+        ops, got_V, got_H = model._compiled()
+        assert model._compiled_at[6] == widths
+        got = model.pullback_theta(psi, C, encode_jvp, T)
+        exact = model.encoding.width == 1 << model.num_qubits  # one stretch at full width
+        if exact:
+            assert np.array_equal(got_V, V) and np.array_equal(got_H, H) and np.array_equal(got, dtheta)
+        assert np.array_equal(got_V, V[:, : got_V.shape[1]]) and not V[:, got_V.shape[1] :].any()
+        assert _rel(got_H, H) <= 1e-13 and _rel(got, dtheta) <= 1e-13
+        if A is not None:
+            assert (np.array_equal if exact else lambda a, b: _rel(a, b) <= 1e-13)(model._compiled_at[4], A)
+
+    def test_penalized_implicit_backward_matches_the_full_width_build(self, case, monkeypatch):
+        model, *_ = case
+        rng = np.random.default_rng(13)
+        X = rng.uniform(0.1, 1.0, size=(8, model.input_dim))
+        Z, G = 0.1 * rng.normal(size=X.shape), rng.normal(size=X.shape)
+        dtheta, penalty = deqsolve.implicit_backward_batch(model, X, Z, G, jac_weight=0.8)
+        ops, _, _ = model._compiled()
+        V, H = _full_width_build(model, np.eye(model.encoding.width), np.zeros((model.encoding.width,) * 2))[:2]
+        monkeypatch.setattr(model, "_compiled", lambda: (ops, V, H))  # jacobian_factors reads H
+        monkeypatch.setattr(model, "pullback_theta", lambda *a: _full_width_build(model, *a)[3])
+        ref_dtheta, ref_penalty = deqsolve.implicit_backward_batch(model, X, Z, G, jac_weight=0.8)
+        assert _rel(dtheta, ref_dtheta) <= 1e-13
+        assert abs(penalty - ref_penalty) <= 1e-13 * abs(ref_penalty)
 
 
 EDGE_ANGLES = np.array([0.0, 0.5 * np.pi, -0.5 * np.pi, np.pi, 2.0 * np.pi])

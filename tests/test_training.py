@@ -315,13 +315,14 @@ class TestTrainLoop:
     def test_each_step_sweeps_only_the_basis_rows(
         self, small_bundle, monkeypatch, encoding, solver_mode, jac_loss_weight, sweeps
     ):
-        # every reverse pass of a step runs on the d = 16 basis rows, never on the 400 batch rows;
-        # the Jacobian penalty's theta-gradient rides in the implicit backward's one sweep
+        # every reverse pass of a step runs on the d = 16 basis rows, never on the 400 batch rows:
+        # the bra term of each stretch (one at Q=4) has d rows; the Jacobian penalty's
+        # theta-gradient rides in the implicit backward's one sweep
         rows = []
         original = qmodel.adjoint_sweep
 
         def recording(ops, final_states, bra, **kwargs):
-            rows.append(bra.shape[0])
+            rows.append([None if term is None else term.shape[0] for term in bra])
             return original(ops, final_states, bra, **kwargs)
 
         monkeypatch.setattr(qmodel, "adjoint_sweep", recording)
@@ -332,7 +333,7 @@ class TestTrainLoop:
         model, head = build_from_config(cfg)
         _, adam = train(small_bundle, model, head, cfg)
         assert adam.t == 1
-        assert rows == [16] * sweeps
+        assert rows == [[16]] * sweeps
 
     @pytest.mark.parametrize(
         "encoding, solver_mode, jac_loss_weight",
