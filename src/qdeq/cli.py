@@ -132,7 +132,7 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     cfg, model, head, _, _ = load_checkpoint(args.checkpoint)
     data_dir = _resolve_data_dir(args.data_dir)
-    bundle = prepare_bundle(cfg.dataset, data_dir, cfg.seed)
+    bundle = prepare_bundle(cfg.dataset, data_dir, cfg.seed, splits=(args.split,))
     X, y = getattr(bundle, f"x_{args.split}"), getattr(bundle, f"y_{args.split}")
     mode = SolverMode.parse(cfg.solver_mode)
     accuracy, residual = evaluate(model, head, X, y, mode, batch_size=cfg.batch_size)

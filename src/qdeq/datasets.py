@@ -32,7 +32,8 @@ _CIFAR_RECORD = 1 + 3 * 1024  # CIFAR-10 binary: label byte, then three 32x32 pl
 
 @dataclass
 class DataBundle:
-    """Flat float64 features and int64 labels for the train, validation and test splits."""
+    """Flat float64 features and int64 labels for the train, validation and test splits; a split
+    that ``prepare_bundle`` was not asked to featurise has None for its features."""
 
     name: str
     x_train: np.ndarray
@@ -256,11 +257,13 @@ def _features(dataset: str, images: np.ndarray) -> np.ndarray:
     return out
 
 
-def prepare_bundle(dataset: str, data_dir, seed: int, subset: int | None = None) -> DataBundle:
+def prepare_bundle(dataset: str, data_dir, seed: int, subset: int | None = None,
+                   splits=("train", "val", "test")) -> DataBundle:
     """Load, filter, (optionally) subsample, split 80/20 and flatten a dataset.
 
     The split and subset draws come from named substreams of ``seed`` so they
-    are shared across architecture sweeps.
+    are shared across architecture sweeps. Only the ``splits`` named get
+    features; the others keep their labels, and their features are None.
     """
     data_dir = Path(data_dir)
     if dataset == "cifar10":
@@ -276,12 +279,14 @@ def prepare_bundle(dataset: str, data_dir, seed: int, subset: int | None = None)
         train_full = ImageDataset(train_full.images[pick], train_full.labels[pick])
     train, val = split(train_full, 0.8, child_seed(seed, "data-split"))
     del train_full  # split copied its rows; free the raw file bytes before the features
+    x = {name: _features(dataset, part.images) if name in splits else None
+         for name, part in (("train", train), ("val", val), ("test", test))}
     return DataBundle(
         name=dataset,
-        x_train=_features(dataset, train.images),
+        x_train=x["train"],
         y_train=train.labels,
-        x_val=_features(dataset, val.images),
+        x_val=x["val"],
         y_val=val.labels,
-        x_test=_features(dataset, test.images),
+        x_test=x["test"],
         y_test=test.labels,
     )

@@ -96,10 +96,13 @@ def broyden_root_batch(
 ) -> BatchFixedPoint:
     """Solve g(Z) = 0 row-wise; every sample runs its own dense (m, m) inverse-Jacobian estimate H.
 
-    Returns the per-sample iterate with the smallest relative residual among
-    those visited. Non-finite g output raises SolverDivergedError with the step
-    index; a DegenerateInputError from g (an iterate the encoder rejects) halves
-    the rows it names (all rows if it names none) once before failing hard.
+    Each step makes three passes over the (B, m, m) estimates, from H = -I: Q = H G_new, the row
+    v = dZ^T H and the good-Broyden update H += u v^T. The step direction P = H G carries over
+    from the step before, so H dG = Q - P, and the next direction is H_new G_new = Q + u (v . G_new).
+    Returns the per-sample iterate with the smallest relative residual among those visited.
+    Non-finite g output raises SolverDivergedError with the step index; a DegenerateInputError
+    from g (an iterate the encoder rejects) halves the rows it names (all rows if it names none)
+    once before failing hard.
     """
 
     def evaluate(Zc, step):
@@ -113,41 +116,50 @@ def broyden_root_batch(
             raise SolverDivergedError(f"non-finite solver values at step {step}", step=step)
         return Zc, G
 
-    Z = np.asarray(Z0, dtype=np.float64).copy()
-    Z, G = evaluate(Z, 0)
-    rel, gnorm = _relative(G, G + Z)
-    best_rel, best_gnorm, best_Z = rel.copy(), gnorm.copy(), Z.copy()
-    trace = [rel]
-    H = np.tile(-np.eye(Z.shape[1]), (len(Z), 1, 1))
+    Z, G = evaluate(np.asarray(Z0, dtype=np.float64).copy(), 0)
+    B, m = Z.shape
+    F, trace = np.empty((2, B, m)), np.empty((cfg.max_steps + 1, B))
+
+    def norms(G, Z, step):
+        """(relative residual, written to trace[step], and ||G||) per row: both norms from one
+        contraction of the stacked G and f = G + Z."""
+        np.copyto(F[0], G)
+        np.add(G, Z, out=F[1])
+        gnorm, fnorm = np.sqrt(np.einsum("sbk,sbk->sb", F, F))
+        fnorm += _EPS
+        return np.divide(gnorm, fnorm, out=trace[step]), gnorm
+
+    rel, best_gnorm = norms(G, Z, 0)
+    best_rel, best_Z = rel.copy(), Z.copy()
+    H, P = np.tile(-np.eye(m), (B, 1, 1)), -G
 
     steps = 0
     for step in range(1, cfg.max_steps + 1):
-        Znew = Z - np.einsum("bij,bj->bi", H, G)
-        Znew, Gnew = evaluate(Znew, step)
-        rel, gnorm = _relative(Gnew, Gnew + Znew)
+        Znew, G = evaluate(Z - P, step)
+        rel, gnorm = norms(G, Znew, step)
         better = rel < best_rel
-        best_rel = np.where(better, rel, best_rel)
-        best_gnorm = np.where(better, gnorm, best_gnorm)
-        best_Z[better] = Znew[better]
-        trace.append(rel)
+        np.copyto(best_rel, rel, where=better)
+        np.copyto(best_gnorm, gnorm, where=better)
+        np.copyto(best_Z, Znew, where=better[:, None])
         steps = step
-        if np.all(best_gnorm <= cfg.abs_tol):
+        if best_gnorm.max() <= cfg.abs_tol:
             break
         dZ = Znew - Z
-        dG = Gnew - G
-        HdG = np.einsum("bij,bj->bi", H, dG)
+        Q = np.einsum("bij,bj->bi", H, G)
+        HdG = Q - P
         denom = np.einsum("bn,bn->b", dZ, HdG)
-        safe = np.abs(denom) > 1e-30
-        u = np.where(safe[:, None], (dZ - HdG) / np.where(safe, denom, 1.0)[:, None], 0.0)
-        H += u[:, :, None] * np.einsum("bi,bij->bj", dZ, H)[:, None]  # good Broyden: H += u (dZ^T H)
-        Z, G = Znew, Gnew
+        u = np.divide(dZ - HdG, denom[:, None], out=np.zeros_like(dZ), where=np.abs(denom[:, None]) > 1e-30)
+        v = np.einsum("bi,bij->bj", dZ, H)
+        H += np.einsum("bi,bj->bij", u, v)
+        P = Q + u * np.einsum("bj,bj->b", v, G)[:, None]
+        Z = Znew
 
     return BatchFixedPoint(
         z_star=best_Z,
         residual=best_rel,
         converged=best_gnorm <= cfg.abs_tol,
         steps_taken=steps,
-        trace=np.stack(trace),
+        trace=trace[: steps + 1],
     )
 
 

@@ -220,7 +220,7 @@ class QuantumModel:
                       out=out[:, :-1].reshape(d, *cols.shape).view(dtype).transpose(1, 0, 2))
             term = np.take(out, slots, axis=1)  # to basis order; columns of no class read the 0
             terms[s] = term if terms[s] is None else terms[s] + term
-        return adjoint_sweep(ops, kets, terms, num_params=self.num_params)[0]
+        return adjoint_sweep(ops, kets, terms, num_params=self.num_params, return_bra=False)[0]
 
     def jacobian_factors(self, psi: np.ndarray, encode_vjp) -> np.ndarray:
         """D (B, K, n) with d forward(z_b, x_b) / d z_b = S @ D[b], of rank K, at the encoded rows psi.

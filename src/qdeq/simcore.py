@@ -382,7 +382,7 @@ def cone_widths(ops, kets, num_qubits):
     return tuple(widths.tolist())
 
 
-def adjoint_sweep(ops, final_states, bra, num_params=0):
+def adjoint_sweep(ops, final_states, bra, num_params=0, return_bra=True):
     """Reverse sweep: dtheta_j = sum over rows of 2 Re<bra, d ket / d theta_j>, bra held fixed.
 
     ``final_states`` holds the kets of the program ``ops``: the list of ``apply_cone``, or the kets
@@ -392,6 +392,8 @@ def adjoint_sweep(ops, final_states, bra, num_params=0):
     term; a widening run's undo writes a new, narrower bra. Returns (dtheta, U^dagger bra), swept
     back to the width of the first stretch (128 columns for the staircase on 100 rows): with
     bra = M_total |ket>, the expectation's gradient and dE/d(conj(amplitude)) at the input state.
+    With ``return_bra`` False it skips the undo through the first run, which only the swept bra
+    reads, and returns None in its place.
 
     Walking the runs backwards, each row block adds the run's 2**w x 2**w environment
     E[a, c] = sum conj(bra_a) ket_c and undoes the run on the bra with U^dagger. Each stretch reads
@@ -416,6 +418,8 @@ def adjoint_sweep(ops, final_states, bra, num_params=0):
         bra = bra[:, :width]
         entry = _entry(ops[start], stretches[s - 1][2], width) if s else width
         out = bra if entry == width else np.empty((len(bra), entry), dtype=np.complex128)
+        if not (s or return_bra):
+            out = None  # nothing reads the bra past the first run
         for rows in _row_blocks(bra):
             b, ket = bra[rows], kept[rows]
             if stop - start > 1:
@@ -429,7 +433,7 @@ def adjoint_sweep(ops, final_states, bra, num_params=0):
                     _apply_step(ket, run.offset, undo[i])
                 if i > start or out is bra:
                     _apply_step(b, run.offset, undo[i])
-                else:
+                elif out is not None:
                     c = entry >> run.offset
                     np.matmul(undo[i][:c], _window(b, run.offset, len(env)), out=_window(out[rows], run.offset, c))
         bra = out
@@ -437,7 +441,7 @@ def adjoint_sweep(ops, final_states, bra, num_params=0):
         if env is not None:
             forms = run.suffixes @ run.generators @ run.suffixes.conj().transpose(0, 2, 1)
             np.add.at(dtheta, run.slots, (forms.reshape(len(forms), env.size) @ env.reshape(-1)).imag)
-    return dtheta, terms[0] if bra is None else bra
+    return dtheta, (terms[0] if bra is None else bra) if return_bra else None
 
 
 # ---------------------------------------------------------------------------

@@ -41,4 +41,4 @@ def test_simcore_entry_points_keep_the_tracer_argument_names():
     # benchmarks/tracer.py reads these arguments by name and counts one call per circuit pass,
     # so the row-block loop has to stay inside the two functions
     assert list(inspect.signature(apply_ops).parameters) == ["ops", "states"]
-    assert list(inspect.signature(adjoint_sweep).parameters) == ["ops", "final_states", "bra", "num_params"]
+    assert list(inspect.signature(adjoint_sweep).parameters) == ["ops", "final_states", "bra", "num_params", "return_bra"]

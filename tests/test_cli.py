@@ -259,6 +259,26 @@ class TestTrainEval:
         assert main(["eval", *args]) == 0
         assert f"mean_residual={residual:.3e}" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("split", ["train", "val", "test"])
+    def test_eval_featurises_only_its_split(self, tmp_path, digits_data_dir, monkeypatch, capsys, split):
+        from qdeq import datasets
+
+        cfg = TrainConfig(dataset="mnist4", solver_mode="implicit", learning_rate=0.05, seed=1)
+        model, head = build_from_config(cfg)
+        save_checkpoint(tmp_path / "ckpt.txt", cfg, model, head)
+        bundle = datasets.prepare_bundle(cfg.dataset, digits_data_dir, cfg.seed)
+        featurised = []
+        original = datasets._features
+        monkeypatch.setattr(datasets, "_features", lambda name, images: featurised.append(len(images))
+                            or original(name, images))
+        args = ["--checkpoint", str(tmp_path / "ckpt.txt"), "--split", split, "--data-dir", str(digits_data_dir)]
+        assert main(["eval", *args]) == 0
+        assert featurised == [len(getattr(bundle, f"y_{split}"))]
+        featurised.clear()
+        assert datasets.prepare_bundle(cfg.dataset, digits_data_dir, cfg.seed).x_train is not None
+        assert featurised == [len(bundle.y_train), len(bundle.y_val), len(bundle.y_test)]
+        assert f"split={split} " in capsys.readouterr().out
+
     def test_seed_override_lands_in_echo(self, tmp_path, smoke_config, digits_data_dir):
         out_dir = tmp_path / "run2"
         code = main(

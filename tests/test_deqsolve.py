@@ -14,7 +14,7 @@ from qdeq.deqsolve import (
     solve_batch,
     unroll_backward_batch,
 )
-from qdeq.errors import DimensionError, SolverDivergedError
+from qdeq.errors import DegenerateInputError, DimensionError, SolverDivergedError
 from qdeq.measurement import UpsampleMap
 from qdeq.qmodel import QuantumModel, build_default_model
 
@@ -466,6 +466,83 @@ class TestAgainstNWideSolver:
         ref_dtheta, ref_penalty = _woodbury_backward(model, X, z_star, G, 0.8)
         assert np.abs(dtheta - ref_dtheta).max() <= 1e-14 * np.abs(ref_dtheta).max()
         assert abs(penalty - ref_penalty) <= 1e-14 * ref_penalty
+
+
+def _four_pass_broyden(g, Z0, cfg=BroydenConfig()):
+    """The Broyden loop as it was before the direction carried over: four passes over H per step
+    (H G, H dG, dZ^T H and the update), kept frozen as the reference for ``broyden_root_batch``."""
+
+    def evaluate(Zc, step):
+        try:
+            G = np.asarray(g(Zc), dtype=np.float64)
+        except DegenerateInputError as exc:
+            Zc = Zc.copy()
+            Zc[slice(None) if exc.rows is None else exc.rows] *= 0.5
+            G = np.asarray(g(Zc), dtype=np.float64)
+        if not np.isfinite(G).all():
+            raise SolverDivergedError(f"non-finite solver values at step {step}", step=step)
+        return Zc, G
+
+    def relative(diff, out):
+        dnorm = np.linalg.norm(diff, axis=1)
+        return dnorm / (np.linalg.norm(out, axis=1) + 1e-9), dnorm
+
+    Z = np.asarray(Z0, dtype=np.float64).copy()
+    Z, G = evaluate(Z, 0)
+    rel, gnorm = relative(G, G + Z)
+    best_rel, best_gnorm, best_Z = rel.copy(), gnorm.copy(), Z.copy()
+    trace = [rel]
+    H = np.tile(-np.eye(Z.shape[1]), (len(Z), 1, 1))
+    steps = 0
+    for step in range(1, cfg.max_steps + 1):
+        Znew = Z - np.einsum("bij,bj->bi", H, G)
+        Znew, Gnew = evaluate(Znew, step)
+        rel, gnorm = relative(Gnew, Gnew + Znew)
+        better = rel < best_rel
+        best_rel = np.where(better, rel, best_rel)
+        best_gnorm = np.where(better, gnorm, best_gnorm)
+        best_Z[better] = Znew[better]
+        trace.append(rel)
+        steps = step
+        if np.all(best_gnorm <= cfg.abs_tol):
+            break
+        dZ = Znew - Z
+        dG = Gnew - G
+        HdG = np.einsum("bij,bj->bi", H, dG)
+        denom = np.einsum("bn,bn->b", dZ, HdG)
+        safe = np.abs(denom) > 1e-30
+        u = np.where(safe[:, None], (dZ - HdG) / np.where(safe, denom, 1.0)[:, None], 0.0)
+        H += u[:, :, None] * np.einsum("bi,bij->bj", dZ, H)[:, None]  # good Broyden: H += u (dZ^T H)
+        Z, G = Znew, Gnew
+    return best_Z, best_rel, best_gnorm <= cfg.abs_tol, steps, np.stack(trace)
+
+
+class TestAgainstFourPassLoop:
+    """The three-pass loop takes H dG as H G_new - H G_old and the next direction as
+    H_old G_new + u (v . G_new), so it rounds differently from the four-pass reference.
+
+    Tolerances, absolute and fixed before measuring: z* within 1e-12, and residual and trace within
+    1e-12 too. G = f(z) - z cancels near a fixed point, so a residual is only as exact as the iterate
+    it is read at, not as exact relative to its own size.
+    """
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "encoding, num_qubits, input_dim",
+        [("amplitude", 4, 16), ("angle", 4, 16), ("amplitude", 10, 100)],
+    )
+    def test_same_steps_and_fixed_points(self, encoding, num_qubits, input_dim, seed):
+        model = build_default_model(encoding, num_qubits, input_dim, seed=seed)
+        X = np.random.default_rng(seed + 40).uniform(0.0, 1.0, size=(256, input_dim))
+        for rows in (1, 8, 256):
+            values = model.readout_map(X[:rows])[0]
+            E0 = np.zeros((rows, model.upsample.matrix.shape[1]))
+            fp = broyden_root_batch(lambda E: values(E) - E, E0)
+            z_star, residual, converged, steps, trace = _four_pass_broyden(lambda E: values(E) - E, E0)
+            assert fp.steps_taken == steps and np.array_equal(fp.converged, converged)
+            assert np.abs(fp.z_star - z_star).max() <= 1e-12
+            assert np.abs(fp.residual - residual).max() <= 1e-12
+            assert fp.trace.shape == trace.shape and np.abs(fp.trace - trace).max() <= 1e-12
 
 
 class TestDirectUnroll:

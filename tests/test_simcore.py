@@ -564,3 +564,25 @@ class TestLightCone:
         dtheta, back = adjoint_sweep(ops, kets, bra.copy(), num_params=model.num_params)
         full_dtheta, full_back = _full_width_sweep(ops, V, bra, model.num_params)
         assert np.array_equal(dtheta, full_dtheta) and np.array_equal(back, full_back)
+
+
+@pytest.mark.parametrize(
+    "encoding, num_qubits, input_dim", [("amplitude", 4, 16), ("angle", 4, 16), ("amplitude", 10, 100)]
+)
+def test_sweep_without_the_bra_skips_only_the_first_undo(encoding, num_qubits, input_dim, monkeypatch):
+    # return_bra=False drops the undo through the first run, which no dtheta reads: dtheta is
+    # bit-identical and one run's undo fewer is applied to the bra
+    model = build_default_model(encoding, num_qubits, input_dim, seed=3)
+    ops, V, _ = model._compiled()
+    kets = model._compiled_at[5]
+    bra = np.random.default_rng(44).normal(size=V.shape) + 1j * np.random.default_rng(45).normal(size=V.shape)
+    steps = []
+    original = simcore._apply_step
+    monkeypatch.setattr(simcore, "_apply_step", lambda s, o, step: steps.append(s.shape) or original(s, o, step))
+    dtheta, back = adjoint_sweep(ops, kets, bra.copy(), num_params=model.num_params)
+    kept = len(steps)
+    steps.clear()
+    lean_dtheta, lean_back = adjoint_sweep(ops, kets, bra.copy(), num_params=model.num_params, return_bra=False)
+    assert lean_back is None and back is not None
+    assert np.array_equal(lean_dtheta, dtheta)
+    assert kept - len(steps) == len(simcore._row_blocks(kets[0]))
