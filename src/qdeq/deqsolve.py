@@ -96,42 +96,46 @@ def broyden_root_batch(
 ) -> BatchFixedPoint:
     """Solve g(Z) = 0 row-wise; every sample runs its own dense (m, m) inverse-Jacobian estimate H.
 
-    Each step makes three passes over the (B, m, m) estimates, from H = -I: Q = H G_new, the row
+    Each step makes three passes over the estimates, from H = -I: Q = H G_new, the row
     v = dZ^T H and the good-Broyden update H += u v^T. The step direction P = H G carries over
     from the step before, so H dG = Q - P, and the next direction is H_new G_new = Q + u (v . G_new).
+    The state is stored batch-last, so every per-row contraction runs along the batch: the
+    iterates, G, P and the best iterate as (m, B), H as (m, m, B). ``g`` still receives and returns
+    (B, m) arrays, transposed views of that storage, and ``z_star`` is (B, m).
     Returns the per-sample iterate with the smallest relative residual among those visited.
     Non-finite g output raises SolverDivergedError with the step index; a DegenerateInputError
     from g (an iterate the encoder rejects) halves the rows it names (all rows if it names none)
     once before failing hard.
     """
 
-    def evaluate(Zc, step):
+    def evaluate(Zc, step):  # Zc and G (m, B)
         try:
-            G = np.asarray(g(Zc), dtype=np.float64)
+            G = g(Zc.T)
         except DegenerateInputError as exc:
             Zc = Zc.copy()
-            Zc[slice(None) if exc.rows is None else exc.rows] *= 0.5
-            G = np.asarray(g(Zc), dtype=np.float64)
+            Zc[:, slice(None) if exc.rows is None else exc.rows] *= 0.5
+            G = g(Zc.T)
+        G = np.ascontiguousarray(np.transpose(G), dtype=np.float64)
         if not np.isfinite(G).all():
             raise SolverDivergedError(f"non-finite solver values at step {step}", step=step)
         return Zc, G
 
-    Z, G = evaluate(np.asarray(Z0, dtype=np.float64).copy(), 0)
-    B, m = Z.shape
-    F, trace = np.empty((2, B, m)), np.empty((cfg.max_steps + 1, B))
+    Z, G = evaluate(np.array(np.transpose(Z0), dtype=np.float64, order="C"), 0)
+    m, B = Z.shape
+    F, trace = np.empty((2, m, B)), np.empty((cfg.max_steps + 1, B))
 
     def norms(G, Z, step):
         """(relative residual, written to trace[step], and ||G||) per row: both norms from one
         contraction of the stacked G and f = G + Z."""
         np.copyto(F[0], G)
         np.add(G, Z, out=F[1])
-        gnorm, fnorm = np.sqrt(np.einsum("sbk,sbk->sb", F, F))
+        gnorm, fnorm = np.sqrt(np.einsum("skb,skb->sb", F, F))
         fnorm += _EPS
         return np.divide(gnorm, fnorm, out=trace[step]), gnorm
 
     rel, best_gnorm = norms(G, Z, 0)
     best_rel, best_Z = rel.copy(), Z.copy()
-    H, P = np.tile(-np.eye(m), (B, 1, 1)), -G
+    H, P = np.repeat(-np.eye(m)[:, :, None], B, axis=2), -G
 
     steps = 0
     for step in range(1, cfg.max_steps + 1):
@@ -140,22 +144,22 @@ def broyden_root_batch(
         better = rel < best_rel
         np.copyto(best_rel, rel, where=better)
         np.copyto(best_gnorm, gnorm, where=better)
-        np.copyto(best_Z, Znew, where=better[:, None])
+        np.copyto(best_Z, Znew, where=better)
         steps = step
         if best_gnorm.max() <= cfg.abs_tol:
             break
         dZ = Znew - Z
-        Q = np.einsum("bij,bj->bi", H, G)
+        Q = np.einsum("ijb,jb->ib", H, G)
         HdG = Q - P
-        denom = np.einsum("bn,bn->b", dZ, HdG)
-        u = np.divide(dZ - HdG, denom[:, None], out=np.zeros_like(dZ), where=np.abs(denom[:, None]) > 1e-30)
-        v = np.einsum("bi,bij->bj", dZ, H)
-        H += np.einsum("bi,bj->bij", u, v)
-        P = Q + u * np.einsum("bj,bj->b", v, G)[:, None]
+        denom = np.einsum("nb,nb->b", dZ, HdG)
+        u = np.divide(dZ - HdG, denom, out=np.zeros_like(dZ), where=np.abs(denom) > 1e-30)
+        v = np.einsum("ib,ijb->jb", dZ, H)
+        H += u[:, None] * v
+        P = Q + u * np.einsum("jb,jb->b", v, G)
         Z = Znew
 
     return BatchFixedPoint(
-        z_star=best_Z,
+        z_star=np.ascontiguousarray(best_Z.T),
         residual=best_rel,
         converged=best_gnorm <= cfg.abs_tol,
         steps_taken=steps,

@@ -108,33 +108,37 @@ class QuantumModel:
         ``jacobian_factors`` @ S. Amplitude rows encode nothing: with x = S c + p, S^T p = 0, w = e + c
         and u = S w + p, E_k = (w^T A_k w + 2 w.b_k + a_k) / (|w|^2 + |p|^2) and dE_k/de =
         2 (S^T H_k u - E_k w) / |u|^2; A_k = S^T H_k S comes from ``_compiled``, b_k = S^T H_k p and
-        a_k = p^T H_k p from one product per batch. Rows with |u| <= the encoder's threshold raise
-        DegenerateInputError naming them."""
+        a_k = p^T H_k p from one product per batch. The forms are stored batch-last: c, w and a as
+        (K, B), 2 b_k as (K, K, B), so each evaluation is one product of the A_k stacked (K*K, K) with
+        w and contractions along the batch axis. The closures still take (B, K) iterates and return
+        (B, K) values and (B, K, K) Jacobians, as transposed views. Rows with |u| <= the encoder's
+        threshold raise DegenerateInputError naming them."""
         X, S = np.asarray(X, dtype=np.float64), self.upsample.matrix
         encoded = lambda E: self.encode(E @ S.T, X)
         if self.encoding.kind != enc.AMPLITUDE:
             factors = lambda rows: (self.jacobian_factors(*rows[:2]) @ S, rows)
             return lambda E: self.readouts(encoded(E)[0]), lambda E: factors(encoded(E))
         H, SHS = self._compiled()[2], self._compiled_at[4]
-        c = X @ S
-        p = X - c @ S.T
+        c = S.T @ X.T
+        p = X - c.T @ S.T
         pH = (p @ H).reshape(len(X), len(S.T), -1)  # rows p H_k
-        b, a, pp = pH @ S, np.einsum("bkd,bd->bk", pH, p), np.einsum("bd,bd->b", p, p)
+        b2 = 2.0 * np.ascontiguousarray((pH @ S).transpose(1, 2, 0))  # 2 b_k
+        a, pp = np.einsum("bkd,bd->kb", pH, p), np.einsum("bd,bd->b", p, p)
 
-        def forms(E):  # (w, |u|^2, S^T H_k u, E)
-            w = E + c
-            uu = np.einsum("bk,bk->b", w, w) + pp
+        def forms(E):  # (w, |u|^2, A_k w, E), batch-last
+            w = E.T + c
+            uu = np.einsum("kb,kb->b", w, w) + pp
             bad = np.flatnonzero(np.sqrt(uu) <= enc._DEGENERATE_NORM)
             if bad.size:
                 raise DegenerateInputError(f"cannot amplitude-encode (near-)zero rows {bad.tolist()}", rows=bad)
-            Hu = (w @ SHS).reshape(b.shape) + b
-            return w, uu, Hu, (np.einsum("bkj,bj->bk", Hu + b, w) + a) / uu[:, None]
+            Aw = (SHS.T @ w).reshape(b2.shape)
+            return w, uu, Aw, (np.einsum("kjb,jb->kb", Aw + b2, w) + a) / uu
 
-        def jacobian(E):
-            w, uu, Hu, values = forms(E)
-            return 2.0 * (Hu - values[:, :, None] * w[:, None, :]) / uu[:, None, None], encoded(E)
+        def jacobian(E):  # S^T H_k u = A_k w + b_k
+            w, uu, Aw, values = forms(E)
+            return (2.0 * (Aw + 0.5 * b2 - values[:, None] * w) / uu).transpose(2, 0, 1), encoded(E)
 
-        return lambda E: forms(E)[3], jacobian
+        return lambda E: forms(E)[3].T, jacobian
 
     # -- reverse -----------------------------------------------------------
 
