@@ -159,8 +159,8 @@ def _kron(high: np.ndarray, low: np.ndarray) -> np.ndarray:
 
 def _product(kets: np.ndarray) -> np.ndarray:
     """(B, k, 2) per-qubit kets -> (B, 2**k) product state, qubit 0 least significant."""
-    out = np.ones((kets.shape[0], 1), dtype=np.complex128)
-    for q in range(kets.shape[1]):
+    out = kets[:, 0]
+    for q in range(1, kets.shape[1]):
         out = _kron(kets[:, q], out)
     return out
 

@@ -13,12 +13,13 @@ never on the B rows, and only in their light cone (``simcore.apply_cone``). The
 theta-gradient is one adjoint sweep of the same program over the kets of the
 same d rows, which builds no run matrix and runs no forward pass of its own.
 Each readout form and bra term reads the narrowest kets that its observable
-commutes past (``simcore.cone_widths``). The
-Broyden solve reads ``readout_map``, which encodes no amplitude row. The other
-solvers call ``encode`` once per layer input and read its rows through
-``readouts``, ``pullback_z``, ``pullback_theta`` and ``jacobian_factors``;
-``forward_batch`` and ``backward_batch`` compose these for the benchmark's
-gradient gate. The observables are diagonal, so the readout forms and the
+commutes past (``simcore.cone_widths``). The Broyden solve reads
+``readout_map``, which encodes no amplitude row. The other solvers call
+``encode`` once per layer input and read its rows through ``readouts``,
+``pullback_z``, ``pullback_theta`` and ``jacobian_factors``; angle rows fill the
+basis, so the first two read them through V, one (B, d) @ (d, d) product for all
+K readouts. ``forward_batch`` and ``backward_batch`` compose these for the
+benchmark's gradient gate. The observables are diagonal, so the readout forms and the
 sweep's bra depend on a basis column only through its diagonal entries: both
 are built once per class of equal columns (``ObservableEnsemble.classes``,
 groups of up to 5 observables), one batched matmul per group, not one product
@@ -69,7 +70,7 @@ class QuantumModel:
             )
         self.upsample = UpsampleMap(self.ensemble.size, self.encoding.input_dim)  # K must divide n
         self.ensemble.diagonals(self.circuit.num_qubits)  # validates sites
-        self._compiled_at = None  # (theta copy, program, V, H, A, kets) from ``_compiled``
+        self._compiled_at = None  # (theta copy, program, V, H, A, kets, widths) from ``_compiled``
 
     # -- shape helpers -----------------------------------------------------
 
@@ -93,7 +94,11 @@ class QuantumModel:
         return enc.encode(self.encoding, enc.inject(Z, X))
 
     def readouts(self, psi: np.ndarray) -> np.ndarray:
-        """(B, K) readouts <M_k> = psi_b H_k psi_b^dagger of the encoded rows psi, from ``_compiled``."""
+        """(B, K) readouts <M_k> of the encoded rows psi (``_compiled``): |psi_b V|^2 . m_k for angle rows,
+        one product for every k; psi_b H_k psi_b^T for amplitude rows, as their real H_k cost less at Q=10."""
+        if self.encoding.kind == enc.ANGLE:
+            a = psi @ self._compiled()[1]
+            return (a * a.conj()).real @ self.ensemble.diagonals(self.num_qubits).T
         PH = (psi @ self._compiled()[2]).reshape(len(psi), self.ensemble.size, -1)
         return np.einsum("bkd,bd->bk", PH, psi.conj()).real
 
@@ -185,8 +190,12 @@ class QuantumModel:
 
     def pullback_z(self, psi, encode_vjp, cotangents) -> np.ndarray:
         """dZ (B, n) for sum_b cotangent_b . forward at the encoded rows psi: with chat = c S,
-        the encoder vjp of sum_k chat_bk psi_b H_k, with H from ``_compiled``."""
+        the encoder vjp of sum_k chat_bk psi_b H_k, with V and H from ``_compiled``. For angle rows
+        that is (psi_b V * (chat_b @ m)) V^dagger, m the (K, d) diagonals, as in ``readouts``."""
         chat = np.atleast_2d(cotangents) @ self.upsample.matrix
+        if self.encoding.kind == enc.ANGLE:
+            V = self._compiled()[1]
+            return encode_vjp(((psi @ V) * (chat @ self.ensemble.diagonals(self.num_qubits))) @ V.conj().T)
         PH = (psi @ self._compiled()[2]).reshape(chat.shape + (-1,))
         parts = PH.view(np.float64)  # real chat times PH's parts, with no cast of chat; real PH as it is
         return encode_vjp(np.einsum("bk,bkr->br", chat, parts).view(PH.dtype))

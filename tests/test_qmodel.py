@@ -234,19 +234,23 @@ def _row_rel(got, expected):
 class TestReadoutMap:
     """e -> E(S e + x) and its K x K Jacobian, which the Broyden solve and the adjoint read."""
 
-    def test_amplitude_map_against_the_oracle(self):
+    @pytest.mark.parametrize("encoding", ["amplitude", "angle"])
+    def test_map_against_the_oracle(self, encoding):
         # values from the dense oracle's encoded state and circuit, the Jacobian from its central differences
-        model = build_default_model("amplitude", 4, 16, seed=3)
+        model = build_default_model(encoding, 4, 16, seed=3)
         E, X = _map_inputs(4, 16, seed=20)
         S, diags = model.upsample.matrix, oracle.pauli_z_diagonals(4)
+        state = oracle.amplitude_state if encoding == "amplitude" else oracle.angle_state
         values, jacobian = model.readout_map(X)
 
         def reference(E):
-            states = np.stack([oracle.amplitude_state(u, 4) for u in E @ S.T + X])
+            states = np.stack([state(u, 4) for u in E @ S.T + X])
             return oracle.expectations(model.circuit, model.theta, states, diags)
 
         assert _row_rel(values(E), reference(E)) <= 1e-13
-        step = 1e-5 * np.abs(E).max(axis=1, keepdims=True)  # relative to each row's scale
+        # amplitude readouts see only a row's direction, so the step follows each row's scale;
+        # angle readouts are periodic in the angles, so it is one absolute step
+        step = 1e-5 * (np.abs(E).max(axis=1, keepdims=True) if encoding == "amplitude" else 1.0)
         fd = np.stack([(reference(E + step * e) - reference(E - step * e)) / (2 * step) for e in np.eye(4)], axis=2)
         assert _row_rel(jacobian(E)[0], fd) <= 1e-8
 
