@@ -18,7 +18,8 @@ input and its backward pulls back through those, so a depth-L step encodes L
 times.
 
 The solvers and unrolls work on batches only: z, x and cotangents are (B, n)
-arrays, and a single sample is a one-row batch. The theta-gradient is linear
+arrays, and a single sample is a one-row batch. One Broyden call may solve several
+batches, each stopping on its own; a batch's rows still share its stop. The theta-gradient is linear
 in the rows, so each backward computation makes one stacked theta-call.
 Residuals are reported in relative form ||f(z) - z|| / (||f(z)|| + 1e-9), the
 same on e as on z = S e.
@@ -93,8 +94,15 @@ def broyden_root_batch(
     g: Callable[[np.ndarray], np.ndarray],
     Z0: np.ndarray,
     cfg: BroydenConfig = BroydenConfig(),
+    batch_rows: int | None = None,
 ) -> BatchFixedPoint:
     """Solve g(Z) = 0 row-wise; every sample runs its own dense (m, m) inverse-Jacobian estimate H.
+
+    Rows come in consecutive batches of ``batch_rows`` (all rows when None; the last may be shorter).
+    A batch stops at the first step where all its rows have a best ||G|| <= ``abs_tol``, so it couples
+    its rows; then its best iterates, residuals and flags freeze and its step is zeroed, so its trace
+    repeats. ``steps_taken`` is the largest stop. With a row-wise g that names the rows it rejects,
+    each row ends bit-identical to a solve of its batch alone.
 
     Each step makes three passes over the estimates, from H = -I: Q = H G_new, the row
     v = dZ^T H and the good-Broyden update H += u v^T. The step direction P = H G carries over
@@ -137,17 +145,19 @@ def broyden_root_batch(
     best_rel, best_Z = rel.copy(), Z.copy()
     H, P = np.repeat(-np.eye(m)[:, :, None], B, axis=2), -G
 
-    steps = 0
+    steps, live, starts = 0, None, np.arange(0, B, batch_rows or B)
     for step in range(1, cfg.max_steps + 1):
         Znew, G = evaluate(Z - P, step)
         rel, gnorm = norms(G, Znew, step)
-        better = rel < best_rel
+        better = rel < best_rel if live is None else (rel < best_rel) & live
         np.copyto(best_rel, rel, where=better)
         np.copyto(best_gnorm, gnorm, where=better)
         np.copyto(best_Z, Znew, where=better)
         steps = step
         if best_gnorm.max() <= cfg.abs_tol:
             break
+        if len(starts) > 1:  # the rows of the batches that have not stopped
+            live = np.repeat(np.maximum.reduceat(best_gnorm, starts) > cfg.abs_tol, batch_rows)[:B]
         dZ = Znew - Z
         Q = np.einsum("ijb,jb->ib", H, G)
         HdG = Q - P
@@ -156,6 +166,8 @@ def broyden_root_batch(
         v = np.einsum("ib,ijb->jb", dZ, H)
         H += u[:, None] * v
         P = Q + u * np.einsum("jb,jb->b", v, G)
+        if live is not None:
+            np.copyto(P, 0.0, where=~live)
         Z = Znew
 
     return BatchFixedPoint(
@@ -168,12 +180,13 @@ def broyden_root_batch(
 
 
 def forward_fixed_point_batch(
-    model: FixedPointLayer, X: np.ndarray, cfg: BroydenConfig = BroydenConfig(), readout_map=None
+    model: FixedPointLayer, X: np.ndarray, cfg: BroydenConfig = BroydenConfig(), readout_map=None, batch_rows=None
 ) -> BatchFixedPoint:
     """Solve f(z; x) = z for every row of X: Broyden on e = E(S e + x) from e0 = 0; z* = S e*.
-    ``readout_map`` is the model's ``readout_map(X)``, built here when None."""
+    ``readout_map`` is the model's ``readout_map(X)``, built here when None; ``batch_rows`` as in
+    ``broyden_root_batch``."""
     S, readouts = model.upsample.matrix, (readout_map or model.readout_map(X))[0]
-    fp = broyden_root_batch(lambda E: readouts(E) - E, np.zeros((len(X), S.shape[1])), cfg)
+    fp = broyden_root_batch(lambda E: readouts(E) - E, np.zeros((len(X), S.shape[1])), cfg, batch_rows)
     return replace(fp, z_star=fp.z_star @ S.T)
 
 
@@ -248,19 +261,23 @@ def direct_unroll_batch(model: FixedPointLayer, X: np.ndarray, depth: int) -> Un
     return unroll
 
 
-def solve_batch(model: FixedPointLayer, X: np.ndarray, depth: int, cfg: BroydenConfig = BroydenConfig()):
+def solve_batch(model: FixedPointLayer, X: np.ndarray, depth: int, cfg: BroydenConfig = BroydenConfig(),
+                batch_rows=None):
     """(z, per-sample residual, backward: (dz, jac_weight) -> (dtheta, penalty), unconverged rows).
 
     Depth 0 is the fixed-point solve and its implicit backward with the
     Jacobian penalty at z*, which share one ``readout_map(X)``; unconverged
-    rows are those the Broyden solver left above ``abs_tol``. Depth L >= 1
+    rows are those the Broyden solver left above ``abs_tol``. X may hold
+    several batches of ``batch_rows`` (``broyden_root_batch``): each stops on
+    its own, as if solved alone, but a batch still couples its rows. Depth L >= 1
     unrolls L layers (one extra forward pass for the residual when L is 1) and
-    reports 0 unconverged rows; with no fixed point to penalize, its backward
-    ignores ``jac_weight`` and returns 0 for it.
+    reports 0 unconverged rows; its rows are independent, so it ignores
+    ``batch_rows``. With no fixed point to penalize, its backward ignores
+    ``jac_weight`` and returns 0 for it.
     """
     if depth == 0:
         readout_map = model.readout_map(X)
-        fp = forward_fixed_point_batch(model, X, cfg, readout_map)
+        fp = forward_fixed_point_batch(model, X, cfg, readout_map, batch_rows)
         z, unconverged = fp.z_star, int(np.count_nonzero(~fp.converged))
         return z, fp.residual, lambda dz, w: implicit_backward_batch(model, X, z, dz, w, readout_map), unconverged
     unroll = direct_unroll_batch(model, X, depth)

@@ -32,6 +32,7 @@ IMPLICIT = "implicit"
 IMPLICIT_WARMUP = "implicit_warmup"
 DIRECT = "direct"
 _WARMUP_DEPTH = 1  # unroll depth of the implicit_warmup phase
+_EVAL_CHUNK_BYTES = 4 << 20  # rows' readout forms (8 K d bytes a row and layer) in one evaluate solve
 
 # dataset name -> (num_qubits, input_dim, num_classes)
 DATASET_SHAPES = {
@@ -262,27 +263,35 @@ def evaluate(
 ):
     """(accuracy %, mean relative residual) over a dataset split.
 
-    The rows of a batch whose solve diverges, or that holds an input the
-    encoder rejects, count as misclassified with residual inf. An X not (N > 0, input_dim) of finite
-    features, a y not N whole-number labels in [0, C), or a batch_size below 1 raises DimensionError.
+    Batches of ``batch_size`` rows each stop on their own, but a row's result depends on its batch.
+    One ``solve_batch`` call takes as many whole batches (at least one) as fit ``_EVAL_CHUNK_BYTES``,
+    4 MiB at 8 K d bytes (a row's readout forms) per row and unroll layer: 8192 implicit rows at Q=4,
+    512 at Q=10 in batches of 256. A chunk whose solve diverges or meets an input the encoder
+    rejects is solved again batch by batch, and a failing batch's rows count as misclassified with
+    residual inf. An X not (N > 0, input_dim) of finite features, a y not N whole-number labels in
+    [0, C), or a batch_size below 1 raises DimensionError.
     """
     _check_split(X, y, model.input_dim, head.bias.size)
     if batch_size < 1:
         raise DimensionError(f"batch_size must be >= 1, got {batch_size}")
-    correct = 0
-    residuals = []
-    for start in range(0, X.shape[0], batch_size):
-        xb = X[start : start + batch_size]
+    correct, residual = 0, np.full(X.shape[0], np.inf)
+
+    def solved(lo, hi):  # solve and score rows lo:hi; False when the solve fails
+        nonlocal correct
         try:
-            z, residual, _, _ = solve_batch(model, xb, mode.depth, broyden)
+            z, residual[lo:hi], _, _ = solve_batch(model, X[lo:hi], mode.depth, broyden, batch_size)
         except (SolverDivergedError, DegenerateInputError):
-            residuals.append(np.full(xb.shape[0], np.inf))
-            continue
-        residuals.append(residual)
-        logits, _ = head_forward_batch(head, z, train_mode=False)
-        correct += int((logits.argmax(axis=1) == y[start : start + batch_size]).sum())
-    accuracy = 100.0 * correct / X.shape[0]
-    return accuracy, float(np.concatenate(residuals).mean())
+            return False
+        correct += int((head_forward_batch(head, z, train_mode=False)[0].argmax(axis=1) == y[lo:hi]).sum())
+        return True
+
+    row_bytes = 8 * model.ensemble.size * model.encoding.width * max(1, mode.depth)
+    chunk = batch_size * max(1, _EVAL_CHUNK_BYTES // (row_bytes * batch_size))
+    for lo in range(0, X.shape[0], chunk):
+        if not solved(lo, lo + chunk):
+            for b in range(lo, min(lo + chunk, X.shape[0]), batch_size):
+                solved(b, b + batch_size)
+    return 100.0 * correct / X.shape[0], float(residual.mean())
 
 
 def train(bundle: DataBundle, model: QuantumModel, head: ClassifierHead, cfg: TrainConfig,

@@ -1,5 +1,6 @@
 """Broyden solver, implicit backward pass, unrolling, universality stacking (``conftest``)."""
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -57,6 +58,35 @@ class LinearLayer:
 def _spectral_scale(rng, n, radius):
     A = rng.normal(size=(n, n))
     return A * (radius / np.abs(np.linalg.eigvals(A)).max())
+
+
+def _linear_rows(K, halve_after=None):
+    """``g(rows)``, the map E -> A E + c - E of the 2K-step test's linear rows on those of its 64
+    rows. They come in batches of 24, 24 and 16. The middle batch's c is 1e8 larger, so its residual
+    floor, about 1e-8 from rounding, lies above abs_tol 1e-10 and it never converges. After
+    ``halve_after`` calls, each map returns half its value."""
+    rng = np.random.default_rng(0)
+    A = rng.normal(size=(64, K, K))
+    A *= 0.4 / np.linalg.norm(A, 2, axis=(1, 2))[:, None, None]
+    c = rng.normal(size=(64, K))
+    c[24:48] *= 1e8
+
+    def g(rows):
+        calls = itertools.count(1)
+
+        def f(E):
+            G = np.einsum("bij,bj->bi", A[rows], E) + c[rows] - E
+            return 0.5 * G if halve_after is not None and next(calls) > halve_after else G
+        return f
+    return g
+
+
+def _batches_and_alone(K, halve_after=None):
+    """(one solve of the 64 rows in batches of 24, three solves of one batch each), 3K steps."""
+    g, cfg = _linear_rows(K, halve_after), BroydenConfig(max_steps=3 * K, abs_tol=1e-10)
+    joint = broyden_root_batch(g(slice(None)), np.zeros((64, K)), cfg, batch_rows=24)
+    return joint, [broyden_root_batch(g(slice(lo, lo + 24)), np.zeros((min(24, 64 - lo), K)), cfg)
+                   for lo in (0, 24, 48)]
 
 
 class TestBroydenRoot:
@@ -135,6 +165,33 @@ class TestBroydenRoot:
         assert res.steps_taken == 2 * K and res.residual.max() < 1e-12
         oracle = np.linalg.solve(np.eye(K) - A, c[..., None])[..., 0]
         assert np.abs(res.z_star - oracle).max() < 1e-11 * np.abs(oracle).max()
+
+    @pytest.mark.parametrize("K", [4, 10])
+    def test_batches_stop_on_their_own(self, K):
+        # each batch of a joint solve ends as a solve of that batch alone: the first and last stop
+        # within 2K steps (Gay's bound) and freeze, the middle one runs all 3K steps unconverged
+        joint, alone = _batches_and_alone(K)
+        assert [bool(fp.converged.all()) for fp in alone] == [True, False, True]
+        assert max(alone[0].steps_taken, alone[2].steps_taken) <= 2 * K < alone[1].steps_taken == 3 * K
+        assert type(joint.steps_taken) is int and joint.steps_taken == 3 * K
+        for lo, fp in zip((0, 24, 48), alone):
+            rows, steps = slice(lo, lo + 24), fp.steps_taken
+            assert np.array_equal(joint.z_star[rows], fp.z_star)
+            assert np.array_equal(joint.residual[rows], fp.residual)
+            assert np.array_equal(joint.converged[rows], fp.converged)
+            assert np.array_equal(joint.trace[: steps + 1, rows], fp.trace)  # stopped at the same step
+            assert (joint.trace[steps:, rows] == fp.trace[-1]).all()  # and stayed put
+
+    def test_a_stopped_batch_keeps_its_result(self):
+        # g halves its values after step 2K, which only the unconverged middle batch reaches alone;
+        # the stopped batches see those lower residuals at their frozen iterates and must not take them
+        joint, alone = _batches_and_alone(4, halve_after=2 * 4 + 1)
+        assert (joint.trace[-1, :24] < joint.trace[alone[0].steps_taken, :24]).all()
+        for lo, fp in zip((0, 24, 48), alone):
+            rows = slice(lo, lo + 24)
+            assert np.array_equal(joint.z_star[rows], fp.z_star)
+            assert np.array_equal(joint.residual[rows], fp.residual)
+            assert np.array_equal(joint.converged[rows], fp.converged)
 
 
 class TestForwardFixedPoint:

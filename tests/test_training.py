@@ -530,25 +530,65 @@ class TestTrainLoop:
         assert adam.t == steps_per_epoch - 1
         assert np.isfinite(metrics.epochs[0]["train_loss"])
 
+    @pytest.mark.parametrize("row", [3, 70])
     @pytest.mark.parametrize("solver_mode", ["direct_1", "implicit"])
-    def test_unencodable_held_out_row_fails_only_its_batch(self, small_bundle, solver_mode):
+    def test_unencodable_held_out_row_fails_only_its_batch(self, small_bundle, solver_mode, row):
         # an all-zero validation row fails its evaluation batch: training still
-        # finishes, and that batch's rows count as misclassified with residual inf
+        # finishes, and that batch's rows count as misclassified with residual inf;
+        # row 70 sits in the third of the four batches that evaluate solves at once
         bundle = dataclasses.replace(small_bundle, x_val=small_bundle.x_val.copy())
-        bundle.x_val[3] = 0.0
+        bundle.x_val[row] = 0.0
         cfg = _quick_config(epochs=1, batch_size=32, warmup_steps=0, solver_mode=solver_mode)
         model, head = build_from_config(cfg)
         metrics, _ = train(bundle, model, head, cfg)
         mode = SolverMode.parse(solver_mode)
         acc, residual = evaluate(model, head, bundle.x_val, bundle.y_val, mode, batch_size=32)
+        rest = np.r_[: row - row % 32, row - row % 32 + 32 : bundle.x_val.shape[0]]
         rest_acc, rest_residual = evaluate(
-            model, head, bundle.x_val[32:], bundle.y_val[32:], mode, batch_size=32
+            model, head, bundle.x_val[rest], bundle.y_val[rest], mode, batch_size=32
         )
         n_val, n_rest = bundle.x_val.shape[0], bundle.x_val.shape[0] - 32
         assert metrics.epochs[0]["val_acc"] == acc
         assert acc == pytest.approx(rest_acc * n_rest / n_val, rel=1e-12)
         assert residual == np.inf and np.isfinite(rest_residual)
         assert np.isfinite(metrics.test_residual)
+
+    @pytest.mark.parametrize("chunk_batches", [None, 1, 2])
+    @pytest.mark.parametrize(
+        "encoding, num_qubits, input_dim, solver_mode",
+        [("amplitude", 4, 16, "implicit"), ("angle", 4, 16, "implicit"), ("amplitude", 4, 16, "direct_1"),
+         ("angle", 4, 16, "direct_5"), ("amplitude", 10, 100, "implicit")],
+    )
+    def test_evaluate_solves_whole_chunks_as_batch_by_batch(
+        self, encoding, num_qubits, input_dim, solver_mode, chunk_batches, monkeypatch
+    ):
+        # 36 rows in batches of 8, the last of 4: the same accuracy and residual as one solve_batch
+        # per batch, from one solve_batch per chunk; chunk_batches sets the byte budget to that many
+        # batches of 8 K d bytes a row and unroll layer (None: the default budget, one chunk here)
+        rng = np.random.default_rng(11)
+        model = qmodel.build_default_model(encoding, num_qubits, input_dim, seed=3)
+        classes = 4 if num_qubits == 4 else 10
+        head = init_head(classes, input_dim, 0.0, rng)
+        X, y = rng.uniform(0.0, 1.0, size=(36, input_dim)), rng.integers(0, classes, size=36)
+        mode = SolverMode.parse(solver_mode)
+        correct, residuals = 0, []
+        for lo in range(0, 36, 8):
+            z, residual, _, _ = deqsolve.solve_batch(model, X[lo : lo + 8], mode.depth)
+            correct += int((head_forward_batch(head, z, train_mode=False)[0].argmax(axis=1) == y[lo : lo + 8]).sum())
+            residuals.append(residual)
+        if chunk_batches is not None:
+            row_bytes = 8 * model.ensemble.size * model.encoding.width * max(1, mode.depth)
+            monkeypatch.setattr(training, "_EVAL_CHUNK_BYTES", chunk_batches * 8 * row_bytes)
+        calls = []
+
+        def counting_solve(*args, **kwargs):
+            calls.append(len(args[1]))
+            return deqsolve.solve_batch(*args, **kwargs)
+
+        monkeypatch.setattr(training, "solve_batch", counting_solve)
+        acc, residual = evaluate(model, head, X, y, mode, batch_size=8)
+        assert acc == 100.0 * correct / 36 and residual == float(np.concatenate(residuals).mean())
+        assert calls == {None: [36], 1: [8, 8, 8, 8, 4], 2: [16, 16, 4]}[chunk_batches]
 
     @pytest.mark.parametrize("split", ["x_train", "x_val", "x_test"])
     def test_empty_split_rejected_before_first_step(self, small_bundle, split):
