@@ -38,8 +38,8 @@ from .measurement import UpsampleMap
 class FixedPointLayer(Protocol):
     """What the solvers call on a model; ``upsample`` is S (n, K).
 
-    ``readout_map(X)`` gives the K-space layer e -> E(S e + x) and its Jacobian. ``encode`` returns
-    (psi, vjp, jvp) of the layer inputs z + x; ``readouts``, the two pullbacks and
+    ``readout_map(X)`` gives the K-space layer e -> E(S e + x) and its Jacobian. ``encoder(X)`` gives
+    e -> (psi, vjp, jvp) of the layer inputs S e + x; ``readouts``, the two pullbacks and
     ``jacobian_factors`` read them, so each solver encodes a layer input once.
     """
 
@@ -47,7 +47,7 @@ class FixedPointLayer(Protocol):
 
     def readout_map(self, X): ...
 
-    def encode(self, Z, X): ...
+    def encoder(self, X): ...
 
     def readouts(self, psi): ...
 
@@ -199,13 +199,14 @@ def implicit_backward_batch(model: FixedPointLayer, X: np.ndarray, Z_star, loss_
     solve. The theta-sweep reads q_b only through its readout cotangent q_b S = y_b, so it gets
     y_b S^T. z* + x is encoded once. At ``jac_weight`` w = 0, D_b S and that encoding come from
     ``readout_map`` (the forward's map of X) at e* = z* S, exact at a fixed point z* = S e*, or with
-    none from the map of z* + x at e = 0; the penalty is 0. w > 0 builds D_b for the exact penalty
-    mean_b ||J_b||_F^2 = mean_b ||D_b||_F^2, whose theta-gradient times w joins the sweep through
-    the tangents (2w/B) D_b. A singular system or non-finite y raises SolverDivergedError.
+    none from the map of z* + x at e = 0; the penalty is 0. w > 0 builds D_b, from ``encoder(z* + x)``
+    at e = 0, for the exact penalty mean_b ||J_b||_F^2 = mean_b ||D_b||_F^2, whose theta-gradient
+    times w joins the sweep through the tangents (2w/B) D_b. A singular system or non-finite y raises
+    SolverDivergedError.
     """
     G, S = np.asarray(loss_grads, dtype=np.float64), model.upsample.matrix
     if jac_weight:
-        psi, encode_vjp, encode_jvp = model.encode(Z_star, X)
+        psi, encode_vjp, encode_jvp = model.encoder(Z_star + X)(np.zeros((len(X), S.shape[1])))
         D = model.jacobian_factors(psi, encode_vjp)
         J, tangents = D @ S, (2.0 * jac_weight / len(D)) * D
         penalty = float(np.einsum("bkn,bkn->", D, D)) / len(D)
@@ -252,12 +253,13 @@ def direct_unroll_batch(model: FixedPointLayer, X: np.ndarray, depth: int) -> Un
     if depth < 1:
         raise DimensionError("unroll depth must be >= 1")
     X = np.asarray(X, dtype=np.float64)
-    S = model.upsample.matrix
-    unroll = Unroll([np.zeros_like(X)], [])
+    S, encode = model.upsample.matrix, model.encoder(X)
+    E, unroll = np.zeros((len(X), S.shape[1])), Unroll([np.zeros_like(X)], [])
     for _ in range(depth):
-        psi, encode_vjp, _ = model.encode(unroll.iterates[-1], X)
+        psi, encode_vjp, _ = encode(E)
         unroll.encodings.append((psi, encode_vjp))
-        unroll.iterates.append(model.readouts(psi) @ S.T)
+        E = model.readouts(psi)
+        unroll.iterates.append(E @ S.T)
     return unroll
 
 
@@ -270,7 +272,7 @@ def solve_batch(model: FixedPointLayer, X: np.ndarray, depth: int, cfg: BroydenC
     rows are those the Broyden solver left above ``abs_tol``. X may hold
     several batches of ``batch_rows`` (``broyden_root_batch``): each stops on
     its own, as if solved alone, but a batch still couples its rows. Depth L >= 1
-    unrolls L layers (one extra forward pass for the residual when L is 1) and
+    unrolls L layers (one more layer for the residual when L is 1) and
     reports 0 unconverged rows; its rows are independent, so it ignores
     ``batch_rows``. With no fixed point to penalize, its backward ignores
     ``jac_weight`` and returns 0 for it.
@@ -280,9 +282,8 @@ def solve_batch(model: FixedPointLayer, X: np.ndarray, depth: int, cfg: BroydenC
         fp = forward_fixed_point_batch(model, X, cfg, readout_map, batch_rows)
         z, unconverged = fp.z_star, int(np.count_nonzero(~fp.converged))
         return z, fp.residual, lambda dz, w: implicit_backward_batch(model, X, z, dz, w, readout_map), unconverged
-    unroll = direct_unroll_batch(model, X, depth)
-    last, prev = unroll.iterates[-1], unroll.iterates[-2]
+    unroll = direct_unroll_batch(model, X, depth + (depth == 1))  # depth 1 runs a second layer for its residual
+    residual = _relative(unroll.iterates[-1] - unroll.iterates[-2], unroll.iterates[-1])[0]
     if depth == 1:
-        last, prev = model.readouts(model.encode(last, X)[0]) @ model.upsample.matrix.T, last
-    residual = _relative(last - prev, last)[0]
+        unroll = Unroll(unroll.iterates[:2], unroll.encodings[:1])
     return unroll.iterates[-1], residual, lambda dz, w: (unroll_backward_batch(model, unroll, dz), 0.0), 0

@@ -2,13 +2,14 @@
 
 ``encode`` is the one batch encoder: it encodes each row once and returns the
 amplitudes it occupies with their vjp and jvp, so the simulator runs only the
-trainable circuit. Amplitude encoding normalizes the (zero-padded) vector straight
+trainable circuit; ``encoder`` encodes the rows S e + x that a solve meets for
+one batch x. Amplitude encoding normalizes the (zero-padded) vector straight
 into the amplitudes. Angle encoding rotates each qubit's |0> by Y, Z, X, Y
-angles and builds the product state from the per-qubit 2-vectors. One closed
-form in the cos and sin of the half-angles gives each qubit's ket and, with one
-(cos, sin) pair swapped, its four derivative kets; those are built on the first
-vjp or jvp call of an encode and shared by every later one. Injection adds the
-original input to the current iterate; the encoder normalizes it.
+angles and builds the product state from the per-qubit 2-vectors, one closed
+form in the cos and sin of the half-angles; the derivative kets, one product of
+their 16 monomials with a constant, are built on the first vjp or jvp call of
+an encode and shared by every later one. Injection adds the original input to
+the current iterate; the encoder normalizes it.
 """
 from __future__ import annotations
 
@@ -71,8 +72,7 @@ def encode(spec: EncodingSpec, X: np.ndarray):
     if X.shape[1:] != (spec.input_dim,):
         raise DimensionError(f"{spec.kind} encoding takes (B, {spec.input_dim}) rows, got {X.shape}")
     if spec.kind == ANGLE:
-        kets, derivatives = _qubit_kets(X.reshape(len(X), spec.num_qubits, 4))
-        return _product(kets), partial(_angle_vjp, kets, derivatives), partial(_angle_jvp, kets, derivatives)
+        return _qubit_kets(_half_angle_trig(X, spec.num_qubits))
     norms = np.linalg.norm(X, axis=1)
     bad = np.flatnonzero(norms <= _DEGENERATE_NORM)
     if bad.size:
@@ -84,6 +84,34 @@ def encode(spec: EncodingSpec, X: np.ndarray):
 
     # the vjp is the jvp of w = 2 Re(bra) on the n occupied entries, as the Jacobian is symmetric
     return unit, lambda bra: jvp(2.0 * bra.real[:, : spec.input_dim]), jvp
+
+
+def encoder(spec: EncodingSpec, X: np.ndarray, upsample):
+    """e -> ``encode`` of the rows S e + x, for (B, K) readouts e, S = ``upsample.matrix`` (n, K).
+
+    Amplitude rows add e S^T + x as ``inject`` does. Angle rows take cos and sin of x/2 once, here, and
+    per call those of (scale/2) e, added by cos(a + b) = cos a cos b - sin a sin b and sin(a + b) =
+    sin a cos b + cos a sin b; readout k covers the r = n/K angles from r k on, so its trig, repeated to
+    cover g = gcd(r, 4) angles of a qubit each (none at r = 4), broadcasts over them. An all-zero e
+    reads x's cos and sin as they are, as ``encode`` of x does."""
+    X = np.asarray(X, dtype=np.float64)
+    if spec.kind == AMPLITUDE:
+        return lambda E: encode(spec, inject(E @ upsample.matrix.T, X))
+    if X.shape[1:] != (spec.input_dim,):
+        raise DimensionError(f"{spec.kind} encoding takes (B, {spec.input_dim}) rows, got {X.shape}")
+    c, s = _half_angle_trig(X, spec.num_qubits)
+    g = np.gcd(upsample.repeat, 4)
+    split = (4 // g, g) + c.shape[1:]  # angle j = g j' + t of qubit q reads value (q, j')
+
+    def encode_at(E):
+        if not E.any():
+            return _qubit_kets((c, s))
+        half = (0.5 * upsample.scale) * np.repeat(E, upsample.repeat // g, axis=1)
+        half = half.reshape(split[2], -1, split[0]).transpose(2, 0, 1)[:, None]
+        ce, se, cx, sx = np.cos(half), np.sin(half), c.reshape(split), s.reshape(split)
+        return _qubit_kets(((cx * ce - sx * se).reshape(c.shape), (sx * ce + cx * se).reshape(c.shape)))
+
+    return encode_at
 
 
 def amplitude_encode(x: np.ndarray, num_qubits: int) -> StateVector:
@@ -126,30 +154,44 @@ def _ket(c: np.ndarray, s: np.ndarray) -> np.ndarray:
     return ket
 
 
-def _qubit_kets(angles: np.ndarray):
-    """(kets, derivatives) for the (B, Q, 4) angles: each qubit's ket (B, Q, 2), and a function
-    that returns (dkets, highs), built on its first call: dkets[j] (B, Q, 2) is d phi_q / d a_(q,j),
-    and highs[q] (B, 2**(Q-1-q)) is the product state of the qubits above q.
+def _half_angle_trig(X: np.ndarray, num_qubits: int):
+    """cos and sin (4, B, Q) of the (B, 4 Q) rows' half-angles, each angle's values contiguous."""
+    half = np.ascontiguousarray(np.moveaxis(0.5 * X.reshape(len(X), num_qubits, 4), -1, 0))
+    return np.cos(half), np.sin(half)
 
-    cos and sin of the half-angles are taken once, angle index first so that each angle's
-    values are contiguous. The ket is multilinear in the pairs (cos, sin) of its angles and
-    dR(a)/da = R(a + pi)/2, so derivative j is the ket with (cos, sin) of angle j replaced
-    by (-sin, cos)/2.
-    """
-    half = np.ascontiguousarray(np.moveaxis(0.5 * angles, -1, 0))
-    c, s = np.cos(half), np.sin(half)
+
+def _qubit_kets(trig):
+    """(psi, vjp, jvp) of the angle rows whose half-angles have the cosines and sines trig (4, B, Q),
+    from each qubit's ket (B, Q, 2). vjp and jvp share (dkets, highs), built on first call: dkets[:, q, j]
+    (B, 2) is d phi_q / d a_(q,j), the 16 monomials prod_j (c_j or s_j) (bit j of the index picks s_j)
+    times ``_derivative_table``, and highs[q] (B, 2**(Q-1-q)) the product state of the qubits above q."""
+    c, s = trig
     kets = _ket(c, s)
 
     @cache
     def derivatives():
-        C, S, j = np.repeat(c[:, None], 4, axis=1), np.repeat(s[:, None], 4, axis=1), np.arange(4)
-        C[j, j], S[j, j] = -0.5 * s, 0.5 * c  # (angle, derivative, B, Q)
-        highs = [np.ones((len(kets), 1), dtype=np.complex128)]
-        for q in range(kets.shape[1] - 1, 0, -1):
-            highs.append(_kron(highs[-1], kets[:, q]))
-        return _ket(C, S), highs[::-1]
+        pairs = np.stack([c, s], axis=1)  # (4, 2, B, Q)
+        monomials = pairs[0] * pairs[1][:, None] * pairs[2][:, None, None] * pairs[3][:, None, None, None]
+        dkets = (monomials.reshape(16, -1).T @ _derivative_table()).view(np.complex128)
+        dkets = dkets.reshape(kets.shape[:2] + (4, 2))
+        top = np.ones((len(kets), 1), dtype=np.complex128)
+        return dkets, [_product(kets[:, q + 1 :]) for q in range(kets.shape[1] - 1)] + [top]
 
-    return kets, derivatives
+    return _product(kets), partial(_angle_vjp, kets, derivatives), partial(_angle_jvp, kets, derivatives)
+
+
+@cache
+def _derivative_table() -> np.ndarray:
+    """(16, 16) real, read-only: monomial m's coefficients in the derivative kets, as (angle j, amplitude,
+    real and imaginary part). A ket is multilinear in its pairs (c_j, s_j), so its coefficient of m is
+    ``_ket`` at c = 1 - bits, s = bits of m (angles 0 and pi); dR(a)/da = R(a + pi)/2 takes (c_j, s_j)
+    to (-s_j, c_j)/2, so derivative j's is half the ket's at m with bit j flipped, negated if it is set."""
+    m = np.arange(16)
+    bits = (m >> np.arange(4)[:, None]) & 1
+    corners = _ket(1.0 - bits, bits.astype(np.float64))  # (16, 2)
+    table = np.stack([(0.5 - bits[j])[:, None] * corners[m ^ (1 << j)] for j in range(4)], 1).view(np.float64)
+    table.setflags(write=False)
+    return table.reshape(16, 16)
 
 
 def _kron(high: np.ndarray, low: np.ndarray) -> np.ndarray:
@@ -158,11 +200,13 @@ def _kron(high: np.ndarray, low: np.ndarray) -> np.ndarray:
 
 
 def _product(kets: np.ndarray) -> np.ndarray:
-    """(B, k, 2) per-qubit kets -> (B, 2**k) product state, qubit 0 least significant."""
-    out = kets[:, 0]
-    for q in range(1, kets.shape[1]):
-        out = _kron(kets[:, q], out)
-    return out
+    """(B, k, 2) per-qubit kets -> (B, 2**k) product state, qubit 0 least significant: built
+    batch-last, so every product runs along the batch, and returned as the transposed view."""
+    kets = np.ascontiguousarray(kets.transpose(1, 2, 0))
+    out = kets[0]
+    for ket in kets[1:]:
+        out = (ket[:, None] * out).reshape(2 * len(out), -1)
+    return out.T
 
 
 def _angle_vjp(kets: np.ndarray, derivatives, bra: np.ndarray) -> np.ndarray:
@@ -181,7 +225,7 @@ def _angle_vjp(kets: np.ndarray, derivatives, bra: np.ndarray) -> np.ndarray:
         env[:, q] = (highs[q][:, None, :] @ rest)[:, 0]
         rest = (rest @ kets[:, q, :, None])[..., 0]
     env[:, -1] = rest  # no qubit above the top one
-    return 2.0 * np.einsum("bqs,jbqs->bqj", env, dkets).real.reshape(rows, -1)
+    return 2.0 * np.einsum("bqs,bqjs->bqj", env, dkets).real.reshape(rows, -1)
 
 
 def _angle_jvp(kets: np.ndarray, derivatives, tangent: np.ndarray) -> np.ndarray:
@@ -190,8 +234,8 @@ def _angle_jvp(kets: np.ndarray, derivatives, tangent: np.ndarray) -> np.ndarray
     from the top qubit down by the product rule d(high (x) phi) = d high (x) phi + high (x) d phi."""
     dkets, highs = derivatives()
     rows, qubits = kets.shape[:2]
-    parts = dkets.view(np.float64).reshape(4, rows, qubits, 4)  # a real product on the complex parts
-    dphi = np.einsum("bqj,jbqr->bqr", tangent.reshape(rows, qubits, 4), parts).view(np.complex128)
+    parts = dkets.view(np.float64).reshape(rows, qubits, 4, 4)  # a real product on the complex parts
+    dphi = np.einsum("bqj,bqjr->bqr", tangent.reshape(rows, qubits, 4), parts).view(np.complex128)
     out = dphi[:, -1]
     for q in range(qubits - 2, -1, -1):
         out = _kron(out, kets[:, q]) + _kron(highs[q], dphi[:, q])

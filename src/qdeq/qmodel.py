@@ -14,11 +14,11 @@ theta-gradient is one adjoint sweep of the same program over the kets of the
 same d rows, which builds no run matrix and runs no forward pass of its own.
 Each readout form and bra term reads the narrowest kets that its observable
 commutes past (``simcore.cone_widths``). The Broyden solve reads
-``readout_map``, which encodes no amplitude row. The other solvers call
-``encode`` once per layer input and read its rows through ``readouts``,
+``readout_map``, which encodes no amplitude row. The solvers encode each layer
+input S e + x once through ``encoder(x)`` and read it through ``readouts``,
 ``pullback_z``, ``pullback_theta`` and ``jacobian_factors``; angle rows fill the
-basis, so the first two read them through V, one (B, d) @ (d, d) product for all
-K readouts. ``forward_batch`` and ``backward_batch`` compose these for the
+basis, so all four read them through V alone (one (B, d) @ (d, d) product for
+all K readouts) and build no forms. ``forward_batch`` and ``backward_batch`` compose these for the
 benchmark's gradient gate. The observables are diagonal, so the readout forms and the
 sweep's bra depend on a basis column only through its diagonal entries: both
 are built once per class of equal columns (``ObservableEnsemble.classes``,
@@ -70,7 +70,7 @@ class QuantumModel:
             )
         self.upsample = UpsampleMap(self.ensemble.size, self.encoding.input_dim)  # K must divide n
         self.ensemble.diagonals(self.circuit.num_qubits)  # validates sites
-        self._compiled_at = None  # (theta copy, program, V, H, A, kets, widths) from ``_compiled``
+        self._compiled_at = None  # (theta copy, program, V, H, A, kets, widths) of ``_compiled``; angle: H = A = None
 
     # -- shape helpers -----------------------------------------------------
 
@@ -93,12 +93,17 @@ class QuantumModel:
         and the pullbacks read, so a caller that keeps them encodes each input once."""
         return enc.encode(self.encoding, enc.inject(Z, X))
 
+    def encoder(self, X: np.ndarray):
+        """e -> ``encode(e @ S.T, X)`` on (B, K) readouts e (``encoding.encoder``), bit for bit for amplitude
+        rows; angle rows take the trig of X once here and of e per call."""
+        return enc.encoder(self.encoding, X, self.upsample)
+
     def readouts(self, psi: np.ndarray) -> np.ndarray:
         """(B, K) readouts <M_k> of the encoded rows psi (``_compiled``): |psi_b V|^2 . m_k for angle rows,
         one product for every k; psi_b H_k psi_b^T for amplitude rows, as their real H_k cost less at Q=10."""
-        if self.encoding.kind == enc.ANGLE:
-            a = psi @ self._compiled()[1]
-            return (a * a.conj()).real @ self.ensemble.diagonals(self.num_qubits).T
+        if self.encoding.kind == enc.ANGLE:  # the squared parts of psi V, each part read by its column's m
+            a = (psi @ self._compiled()[1]).view(np.float64)
+            return np.square(a) @ np.repeat(self.ensemble.diagonals(self.num_qubits).T, 2, axis=0)
         PH = (psi @ self._compiled()[2]).reshape(len(psi), self.ensemble.size, -1)
         return np.einsum("bkd,bd->bk", PH, psi.conj()).real
 
@@ -109,7 +114,7 @@ class QuantumModel:
 
     def readout_map(self, X: np.ndarray):
         """(values, jacobian) at the rows of X: e -> E(S e + x) on (B, K) iterates e, and e -> (dE/de
-        (B, K, K), the ``encode`` of S e + x). Angle rows run ``encode``, ``readouts`` and
+        (B, K, K), the ``encode`` of S e + x). Angle rows run ``encoder(X)``, ``readouts`` and
         ``jacobian_factors`` @ S. Amplitude rows encode nothing: with x = S c + p, S^T p = 0, w = e + c
         and u = S w + p, E_k = (w^T A_k w + 2 w.b_k + a_k) / (|w|^2 + |p|^2) and dE_k/de =
         2 (S^T H_k u - E_k w) / |u|^2; A_k = S^T H_k S comes from ``_compiled``, b_k = S^T H_k p and
@@ -119,7 +124,7 @@ class QuantumModel:
         (B, K) values and (B, K, K) Jacobians, as transposed views. Rows with |u| <= the encoder's
         threshold raise DegenerateInputError naming them."""
         X, S = np.asarray(X, dtype=np.float64), self.upsample.matrix
-        encoded = lambda E: self.encode(E @ S.T, X)
+        encoded = self.encoder(X)
         if self.encoding.kind != enc.AMPLITUDE:
             factors = lambda rows: (self.jacobian_factors(*rows[:2]) @ S, rows)
             return lambda E: self.readouts(encoded(E)[0]), lambda E: factors(encoded(E))
@@ -149,33 +154,33 @@ class QuantumModel:
 
     def _compiled(self):
         """(ops, V, H) at theta, rebuilt when theta's values change; ops is the program of
-        ``simcore.resolve_circuit``, which the sweep reuses.
+        ``simcore.resolve_circuit``, which the sweep reuses. H is None for angle rows, which read V alone.
 
         V is U(theta) on the d basis rows that encoded states occupy (the encoding's ``width``: n
         for amplitude, 2**Q for angle encoding) at the columns they reach, so a row psi ends as
         psi @ V: the last of the kets that ``simcore.apply_cone`` keeps per stretch of the rows'
         light cone, (100, 128), (100, 256) and V (100, 1024) at Q=10, V alone at Q=4 or for angle
-        rows. H (d, K*d) stacks H_k = K_s diag(m_k) K_s^dagger: <M_k> = psi H_k psi^dagger (Re H_k
-        for real amplitude rows), K_s the narrowest kets that M_k commutes past (128 columns for
+        rows. For amplitude rows, H (d, K*d) stacks the real H_k = Re K_s diag(m_k) K_s^dagger:
+        <M_k> = psi H_k psi^T, K_s the narrowest kets that M_k commutes past (128 columns for
         Z0-Z3 at Q=10, 256 for Z4-Z5). H_k = sum_c m_k[c] G_c over ``ObservableEnsemble.classes``
-        at those widths, one batched Gram G_c = K_c K_c^dagger per group of observables on its
-        classes' columns K_c (their real view for amplitude rows); amplitude rows also cache
-        [A_1 ... A_K] (K, K*K), A_k = S^T H_k S, for ``readout_map``. Values key the cache, because
-        the optimizer and checkpoint loads write theta in place.
+        at those widths, one batched Gram G_c = K_c K_c^T per group of observables on the real
+        view K_c of its classes' columns; the cache also holds [A_1 ... A_K] (K, K*K),
+        A_k = S^T H_k S, for ``readout_map``. Values key the cache, because the optimizer and
+        checkpoint loads write theta in place.
         """
         if self._compiled_at is None or not np.array_equal(self._compiled_at[0], self.theta):
             ops = resolve_circuit(self.circuit, self.theta)
             d, K, S = self.encoding.width, self.ensemble.size, self.upsample.matrix
             kets = apply_cone(ops, np.eye(d, dtype=np.complex128))
             widths = cone_widths(ops, kets, self.num_qubits)
-            at = {ket.shape[1]: ket for ket in kets}
-            dtype = np.float64 if self.encoding.kind == enc.AMPLITUDE else np.complex128
-            H = np.zeros((K, d, d), dtype=dtype)  # readouts with no column in the cone read 0
-            for obs, signs, cols, slots in self.ensemble.classes(self.num_qubits, widths):
-                Kc = np.take(at[len(slots)], cols, axis=1).view(dtype).transpose(1, 0, 2)  # (C, d, s) or its real view
-                H[obs] = _combine(signs, Kc @ Kc.conj().transpose(0, 2, 1))
-            H = H.transpose(1, 0, 2).reshape(d, -1)
-            SHS = ((S.T @ H).reshape(K, K, d) @ S).reshape(K, -1) if dtype == np.float64 else None
+            H = SHS = None  # angle rows read V alone
+            if self.encoding.kind == enc.AMPLITUDE:
+                at, H = {ket.shape[1]: ket for ket in kets}, np.zeros((K, d, d))  # no column in the cone reads 0
+                for obs, signs, cols, slots in self.ensemble.classes(self.num_qubits, widths):
+                    Kc = np.take(at[len(slots)], cols, axis=1).view(np.float64).transpose(1, 0, 2)  # real view
+                    H[obs] = _combine(signs, Kc @ Kc.conj().transpose(0, 2, 1))
+                H = H.transpose(1, 0, 2).reshape(d, -1)
+                SHS = ((S.T @ H).reshape(K, K, d) @ S).reshape(K, -1)
             self._compiled_at = (self.theta.copy(), ops, kets[-1], H, SHS, kets, widths)
         return self._compiled_at[1:4]
 
@@ -212,25 +217,35 @@ class QuantumModel:
         ``tangents`` T (B, K, n) add the theta-gradient of sum_bk <D_bk, T_bk> (D of
         ``jacobian_factors``, T fixed): as <vjp(bra), t> = 2 Re<bra, jvp(t)>, that adds
         psi_b^H Phi_bk + Phi_bk^H psi_b, Phi_bk = encode_jvp(T_bk), to R_k^T first.
+        Angle rows read V alone: bra psi^H ((psi V) * (chat @ m)) (+ psi^H sum_k (Phi_k V) * m_k +
+        sum_k Phi_k^H ((psi V) * m_k)), m the (K, d) diagonals.
         """
         ops, V, _ = self._compiled()
         kets, widths = self._compiled_at[5:]
         chat = np.atleast_2d(cotangents) @ self.upsample.matrix
         rows, d = psi.conj().T, len(V)
-        R = np.empty((len(chat.T), d, d), dtype=psi.dtype)  # R_k^T; real for amplitude rows
+        if self.encoding.kind == enc.ANGLE:
+            m, a, bra = self.ensemble.diagonals(self.num_qubits), psi @ V, 0.0
+            left = a * (chat @ m)
+            if tangents is not None:
+                Phi = np.stack([encode_jvp(tangents[:, k]) for k in range(len(m))])  # (K, B, d)
+                left += np.einsum("kbd,kd->bd", Phi @ V, m)
+                bra = Phi.conj().reshape(-1, d).T @ (a * m[:, None]).reshape(-1, d)
+            return adjoint_sweep(ops, kets, [rows @ left + bra], num_params=self.num_params, return_bra=False)[0]
+        R = np.empty((len(chat.T), d, d))  # R_k^T, real for amplitude rows
         for k, c in enumerate(chat.T):
             np.matmul(rows, c[:, None] * psi, out=R[k])
             if tangents is not None:
                 Y = rows @ encode_jvp(tangents[:, k])
                 R[k] += Y + Y.conj().T
-        dtype, terms = R.dtype, [None] * len(kets)  # a real R_k^T multiplies the kets' real view
+        terms = [None] * len(kets)  # a real R_k^T multiplies the kets' real view
         stretch = {ket.shape[1]: s for s, ket in enumerate(kets)}
         for obs, signs, cols, slots in self.ensemble.classes(self.num_qubits, widths):
             s = stretch[len(slots)]
             out = np.zeros((d, cols.size + 1), dtype=np.complex128)  # term columns in class order, then a 0
             np.matmul(_combine(signs.T, R[obs]),  # M_c (C, d, d)
-                      np.take(kets[s], cols, axis=1).view(dtype).transpose(1, 0, 2),  # K_c (C, d, s)
-                      out=out[:, :-1].reshape(d, *cols.shape).view(dtype).transpose(1, 0, 2))
+                      np.take(kets[s], cols, axis=1).view(np.float64).transpose(1, 0, 2),  # K_c (C, d, 2s)
+                      out=out[:, :-1].reshape(d, *cols.shape).view(np.float64).transpose(1, 0, 2))
             term = np.take(out, slots, axis=1)  # to basis order; columns of no class read the 0
             terms[s] = term if terms[s] is None else terms[s] + term
         return adjoint_sweep(ops, kets, terms, num_params=self.num_params, return_bra=False)[0]
@@ -240,9 +255,11 @@ class QuantumModel:
 
         S is the (n, K) upsample matrix ``UpsampleMap.matrix``, so D[b] @ S is the K x K Jacobian
         of the readouts e -> E(S e + x_b). Row k of D[b] is readout k's input cotangent
-        psi_b H_k chained through the encoder vjp.
+        psi_b H_k chained through the encoder vjp, or ((psi_b V) * m_k) V^dagger for angle rows.
         """
-        PH = (psi @ self._compiled()[2]).reshape(len(psi), self.ensemble.size, -1)
+        _, V, H = self._compiled()
+        PH = (((psi @ V)[:, None] * self.ensemble.diagonals(self.num_qubits)) @ V.conj().T
+              if self.encoding.kind == enc.ANGLE else (psi @ H).reshape(len(psi), self.ensemble.size, -1))
         return np.stack([encode_vjp(PH[:, k]) for k in range(self.ensemble.size)], axis=1)
 
 

@@ -5,7 +5,6 @@ import itertools
 import numpy as np
 import pytest
 
-from qdeq import encoding
 from qdeq.deqsolve import (
     BroydenConfig,
     broyden_root_batch,
@@ -36,6 +35,9 @@ class LinearLayer:
 
     def encode(self, Z, X):
         return np.atleast_2d(Z) @ self.A.T + np.atleast_2d(X), None, None
+
+    def encoder(self, X):
+        return lambda E: self.encode(E, X)  # S = I: the readouts e are the iterate
 
     def readouts(self, psi):
         return psi + self.theta @ self.B.T
@@ -381,8 +383,13 @@ class TestImplicitBackward:
         X = np.random.default_rng(17).uniform(0.1, 1.0, size=(4, 16))
         z_star = forward_fixed_point_batch(model, X).z_star
         rows = []
-        original = QuantumModel.encode
-        monkeypatch.setattr(QuantumModel, "encode", lambda self, Z, X: rows.append(len(Z)) or original(self, Z, X))
+        original = QuantumModel.encoder
+
+        def counted(self, X):
+            encode = original(self, X)
+            return lambda E: rows.append(len(E)) or encode(E)
+
+        monkeypatch.setattr(QuantumModel, "encoder", counted)
         implicit_backward_batch(model, X, z_star, np.ones_like(X), jac_weight=0.8)
         assert rows == [4]
 
@@ -650,15 +657,23 @@ class TestDirectUnroll:
 
     @pytest.mark.parametrize("kind", ["angle", "amplitude"])
     def test_depth_five_step_encodes_each_layer_once(self, kind, monkeypatch):
-        # the backward pulls back through the forward's own encodings: 5 encodes, not 10
-        rows = []
-        original = encoding.encode
-        monkeypatch.setattr(encoding, "encode", lambda spec, X: rows.append(len(X)) or original(spec, X))
+        # the backward pulls back through the forward's own encodings: one encoder of the batch,
+        # and 5 encodes through it, not 10
+        batches, rows = [], []
         model = build_default_model(kind, 4, 16, seed=3, random_ops=8)
+        original = model.encoder
+
+        def counted(X):
+            batches.append(len(X))
+            encode = original(X)
+            return lambda E: rows.append(len(E)) or encode(E)
+
+        monkeypatch.setattr(model, "encoder", counted)
+        monkeypatch.setattr(model, "encode", lambda *a: pytest.fail("a solver called encode"))
         X = np.random.default_rng(12).uniform(0.1, 1.0, size=(6, 16))
         z, _, backward, _ = solve_batch(model, X, 5)
         dtheta, _ = backward(np.ones_like(z), 0.0)
-        assert rows == [6] * 5 and np.isfinite(dtheta).all()
+        assert batches == [6] and rows == [6] * 5 and np.isfinite(dtheta).all()
 
     def test_depth_must_be_positive(self):
         model = build_default_model("amplitude", 2, 4, seed=1)

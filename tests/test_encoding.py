@@ -3,9 +3,9 @@ import numpy as np
 import pytest
 
 from qdeq import encoding
-from qdeq.encoding import EncodingSpec, amplitude_encode, angle_encode, encode, inject
+from qdeq.encoding import EncodingSpec, amplitude_encode, angle_encode, encode, encoder, inject
 from qdeq.errors import DegenerateInputError, DimensionError
-from qdeq.measurement import ObservableEnsemble
+from qdeq.measurement import ObservableEnsemble, UpsampleMap
 from qdeq.simcore import ParamCircuit, StateVector, apply_circuit
 
 import oracle
@@ -234,6 +234,84 @@ class TestEncode:
         vjp(psi)
         jvp(X)
         assert len(built) == 1
+
+
+def _summed_angle_encode(U, num_qubits):
+    """(psi, vjp, jvp) of the angle rows U (B, 4 Q) as the encoder built them before it took x's trig
+    once per batch, kept as a frozen reference: cos and sin of the summed half-angles, and each
+    derivative ket as ``_ket`` with its angle's (cos, sin) replaced by (-sin, cos)/2."""
+    half = np.ascontiguousarray(np.moveaxis(0.5 * U.reshape(len(U), num_qubits, 4), -1, 0))
+    c, s = np.cos(half), np.sin(half)
+    kets = encoding._ket(c, s)
+    C, S, j = np.repeat(c[:, None], 4, axis=1), np.repeat(s[:, None], 4, axis=1), np.arange(4)
+    C[j, j], S[j, j] = -0.5 * s, 0.5 * c
+    dkets = encoding._ket(C, S)  # (angle, B, Q, 2)
+    highs = [np.ones((len(U), 1), dtype=np.complex128)]
+    for q in range(num_qubits - 1, 0, -1):
+        highs.append(encoding._kron(highs[-1], kets[:, q]))
+    highs = highs[::-1]
+
+    def vjp(bra):
+        rest, env = bra.conj(), np.empty_like(kets)
+        for q in range(num_qubits - 1):
+            rest = rest.reshape(len(U), -1, 2)
+            env[:, q] = (highs[q][:, None, :] @ rest)[:, 0]
+            rest = (rest @ kets[:, q, :, None])[..., 0]
+        env[:, -1] = rest
+        return 2.0 * np.einsum("bqs,jbqs->bqj", env, dkets).real.reshape(len(U), -1)
+
+    def jvp(tangent):
+        dphi = np.einsum("bqj,jbqs->bqs", tangent.reshape(len(U), num_qubits, 4), dkets)
+        out = dphi[:, -1]
+        for q in range(num_qubits - 2, -1, -1):
+            out = encoding._kron(out, kets[:, q]) + encoding._kron(highs[q], dphi[:, q])
+        return out
+
+    return encoding._product(kets), vjp, jvp
+
+
+def _divisor_cases():
+    return [(q, k) for q in (4, 3) for k in range(1, 4 * q + 1) if (4 * q) % k == 0]
+
+
+class TestEncoder:
+    """``encoder(spec, x, S)``: e -> the encode of S e + x, taking an angle batch's trig of x once."""
+
+    @staticmethod
+    def _inputs(num_qubits, K, seed=30):
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(0.0, 1.0, size=(6, 4 * num_qubits))
+        return rng, X, rng.normal(size=(6, K)), rng.normal(size=X.shape)
+
+    @pytest.mark.parametrize("num_qubits, K", _divisor_cases())
+    def test_angle_rows_match_the_summed_angle_encode(self, num_qubits, K):
+        # every K that divides n = 4 Q, so each readout covers r = 1 ... 4 Q angles (r = 3 and 6 at Q = 3)
+        rng, X, E, T = self._inputs(num_qubits, K)
+        umap = UpsampleMap(K, 4 * num_qubits)
+        psi, vjp, jvp = encoder(EncodingSpec("angle", num_qubits, 4 * num_qubits), X, umap)(E)
+        ref_psi, ref_vjp, ref_jvp = _summed_angle_encode(E @ umap.matrix.T + X, num_qubits)
+        bra = rng.normal(size=psi.shape) + 1j * rng.normal(size=psi.shape)
+        for got, ref in ((psi, ref_psi), (vjp(bra), ref_vjp(bra)), (jvp(T), ref_jvp(T))):
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("kind, readouts", [("angle", "zero"), ("amplitude", "zero"), ("amplitude", "random")])
+    def test_bit_for_bit_the_encode_of_the_upsampled_sum(self, kind, readouts):
+        # e = 0 is the unroll's first layer and Broyden's first evaluation; amplitude rows at every e.
+        # psi, vjp and jvp alike
+        rng, X, E, T = self._inputs(4, 4)
+        E = np.zeros_like(E) if readouts == "zero" else E
+        spec, umap = EncodingSpec(kind, 4, 16), UpsampleMap(4, 16)
+        psi, vjp, jvp = encoder(spec, X, umap)(E)
+        ref_psi, ref_vjp, ref_jvp = encode(spec, inject(E @ umap.matrix.T, X))
+        bra = rng.normal(size=psi.shape) + 1j * rng.normal(size=psi.shape)
+        assert np.array_equal(psi, ref_psi) and np.array_equal(vjp(bra), ref_vjp(bra))
+        assert np.array_equal(jvp(T), ref_jvp(T))
+
+    @pytest.mark.parametrize("kind", ["angle", "amplitude"])
+    @pytest.mark.parametrize("shape", [(3, 8), (3, 17), (16,), (3, 4, 4)])
+    def test_wrong_width_rejected(self, kind, shape):
+        with pytest.raises(DimensionError):
+            encoder(EncodingSpec(kind, 4, 16), np.full(shape, 0.5), UpsampleMap(4, 16))(np.zeros((3, 4)))
 
 
 class TestEncodingSpec:

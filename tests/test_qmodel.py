@@ -263,7 +263,9 @@ class TestReadoutMap:
         E, X = _map_inputs(num_qubits, input_dim, seed=21)
         S = model.upsample.matrix
         values, jacobian = model.readout_map(X)
-        psi, encode_vjp, _ = model.encode(E @ S.T, X)
+        # the map's encoder: for amplitude rows bit for bit ``encode(E @ S.T, X)``; angle rows add
+        # the half-angles by the sum identities (``tests/test_encoding.py::TestEncoder``)
+        psi, encode_vjp, _ = model.encoder(X)(E)
         J, (rows, _, _) = jacobian(E)
         assert _row_rel(values(E), model.readouts(psi)) <= 1e-13
         assert _row_rel(J, model.jacobian_factors(psi, encode_vjp) @ S) <= 1e-13
@@ -418,6 +420,9 @@ class TestClassBuiltForms:
     def test_forms(self, case):
         model = case[0]
         d, K = model.encoding.width, model.ensemble.size
+        if model.encoding.kind == "angle":  # angle rows read V alone and build no forms
+            assert model._compiled()[2] is None
+            return
         H = model._compiled()[2].reshape(d, K, d).transpose(1, 0, 2)
         assert _rel(H, _per_observable_forms(model)) <= 1e-14
 
@@ -564,10 +569,11 @@ class TestObservableCones:
         assert model._compiled_at[6] == widths
         got = model.pullback_theta(psi, C, encode_jvp, T)
         exact = model.encoding.width == 1 << model.num_qubits  # one stretch at full width
+        angle = model.encoding.kind == "angle"  # reads V alone: no forms, and a bra summed against V
         if exact:
-            assert np.array_equal(got_V, V) and np.array_equal(got_H, H) and np.array_equal(got, dtheta)
+            assert np.array_equal(got_V, V) and (angle or np.array_equal(got_H, H) and np.array_equal(got, dtheta))
         assert np.array_equal(got_V, V[:, : got_V.shape[1]]) and not V[:, got_V.shape[1] :].any()
-        assert _rel(got_H, H) <= 1e-13 and _rel(got, dtheta) <= 1e-13
+        assert (got_H is None if angle else _rel(got_H, H) <= 1e-13) and _rel(got, dtheta) <= 1e-13
         if A is not None:
             assert (np.array_equal if exact else lambda a, b: _rel(a, b) <= 1e-13)(model._compiled_at[4], A)
 
@@ -584,6 +590,50 @@ class TestObservableCones:
         ref_dtheta, ref_penalty = deqsolve.implicit_backward_batch(model, X, Z, G, jac_weight=0.8)
         assert _rel(dtheta, ref_dtheta) <= 1e-13
         assert abs(penalty - ref_penalty) <= 1e-13 * abs(ref_penalty)
+
+
+def _class_pullback_theta(model, psi, cotangents, encode_jvp=None, tangents=None):
+    """dtheta of angle rows as ``pullback_theta`` built it before they read V alone, kept as a frozen
+    reference: R_k^T = psi^H diag(chat_k) psi (+ Y + Y^H, Y = psi^H encode_jvp(T_k)), and the bra
+    M_c @ V_c per class of ``ObservableEnsemble.classes``, one stretch at full width."""
+    ops, V, _ = model._compiled()
+    chat, rows, d = np.atleast_2d(cotangents) @ model.upsample.matrix, psi.conj().T, len(V)
+    R = np.empty((len(chat.T), d, d), dtype=np.complex128)
+    for k, c in enumerate(chat.T):
+        np.matmul(rows, c[:, None] * psi, out=R[k])
+        if tangents is not None:
+            Y = rows @ encode_jvp(tangents[:, k])
+            R[k] += Y + Y.conj().T
+    bra = None
+    for obs, signs, cols, slots in model.ensemble.classes(model.num_qubits, model._compiled_at[6]):
+        out = np.zeros((d, cols.size + 1), dtype=np.complex128)
+        np.matmul(qmodel._combine(signs.T, R[obs]), np.take(V, cols, axis=1).transpose(1, 0, 2),
+                  out=out[:, :-1].reshape(d, *cols.shape).transpose(1, 0, 2))
+        term = np.take(out, slots, axis=1)
+        bra = term if bra is None else bra + term
+    return adjoint_sweep(ops, V, bra, num_params=model.num_params, return_bra=False)[0]
+
+
+class TestAnglePullbackThroughV:
+    """Angle rows' theta-gradient from one bra summed against V, against the class-built R_k bra."""
+
+    MODELS = {
+        "pauli-z-4": lambda: build_default_model("angle", 4, 16, seed=3),
+        "projectors-8-of-16": _with_ensemble(lambda: build_default_model("angle", 4, 16, seed=5),
+                                             ObservableEnsemble(BASIS_PROJECTOR, (0, 3, 5, 9, 12, 14, 6, 1))),
+    }
+
+    @pytest.mark.parametrize("with_tangents", [False, True])
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_matches_the_class_built_bra(self, name, with_tangents):
+        model = self.MODELS[name]()
+        rng = np.random.default_rng(14)
+        X = rng.uniform(0.0, 1.0, size=(24, 16))
+        psi, _, encode_jvp = model.encoder(X)(rng.normal(size=(24, model.ensemble.size)))
+        C = rng.normal(size=X.shape)
+        T = rng.normal(size=(24, model.ensemble.size, 16)) if with_tangents else None
+        got = model.pullback_theta(psi, C, encode_jvp, T)
+        assert _rel(got, _class_pullback_theta(model, psi, C, encode_jvp, T)) <= 1e-13
 
 
 EDGE_ANGLES = np.array([0.0, 0.5 * np.pi, -0.5 * np.pi, np.pi, 2.0 * np.pi])
