@@ -5,7 +5,7 @@ Each verifier samples its stated domain, checks the exact inequality with a
 (minimum of bound - observed). The overlap verifiers take their overlaps from
 the amplitudes ``encoding.encode`` returns; the angle one also emits the
 plot-ready (dist_sq, overlap, bound) table. The contraction verifier reads the
-model's readouts of its own encoded rows (``QuantumModel.encode``, then
+model's Pauli-Z readouts of its own encoded rows (``QuantumModel.encode``, then
 ``QuantumModel.readouts``).
 """
 from __future__ import annotations
@@ -16,7 +16,6 @@ import numpy as np
 
 from .encoding import AMPLITUDE, ANGLE, EncodingSpec, encode
 from .errors import DimensionError
-from .measurement import PAULI_Z
 
 _SLACK = 1e-12
 
@@ -144,11 +143,11 @@ def verify_trig_inequality(num_samples: int, seed: int = 0) -> BoundReport:
 
 
 def verify_contraction_bound(model, num_pairs: int, seed: int = 0) -> BoundReport:
-    """Per-observable |<M>_z - <M>_z'| against the trace-distance bound.
+    """Per-qubit |<Z_q>_z - <Z_q>_z'| against the factor-2 trace-distance bound.
 
-    Pauli ensembles get the factor-2 trace-norm bound, basis projectors the
-    sharpened factor-1 version. Expectations are the model's own readouts;
-    trace distances use the encoded states (unitarily invariant).
+    A Pauli-Z has spectral norm 1, so its expectations differ by at most twice
+    the trace distance. Expectations are the model's own readouts; trace
+    distances use the encoded states (unitarily invariant).
     """
     rng = np.random.default_rng(seed)
     n = model.input_dim
@@ -163,6 +162,5 @@ def verify_contraction_bound(model, num_pairs: int, seed: int = 0) -> BoundRepor
     delta = np.abs(readouts_z - readouts_w)
     overlap = _overlaps(model.encoding, z, w)
     tdist = np.sqrt(np.clip(1.0 - overlap**2, 0.0, None))
-    factor = 2.0 if model.ensemble.kind == PAULI_Z else 1.0
-    margin = factor * tdist[:, None] - delta
+    margin = 2.0 * tdist[:, None] - delta
     return BoundReport(num_pairs, int((margin < -_SLACK).sum()), float(margin.min()))

@@ -1,29 +1,30 @@
 """Quantum model family: encoding + parametrized circuit + readout + upsample.
 
-A model maps an iterate z and input x to S <M_k>, the K readouts of the state
-U(theta)|encode(z + x)> taken back to the input width by the upsample matrix S
-(n, K). The model derives S (``upsample``) from K and n alone, so K must divide
-n. Forward and reverse passes work on (B, n) batches of samples only; a single
-sample is a one-row batch. Every pass reads what ``_compiled`` builds once per
-theta: the circuit's program (``simcore.resolve_circuit``: one 16 x 16 matrix
-per run of gates on 4 adjacent qubits, 4 runs for the 10-qubit staircase and 1
-at Q=4, with the products the sweep needs), and the K readout forms from that
-program run on the d = ``EncodingSpec.width`` basis rows of the encoded states,
-never on the B rows, and only in their light cone (``simcore.apply_cone``). The
-theta-gradient is one adjoint sweep of the same program over the kets of the
-same d rows, which builds no run matrix and runs no forward pass of its own.
-Each readout form and bra term reads the narrowest kets that its observable
-commutes past (``simcore.cone_widths``). The Broyden solve reads
-``readout_map``, which encodes no amplitude row. The solvers encode each layer
-input S e + x once through ``encoder(x)`` and read it through ``readouts``,
-``pullback_z``, ``pullback_theta`` and ``jacobian_factors``; angle rows fill the
-basis, so all four read them through V alone (one (B, d) @ (d, d) product for
-all K readouts) and build no forms. ``forward_batch`` and ``backward_batch`` compose these for the
-benchmark's gradient gate. The observables are diagonal, so the readout forms and the
-sweep's bra depend on a basis column only through its diagonal entries: both
-are built once per class of equal columns (``ObservableEnsemble.classes``,
-groups of up to 5 observables), one batched matmul per group, not one product
-per observable.
+A model maps an iterate z and input x to S <M_k>, the readouts M_k = Z_k on each
+of the K = Q qubits of the state U(theta)|encode(z + x)> taken back to the input
+width by the upsample matrix S (n, K). The model derives its readouts
+(``ensemble``) from the circuit and S (``upsample``) from K and n alone, so K
+must divide n. Forward and reverse passes work on (B, n) batches of samples
+only; a single sample is a one-row batch. Every pass reads what ``_compiled``
+builds once per theta: the circuit's program (``simcore.resolve_circuit``: one
+16 x 16 matrix per run of gates on 4 adjacent qubits, 4 runs for the 10-qubit
+staircase and 1 at Q=4, with the products the sweep needs), and the K readout
+forms from that program run on the d = ``EncodingSpec.width`` basis rows of the
+encoded states, never on the B rows, and only in their light cone
+(``simcore.apply_cone``). The theta-gradient is one adjoint sweep of the same
+program over the kets of the same d rows, which builds no run matrix and runs no
+forward pass of its own. Each readout form and bra term reads the narrowest kets
+that its observable commutes past (``simcore.cone_widths``). The Broyden solve
+reads ``readout_map``, which encodes no amplitude row. The solvers encode each
+layer input S e + x once through ``encoder(x)`` and read it through
+``readouts``, ``pullback_z``, ``pullback_theta`` and ``jacobian_factors``; angle
+rows fill the basis, so all four read them through V alone (one (B, d) @ (d, d)
+product for all K readouts) and build no forms. ``forward_batch`` and
+``backward_batch`` compose these for the benchmark's gradient gate. Each Z_k is
+diagonal, so the readout forms and the sweep's bra depend on a basis column only
+through its diagonal entries: both are built once per class of equal columns
+(``ObservableEnsemble.classes``, groups of up to 5 qubits), one batched matmul
+per group, not one product per observable.
 
 Circuit builders follow the 4-qubit block (seeded random layer, then a
 trainable RY wall, RZ wall, CNOT ring, RY wall) and its 10-qubit staircase
@@ -58,7 +59,6 @@ class QuantumModel:
     encoding: enc.EncodingSpec
     circuit: ParamCircuit
     theta: np.ndarray
-    ensemble: ObservableEnsemble
 
     def __post_init__(self):
         self.theta = np.asarray(self.theta, dtype=np.float64).reshape(-1)
@@ -68,8 +68,8 @@ class QuantumModel:
             raise DimensionError(
                 f"theta has {self.theta.shape[0]} entries, circuit expects {self.circuit.num_params}"
             )
+        self.ensemble = ObservableEnsemble(self.circuit.num_qubits)
         self.upsample = UpsampleMap(self.ensemble.size, self.encoding.input_dim)  # K must divide n
-        self.ensemble.diagonals(self.circuit.num_qubits)  # validates sites
         self._compiled_at = None  # (theta copy, program, V, H, A, kets, widths) of ``_compiled``; angle: H = A = None
 
     # -- shape helpers -----------------------------------------------------
@@ -103,7 +103,7 @@ class QuantumModel:
         one product for every k; psi_b H_k psi_b^T for amplitude rows, as their real H_k cost less at Q=10."""
         if self.encoding.kind == enc.ANGLE:  # the squared parts of psi V, each part read by its column's m
             a = (psi @ self._compiled()[1]).view(np.float64)
-            return np.square(a) @ np.repeat(self.ensemble.diagonals(self.num_qubits).T, 2, axis=0)
+            return np.square(a) @ np.repeat(self.ensemble.diagonals().T, 2, axis=0)
         PH = (psi @ self._compiled()[2]).reshape(len(psi), self.ensemble.size, -1)
         return np.einsum("bkd,bd->bk", PH, psi.conj()).real
 
@@ -175,8 +175,8 @@ class QuantumModel:
             widths = cone_widths(ops, kets, self.num_qubits)
             H = SHS = None  # angle rows read V alone
             if self.encoding.kind == enc.AMPLITUDE:
-                at, H = {ket.shape[1]: ket for ket in kets}, np.zeros((K, d, d))  # no column in the cone reads 0
-                for obs, signs, cols, slots in self.ensemble.classes(self.num_qubits, widths):
+                at, H = {ket.shape[1]: ket for ket in kets}, np.empty((K, d, d))
+                for obs, signs, cols, slots in self.ensemble.classes(widths):
                     Kc = np.take(at[len(slots)], cols, axis=1).view(np.float64).transpose(1, 0, 2)  # real view
                     H[obs] = _combine(signs, Kc @ Kc.conj().transpose(0, 2, 1))
                 H = H.transpose(1, 0, 2).reshape(d, -1)
@@ -200,7 +200,7 @@ class QuantumModel:
         chat = np.atleast_2d(cotangents) @ self.upsample.matrix
         if self.encoding.kind == enc.ANGLE:
             V = self._compiled()[1]
-            return encode_vjp(((psi @ V) * (chat @ self.ensemble.diagonals(self.num_qubits))) @ V.conj().T)
+            return encode_vjp(((psi @ V) * (chat @ self.ensemble.diagonals())) @ V.conj().T)
         PH = (psi @ self._compiled()[2]).reshape(chat.shape + (-1,))
         parts = PH.view(np.float64)  # real chat times PH's parts, with no cast of chat; real PH as it is
         return encode_vjp(np.einsum("bk,bkr->br", chat, parts).view(PH.dtype))
@@ -225,7 +225,7 @@ class QuantumModel:
         chat = np.atleast_2d(cotangents) @ self.upsample.matrix
         rows, d = psi.conj().T, len(V)
         if self.encoding.kind == enc.ANGLE:
-            m, a, bra = self.ensemble.diagonals(self.num_qubits), psi @ V, 0.0
+            m, a, bra = self.ensemble.diagonals(), psi @ V, 0.0
             left = a * (chat @ m)
             if tangents is not None:
                 Phi = np.stack([encode_jvp(tangents[:, k]) for k in range(len(m))])  # (K, B, d)
@@ -240,13 +240,13 @@ class QuantumModel:
                 R[k] += Y + Y.conj().T
         terms = [None] * len(kets)  # a real R_k^T multiplies the kets' real view
         stretch = {ket.shape[1]: s for s, ket in enumerate(kets)}
-        for obs, signs, cols, slots in self.ensemble.classes(self.num_qubits, widths):
+        for obs, signs, cols, slots in self.ensemble.classes(widths):
             s = stretch[len(slots)]
-            out = np.zeros((d, cols.size + 1), dtype=np.complex128)  # term columns in class order, then a 0
+            out = np.empty((d, cols.size), dtype=np.complex128)  # term columns in class order
             np.matmul(_combine(signs.T, R[obs]),  # M_c (C, d, d)
                       np.take(kets[s], cols, axis=1).view(np.float64).transpose(1, 0, 2),  # K_c (C, d, 2s)
-                      out=out[:, :-1].reshape(d, *cols.shape).view(np.float64).transpose(1, 0, 2))
-            term = np.take(out, slots, axis=1)  # to basis order; columns of no class read the 0
+                      out=out.reshape(d, *cols.shape).view(np.float64).transpose(1, 0, 2))
+            term = np.take(out, slots, axis=1)  # to basis order
             terms[s] = term if terms[s] is None else terms[s] + term
         return adjoint_sweep(ops, kets, terms, num_params=self.num_params, return_bra=False)[0]
 
@@ -258,7 +258,7 @@ class QuantumModel:
         psi_b H_k chained through the encoder vjp, or ((psi_b V) * m_k) V^dagger for angle rows.
         """
         _, V, H = self._compiled()
-        PH = (((psi @ V)[:, None] * self.ensemble.diagonals(self.num_qubits)) @ V.conj().T
+        PH = (((psi @ V)[:, None] * self.ensemble.diagonals()) @ V.conj().T
               if self.encoding.kind == enc.ANGLE else (psi @ H).reshape(len(psi), self.ensemble.size, -1))
         return np.stack([encode_vjp(PH[:, k]) for k in range(self.ensemble.size)], axis=1)
 
@@ -340,5 +340,4 @@ def build_default_model(
         encoding=enc.EncodingSpec(encoding_kind, num_qubits, input_dim),
         circuit=circuit,
         theta=theta,
-        ensemble=ObservableEnsemble.pauli_z_all(num_qubits),
     )

@@ -16,9 +16,9 @@ consecutive gates that fit in one window: the 10-qubit staircase is 4 runs of
 ``resolve_circuit`` compiles the circuit once per theta: each run's gate
 matrices as one gathered stack, then one loop of matmuls for its unitary U.
 ``apply_ops`` runs that program, one matmul per run on a (rows, 2**(Q-off-w),
-2**w, 2**off) view; only a CNOT wider than the window stays a lone step, a
-gather of its permutation. No 2**Q x 2**Q matrix is built outside the test
-oracles.
+2**w, 2**off) view. A CNOT spans at most 4 qubits (``GateOp`` rejects a wider
+one), so every gate fits in some run. No 2**Q x 2**Q matrix is built outside
+the test oracles.
 
 Rows that occupy only the m lowest basis states leave the top qubits at |0>,
 and ``apply_cone`` runs the program only where they reach: each run acts on
@@ -57,11 +57,13 @@ CNOT = "cnot"
 
 ROTATION_KINDS = (RX, RY, RZ)
 GATE_KINDS = ROTATION_KINDS + (CNOT,)
+_WINDOW = 4  # qubits per run: 16 x 16 matrices
 
 
 @dataclass(frozen=True)
 class GateOp:
-    """One gate: a rotation (trainable via ``param_slot`` or fixed-angle) or CNOT."""
+    """One gate: a rotation (trainable via ``param_slot`` or fixed-angle) or a CNOT whose control and
+    target lie within 4 adjacent qubits, the window of a fused run."""
 
     kind: str
     target: int
@@ -86,6 +88,8 @@ class GateOp:
                 raise InvalidGateError("cnot needs a control qubit")
             if self.control == self.target:
                 raise InvalidGateError("cnot control and target must differ")
+            if abs(self.control - self.target) >= _WINDOW:
+                raise DimensionError(f"cnot {self.control} -> {self.target} spans more than {_WINDOW} qubits")
 
 
 @dataclass
@@ -149,17 +153,10 @@ class ParamCircuit:
 # ---------------------------------------------------------------------------
 # gate matrices and their fusion into runs on windows of w adjacent qubits
 
-_WINDOW = 4  # qubits per run: 16 x 16 matrices
-
 # Pauli generator of each rotation: R(angle) = exp(-i angle P / 2) = cos(angle/2) I - i sin(angle/2) P
 GENERATORS = {RX: np.array([[0.0, 1.0], [1.0, 0.0]]), RY: np.array([[0, -1j], [1j, 0]]), RZ: np.diag([1.0, -1.0])}
 
 _KIND_INDEX = {kind: k for k, kind in enumerate(GATE_KINDS)}
-
-
-def _cnot_permutation(index, control, target):
-    """The basis index that each index trades places with under a CNOT (the map is its own inverse)."""
-    return index ^ (((index >> control) & 1) << target)
 
 
 @functools.lru_cache(maxsize=None)
@@ -167,7 +164,7 @@ def _gate_library(w):
     """Read-only (B, P) stacks of shape (3 w + w**2, 2**w, 2**w), indexed by gate code: a rotation of
     kind k (0, 1, 2 for RX, RY, RZ) on window qubit t has code k w + t, a CNOT 3 w + control w + target."""
     d = 1 << w
-    eye = np.eye(d)
+    eye, index = np.eye(d), np.arange(d)
     basis = np.zeros((3 * w + w * w, d, d), dtype=np.complex128)
     generator = np.zeros_like(basis)
     for k, kind in enumerate(ROTATION_KINDS):
@@ -177,7 +174,7 @@ def _gate_library(w):
     for c in range(w):
         for t in range(w):
             if c != t:
-                basis[3 * w + c * w + t] = eye[_cnot_permutation(np.arange(d), c, t)]
+                basis[3 * w + c * w + t] = eye[index ^ (((index >> c) & 1) << t)]  # flips t where c is set
     basis.flags.writeable = generator.flags.writeable = False
     return basis, generator
 
@@ -185,9 +182,9 @@ def _gate_library(w):
 def _fusion_plan(gates, num_qubits):
     """[(offset, start, stop)]: maximal runs gates[start:stop] whose qubits fit in the w = min(4, Q)
     qubits from ``offset``, the lowest such window, so that a run reaches no basis state above its
-    top qubit's; a CNOT wider than w is a lone gate, with offset None."""
+    top qubit's. Every gate fits in a window on its own (``GateOp``)."""
     w = min(_WINDOW, num_qubits)
-    plan, lo, hi = [], -w, 0  # lo..hi: the qubits of the open run; wider than w when none is open
+    plan, lo, hi = [], -w, 0  # lo..hi: the qubits of the open run; wider than w before the first
     for i, g in enumerate(gates):
         a = b = g.target
         c = g.control
@@ -197,13 +194,10 @@ def _fusion_plan(gates, num_qubits):
         if joined_hi - joined_lo < w:
             lo, hi = joined_lo, joined_hi
             plan[-1][0], plan[-1][2] = hi, i + 1
-        elif b - a < w:
+        else:
             lo, hi = a, b
             plan.append([hi, i, i + 1])
-        else:
-            lo, hi = -w, 0
-            plan.append([None, i, i + 1])
-    return [(None if hi is None else max(0, hi - w + 1), start, stop) for hi, start, stop in plan]
+    return [(max(0, hi - w + 1), start, stop) for hi, start, stop in plan]
 
 
 class _Run(NamedTuple):
@@ -211,17 +205,14 @@ class _Run(NamedTuple):
 
     A run of gates A_1 ... A_G on the w qubits from ``offset`` holds its unitary U = A_G ... A_1
     and, for each trainable gate j, the product S_j = A_G ... A_(j+1) of the gates after it, the
-    generator P_j and the theta slot. A CNOT wider than the window has offset None, and
-    ``unitary`` holds its basis permutation (``_cnot_permutation``) of the lowest basis states up to
-    its higher qubit, which repeats along the qubits above. Either way, the run acts within the
-    ``_reach`` lowest basis states.
+    generator P_j and the theta slot. The run acts within the ``_reach`` lowest basis states.
     """
 
-    offset: Optional[int]
+    offset: int
     unitary: np.ndarray
-    suffixes: Optional[np.ndarray] = None
-    generators: Optional[np.ndarray] = None
-    slots: Optional[np.ndarray] = None
+    suffixes: np.ndarray
+    generators: np.ndarray
+    slots: np.ndarray
 
 
 def _compile(gates, angles, num_qubits):
@@ -240,10 +231,6 @@ def _compile(gates, angles, num_qubits):
     program = []
     for off, start, stop in _fusion_plan(gates, num_qubits):
         kind, target, control, slot = fields[start:stop].T
-        if off is None:
-            c, t = control[0], target[0]
-            program.append(_Run(None, _cnot_permutation(np.arange(2 << max(c, t)), c, t)))
-            continue
         code = np.where(kind < 3, kind * w + target - off, 3 * w + (control - off) * w + target - off)
         matrices = basis[code]
         matrices *= cos[start:stop]
@@ -273,20 +260,14 @@ def _window(states, offset, d):
 
 
 def _apply_step(states, offset, step):
-    """states <- the matrix ``step`` acting on the window of qubits from ``offset``, in place; with
-    offset None, ``step`` is a basis permutation of the len(step) lowest basis states, applied as a
-    gather on each block of len(step) columns."""
-    if offset is None:
-        v = _window(states, 0, len(step))
-        v[:] = v[:, :, step]
-    else:
-        v = _window(states, offset, len(step))
-        np.matmul(step, v, out=v)
+    """states <- the matrix ``step`` acting on the window of qubits from ``offset``, in place."""
+    v = _window(states, offset, len(step))
+    np.matmul(step, v, out=v)
 
 
 def _reach(run):
     """The number of lowest basis states that a run acts within: 2**(its highest qubit + 1)."""
-    return len(run.unitary) << (run.offset or 0)
+    return len(run.unitary) << run.offset
 
 
 def _stretches(ops, width):
@@ -329,8 +310,8 @@ def resolve_circuit(circuit: ParamCircuit, theta: np.ndarray) -> list[_Run]:
 
 def apply_ops(ops, states):
     """Apply the program ``ops`` of ``resolve_circuit`` in place to states of shape (B, N), one row
-    block at a time: one matmul per run, one gather per lone wide CNOT. N is a power of two that
-    covers every run's qubits: 2**Q, or the width of a stretch of ``apply_cone``."""
+    block at a time: one matmul per run. N is a power of two that covers every run's qubits: 2**Q,
+    or the width of a stretch of ``apply_cone``."""
     for rows in _row_blocks(states):
         block = states[rows]  # a contiguous view: the steps write through it
         for run in ops:
@@ -340,9 +321,9 @@ def apply_ops(ops, states):
 
 def _entry(run, inner, width):
     """The columns that the first run of a stretch on ``width`` columns reads of kets on ``inner``:
-    all for a lone wide CNOT's gather or a run below the stretch's top qubit, else whole slices of
-    2**offset columns, which meet only the first ``entry >> offset`` columns of U."""
-    if run.offset is None or _reach(run) < width:
+    all for a run below the stretch's top qubit, else whole slices of 2**offset columns, which meet
+    only the first ``entry >> offset`` columns of U."""
+    if _reach(run) < width:
         return width
     return max(1 << (inner - 1).bit_length(), 1 << run.offset)
 
@@ -373,12 +354,12 @@ def apply_cone(ops, states):
 
 def cone_widths(ops, kets, num_qubits):
     """Per qubit q, the width of the kets of ``apply_cone`` at the end of the last stretch with a
-    run on q, a lone wide CNOT counting as on every qubit (the first kets' width if no run acts on
-    q): Z_q commutes with every later run, so its readout reads those kets."""
+    run on q (the first kets' width if no run acts on q): Z_q commutes with every later run, so its
+    readout reads those kets."""
     w, widths = min(_WINDOW, num_qubits), np.full(num_qubits, kets[0].shape[1])
     for start, stop, width in _stretches(ops, kets[0].shape[1]):
         for run in ops[start:stop]:
-            widths[slice(0, None) if run.offset is None else slice(run.offset, run.offset + w)] = width
+            widths[run.offset : run.offset + w] = width
     return tuple(widths.tolist())
 
 
@@ -407,8 +388,8 @@ def adjoint_sweep(ops, final_states, bra, num_params=0, return_bra=True):
     kets = [final_states] if isinstance(final_states, np.ndarray) else final_states
     terms = bra if isinstance(bra, list) else [None] * (len(kets) - 1) + [bra]
     stretches, dtheta, bra = _stretches(ops, kets[0].shape[1]), np.zeros(num_params), None
-    undo = [run.unitary if run.offset is None else run.unitary.conj().T for run in ops]  # a CNOT undoes itself
-    envs = [None if run.offset is None else np.zeros_like(run.unitary) for run in ops]
+    undo = [run.unitary.conj().T for run in ops]
+    envs = [np.zeros_like(run.unitary) for run in ops]
     for s in range(len(stretches) - 1, -1, -1):
         (start, stop, width), kept, term = stretches[s], kets[s], terms[s]
         if term is not None:
@@ -426,9 +407,8 @@ def adjoint_sweep(ops, final_states, bra, num_params=0, return_bra=True):
                 ket = ket.copy()  # undone below, back to the stretch's first run
             for i in range(stop - 1, start - 1, -1):
                 run, env = ops[i], envs[i]
-                if env is not None:
-                    bv, kv = (_window(x, run.offset, len(env)).swapaxes(0, 2).reshape(len(env), -1) for x in (b, ket))
-                    env += bv.conj() @ kv.T
+                bv, kv = (_window(x, run.offset, len(env)).swapaxes(0, 2).reshape(len(env), -1) for x in (b, ket))
+                env += bv.conj() @ kv.T
                 if i > start:
                     _apply_step(ket, run.offset, undo[i])
                 if i > start or out is bra:
@@ -438,9 +418,8 @@ def adjoint_sweep(ops, final_states, bra, num_params=0, return_bra=True):
                     np.matmul(undo[i][:c], _window(b, run.offset, len(env)), out=_window(out[rows], run.offset, c))
         bra = out
     for run, env in zip(ops, envs):
-        if env is not None:
-            forms = run.suffixes @ run.generators @ run.suffixes.conj().transpose(0, 2, 1)
-            np.add.at(dtheta, run.slots, (forms.reshape(len(forms), env.size) @ env.reshape(-1)).imag)
+        forms = run.suffixes @ run.generators @ run.suffixes.conj().transpose(0, 2, 1)
+        np.add.at(dtheta, run.slots, (forms.reshape(len(forms), env.size) @ env.reshape(-1)).imag)
     return dtheta, (terms[0] if bra is None else bra) if return_bra else None
 
 
@@ -475,7 +454,7 @@ def parameter_shift_grad(circuit, theta, input_state: StateVector, ensemble, slo
     where = [i for i, g in enumerate(circuit.gates) if g.param_slot == slot]
     if not where:
         raise UnsupportedGateError(f"slot {slot} is not bound to any rotation gate")
-    diags = np.asarray(ensemble.diagonals(circuit.num_qubits))
+    diags = ensemble.diagonals()
     amps = np.asarray(input_state.amplitudes, dtype=np.complex128)
     total = np.zeros(diags.shape[0])
     for i in where:
@@ -491,8 +470,9 @@ def random_layer(seed: int, num_qubits: int, num_ops: int):
     """Seeded random gate layer: kinds uniform over {RX, RY, RZ, CNOT}.
 
     Rotations receive fresh trainable slots with uniform(0, 2*pi) initial
-    values; returns (gates, theta_init). On a single qubit a drawn CNOT is
-    redrawn rather than raising.
+    values; returns (gates, theta_init). A CNOT's target is drawn within 3
+    qubits of its control, so it fits a fused run's window (at Q <= 4, any
+    other qubit). On a single qubit a drawn CNOT is redrawn rather than raising.
     """
     if num_ops < 0:
         raise DimensionError("num_ops must be >= 0")
@@ -506,7 +486,8 @@ def random_layer(seed: int, num_qubits: int, num_ops: int):
             kind = kinds[rng.integers(4)]
         if kind == CNOT:
             control = int(rng.integers(num_qubits))
-            target = int(rng.integers(num_qubits - 1))
+            lo, hi = max(0, control - _WINDOW + 1), min(num_qubits, control + _WINDOW)
+            target = lo + int(rng.integers(hi - lo - 1))
             if target >= control:
                 target += 1
             gates.append(GateOp(CNOT, target=target, control=control))

@@ -75,7 +75,7 @@ def worst_gradient_gap(seed=2024, count=50, max_qubits=6, num_ops=(3, 21)):
         checked += 1
         amps = rng.normal(size=1 << num_qubits) + 1j * rng.normal(size=1 << num_qubits)
         amps /= np.linalg.norm(amps)
-        diags = ObservableEnsemble.pauli_z_all(num_qubits).diagonals(num_qubits)
+        diags = ObservableEnsemble(num_qubits).diagonals()
         adjoint = np.stack(
             [adjoint_gradient(circuit, theta, amps, onehot, diags)[0] for onehot in np.eye(num_qubits)]
         )  # (K, p)

@@ -70,10 +70,10 @@ def dense_circuit(circuit, theta) -> np.ndarray:
 # readouts and state preparation
 
 
-def pauli_z_diagonals(num_qubits: int, sites=None) -> np.ndarray:
-    """(K, 2**Q): Z on qubit s reads +1 where bit s of the basis index is 0 and -1 where it is 1."""
-    sites = range(num_qubits) if sites is None else sites
-    return np.array([[-1.0 if (index >> s) & 1 else 1.0 for index in range(1 << num_qubits)] for s in sites])
+def pauli_z_diagonals(num_qubits: int) -> np.ndarray:
+    """(Q, 2**Q): Z on qubit s reads +1 where bit s of the basis index is 0 and -1 where it is 1."""
+    return np.array([[-1.0 if (index >> s) & 1 else 1.0 for index in range(1 << num_qubits)]
+                     for s in range(num_qubits)])
 
 
 def amplitude_state(x, num_qubits: int) -> np.ndarray:

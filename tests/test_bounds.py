@@ -11,8 +11,7 @@ from qdeq.bounds import (
     write_csv,
 )
 from qdeq.encoding import EncodingSpec, encode
-from qdeq.measurement import BASIS_PROJECTOR, ObservableEnsemble
-from qdeq.qmodel import QuantumModel, build_block, build_default_model
+from qdeq.qmodel import build_default_model
 
 from oracle import amplitude_state, pauli_z_diagonals, trace_distance
 
@@ -173,17 +172,6 @@ class TestContractionBound:
     def test_angle_model_no_violations(self):
         model = build_default_model("angle", 4, 16, seed=2)
         report = verify_contraction_bound(model, 800, seed=6)
-        assert report.violations == 0
-
-    def test_projector_model_tighter_bound(self):
-        circuit, theta = build_block(4, 4, random_ops=10)
-        model = QuantumModel(
-            encoding=EncodingSpec("amplitude", 4, 16),
-            circuit=circuit,
-            theta=theta,
-            ensemble=ObservableEnsemble(BASIS_PROJECTOR, (0, 3, 5, 9)),
-        )
-        report = verify_contraction_bound(model, 800, seed=7)
         assert report.violations == 0
 
 

@@ -129,7 +129,7 @@ class TestAngleEncode:
         rng = np.random.default_rng(15)
         X = rng.uniform(0.0, 2.0 * np.pi, size=(rows, 4 * num_qubits))
         cot = rng.normal(size=(rows, num_qubits))
-        diags = ObservableEnsemble.pauli_z_all(num_qubits).diagonals(num_qubits)
+        diags = ObservableEnsemble(num_qubits).diagonals()
 
         def run(inputs, cotangent):
             psi, vjp, _ = encode(EncodingSpec("angle", num_qubits, 4 * num_qubits), inputs)

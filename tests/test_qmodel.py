@@ -8,7 +8,7 @@ from qdeq import deqsolve, qmodel
 from qdeq import encoding as enc
 from qdeq.encoding import EncodingSpec, amplitude_encode, angle_encode
 from qdeq.errors import DimensionError
-from qdeq.measurement import BASIS_PROJECTOR, PAULI_Z, ObservableEnsemble, UpsampleMap
+from qdeq.measurement import ObservableEnsemble, UpsampleMap
 from qdeq.qmodel import (
     QuantumModel,
     build_block,
@@ -17,9 +17,6 @@ from qdeq.qmodel import (
 )
 from qdeq.seeding import child_seed
 from qdeq.simcore import (
-    CNOT,
-    RX,
-    RY,
     GateOp,
     ParamCircuit,
     adjoint_sweep,
@@ -39,7 +36,6 @@ def _identity_model():
         encoding=EncodingSpec("amplitude", 2, 4),
         circuit=ParamCircuit(2, (), 0),
         theta=np.zeros(0),
-        ensemble=ObservableEnsemble.pauli_z_all(2),
     )
 
 
@@ -288,7 +284,7 @@ def _gate_by_gate_backward(model, Z, X, C):
     states[:, : psi.shape[1]] = psi
     apply_ops(ops, states)
     chat = C @ model.upsample.matrix
-    bra = (chat @ model.ensemble.diagonals(model.num_qubits)) * states
+    bra = (chat @ model.ensemble.diagonals()) * states
     dtheta, back = adjoint_sweep(ops, states, bra, num_params=model.num_params)
     return enc.encode(model.encoding, combined)[1](back), dtheta
 
@@ -322,7 +318,7 @@ class TestCompiledReverseAgainstGateByGate:
         # V is its last kets, unpadded; Z_4 reads them as all-|0> on qubit 4
         block, theta = build_block(5, 4, random_ops=10)
         circuit = ParamCircuit(5, block.gates, block.num_params)
-        model = QuantumModel(EncodingSpec("amplitude", 5, 10), circuit, theta, ObservableEnsemble.pauli_z_all(5))
+        model = QuantumModel(EncodingSpec("amplitude", 5, 10), circuit, theta)
         V = model._compiled()[1]
         assert V.shape == (10, 16) and model._compiled_at[5][-1] is V
         Z, X, C = self._batch(10)
@@ -372,7 +368,7 @@ class TestCompiledReverseAgainstGateByGate:
 def _per_observable_forms(model):
     """(K, d, d) H_k = V diag(m_k) V^dagger, one product per observable (Re H_k for amplitude rows)."""
     V = model._compiled()[1]
-    H = np.stack([(V * m) @ V.conj().T for m in model.ensemble.diagonals(model.num_qubits)])
+    H = np.stack([(V * m) @ V.conj().T for m in model.ensemble.diagonals()])
     return H.real if model.encoding.kind == "amplitude" else H
 
 
@@ -381,7 +377,7 @@ def _per_observable_pullback_theta(model, psi, cotangents, encode_jvp=None, tang
     ops, V, _ = model._compiled()
     chat = np.atleast_2d(cotangents) @ model.upsample.matrix
     bra, rows = np.zeros_like(V), psi.conj().T
-    for k, m in enumerate(model.ensemble.diagonals(model.num_qubits)):
+    for k, m in enumerate(model.ensemble.diagonals()):
         Rt = rows @ (chat[:, k, None] * psi)
         if tangents is not None:
             Y = rows @ encode_jvp(tangents[:, k])
@@ -390,24 +386,14 @@ def _per_observable_pullback_theta(model, psi, cotangents, encode_jvp=None, tang
     return adjoint_sweep(ops, V, bra, num_params=model.num_params)[0]
 
 
-def _projector_model():
-    circuit, theta = build_block(4, 4, random_ops=10)
-    return QuantumModel(
-        encoding=EncodingSpec("amplitude", 4, 16),
-        circuit=circuit,
-        theta=theta,
-        ensemble=ObservableEnsemble(BASIS_PROJECTOR, (0, 3, 5, 9)),
-    )
-
-
 class TestClassBuiltForms:
     """The readout forms and the sweep's bra, built per class of equal diagonal columns, against
     one product per observable."""
 
     MODELS = {
         "amplitude-10": lambda: build_default_model("amplitude", 10, 100, seed=3),
+        "amplitude-4": lambda: build_default_model("amplitude", 4, 16, seed=3),
         "angle-4": lambda: build_default_model("angle", 4, 16, seed=3),
-        "projector-4": _projector_model,
     }
 
     @pytest.fixture(params=sorted(MODELS))
@@ -455,7 +441,7 @@ def _full_width_build(model, psi, cotangents, encode_jvp=None, tangents=None):
     ops = resolve_circuit(model.circuit, model.theta)
     d, N, K = model.encoding.width, 1 << model.num_qubits, model.ensemble.size
     V = apply_ops(ops, np.eye(d, N, dtype=np.complex128))
-    table = model.ensemble.classes(model.num_qubits, (N,) * model.num_qubits)
+    table = model.ensemble.classes((N,) * model.num_qubits)
     dtype = np.float64 if model.encoding.kind == "amplitude" else np.complex128
     H = np.zeros((K, d, d), dtype=dtype)
     for obs, signs, cols, _ in table:
@@ -478,27 +464,20 @@ def _full_width_build(model, psi, cotangents, encode_jvp=None, tangents=None):
     return V, H, A, _full_width_sweep(ops, V, bra, model.num_params)[0]
 
 
-def _lone_cnot_model(opens_the_wide_stretch):
-    """Q=8 on 40 amplitude rows (64 columns): a ``random_layer`` on qubits 0-5 with lone wide CNOTs,
-    then a trainable block on qubits 4-7 (a run at offset 4 that widens the cone to 256 columns) or
-    a lone CNOT 1 -> 7 that opens the 256-column stretch, as in ``TestLightCone``."""
+def _layer_then_block_model():
+    """Q=8 on 40 amplitude rows (64 columns): a ``random_layer`` on qubits 0-5, then a trainable
+    block on qubits 4-7, a run at offset 4 that widens the cone to 256 columns."""
     gates, theta = random_layer(6, 6, 60)
-    if opens_the_wide_stretch:
-        gates += [GateOp(CNOT, 7, control=1), GateOp(RY, 7, param_slot=len(theta)), GateOp(CNOT, 4, control=7),
-                  GateOp(RX, 6, param_slot=len(theta) + 1)]
-        theta = np.append(theta, [0.3, -1.1])
-    else:
-        block, wall = qmodel._trainable_block(4, len(theta))
-        gates += [qmodel._remap_gate(g, 4, 0) for g in block]
-        theta = np.append(theta, np.random.default_rng(6).uniform(0, 2 * np.pi, wall))
-    circuit = ParamCircuit.from_gates(8, gates)
-    return QuantumModel(EncodingSpec("amplitude", 8, 40), circuit, theta, ObservableEnsemble.pauli_z_all(8))
+    block, wall = qmodel._trainable_block(4, len(theta))
+    gates += [qmodel._remap_gate(g, 4, 0) for g in block]
+    theta = np.append(theta, np.random.default_rng(6).uniform(0, 2 * np.pi, wall))
+    return QuantumModel(EncodingSpec("amplitude", 8, 40), ParamCircuit.from_gates(8, gates), theta)
 
 
 def _below_the_top_model():
     block, theta = build_block(5, 4, random_ops=10)
     circuit = ParamCircuit(5, block.gates, block.num_params)
-    return QuantumModel(EncodingSpec("amplitude", 5, 10), circuit, theta, ObservableEnsemble.pauli_z_all(5))
+    return QuantumModel(EncodingSpec("amplitude", 5, 10), circuit, theta)
 
 
 def _high_run_first_model(rows):
@@ -511,18 +490,7 @@ def _high_run_first_model(rows):
         gates += [qmodel._remap_gate(g, offset, 0) for g in block]
         slots += count
     theta = np.random.default_rng(7).uniform(0, 2 * np.pi, slots)
-    return QuantumModel(EncodingSpec("amplitude", 10, rows), ParamCircuit.from_gates(10, gates), theta,
-                        ObservableEnsemble.pauli_z_all(10))
-
-
-def _with_ensemble(build, ensemble):
-    return lambda: dataclasses.replace(build(), ensemble=ensemble)
-
-
-def _projector_model_10():
-    model = build_default_model("amplitude", 10, 100, seed=3)
-    ensemble = ObservableEnsemble(BASIS_PROJECTOR, (1023, 0, 17, 512, 64, 5, 900, 99, 127, 128))
-    return dataclasses.replace(model, ensemble=ensemble)
+    return QuantumModel(EncodingSpec("amplitude", 10, rows), ParamCircuit.from_gates(10, gates), theta)
 
 
 class TestObservableCones:
@@ -534,16 +502,11 @@ class TestObservableCones:
     MODELS = {
         "staircase-10": (lambda: build_default_model("amplitude", 10, 100, seed=3),
                          (128,) * 4 + (256,) * 2 + (1024,) * 4),
-        "lone-cnot-then-block-8": (lambda: _lone_cnot_model(False), (64,) * 4 + (256,) * 4),
-        "lone-cnot-opens-8": (lambda: _lone_cnot_model(True), (256,) * 8),
+        "layer-then-block-8": (_layer_then_block_model, (64,) * 4 + (256,) * 4),
+        # shorter staircases: blocks at offsets 0, 2 (and 4) on 12 (40) rows
+        "staircase-6": (lambda: build_default_model("amplitude", 6, 12, seed=3), (16,) * 2 + (64,) * 4),
+        "staircase-8": (lambda: build_default_model("amplitude", 8, 40, seed=3), (64,) * 4 + (256,) * 4),
         "below-the-top-5": (_below_the_top_model, (16,) * 5),
-        "projectors-10": (_projector_model_10, (128,) * 4 + (256,) * 2 + (1024,) * 4),
-        # Z0 and Z1 read the first stretch only: the sweep skips the two after it
-        "low-sites-10": (_with_ensemble(lambda: build_default_model("amplitude", 10, 100, seed=3),
-                                        ObservableEnsemble(PAULI_Z, (1, 0))), (128,) * 4 + (256,) * 2 + (1024,) * 4),
-        # projectors 16-31 lie past the cone's 16 columns: their group reads 0
-        "projectors-below-the-top-5": (_with_ensemble(_below_the_top_model, ObservableEnsemble(
-            BASIS_PROJECTOR, (20, 31, 16, 17, 25, 3, 0, 7, 12, 9))), (16,) * 5),
         "high-run-first-100": (lambda: _high_run_first_model(100), (1024,) * 10),
         "high-run-first-10": (lambda: _high_run_first_model(10), (1024,) * 10),
         "amplitude-4": (lambda: build_default_model("amplitude", 4, 16, seed=3), (16,) * 4),
@@ -605,7 +568,7 @@ def _class_pullback_theta(model, psi, cotangents, encode_jvp=None, tangents=None
             Y = rows @ encode_jvp(tangents[:, k])
             R[k] += Y + Y.conj().T
     bra = None
-    for obs, signs, cols, slots in model.ensemble.classes(model.num_qubits, model._compiled_at[6]):
+    for obs, signs, cols, slots in model.ensemble.classes(model._compiled_at[6]):
         out = np.zeros((d, cols.size + 1), dtype=np.complex128)
         np.matmul(qmodel._combine(signs.T, R[obs]), np.take(V, cols, axis=1).transpose(1, 0, 2),
                   out=out[:, :-1].reshape(d, *cols.shape).transpose(1, 0, 2))
@@ -619,8 +582,7 @@ class TestAnglePullbackThroughV:
 
     MODELS = {
         "pauli-z-4": lambda: build_default_model("angle", 4, 16, seed=3),
-        "projectors-8-of-16": _with_ensemble(lambda: build_default_model("angle", 4, 16, seed=5),
-                                             ObservableEnsemble(BASIS_PROJECTOR, (0, 3, 5, 9, 12, 14, 6, 1))),
+        "pauli-z-4-seed-5": lambda: build_default_model("angle", 4, 16, seed=5),
     }
 
     @pytest.mark.parametrize("with_tangents", [False, True])
@@ -755,6 +717,7 @@ class TestModelValidation:
     def test_model_derives_upsample(self, encoding, num_qubits, input_dim):
         model = build_default_model(encoding, num_qubits, input_dim, seed=3, random_ops=5)
         assert model.upsample == UpsampleMap(num_qubits, input_dim)
+        assert model.ensemble == ObservableEnsemble(num_qubits)
 
     def test_readout_count_must_divide_input_dim(self):
         with pytest.raises(DimensionError, match="multiple"):
@@ -762,7 +725,6 @@ class TestModelValidation:
                 encoding=EncodingSpec("amplitude", 3, 4),
                 circuit=ParamCircuit(3, (), 0),
                 theta=np.zeros(0),
-                ensemble=ObservableEnsemble.pauli_z_all(3),
             )
 
     def test_mismatched_theta(self):
@@ -771,5 +733,4 @@ class TestModelValidation:
                 encoding=EncodingSpec("amplitude", 2, 4),
                 circuit=ParamCircuit(2, (), 0),
                 theta=np.zeros(3),
-                ensemble=ObservableEnsemble.pauli_z_all(2),
             )

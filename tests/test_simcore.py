@@ -119,6 +119,12 @@ class TestGateValidation:
         with pytest.raises(InvalidGateError):
             GateOp(CNOT, target=1, control=0, param_slot=0)
 
+    @pytest.mark.parametrize("control, target", [(0, 9), (9, 0), (1, 5), (6, 2)])
+    def test_cnot_wider_than_four_qubits_rejected(self, control, target):
+        with pytest.raises(DimensionError, match="spans more than 4 qubits"):
+            GateOp(CNOT, target, control=control)
+        GateOp(CNOT, control + (3 if control < target else -3), control=control)  # the widest one that fits
+
     def test_gate_set_is_rotations_and_cnot(self):
         assert GATE_KINDS == ("rx", "ry", "rz", "cnot")
         for kind in ("x", "h"):
@@ -165,7 +171,7 @@ def _zero(num_qubits):
 
 
 def _pauli_z(num_qubits):
-    return ObservableEnsemble.pauli_z_all(num_qubits).diagonals(num_qubits)
+    return ObservableEnsemble(num_qubits).diagonals()
 
 
 class TestAdjointGradients:
@@ -209,7 +215,7 @@ class TestAdjointGradients:
 class TestParameterShift:
     def _setup(self, theta):
         circuit = ParamCircuit(1, (GateOp(RY, 0, param_slot=0),), 1)
-        return circuit, ObservableEnsemble.pauli_z_all(1)
+        return circuit, ObservableEnsemble(1)
 
     def test_stationary_point(self):
         circuit, ensemble = self._setup(0.0)
@@ -224,7 +230,7 @@ class TestParameterShift:
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(4)
         circuit, theta = _random_circuit(31, 3, 14)
-        ensemble = ObservableEnsemble.pauli_z_all(3)
+        ensemble = ObservableEnsemble(3)
         state = _random_state(rng, 3)
         for slot in range(circuit.num_params):
             shift = parameter_shift_grad(circuit, theta, state, ensemble, slot)
@@ -234,7 +240,7 @@ class TestParameterShift:
     def test_repeated_slot_sums_occurrences(self):
         gates = (GateOp(RY, 0, param_slot=0), GateOp(RY, 0, param_slot=0))
         circuit = ParamCircuit(1, gates, 1)
-        ensemble = ObservableEnsemble.pauli_z_all(1)
+        ensemble = ObservableEnsemble(1)
         theta = np.array([0.4])
         grad = parameter_shift_grad(circuit, theta, StateVector.zero(1), ensemble, 0)
         # two stacked RY(theta) equal RY(2 theta): derivative -2 sin(2 theta)
@@ -242,7 +248,7 @@ class TestParameterShift:
 
     def test_unbound_slot_rejected(self):
         circuit = ParamCircuit(1, (GateOp(RY, 0, param_slot=0),), 1)
-        ensemble = ObservableEnsemble.pauli_z_all(1)
+        ensemble = ObservableEnsemble(1)
         with pytest.raises(UnsupportedGateError):
             parameter_shift_grad(circuit, [0.1], StateVector.zero(1), ensemble, 3)
 
@@ -276,11 +282,11 @@ class TestLargeBatchedStates:
     def test_adjoint_theta_gradient_matches_parameter_shift(self):
         circuit, theta = self._circuit()
         states = self._states(13)
-        ensemble = ObservableEnsemble.pauli_z_all(self.Q)
+        ensemble = ObservableEnsemble(self.Q)
         cot = np.random.default_rng(14).normal(size=(self.B, self.Q))
         ops = resolve_circuit(circuit, theta)
         final = apply_ops(ops, states.copy())
-        bra = (cot @ ensemble.diagonals(self.Q)) * final
+        bra = (cot @ ensemble.diagonals()) * final
         dtheta, _ = adjoint_sweep(ops, final, bra, num_params=circuit.num_params)
         diags = oracle.pauli_z_diagonals(self.Q)
         for slot in (0, circuit.num_params // 2, circuit.num_params - 1):
@@ -295,7 +301,7 @@ class TestRowBlocks:
 
     def _circuit(self):
         gates, theta = random_layer(2, self.Q, 80)
-        gates += [GateOp(RY, 4, fixed_angle=0.3), GateOp(CNOT, 9, control=0)]
+        gates += [GateOp(RY, 4, fixed_angle=0.3), GateOp(CNOT, 9, control=6)]
         return ParamCircuit.from_gates(self.Q, gates), theta
 
     def _states(self, seed, rows):
@@ -308,8 +314,8 @@ class TestRowBlocks:
     def test_blocked_runs_match_per_row_runs(self, rows):
         assert simcore._BLOCK_BYTES // ((1 << self.Q) * 16) == 16
         circuit, theta = self._circuit()
-        ensemble = ObservableEnsemble.pauli_z_all(self.Q)
-        diags = ensemble.diagonals(self.Q)
+        ensemble = ObservableEnsemble(self.Q)
+        diags = ensemble.diagonals()
         states = self._states(21, rows)
         cot = np.random.default_rng(22).normal(size=(rows, self.Q))
         ops = resolve_circuit(circuit, theta)
@@ -370,6 +376,46 @@ class TestRandomLayer:
     def test_negative_ops_rejected(self):
         with pytest.raises(DimensionError):
             random_layer(0, 4, -1)
+
+    @pytest.mark.parametrize("num_qubits", [1, 2, 3, 4])
+    def test_narrow_layers_match_the_frozen_draw(self, num_qubits):
+        # at Q <= 4 every target is in the window, so the draw is the unrestricted one: every
+        # shipped circuit (4-qubit blocks) is unchanged
+        for seed in range(200):
+            gates, init = random_layer(seed, num_qubits, 50)
+            ref_gates, ref_init = _unrestricted_random_layer(seed, num_qubits, 50)
+            assert gates == ref_gates and np.array_equal(init, ref_init)
+
+    @pytest.mark.parametrize("num_qubits", range(5, 11))
+    def test_wide_layers_draw_cnots_within_four_qubits(self, num_qubits):
+        spans = set()
+        for seed in range(50):
+            gates, _ = random_layer(seed, num_qubits, 50)
+            spans |= {abs(g.control - g.target) for g in gates if g.kind == CNOT}
+        assert spans == {1, 2, 3}
+
+
+def _unrestricted_random_layer(seed, num_qubits, num_ops):
+    """``random_layer`` as it drew before CNOTs were held to 4 adjacent qubits, kept as a frozen
+    reference: the target uniform over every other qubit."""
+    rng = np.random.default_rng(seed)
+    kinds = (RX, RY, RZ, CNOT)
+    gates, init = [], []
+    for _ in range(num_ops):
+        kind = kinds[rng.integers(4)]
+        while kind == CNOT and num_qubits < 2:
+            kind = kinds[rng.integers(4)]
+        if kind == CNOT:
+            control = int(rng.integers(num_qubits))
+            target = int(rng.integers(num_qubits - 1))
+            if target >= control:
+                target += 1
+            gates.append(GateOp(CNOT, target=target, control=control))
+        else:
+            target = int(rng.integers(num_qubits))
+            gates.append(GateOp(kind, target=target, param_slot=len(init)))
+            init.append(rng.uniform(0.0, 2.0 * np.pi))
+    return gates, np.array(init)
 
 
 def test_gradient_triple_agreement_small():
@@ -477,13 +523,13 @@ class TestFusedRuns:
         assert self._plan(model.circuit) == [(0, 66)]
         self._check(model.circuit, model.theta, rows=16, seed=32)
 
-    def test_wide_cnots_stay_lone_gates(self):
+    def test_eight_qubit_layer_is_runs_at_several_offsets(self):
+        # CNOTs across the full 4-qubit window first and last: 4 -> 7 at offset 4, 6 -> 3 at offset 3
         gates, theta = random_layer(5, 8, 120)
-        gates = [GateOp(CNOT, 7, control=0)] + gates + [GateOp(RY, 6, fixed_angle=0.4), GateOp(CNOT, 1, control=6)]
+        gates = [GateOp(CNOT, 7, control=4)] + gates + [GateOp(RY, 6, fixed_angle=0.4), GateOp(CNOT, 3, control=6)]
         circuit = ParamCircuit.from_gates(8, gates)
         plan = self._plan(circuit)
-        assert plan[0] == (None, 1) and plan[-1] == (None, 1)  # a lone gate first and last
-        assert sum(off is None for off, _ in plan) > 2 and {off for off, _ in plan} >= {0, 4}
+        assert plan[0][0] == 4 and plan[-1][0] == 3 and len({off for off, _ in plan}) > 2
         assert sum(count for _, count in plan) == len(gates)
         self._check(circuit, theta, rows=70, seed=33)  # two row blocks: 64 and 6 rows
 
@@ -499,14 +545,12 @@ def _full_width_sweep(ops, final, bra, num_params):
     sweep as it ran before the light cone, for rows that fit in one row block."""
     dtheta, ket, bra = np.zeros(num_params), final.copy(), bra.copy()
     for run in reversed(ops):
-        back = run.unitary if run.offset is None else run.unitary.conj().T
-        if run.offset is not None:
-            d = len(run.unitary)
-            bv, kv = (simcore._window(x, run.offset, d).swapaxes(0, 2).reshape(d, -1) for x in (bra, ket))
-            env = np.zeros_like(run.unitary)
-            env += bv.conj() @ kv.T
-            forms = run.suffixes @ run.generators @ run.suffixes.conj().transpose(0, 2, 1)
-            np.add.at(dtheta, run.slots, (forms.reshape(len(forms), env.size) @ env.reshape(-1)).imag)
+        back, d = run.unitary.conj().T, len(run.unitary)
+        bv, kv = (simcore._window(x, run.offset, d).swapaxes(0, 2).reshape(d, -1) for x in (bra, ket))
+        env = np.zeros_like(run.unitary)
+        env += bv.conj() @ kv.T
+        forms = run.suffixes @ run.generators @ run.suffixes.conj().transpose(0, 2, 1)
+        np.add.at(dtheta, run.slots, (forms.reshape(len(forms), env.size) @ env.reshape(-1)).imag)
         simcore._apply_step(ket, run.offset, back)
         simcore._apply_step(bra, run.offset, back)
     return dtheta, bra
@@ -542,16 +586,6 @@ class TestLightCone:
         ops, kets = self._check(model.circuit, model.theta, rows=100, widths=[128, 256, 1024], seed=41)
         assert [stop - start for start, stop, _ in simcore._stretches(ops, 100)] == [2, 1, 1]
         assert np.array_equal(model._compiled()[1], kets[-1])
-
-    def test_lone_wide_cnot_widens_the_cone(self):
-        gates, theta = random_layer(6, 6, 60)  # qubits 0-5: the 40 rows' own 64 columns
-        gates += [GateOp(CNOT, 7, control=1), GateOp(RY, 7, param_slot=len(theta)), GateOp(CNOT, 4, control=7),
-                  GateOp(RX, 6, param_slot=len(theta) + 1)]
-        circuit = ParamCircuit.from_gates(8, gates)
-        ops, _ = self._check(circuit, np.append(theta, [0.3, -1.1]), rows=40, widths=[64, 256], seed=42)
-        (_, first), (wide, _) = [(start, stop) for start, stop, _ in simcore._stretches(ops, 40)]
-        assert ops[wide].offset is None and len(ops[wide].unitary) == 256  # the lone CNOT opens the wide stretch
-        assert any(run.offset is None for run in ops[:first])  # lone CNOTs inside the rows' qubits too
 
     @pytest.mark.parametrize("encoding", ["amplitude", "angle"])
     def test_four_qubit_model_is_one_stretch_at_full_width(self, encoding):
